@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchhot benchgate benchtrace benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden campaign-smoke live-smoke chaossmoke crashmatrix tracereport clean
+.PHONY: all build test race bench benchhot benchgate benchtrace benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden campaign-smoke live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
@@ -36,7 +36,9 @@ race:
 # byte-identical to an uninterrupted run — and the storage-fault matrix
 # (crashmatrix): every commit point in fsio, the campaign runner, and
 # idsevald crossed with every single-fault schedule a hostile disk can
-# produce, recovery verified after each one. The
+# produce, recovery verified after each one — and the end-to-end
+# benchmark's own correctness gates (idsbench-smoke: golden report
+# digests, scorecard sanity, every metric emitted). The
 # batched-scan differential fuzz seeds run as regression tests alongside
 # the trace decoder's, and benchgate holds signature-scan throughput
 # within 15% of the committed BENCH_hotpath.json baseline, sharded-
@@ -60,6 +62,7 @@ ci:
 	$(MAKE) live-smoke
 	$(MAKE) chaossmoke
 	$(MAKE) crashmatrix
+	$(MAKE) idsbench-smoke
 	$(MAKE) benchgate
 
 # Regenerate every table and figure of the paper.
@@ -107,6 +110,19 @@ benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_serve.json \
 		-current /tmp/BENCH_serve.current.json \
 		-gate-allocs ServeIngest -max-allocs-grow-pct 10
+
+# The end-to-end, per-layer benchmark (cmd/idsbench, its own Go module):
+# every workload — quick, full, scale, serve — for the default 15 s
+# each, artifacts under the gitignored .bench_build/. See
+# cmd/idsbench/README.md for the metrics and for comparing two runs.
+idsbench:
+	bash cmd/idsbench/run.sh -workload all
+
+# The benchmark's own test suite at smoke size (~7 s): golden digests of
+# the warm-up reports, the scorecard/scale/serve correctness gates, and
+# every declared metric emitted.
+idsbench-smoke:
+	$(GO) -C cmd/idsbench test .
 
 # Sharded-kernel throughput benchmarks: the >= 10k-host LargeConfig run
 # at 1, 2, 4, and 8 executor goroutines, captured as JSON. The committed

@@ -254,17 +254,21 @@ var ErrIncomplete = errors.New("core: scorecard missing observations for weighte
 
 // ClassScore computes S_j for one class under the given weights
 // (Figure 5). Metrics without weights contribute nothing; weighted
-// metrics without observations are an error.
+// metrics without observations are an error. It walks the registry in
+// definition order in place, so scoring allocates nothing.
 func (c *Scorecard) ClassScore(j Class, w Weights) (float64, error) {
 	var sum float64
-	for _, m := range c.reg.ByClass(j) {
-		wij, ok := w[m.ID]
+	for _, id := range c.reg.order {
+		if c.reg.byID[id].Class != j {
+			continue
+		}
+		wij, ok := w[id]
 		if !ok || wij == 0 {
 			continue
 		}
-		o, ok := c.obs[m.ID]
+		o, ok := c.obs[id]
 		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrIncomplete, m.ID)
+			return 0, fmt.Errorf("%w: %q", ErrIncomplete, id)
 		}
 		sum += float64(o.Score) * wij
 	}

@@ -198,6 +198,39 @@ func TestUnweightedMetricsIgnored(t *testing.T) {
 	}
 }
 
+var (
+	evaluateSink WeightedScore
+	classMapSink map[Class]float64
+)
+
+// Scoring walks the registry in place: ClassScore allocates nothing, and
+// Evaluate allocates no more than its own ByClass result map.
+func TestEvaluateAllocatesOnlyResultMap(t *testing.T) {
+	reg := StandardRegistry()
+	c := NewScorecard(reg, "sys", "1.0")
+	for i, m := range reg.All() {
+		if err := c.Set(Observation{MetricID: m.ID, Score: Score(i % 5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := Uniform(reg)
+	for _, j := range Classes {
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = c.ClassScore(j, w) }); allocs != 0 {
+			t.Fatalf("ClassScore(%v): %v allocs/op, want 0", j, allocs)
+		}
+	}
+	resultMap := testing.AllocsPerRun(50, func() {
+		m := make(map[Class]float64)
+		for _, j := range Classes {
+			m[j] = 1
+		}
+		classMapSink = m
+	})
+	if allocs := testing.AllocsPerRun(50, func() { evaluateSink, _ = c.Evaluate(w) }); allocs > resultMap {
+		t.Fatalf("Evaluate: %v allocs/op, want at most the result map's %v", allocs, resultMap)
+	}
+}
+
 func TestEvaluateMissingObservationFails(t *testing.T) {
 	reg, err := NewRegistry([]Metric{
 		{ID: "l1", Name: "L1", Class: Logistical, Description: "d", Methods: ByAnalysis},

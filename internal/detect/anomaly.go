@@ -221,7 +221,9 @@ func (e *AnomalyEngine) rateFactorThreshold() float64 { return 8 - 6.5*e.sensiti
 // 0.35 and above.
 func (e *AnomalyEngine) noveltyEnabled() bool { return e.sensitivity >= 0.35 }
 
-func (e *AnomalyEngine) suppressed(key anomalySuppressKey, now time.Duration) bool {
+// suppressed checks and arms the (cause, src, dst) alert holdoff.
+func (e *AnomalyEngine) suppressed(cause anomalyCause, p *packet.Packet, now time.Duration) bool {
+	key := anomalySuppressKey{cause: cause, src: p.Src, dst: p.Dst}
 	if last, ok := e.suppress[key]; ok && now-last < e.SuppressWindow {
 		return true
 	}
@@ -243,21 +245,13 @@ func (e *AnomalyEngine) maybePrune(now time.Duration) {
 	}
 }
 
-// Inspect implements Engine.
+// Inspect implements Engine. Each cause checks (and arms) its holdoff
+// before anything is built, so the reason — the only formatted string
+// — is rendered only for an alert that survives suppression.
 func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 	e.Inspected++
 	e.maybePrune(now)
 	var alerts []Alert
-	raise := func(cause anomalyCause, technique string, severity float64, reason string) {
-		if e.suppressed(anomalySuppressKey{cause: cause, src: p.Src, dst: p.Dst}, now) {
-			return
-		}
-		alerts = append(alerts, Alert{
-			At: now, Technique: technique, Severity: severity,
-			Attacker: p.Src, Victim: p.Dst, Flow: p.Key(),
-			Reason: reason, Engine: e.Name(),
-		})
-	}
 
 	// Content deviation: payload length and entropy against the service
 	// baseline.
@@ -272,21 +266,21 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 				ze = sp.entropy.z(Entropy(p.Payload), 0.25)
 			}
 			zt := e.zThreshold()
-			if zl > zt || ze > zt {
+			if (zl > zt || ze > zt) && !e.suppressed(causeContent, p, now) {
 				z := math.Max(zl, ze)
-				raise(causeContent, "content-anomaly",
+				alerts = e.appendAlert(alerts, p, now, "content-anomaly",
 					math.Min(1, z/(2*zt)+0.4),
 					fmt.Sprintf("payload deviates from service baseline (len z=%.1f, entropy z=%.1f)", zl, ze))
 			}
-		} else if e.noveltyEnabled() && !ok {
-			raise(causeNewService, "novel-service", 0.5,
+		} else if e.noveltyEnabled() && !ok && !e.suppressed(causeNewService, p, now) {
+			alerts = e.appendAlert(alerts, p, now, "novel-service", 0.5,
 				fmt.Sprintf("no baseline for service port %d/%v", servicePort(p), p.Proto))
 		}
 	}
 
 	// Pair novelty: a host pair+service never seen in training.
-	if e.noveltyEnabled() && !e.pairs[pairKey(p)] {
-		raise(causePair, "novel-service", 0.45,
+	if e.noveltyEnabled() && !e.pairs[pairKey(p)] && !e.suppressed(causePair, p, now) {
+		alerts = e.appendAlert(alerts, p, now, "novel-service", 0.45,
 			fmt.Sprintf("first contact %v -> %v service %d", p.Src, p.Dst, servicePort(p)))
 	}
 
@@ -302,13 +296,24 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 		base = 10
 	}
 	if cur > base*e.rateFactorThreshold() {
-		raise(causeRate, "rate-anomaly",
-			math.Min(1, cur/(base*e.rateFactorThreshold())/2+0.4),
-			fmt.Sprintf("source rate %.0f pps exceeds %.1fx trained peak %.0f", cur, e.rateFactorThreshold(), e.trainedPeak))
+		if !e.suppressed(causeRate, p, now) {
+			alerts = e.appendAlert(alerts, p, now, "rate-anomaly",
+				math.Min(1, cur/(base*e.rateFactorThreshold())/2+0.4),
+				fmt.Sprintf("source rate %.0f pps exceeds %.1fx trained peak %.0f", cur, e.rateFactorThreshold(), e.trainedPeak))
+		}
 		// Reset the tumbling window so a sustained flood re-alerts once
 		// per suppression window, not per packet.
 		rt.windowStart = now
 		rt.count = 0
 	}
 	return alerts
+}
+
+// appendAlert appends one unsuppressed alert about p.
+func (e *AnomalyEngine) appendAlert(alerts []Alert, p *packet.Packet, now time.Duration, technique string, severity float64, reason string) []Alert {
+	return append(alerts, Alert{
+		At: now, Technique: technique, Severity: severity,
+		Attacker: p.Src, Victim: p.Dst, Flow: p.Key(),
+		Reason: reason, Engine: e.Name(),
+	})
 }

@@ -19,6 +19,10 @@ type Reassembler struct {
 	// tailLen is the retained byte count per flow (longest pattern − 1).
 	tailLen int
 	flows   map[packet.FlowKey]*streamTail
+	// joined is the tail+payload buffer Extend returns, reused across
+	// calls: the engine scans it at once and drops it, and an engine
+	// runs on one goroutine.
+	joined []byte
 	// MaxFlows bounds memory; oldest-insertion eviction is approximated
 	// by clearing the table when the cap is hit (flows re-learn their
 	// tails within one packet).
@@ -39,7 +43,7 @@ func NewReassembler(tailLen int) *Reassembler {
 
 // Extend returns the packet's payload prefixed with the flow's retained
 // tail, and updates the tail. The returned slice must be treated as
-// read-only and is only valid until the next Extend for the same flow.
+// read-only and is only valid until the next Extend call.
 func (r *Reassembler) Extend(p *packet.Packet) []byte {
 	if r.tailLen == 0 || p.Proto != packet.ProtoTCP || len(p.Payload) == 0 {
 		return p.Payload
@@ -55,9 +59,8 @@ func (r *Reassembler) Extend(p *packet.Packet) []byte {
 	}
 	joined := p.Payload
 	if len(st.buf) > 0 {
-		joined = make([]byte, 0, len(st.buf)+len(p.Payload))
-		joined = append(joined, st.buf...)
-		joined = append(joined, p.Payload...)
+		r.joined = append(append(r.joined[:0], st.buf...), p.Payload...)
+		joined = r.joined
 	}
 	// Update the tail with the final bytes of the stream so far.
 	if len(joined) >= r.tailLen {

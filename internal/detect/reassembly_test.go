@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -288,5 +289,99 @@ func TestInspectPrescannedFallsBackWhenReassembling(t *testing.T) {
 	}
 	if len(want) == 0 {
 		t.Fatal("probe packet raised no alert; fallback check is vacuous")
+	}
+}
+
+// --- Differential fuzzing ---------------------------------------------------
+
+// naiveReassembler is the reference Extend is checked against: it keeps
+// every flow's whole stream, concatenating into a fresh slice per
+// segment, and answers with the stream's last tailLen+len(payload)
+// bytes. It shares no buffer with the real reassembler.
+type naiveReassembler struct {
+	tailLen, maxFlows int
+	streams           map[packet.FlowKey][]byte
+}
+
+func (n *naiveReassembler) extend(p *packet.Packet) []byte {
+	if n.tailLen == 0 || p.Proto != packet.ProtoTCP || len(p.Payload) == 0 {
+		return p.Payload
+	}
+	key := p.Key()
+	prev, ok := n.streams[key]
+	if !ok && len(n.streams) >= n.maxFlows {
+		n.streams = make(map[packet.FlowKey][]byte)
+	}
+	stream := make([]byte, 0, len(prev)+len(p.Payload))
+	stream = append(append(stream, prev...), p.Payload...)
+	n.streams[key] = stream
+	if p.Flags.Has(packet.FIN) || p.Flags.Has(packet.RST) {
+		delete(n.streams, key)
+	}
+	if keep := n.tailLen + len(p.Payload); len(stream) > keep {
+		return stream[len(stream)-keep:]
+	}
+	return stream
+}
+
+// FuzzReassemblerEquivalence drives interleaved flows through Extend
+// and the naive reference — random segmentation, FIN/RST teardown, UDP
+// and empty segments, and MaxFlows eviction — and requires identical
+// joined bytes and flow counts after every segment. The op stream
+// frames each segment as a control byte (flow id in the low 3 bits,
+// 0x08 FIN, 0x10 RST, 0x20 UDP) followed by a length byte and payload.
+func FuzzReassemblerEquivalence(f *testing.F) {
+	f.Add(uint8(10), uint8(7), []byte("\x00\x05cgi-b\x01\x04xxxx\x00\x08in/phf?x"))
+	f.Add(uint8(4), uint8(1), []byte("\x00\x0a0123456789\x01\x02AB\x00\x02CD\x02\x03abc\x00\x01Z"))
+	f.Add(uint8(8), uint8(7), []byte("\x00\x03abc\x08\x03end\x00\x03new\x10\x02rs\x00\x02ok"))
+	f.Add(uint8(3), uint8(2), []byte("\x20\x02xy\x00\x00\x01\x01a\x02\x01b\x03\x01c\x04\x01d\x01\x01e"))
+	f.Add(uint8(0), uint8(7), []byte("\x00\x04abcd\x00\x04efgh"))
+	f.Add(uint8(1), uint8(0), []byte("\x00\x01a\x00\x01b\x00\x01c\x01\x01d\x00\x01e"))
+
+	f.Fuzz(func(t *testing.T, tailLen, maxFlows uint8, ops []byte) {
+		tl := int(tailLen % 48)
+		mf := int(maxFlows%8) + 1
+		r := NewReassembler(tl)
+		r.MaxFlows = mf
+		ref := &naiveReassembler{tailLen: tl, maxFlows: mf, streams: make(map[packet.FlowKey][]byte)}
+		for seg := 0; len(ops) >= 2; seg++ {
+			ctl, n := ops[0], int(ops[1])%64
+			ops = ops[2:]
+			if n > len(ops) {
+				n = len(ops)
+			}
+			var flags packet.TCPFlags = packet.ACK
+			if ctl&0x08 != 0 {
+				flags |= packet.FIN
+			}
+			if ctl&0x10 != 0 {
+				flags |= packet.RST
+			}
+			p := segPkt(1000+uint16(ctl&0x07), flags, string(ops[:n]))
+			if ctl&0x20 != 0 {
+				p.Proto = packet.ProtoUDP
+			}
+			ops = ops[n:]
+			got := r.Extend(p)
+			want := ref.extend(p)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("segment %d (ctl %#x): Extend %q, reference %q", seg, ctl, got, want)
+			}
+			if r.FlowCount() != len(ref.streams) {
+				t.Fatalf("segment %d: %d flows tracked, reference %d", seg, r.FlowCount(), len(ref.streams))
+			}
+		}
+	})
+}
+
+// In steady state — a tracked flow with a full tail — Extend joins into
+// its reused buffer and allocates nothing.
+func TestReassemblerExtendSteadyStateZeroAllocs(t *testing.T) {
+	r := NewReassembler(16)
+	p := segPkt(1000, packet.ACK, "GET /cgi-bin/phf?Qalias=x HTTP/1.0\r\n")
+	r.Extend(p)
+	r.Extend(p)
+	if allocs := testing.AllocsPerRun(100, func() { r.Extend(p) }); allocs != 0 {
+		t.Fatalf("steady-state Extend: %v allocs/op, want 0", allocs)
 	}
 }

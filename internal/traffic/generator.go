@@ -72,9 +72,10 @@ func NewGenerator(sim *simtime.Sim, profile Profile, eps Endpoints, seq *packet.
 }
 
 // SessionRateForPps converts a target aggregate packet rate into a session
-// arrival rate using the profile's empirical packets-per-session mean.
+// arrival rate using the profile's empirical packets-per-session mean,
+// memoized per distinct profile content (see calibratedAvgPackets).
 func (g *Generator) SessionRateForPps(targetPps float64) float64 {
-	avg := g.profile.AvgPacketsPerSession(rand.New(rand.NewSource(1)), 300)
+	avg := calibratedAvgPackets(g.profile)
 	if avg <= 0 {
 		return targetPps
 	}

@@ -138,7 +138,8 @@ func (p Profile) Pick(rng *rand.Rand) MixEntry {
 }
 
 // AvgPacketsPerSession estimates the mean framed packet count of a session
-// under this profile by sampling dialogue synthesis.
+// under this profile by sampling dialogue synthesis. It is the uncached
+// reference; SessionRateForPps reads a process-wide memo of it.
 func (p Profile) AvgPacketsPerSession(rng *rand.Rand, samples int) float64 {
 	if samples <= 0 {
 		samples = 200
