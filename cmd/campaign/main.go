@@ -11,7 +11,7 @@
 //
 //	campaign plan   -dir DIR [-name N] [-seed N] [-quick] [-products a,b]
 //	                [-evals] [-sweep-points N] [-scenarios f.json,g.json]
-//	                [-fault-points N] [-traces t.idtr] [-sensitivity 0.6]
+//	                [-fault-points N] [-traces t.idt2] [-sensitivity 0.6]
 //	campaign run    -dir DIR [-workers N] [-timeout D] [-stall D]
 //	                [-retries N] [-max N] [-telemetry] [-telemetry-jsonl F]
 //	                [-listen ADDR] [-trace-out F]

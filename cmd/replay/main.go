@@ -1,17 +1,15 @@
-// Command replay feeds a canned trace (produced by trafficgen) through a
-// product's testbed deployment and prints the Figure-3 accuracy summary —
-// the paper's Lesson-2 methodology for observing the false negative
-// ratio.
+// Command replay feeds a canned IDT2 trace (produced by trafficgen)
+// through a product's testbed deployment and prints the Figure-3
+// accuracy summary — the paper's Lesson-2 methodology for observing the
+// false negative ratio.
 //
-// Both trace encodings are accepted and detected by magic: v2 ("IDT2")
-// traces stream chunk-by-chunk with a pipelined decoder and O(chunk)
-// memory; v1 ("IDTR") traces load fully in memory. Stage timings and the
-// decoded-chunk count go to stderr so stdout is byte-identical across
-// the two paths for the same records.
+// The trace streams chunk by chunk through a pipelined decoder in
+// O(chunk) memory. Stage timings and the decoded-chunk count go to
+// stderr, so stdout depends only on the trace, product, and flags.
 //
 // Usage:
 //
-//	replay -trace trace.idtr [-product TrueSecure] [-sensitivity 0.6]
+//	replay -trace trace.idt2 [-product TrueSecure] [-sensitivity 0.6]
 //	       [-train 15] [-seed 11] [-timeout 5m] [-telemetry]
 //	       [-telemetry-jsonl F] [-listen ADDR] [-trace-out F]
 //
@@ -23,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -36,7 +33,7 @@ import (
 )
 
 func main() {
-	traceFile := flag.String("trace", "", "binary trace file (required)")
+	traceFile := flag.String("trace", "", "IDT2 trace file (required)")
 	productName := flag.String("product", "TrueSecure", "product under test")
 	sensitivity := flag.Float64("sensitivity", 0.6, "detection sensitivity in [0,1]")
 	trainSecs := flag.Float64("train", 15, "clean-baseline training seconds before replay")
@@ -68,9 +65,13 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	streaming, err := sniffIDT2(f)
+	rd, err := trace.NewReader(f)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", *traceFile, err))
+	}
+	st, ok := rd.Stats()
+	if !ok {
+		fatal(fmt.Errorf("trace %q has no footer index", *traceFile))
 	}
 
 	// One registry carries the whole run: stage spans (always shown on
@@ -89,47 +90,17 @@ func main() {
 		return d.Round(time.Millisecond)
 	}
 
-	var res *eval.AccuracyResult
-	if streaming {
-		rd, err := trace.NewReader(f)
-		if err != nil {
-			fatal(err)
-		}
-		st, ok := rd.Stats()
-		if !ok {
-			fatal(fmt.Errorf("trace %q has no footer index", *traceFile))
-		}
-		fmt.Printf("replaying %q: %d packets, %d incidents, %v span (profile %s, seed %d)\n\n",
-			*traceFile, st.Packets, len(rd.Incidents()), st.Duration().Round(time.Millisecond),
-			rd.Profile(), rd.Seed())
-		res, err = eval.RunTraceAccuracyStream(ctx, spec, rd, *sensitivity,
-			time.Duration(*trainSecs*float64(time.Second)), *seed, reg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "replay: streamed %d chunks: setup %v, train %v, replay %v, score %v\n",
-			rd.ChunksRead(), dur("replay.setup"), dur("replay.train"),
-			dur("replay.replay"), dur("replay.score"))
-	} else {
-		sp := reg.StartSpan("replay.load")
-		tr, err := trace.ReadBinary(f)
-		if err != nil {
-			fatal(err)
-		}
-		sp.End()
-		s := tr.Summarize()
-		fmt.Printf("replaying %q: %d packets, %d incidents, %v span (profile %s, seed %d)\n\n",
-			*traceFile, s.Packets, s.Incidents, s.Duration.Round(time.Millisecond), tr.Profile, tr.Seed)
-		sp = reg.StartSpan("replay.run")
-		res, err = eval.RunTraceAccuracy(ctx, spec, tr, *sensitivity,
-			time.Duration(*trainSecs*float64(time.Second)), *seed)
-		if err != nil {
-			fatal(err)
-		}
-		sp.End()
-		fmt.Fprintf(os.Stderr, "replay: in-memory: load %v, run %v\n",
-			dur("replay.load"), dur("replay.run"))
+	fmt.Printf("replaying %q: %d packets, %d incidents, %v span (profile %s, seed %d)\n\n",
+		*traceFile, st.Packets, len(rd.Incidents()), st.Duration().Round(time.Millisecond),
+		rd.Profile(), rd.Seed())
+	res, err := eval.RunTraceAccuracyStream(ctx, spec, rd, *sensitivity,
+		time.Duration(*trainSecs*float64(time.Second)), *seed, reg)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "replay: streamed %d chunks: setup %v, train %v, replay %v, score %v\n",
+		rd.ChunksRead(), dur("replay.setup"), dur("replay.train"),
+		dur("replay.replay"), dur("replay.score"))
 
 	fmt.Printf("%s %s at sensitivity %.2f:\n\n", spec.Name, spec.Version, *sensitivity)
 	if err := report.AccuracySummary(os.Stdout, res); err != nil {
@@ -146,19 +117,6 @@ func main() {
 	if err := stopProf(); err != nil {
 		fatal(err)
 	}
-}
-
-// sniffIDT2 reports whether f starts with the IDT2 magic, leaving the
-// offset at the start of the file.
-func sniffIDT2(f *os.File) (bool, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false, fmt.Errorf("reading %s: %w", f.Name(), err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return trace.SniffStream(m[:]), nil
 }
 
 func fatal(err error) {

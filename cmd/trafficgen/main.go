@@ -1,8 +1,9 @@
 // Command trafficgen generates canned evaluation traces: background
 // traffic from a site profile with the standard attack campaign layered
 // on top, written in the streaming chunked binary format IDT2 (with
-// ground-truth sidecar) or as JSON lines. These are the "canned data
-// with known attack content" the paper's Lesson 2 calls for.
+// ground-truth sidecar) or, with -json, as JSON lines for inspection.
+// These are the "canned data with known attack content" the paper's
+// Lesson 2 calls for. replay and idsevald read IDT2 only.
 //
 // Binary output streams: packets are encoded chunk-by-chunk as the
 // simulation emits them, so generation memory is O(chunk) regardless of
@@ -10,7 +11,7 @@
 //
 // Usage:
 //
-//	trafficgen -o trace.idtr [-profile ecommerce|cluster] [-seconds 60]
+//	trafficgen -o trace.idt2 [-profile ecommerce|cluster] [-seconds 60]
 //	           [-pps 600] [-seed 21] [-attacks] [-strength 1.0]
 //	           [-random-payloads] [-json] [-hosts 6] [-external 3]
 //	           [-segments 0] [-timeout 5m] [-telemetry]
@@ -21,7 +22,10 @@
 // its own 10.(s+1).x.y /16 host block, -hosts hosts per segment) share
 // one virtual clock, sequence space, and output trace, and the attack
 // campaign spreads across the union of segments. Aggregate -pps is
-// split evenly across segments.
+// split evenly across segments. Those addresses lie outside the flat
+// testbed's address plan, so they do not count toward the footer's
+// cluster host total, and replay runs such a trace on the default-sized
+// cluster.
 //
 // File output is atomic: the trace streams into a temp file in the
 // output directory and is renamed into place only after the footer is
@@ -141,7 +145,7 @@ func main() {
 	seq := &packet.SeqCounter{}
 	eps := traffic.Endpoints{} // union of all segments; the attack campaign draws from it
 	for i := 0; i < *external; i++ {
-		eps.External = append(eps.External, externalAddr(i))
+		eps.External = append(eps.External, netsim.ExternalAddr(i))
 	}
 	var gens []*traffic.Generator
 	if *segments > 0 {
@@ -169,7 +173,7 @@ func main() {
 		}
 	} else {
 		for i := 0; i < *hosts; i++ {
-			eps.Cluster = append(eps.Cluster, clusterAddr(i))
+			eps.Cluster = append(eps.Cluster, netsim.ClusterAddr(i))
 		}
 		gen, err := traffic.NewGenerator(sim, profile, eps, seq, emit)
 		if err != nil {
@@ -261,14 +265,6 @@ func finish(o *cli.ObsFlags, stopProf func() error) {
 	if err := stopProf(); err != nil {
 		fatal(err)
 	}
-}
-
-func clusterAddr(i int) packet.Addr {
-	return packet.IPv4(10, 1, byte(i/250+1), byte(i%250+1))
-}
-
-func externalAddr(i int) packet.Addr {
-	return packet.IPv4(203, 0, byte(i/250+1), byte(i%250+1))
 }
 
 // cleanup aborts the in-progress atomic trace write on fatal exit, so

@@ -110,6 +110,31 @@ func TestPlanIDsAreDeterministic(t *testing.T) {
 	}
 }
 
+func TestTraceExperimentRejectsNonIDT2File(t *testing.T) {
+	// IDT2 is the only trace format: a retired v1 ("IDTR") file fails
+	// its experiment with the reader's error, naming the file.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "legacy.idtr")
+	v1 := []byte("IDTR\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := twoProducts(t)
+	r := newRunner(filepath.Join(dir, "campaign"), &campaign.Spec{
+		Name: "legacy", Seed: 7, Quick: true, Products: []string{a}, Traces: []string{path},
+	})
+	r.MaxAttempts = 1
+	var log bytes.Buffer
+	r.Log = &log
+	out, err := r.Run(context.Background())
+	if err == nil || len(out.Failed) != 1 {
+		t.Fatalf("v1 trace experiment: outcome %+v, err %v; want one failure", out, err)
+	}
+	if want := path + ": trace: bad stream magic"; !strings.Contains(log.String(), want) {
+		t.Fatalf("failure does not carry %q:\n%s", want, log.String())
+	}
+}
+
 func TestRunCommitsAndResumeSkips(t *testing.T) {
 	dir := t.TempDir()
 	spec := syntheticSpec(t, 3)

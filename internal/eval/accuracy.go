@@ -113,35 +113,21 @@ func matches(rep *ids.ReportedIncident, inc attack.Incident) bool {
 
 // RunAccuracy performs one full accuracy experiment: train on clean
 // traffic, then run background plus the standard campaign for attackFor,
-// then match monitor incidents against ground truth.
+// then match monitor incidents against ground truth. It is
+// RunFaultScenario with no scenario.
 func RunAccuracy(tb *Testbed, sensitivity float64, attackFor time.Duration, strength attack.Intensity) (*AccuracyResult, error) {
-	if err := validateTapMode(tb.Cfg.Tap); err != nil {
+	fr, err := RunFaultScenario(tb, nil, sensitivity, attackFor, strength, 0)
+	if err != nil {
 		return nil, err
 	}
-	if err := tb.Train(); err != nil {
-		return nil, err
-	}
-	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
-		return nil, err
-	}
-	start := tb.Sim.Now()
-	camp := attack.NewCampaign(tb.AttackContext())
-	if err := camp.SpreadAcross(start+2*time.Second, attackFor-4*time.Second, attack.StandardScenarios(strength)); err != nil {
-		return nil, err
-	}
-	tb.Sim.RunUntil(start + attackFor)
-	tb.Drain()
-	if err := tb.Interrupted(); err != nil {
-		return nil, err
-	}
-	tb.IDS.Flush()
-	return scoreAccuracy(tb, sensitivity, camp)
+	return fr.Accuracy, nil
 }
 
-// scoreAccuracy matches reports to truth and computes the Figure-3
-// ratios.
-func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*AccuracyResult, error) {
-	truth := camp.Incidents()
+// scoreAccuracy matches the monitor's reports to ground truth and
+// computes the Figure-3 ratios. background is the clean part of |T|:
+// the sessions a live generator started, or a trace's clean
+// conversations.
+func scoreAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, background int) (*AccuracyResult, error) {
 	reports := tb.IDS.Monitor().Incidents
 
 	res := &AccuracyResult{
@@ -151,7 +137,7 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*Ac
 		ReportedIncidents: len(reports),
 		ByTechnique:       make(map[string]bool),
 	}
-	res.Transactions = int(tb.Gen.SessionsStarted) + len(truth)
+	res.Transactions = background + len(truth)
 	res.TruthIncidents = truth
 	if res.Transactions == 0 {
 		return nil, fmt.Errorf("eval: empty run — no transactions")
@@ -233,7 +219,6 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*Ac
 	res.SensorDrops = st.SensorDropped
 	res.SensorFailures = st.SensorFailures
 	res.StorageBytes = st.StorageBytes
-	res.IngestedBytes = tb.Gen.BytesEmitted
 	res.TapDrops = tb.MirrorDrops()
 	res.IngestedPkts = st.Ingested
 	res.ProcessedPkts = st.Processed

@@ -23,12 +23,12 @@ import (
 // degradation (whether capability decays smoothly with fault severity or
 // falls off a cliff).
 //
-// Determinism contract: an empty scenario takes the exact RunAccuracy
-// code path — no resilience layer, no injector events — so its output is
-// byte-identical to a run without the fault harness (pinned by
-// TestNoFaultDeterminism). A non-empty scenario adds only fixed-time
-// injector events; identical seed + scenario + severity reproduce the
-// run byte for byte.
+// Determinism contract: RunAccuracy is RunFaultScenario with a nil
+// scenario, and an empty scenario enables no resilience layer and arms
+// no injector events, so a no-fault run is byte-identical to a run
+// without the fault harness by construction (TestNoFaultDeterminism
+// pins it). A non-empty scenario adds only fixed-time injector events;
+// identical seed + scenario + severity reproduce the run byte for byte.
 
 // FaultRunResult is one accuracy run under a fault scenario.
 type FaultRunResult struct {
@@ -52,9 +52,12 @@ type FaultRunResult struct {
 }
 
 // RunFaultScenario performs one accuracy experiment with the scenario's
-// faults injected, scaled by severity in [0,1]. It mirrors RunAccuracy
-// step for step; the injector arms at the start of the attack phase, so
-// event offsets in the scenario are relative to the end of training.
+// faults injected, scaled by severity in [0,1]: train on clean traffic,
+// then run background plus the standard campaign for attackFor, then
+// score the monitor's reports against ground truth. The injector arms at
+// the start of the attack phase, so event offsets in the scenario are
+// relative to the end of training. A nil or empty scenario injects
+// nothing.
 func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, attackFor time.Duration, strength attack.Intensity, severity float64) (*FaultRunResult, error) {
 	if err := validateTapMode(tb.Cfg.Tap); err != nil {
 		return nil, err
@@ -101,10 +104,11 @@ func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, att
 	}
 	tb.IDS.Flush()
 
-	acc, err := scoreAccuracy(tb, sensitivity, camp)
+	acc, err := scoreAccuracy(tb, sensitivity, camp.Incidents(), int(tb.Gen.SessionsStarted))
 	if err != nil {
 		return nil, err
 	}
+	acc.IngestedBytes = tb.Gen.BytesEmitted
 	st := tb.IDS.Stats()
 	return &FaultRunResult{
 		Severity:       severity,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/products"
@@ -22,23 +21,10 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 	if len(tr.Records) == 0 {
 		return nil, fmt.Errorf("eval: empty trace")
 	}
-	// Size the testbed to cover every address the trace uses.
-	maxCluster, maxExternal := 0, 0
-	for _, rec := range tr.Records {
-		for _, a := range []packet.Addr{rec.Pk.Src, rec.Pk.Dst} {
-			o1, o2, o3, o4 := a.Octets()
-			idx := int(o3-1)*250 + int(o4-1)
-			switch {
-			case o1 == 10 && o2 == 1 && idx >= maxCluster:
-				maxCluster = idx + 1
-			case o1 == 203 && o2 == 0 && idx >= maxExternal:
-				maxExternal = idx + 1
-			}
-		}
-	}
+	cluster, external := tr.PlanHosts()
 	tb, err := NewTestbed(spec, TestbedConfig{
 		Seed: seed, TrainFor: trainFor,
-		ClusterHosts: maxCluster, ExternalHosts: maxExternal,
+		ClusterHosts: cluster, ExternalHosts: external,
 	})
 	if err != nil {
 		return nil, err
@@ -70,12 +56,8 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 		}
 	}
 
-	res, err := scoreTraceAccuracy(tb, sensitivity,
-		shiftIncidents(tr.Incidents, tr.Records[0].At, replayStart), convs)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return scoreAccuracy(tb, sensitivity,
+		shiftIncidents(tr.Incidents, tr.Records[0].At, replayStart), len(convs))
 }
 
 // RunTraceAccuracyStream is RunTraceAccuracy for a streamed IDT2 trace:
@@ -145,8 +127,8 @@ func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.R
 	sp.End()
 
 	sp = reg.StartSpan("replay.score")
-	res, err := scoreTraceAccuracy(tb, sensitivity,
-		shiftIncidents(rd.Incidents(), st.FirstAt, replayStart), convs)
+	res, err := scoreAccuracy(tb, sensitivity,
+		shiftIncidents(rd.Incidents(), st.FirstAt, replayStart), len(convs))
 	sp.End()
 	return res, err
 }
@@ -160,88 +142,4 @@ func shiftIncidents(incs []attack.Incident, base, replayStart time.Duration) []a
 		shifted[i] = inc
 	}
 	return shifted
-}
-
-// scoreTraceAccuracy mirrors scoreAccuracy but takes truth from a trace
-// sidecar and estimates |T| from the trace's conversation count (convs,
-// the canonical flow keys of the trace's clean packets).
-func scoreTraceAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, convs map[packet.FlowKey]bool) (*AccuracyResult, error) {
-	reports := tb.IDS.Monitor().Incidents
-	res := &AccuracyResult{
-		Product:           tb.Spec.Name,
-		Sensitivity:       sensitivity,
-		ActualIncidents:   len(truth),
-		ReportedIncidents: len(reports),
-		ByTechnique:       make(map[string]bool),
-		Transactions:      len(convs) + len(truth),
-		TruthIncidents:    truth,
-		compromisedTruth:  make(map[uint32]bool),
-		compromisedFound:  make(map[uint32]bool),
-	}
-	if res.Transactions == 0 {
-		return nil, fmt.Errorf("eval: trace has no transactions")
-	}
-	matched := make(map[*ids.ReportedIncident]bool)
-	var delays []time.Duration
-	for _, inc := range truth {
-		detected := false
-		var first time.Duration = -1
-		for _, rep := range reports {
-			if matches(rep, inc) {
-				matched[rep] = true
-				detected = true
-				if first < 0 || rep.ReportedAt < first {
-					first = rep.ReportedAt
-				}
-			}
-		}
-		res.ByTechnique[inc.Technique] = res.ByTechnique[inc.Technique] || detected
-		if detected {
-			res.DetectedIncidents++
-			d := first - inc.Start
-			if d < 0 {
-				d = 0
-			}
-			delays = append(delays, d)
-		}
-	}
-	for _, rep := range reports {
-		if !matched[rep] {
-			res.FalseAlarms++
-		}
-	}
-	missed := res.ActualIncidents - res.DetectedIncidents
-	res.FalsePositiveRatio = float64(res.FalseAlarms) / float64(res.Transactions)
-	res.FalseNegativeRatio = float64(missed) / float64(res.Transactions)
-	if res.ActualIncidents > 0 {
-		res.MissRate = float64(missed) / float64(res.ActualIncidents)
-		res.DetectionRate = 1 - res.MissRate
-	}
-	for _, d := range delays {
-		res.MeanDetectionDelay += d
-		if d > res.MaxDetectionDelay {
-			res.MaxDetectionDelay = d
-		}
-	}
-	if len(delays) > 0 {
-		res.MeanDetectionDelay /= time.Duration(len(delays))
-	}
-	res.DelayP50, res.DelayP95, res.DelayP99, res.DelayHist = delayStats(delays)
-	if c := tb.IDS.Console(); c != nil {
-		res.FirewallBlocks = len(c.Firewall.BlockEvents)
-		res.RouterRedirects = len(c.Redirects)
-		res.SNMPTraps = len(c.SNMPTraps)
-		res.FilteredPackets = c.Firewall.FilteredPackets
-	}
-	st := tb.IDS.Stats()
-	res.SensorDrops = st.SensorDropped
-	res.SensorFailures = st.SensorFailures
-	res.StorageBytes = st.StorageBytes
-	res.TapDrops = tb.MirrorDrops()
-	res.IngestedPkts = st.Ingested
-	res.ProcessedPkts = st.Processed
-	res.Notifications = st.Notifications
-	res.SensorBusy = st.SensorBusy
-	res.Profiles = tb.IDS.Monitor().IntentReport()
-	return res, nil
 }

@@ -317,6 +317,45 @@ func TestClusterAddrUnique(t *testing.T) {
 	}
 }
 
+func TestPlanIndexInvertsPlan(t *testing.T) {
+	for i := 0; i < MaxPlanHosts; i++ {
+		if got, ok := ClusterIndex(ClusterAddr(i)); !ok || got != i {
+			t.Fatalf("ClusterIndex(ClusterAddr(%d)) = %d, %v", i, got, ok)
+		}
+		if got, ok := ExternalIndex(ExternalAddr(i)); !ok || got != i {
+			t.Fatalf("ExternalIndex(ExternalAddr(%d)) = %d, %v", i, got, ok)
+		}
+		if _, ok := ClusterIndex(ExternalAddr(i)); ok {
+			t.Fatalf("ClusterIndex accepted external address %v", ExternalAddr(i))
+		}
+	}
+	if last := ClusterAddr(MaxPlanHosts - 1); last != packet.IPv4(10, 1, 255, 250) {
+		t.Fatalf("last plan address %v, want 10.1.255.250", last)
+	}
+	for _, a := range []packet.Addr{
+		packet.IPv4(10, 1, 0, 5),     // block 0: the large-topology plan, not this one
+		packet.IPv4(10, 1, 1, 0),     // host octet 0
+		packet.IPv4(10, 1, 1, 251),   // past the 250 hosts of a block
+		packet.IPv4(10, 1, 1, 255),   // broadcast
+		packet.IPv4(10, 2, 0, 1),     // another segment's /16
+		packet.IPv4(203, 0, 1, 1),    // external
+		packet.IPv4(0, 0, 0, 0),      // unset
+		packet.IPv4(198, 51, 100, 7), // spoofed
+	} {
+		if i, ok := ClusterIndex(a); ok {
+			t.Fatalf("ClusterIndex(%v) = %d, want rejected", a, i)
+		}
+	}
+	for _, a := range []packet.Addr{
+		packet.IPv4(203, 0, 0, 9), packet.IPv4(203, 0, 4, 0), packet.IPv4(203, 0, 4, 251),
+		packet.IPv4(203, 1, 1, 1), packet.IPv4(10, 1, 1, 1),
+	} {
+		if i, ok := ExternalIndex(a); ok {
+			t.Fatalf("ExternalIndex(%v) = %d, want rejected", a, i)
+		}
+	}
+}
+
 func TestAddClusterHost(t *testing.T) {
 	sim := simtime.New(1)
 	top := BuildTopology(sim, TopologyConfig{ClusterHosts: 1, ExternalHosts: 1})

@@ -54,14 +54,38 @@ var LanPrefix = packet.IPv4(10, 1, 0, 0)
 // ExtPrefix is the external network (203.0.0.0/16).
 var ExtPrefix = packet.IPv4(203, 0, 0, 0)
 
+// The address plan numbers hosts 250 to a third-octet block: host i is
+// x.y.(i/250+1).(i%250+1). Blocks run from 1 to 255, so each prefix
+// holds MaxPlanHosts hosts.
+const (
+	hostsPerBlock = 250
+	MaxPlanHosts  = 255 * hostsPerBlock
+)
+
 // ClusterAddr returns the address of cluster host i (0-based).
-func ClusterAddr(i int) packet.Addr {
-	return LanPrefix + packet.Addr(i/250+1)<<8 + packet.Addr(i%250+1)
-}
+func ClusterAddr(i int) packet.Addr { return planAddr(LanPrefix, i) }
 
 // ExternalAddr returns the address of external host i (0-based).
-func ExternalAddr(i int) packet.Addr {
-	return ExtPrefix + packet.Addr(i/250+1)<<8 + packet.Addr(i%250+1)
+func ExternalAddr(i int) packet.Addr { return planAddr(ExtPrefix, i) }
+
+// ClusterIndex inverts ClusterAddr. It reports false for any address
+// ClusterAddr does not produce.
+func ClusterIndex(a packet.Addr) (int, bool) { return planIndex(LanPrefix, a) }
+
+// ExternalIndex inverts ExternalAddr. It reports false for any address
+// ExternalAddr does not produce.
+func ExternalIndex(a packet.Addr) (int, bool) { return planIndex(ExtPrefix, a) }
+
+func planAddr(prefix packet.Addr, i int) packet.Addr {
+	return prefix + packet.Addr(i/hostsPerBlock+1)<<8 + packet.Addr(i%hostsPerBlock+1)
+}
+
+func planIndex(prefix, a packet.Addr) (int, bool) {
+	block, host := int(a>>8&0xff), int(a&0xff)
+	if a&^0xffff != prefix || block < 1 || host < 1 || host > hostsPerBlock {
+		return 0, false
+	}
+	return (block-1)*hostsPerBlock + host - 1, true
 }
 
 // BuildTopology wires the canonical testbed.

@@ -29,37 +29,6 @@ func (a Addr) Octets() (byte, byte, byte, byte) {
 	return byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)
 }
 
-// ParseAddr parses a dotted-quad address, inverting Addr.String.
-func ParseAddr(s string) (Addr, error) {
-	var a Addr
-	part, digits := 0, 0
-	acc := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '.' {
-			if digits == 0 || part > 3 {
-				return 0, fmt.Errorf("packet: bad address %q", s)
-			}
-			a = a<<8 | Addr(acc)
-			part++
-			acc, digits = 0, 0
-			continue
-		}
-		c := s[i]
-		if c < '0' || c > '9' || digits == 3 {
-			return 0, fmt.Errorf("packet: bad address %q", s)
-		}
-		acc = acc*10 + int(c-'0')
-		if acc > 255 {
-			return 0, fmt.Errorf("packet: bad address %q", s)
-		}
-		digits++
-	}
-	if part != 4 {
-		return 0, fmt.Errorf("packet: bad address %q", s)
-	}
-	return a, nil
-}
-
 // Proto is an IP protocol number. Only the protocols the testbed generates
 // are named; others pass through as raw numbers.
 type Proto uint8
@@ -116,34 +85,6 @@ func (f TCPFlags) String() string {
 		}
 	}
 	return string(out)
-}
-
-// ParseTCPFlags parses the conventional-order rendering produced by
-// TCPFlags.String ("." for none, otherwise letters from "SFRPAU").
-func ParseTCPFlags(s string) (TCPFlags, error) {
-	if s == "." || s == "" {
-		return 0, nil
-	}
-	var f TCPFlags
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case 'S':
-			f |= SYN
-		case 'F':
-			f |= FIN
-		case 'R':
-			f |= RST
-		case 'P':
-			f |= PSH
-		case 'A':
-			f |= ACK
-		case 'U':
-			f |= URG
-		default:
-			return 0, fmt.Errorf("packet: bad TCP flags %q", s)
-		}
-	}
-	return f, nil
 }
 
 // FlowKey identifies a unidirectional 5-tuple flow.

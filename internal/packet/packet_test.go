@@ -299,38 +299,3 @@ func TestPropertyWireLenClone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestParseAddrRoundTrip(t *testing.T) {
-	for _, a := range []Addr{IPv4(0, 0, 0, 0), IPv4(10, 1, 1, 1), IPv4(203, 0, 113, 255), IPv4(255, 255, 255, 255)} {
-		got, err := ParseAddr(a.String())
-		if err != nil {
-			t.Fatalf("ParseAddr(%q): %v", a.String(), err)
-		}
-		if got != a {
-			t.Fatalf("ParseAddr(%q) = %v", a.String(), got)
-		}
-	}
-	for _, s := range []string{"", "10.1.1", "10.1.1.1.1", "256.0.0.1", "a.b.c.d", "10..1.1", "-1.0.0.0", " 10.1.1.1"} {
-		if _, err := ParseAddr(s); err == nil {
-			t.Fatalf("ParseAddr(%q) accepted", s)
-		}
-	}
-}
-
-func TestParseTCPFlagsRoundTrip(t *testing.T) {
-	for _, f := range []TCPFlags{0, SYN, SYN | ACK, FIN | ACK, RST, PSH | ACK | URG, SYN | FIN | RST | PSH | ACK | URG} {
-		got, err := ParseTCPFlags(f.String())
-		if err != nil {
-			t.Fatalf("ParseTCPFlags(%q): %v", f.String(), err)
-		}
-		if got != f {
-			t.Fatalf("ParseTCPFlags(%q) = %v, want %v", f.String(), got, f)
-		}
-	}
-	if f, err := ParseTCPFlags(""); err != nil || f != 0 {
-		t.Fatalf("empty flags: %v, %v", f, err)
-	}
-	if _, err := ParseTCPFlags("SX"); err == nil {
-		t.Fatal("bad flag letter accepted")
-	}
-}

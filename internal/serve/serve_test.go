@@ -10,11 +10,14 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -488,6 +491,42 @@ func TestAdmissionControlRejectsBeyondMaxStreams(t *testing.T) {
 	// Rejected hello carries no chunks; ledger untouched.
 	if got := svc.Counts().Submitted; got != 0 {
 		t.Fatalf("hello reject booked %d chunks", got)
+	}
+}
+
+func TestFinishShedsLyingFooterAsCorrupt(t *testing.T) {
+	// A spool whose footer claims 999 packets and 4,294,967,295 cluster
+	// hosts over a real body fails validation at Finish and is shed as
+	// corrupt, never queued for an evaluation sized from the lie.
+	data := append([]byte(nil), buildTraceBytes(t, 7)...)
+	footer := binary.BigEndian.Uint64(data[len(data)-12:])
+	stats := data[footer+5+8:] // past the block header and incident offset
+	binary.BigEndian.PutUint64(stats[0:8], 999)
+	binary.BigEndian.PutUint32(stats[48:52], math.MaxUint32)
+
+	svc := openService(t, t.TempDir(), nil)
+	defer svc.Close()
+	meta := quickMeta("liar")
+	if _, err := svc.Hello(meta); err != nil {
+		t.Fatal(err)
+	}
+	chunks := chunked(data, 4096)
+	for i, c := range chunks {
+		if _, err := svc.Accept(meta.Name, uint32(i), c); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	err := svc.Finish(meta.Name, uint64(len(chunks)), int64(len(data)))
+	var pe *serve.ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "cluster hosts") {
+		t.Fatalf("finish = %v, want a validation failure naming the cluster host claim", err)
+	}
+	if st, _ := svc.Status(meta.Name); st.State != serve.StateShed || st.Reason != string(serve.ShedCorrupt) {
+		t.Fatalf("stream %s (%s), want shed as corrupt", st.State, st.Reason)
+	}
+	checkLedger(t, svc)
+	if got := svc.Counts().Shed[serve.ShedCorrupt]; got != uint64(len(chunks)) {
+		t.Fatalf("corrupt shed booked %d chunks, want %d", got, len(chunks))
 	}
 }
 

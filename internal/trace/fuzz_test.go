@@ -11,20 +11,19 @@ import (
 	"repro/internal/packet"
 )
 
-// FuzzReadTrace drives both trace decoders — the v1 in-memory reader and
-// the v2 chunked stream reader — over arbitrary input. Neither may
-// panic, hang, or allocate unboundedly; malformed input must surface as
-// an error. Valid inputs that decode must re-encode and decode to the
-// same record count (a cheap internal-consistency invariant that needs
-// no reference decoder).
+// FuzzReadTrace drives the IDT2 stream reader, seekable and sequential,
+// over arbitrary input. It may not panic, hang, or allocate unboundedly;
+// malformed input must surface as an error. Valid inputs that decode
+// must re-encode and decode to the same record count (a cheap
+// internal-consistency invariant that needs no reference decoder), and
+// a seekable scan that ends cleanly must have decoded the packet count
+// its footer claims.
 func FuzzReadTrace(f *testing.F) {
-	// Seed corpus: a real v1 trace, a real v2 stream (two chunk sizes),
-	// an empty v2 stream, assorted truncations, and plain garbage.
+	// Seed corpus: a retired v1 trace, a real v2 stream (two chunk
+	// sizes), an empty v2 stream, assorted truncations, plain garbage,
+	// and a stream whose footer lies about its body.
 	tr := fuzzSeedTrace()
-	var v1 bytes.Buffer
-	if err := tr.WriteBinary(&v1); err != nil {
-		f.Fatal(err)
-	}
+	v1 := legacyV1()
 	var v2 bytes.Buffer
 	if err := tr.WriteStream(&v2); err != nil {
 		f.Fatal(err)
@@ -50,13 +49,13 @@ func FuzzReadTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(v1.Bytes())
+	f.Add(v1)
 	f.Add(v2.Bytes())
 	f.Add(v2small.Bytes())
 	f.Add(v2empty.Bytes())
 	for _, n := range []int{0, 4, 10, 17, 40} {
-		if n < v1.Len() {
-			f.Add(v1.Bytes()[:n])
+		if n < len(v1) {
+			f.Add(v1[:n])
 		}
 		if n < v2.Len() {
 			f.Add(v2.Bytes()[:n])
@@ -90,10 +89,10 @@ func FuzzReadTrace(f *testing.F) {
 	maxed := append([]byte(nil), v2small.Bytes()...)
 	maxed[firstChunkPayload] = 0xff
 	f.Add(maxed)
+	f.Add(lyingFooterStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Compatibility shim: dispatches on magic, must never panic.
-		if tr, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if tr, err := readTrace(bytes.NewReader(data)); err == nil {
 			checkReencode(t, tr)
 		}
 		// Stream reader, seekable path (footer index + SeekTo).
@@ -207,14 +206,14 @@ func FuzzServeFrameDecode(f *testing.F) {
 	})
 }
 
-// checkReencode round-trips a successfully decoded trace through the v2
+// checkReencode round-trips a successfully decoded trace through the
 // encoder and requires the result to decode to the same shape.
 func checkReencode(t *testing.T, tr *Trace) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
-		// Decoded traces can still be unencodable (e.g. an oversized
-		// profile string from a hostile v1 file); an error is fine.
+		// Decoded traces can still be unencodable (e.g. a varint
+		// timestamp past the writer's range); an error is fine.
 		return
 	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))

@@ -1,10 +1,8 @@
-// IDT2: the streaming chunked binary trace encoding.
+// IDT2: the streaming chunked binary trace encoding, and the only trace
+// format the harness reads.
 //
-// The v1 format ("IDTR") materializes a whole capture as one []Record of
-// individually heap-allocated packets before a single packet replays,
-// which puts O(capture) memory on the critical path of every accuracy
-// measurement. IDT2 groups records into fixed-size chunks (~4096 records)
-// so that trace I/O is O(chunk): each chunk carries varint-delta
+// IDT2 groups records into fixed-size chunks (~4096 records) so that
+// trace I/O is O(chunk), not O(capture): each chunk carries varint-delta
 // timestamps, a per-chunk string table for ground-truth labels, and one
 // contiguous payload arena that decoded packets slice into — zero payload
 // copies and a constant number of allocations per chunk instead of per
@@ -12,6 +10,9 @@
 // enabling time-range seek on any io.ReadSeeker, and carries the
 // ground-truth incident sidecar plus whole-trace summary statistics so a
 // streaming consumer can size its testbed before the first chunk decodes.
+// The reader checks those statistics rather than trusting them: host
+// counts at open, and the rest against the body at the end of a full
+// scan.
 //
 // See DESIGN.md §8 for the wire layout and the reader's concurrency
 // contract.
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/simtime"
@@ -74,16 +76,13 @@ const (
 	trailerLen     = 12            // footer offset u64 + trailer magic u32
 )
 
-// SniffStream reports whether b begins with the IDT2 stream magic.
-func SniffStream(b []byte) bool {
-	return len(b) >= 4 && binary.BigEndian.Uint32(b) == magic2
-}
-
 // StreamStats are whole-trace summary statistics accumulated by the
 // Writer and recovered from the footer by a seekable Reader before any
-// chunk decodes. ClusterHosts/ExternalHosts mirror the testbed address
-// scheme (10.1.x.x cluster, 203.0.x.x external) so a streaming consumer
-// can size its topology without a pre-scan pass over the records.
+// chunk decodes. ClusterHosts/ExternalHosts are the smallest host counts
+// whose testbed address plan (netsim.ClusterAddr/ExternalAddr) reaches
+// every plan address in the trace, so a streaming consumer can size its
+// topology without a pre-scan pass over the records. Addresses outside
+// the plan do not count.
 type StreamStats struct {
 	Packets        uint64
 	Bytes          uint64
@@ -113,18 +112,13 @@ type ChunkInfo struct {
 	LastAt  time.Duration
 }
 
-// hostIndexes mirrors the testbed addressing scheme used by
-// eval.RunTraceAccuracy so the footer can carry topology sizing.
-func hostIndexes(a packet.Addr) (cluster, external int) {
-	o1, o2, o3, o4 := a.Octets()
-	idx := int(o3-1)*250 + int(o4-1)
-	switch {
-	case o1 == 10 && o2 == 1:
-		return idx + 1, 0
-	case o1 == 203 && o2 == 0:
-		return 0, idx + 1
+// coverHost grows the host counts until the address plan reaches a.
+func (s *StreamStats) coverHost(a packet.Addr) {
+	if i, ok := netsim.ClusterIndex(a); ok {
+		s.ClusterHosts = max(s.ClusterHosts, i+1)
+	} else if i, ok := netsim.ExternalIndex(a); ok {
+		s.ExternalHosts = max(s.ExternalHosts, i+1)
 	}
-	return 0, 0
 }
 
 // ---- Writer ----
@@ -227,15 +221,8 @@ func (w *Writer) Append(at time.Duration, p *packet.Packet) error {
 	if len(p.Payload) > 0 {
 		w.stats.PayloadPackets++
 	}
-	for _, a := range [2]packet.Addr{p.Src, p.Dst} {
-		c, e := hostIndexes(a)
-		if c > w.stats.ClusterHosts {
-			w.stats.ClusterHosts = c
-		}
-		if e > w.stats.ExternalHosts {
-			w.stats.ExternalHosts = e
-		}
-	}
+	w.stats.coverHost(p.Src)
+	w.stats.coverHost(p.Dst)
 	w.pend = append(w.pend, Record{At: at, Pk: p})
 	if len(w.pend) >= w.chunkRecords {
 		w.err = w.flushChunk()
@@ -506,6 +493,12 @@ type Reader struct {
 	finished   bool
 	scratch    []byte
 
+	// seen recomputes the footer's checkable statistics from the decoded
+	// records. Only a scan from the first chunk sees every record, so
+	// SeekTo sets seeked and the end-of-scan check is skipped.
+	seen   StreamStats
+	seeked bool
+
 	mu   sync.Mutex
 	free []*Chunk
 
@@ -552,6 +545,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 			rd.stats = StreamStats{}
 			rd.index = nil
 			rd.hasFooter = false
+		} else if err := rd.stats.checkHosts(); err != nil {
+			return nil, err
 		}
 		// Position after the header for sequential chunk reads.
 		hdrLen := int64(headerFixedLen + len(rd.profile))
@@ -700,7 +695,9 @@ func (r *Reader) Seed() int64 { return r.seed }
 
 // Stats returns whole-trace statistics and whether they are known yet:
 // immediately on an indexed (seekable) stream, after the footer on a
-// sequential scan.
+// sequential scan. They are the footer's claims. Host counts are bounded
+// at open; a full scan checks the packet count, first timestamp, and
+// host counts against the body when it reaches the footer.
 func (r *Reader) Stats() (StreamStats, bool) {
 	return r.stats, r.hasFooter || r.finished
 }
@@ -761,6 +758,7 @@ func (r *Reader) SeekTo(t time.Duration) error {
 	}
 	r.br.Reset(r.rs)
 	r.finished = false
+	r.seeked = true
 	return nil
 }
 
@@ -771,6 +769,7 @@ func (r *Reader) seekStart() error {
 	}
 	r.br.Reset(r.rs)
 	r.finished = false
+	r.seeked = true
 	return nil
 }
 
@@ -817,6 +816,7 @@ func (r *Reader) Next() (*Chunk, error) {
 			if r.hDecode != nil {
 				r.hDecode.Observe(int64(time.Since(t0)))
 			}
+			r.tally(c)
 			r.chunksRead.Add(1)
 			r.cChunks.Inc()
 			r.cRecords.Add(uint64(len(c.Records)))
@@ -849,11 +849,58 @@ func (r *Reader) Next() (*Chunk, error) {
 				r.parseFooterStats(buf)
 			}
 			r.finished = true
+			if !r.seeked {
+				if err := r.checkFooter(); err != nil {
+					return nil, err
+				}
+			}
 			return nil, io.EOF
 		default:
 			return nil, fmt.Errorf("trace: unknown block type %d", hdr[0])
 		}
 	}
+}
+
+// tally folds a decoded chunk into the recomputed footer statistics.
+func (r *Reader) tally(c *Chunk) {
+	if r.seen.Packets == 0 {
+		r.seen.FirstAt = c.FirstAt()
+	}
+	r.seen.Packets += uint64(len(c.Records))
+	for _, rec := range c.Records {
+		r.seen.coverHost(rec.Pk.Src)
+		r.seen.coverHost(rec.Pk.Dst)
+	}
+}
+
+// checkFooter fails a full scan whose footer disagrees with the body it
+// indexes: the statistics consumers size and align a replay by must
+// match what the records actually hold.
+func (r *Reader) checkFooter() error {
+	claim, body := r.stats, r.seen
+	switch {
+	case claim.Packets != body.Packets:
+		return fmt.Errorf("trace: footer claims %d packets, body holds %d", claim.Packets, body.Packets)
+	case claim.FirstAt != body.FirstAt:
+		return fmt.Errorf("trace: footer claims first record at %v, body starts at %v", claim.FirstAt, body.FirstAt)
+	case claim.ClusterHosts != body.ClusterHosts:
+		return fmt.Errorf("trace: footer claims %d cluster hosts, body addresses %d", claim.ClusterHosts, body.ClusterHosts)
+	case claim.ExternalHosts != body.ExternalHosts:
+		return fmt.Errorf("trace: footer claims %d external hosts, body addresses %d", claim.ExternalHosts, body.ExternalHosts)
+	}
+	return nil
+}
+
+// checkHosts rejects host counts the testbed address plan cannot
+// address, before a consumer sizes a topology from them.
+func (s StreamStats) checkHosts() error {
+	switch {
+	case s.ClusterHosts > netsim.MaxPlanHosts:
+		return fmt.Errorf("trace: footer claims %d cluster hosts, the address plan holds %d", s.ClusterHosts, netsim.MaxPlanHosts)
+	case s.ExternalHosts > netsim.MaxPlanHosts:
+		return fmt.Errorf("trace: footer claims %d external hosts, the address plan holds %d", s.ExternalHosts, netsim.MaxPlanHosts)
+	}
+	return nil
 }
 
 // parseFooterStats recovers summary statistics from a sequentially
@@ -886,7 +933,7 @@ func (r *Reader) parseIncidents(payload []byte) error {
 	if n*minIncidentEnc > uint64(len(p)) {
 		return fmt.Errorf("trace: incident count %d exceeds block capacity (%d bytes)", n, len(p))
 	}
-	incs := make([]attack.Incident, 0, minU64(n, 4096))
+	incs := make([]attack.Incident, 0, min(n, 4096))
 	for i := uint64(0); i < n; i++ {
 		var in attack.Incident
 		if in.ID, p, err = readString(p); err != nil {
@@ -1142,13 +1189,6 @@ func readString(p []byte) (string, []byte, error) {
 	return string(b), p, nil
 }
 
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // remainingBytes reports how many unread bytes the source holds, when
 // that is knowable without consuming it: buffered bytes plus the
 // underlying reader's remainder for in-memory readers (Len) and
@@ -1171,34 +1211,6 @@ func remainingBytes(br *bufio.Reader, r io.Reader) (uint64, bool) {
 		return 0, false
 	}
 	return uint64(under) + uint64(br.Buffered()), true
-}
-
-// readStreamAll materializes a whole IDT2 stream as an in-memory Trace
-// (the ReadBinary compatibility path). Chunks are not released, so the
-// returned records and payloads stay valid for the life of the Trace.
-func readStreamAll(r io.Reader) (*Trace, error) {
-	rd, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Profile: rd.Profile(), Seed: rd.Seed()}
-	if st, ok := rd.Stats(); ok {
-		t.Records = make([]Record, 0, minU64(st.Packets, 1<<20))
-	}
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, c.Records...)
-	}
-	if incs := rd.Incidents(); len(incs) > 0 {
-		t.Incidents = incs
-	}
-	return t, nil
 }
 
 // ---- streaming recorder ----

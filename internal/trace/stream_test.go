@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,23 +74,6 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 	return buf.Bytes()
 }
 
-func TestStreamRoundTripViaReadBinary(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteStream(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !SniffStream(buf.Bytes()) {
-		t.Fatal("stream does not start with IDT2 magic")
-	}
-	// ReadBinary must detect v2 by magic (compatibility shim).
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceEqual(t, tr, got)
-}
-
 func TestStreamReaderChunksAndStats(t *testing.T) {
 	tr := sampleTrace(t)
 	data := encodeStream(t, tr, 64)
@@ -108,6 +94,11 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	}
 	if st.Duration() != s.Duration {
 		t.Fatalf("duration %v vs %v", st.Duration(), s.Duration)
+	}
+	// sampleTrace talks among 10.1.1.1-2 and 203.0.1.1: plan hosts 0-1
+	// and external host 0.
+	if c, e := tr.PlanHosts(); st.ClusterHosts != 2 || st.ExternalHosts != 1 || c != 2 || e != 1 {
+		t.Fatalf("footer hosts %d/%d, PlanHosts %d/%d, want 2/1", st.ClusterHosts, st.ExternalHosts, c, e)
 	}
 	wantChunks := (len(tr.Records) + 63) / 64
 	if st.Chunks != wantChunks || len(rd.Index()) != wantChunks {
@@ -390,7 +381,7 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,42 +474,80 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-func TestJSONLBinaryStreamEquality(t *testing.T) {
-	// The format-conversion triangle: the same trace written as JSONL,
-	// v1 binary, and v2 stream decodes to identical records, incidents,
-	// and metadata from all three.
-	tr := sampleTrace(t)
+// footerStats locates the statistics of an indexed IDT2 stream's
+// footer — packets at byte 0, first record at 32, cluster and external
+// hosts at 48 and 52 — so a test can make the footer lie about its body.
+func footerStats(data []byte) []byte {
+	off := binary.BigEndian.Uint64(data[len(data)-trailerLen:])
+	return data[off+5+8:]
+}
 
-	var jbuf, v1buf, v2buf bytes.Buffer
-	if err := tr.WriteJSONL(&jbuf); err != nil {
+// lyingFooterStream is the 8-record fuzz seed trace behind a footer that
+// claims 999 packets and 4,294,967,295 cluster hosts.
+func lyingFooterStream(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := fuzzSeedTrace().WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteBinary(&v1buf); err != nil {
-		t.Fatal(err)
+	st := footerStats(buf.Bytes())
+	binary.BigEndian.PutUint64(st[0:8], 999)
+	binary.BigEndian.PutUint32(st[48:52], math.MaxUint32)
+	return buf.Bytes()
+}
+
+func TestLyingFooterRejected(t *testing.T) {
+	// Host counts the address plan cannot hold fail at open, before a
+	// consumer sizes a testbed from them; a sequential scan, which only
+	// meets the footer at the end, fails there on the first lie.
+	lying := lyingFooterStream(t)
+	if _, err := NewReader(bytes.NewReader(lying)); err == nil || !strings.Contains(err.Error(), "4294967295 cluster hosts") {
+		t.Fatalf("open: got %v, want the cluster host claim rejected", err)
 	}
-	if err := tr.WriteStream(&v2buf); err != nil {
-		t.Fatal(err)
+	if _, err := readTrace(nonSeeker{bytes.NewReader(lying)}); err == nil || !strings.Contains(err.Error(), "999 packets") {
+		t.Fatalf("sequential scan: got %v, want the packet claim rejected", err)
 	}
 
-	fromJSONL, err := ReadJSONL(&jbuf)
-	if err != nil {
+	// Plausible lies pass the open check and fail a full scan, seekable
+	// or sequential, naming the field.
+	data := encodeStream(t, fuzzSeedTrace(), 3)
+	for _, c := range []struct {
+		field string
+		patch func(st []byte)
+	}{
+		{"packets", func(st []byte) { binary.BigEndian.PutUint64(st[0:8], 7) }},
+		{"first record", func(st []byte) { binary.BigEndian.PutUint64(st[32:40], uint64(time.Hour)) }},
+		{"cluster hosts", func(st []byte) { binary.BigEndian.PutUint32(st[48:52], 250) }},
+		{"external hosts", func(st []byte) { binary.BigEndian.PutUint32(st[52:56], 0) }},
+	} {
+		bad := append([]byte(nil), data...)
+		c.patch(footerStats(bad))
+		for _, src := range []io.Reader{bytes.NewReader(bad), nonSeeker{bytes.NewReader(bad)}} {
+			if _, err := readTrace(src); err == nil || !strings.Contains(err.Error(), "footer claims") ||
+				!strings.Contains(err.Error(), c.field) {
+				t.Fatalf("%s lie: got %v, want a footer error naming the field", c.field, err)
+			}
+		}
+		// A scan that seeked saw only part of the body, so it cannot
+		// judge the footer and must not fail on it.
+		rd, err := NewReader(bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.SeekTo(0); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := rd.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("%s lie after SeekTo: %v", c.field, err)
+			}
+		}
+	}
+	// The honest stream still decodes cleanly.
+	if _, err := readTrace(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	fromV1, err := ReadBinary(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := ReadBinary(&v2buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceEqual(t, tr, fromJSONL)
-	traceEqual(t, tr, fromV1)
-	traceEqual(t, tr, fromV2)
-	// And transitively against each other (cheap given the above, but
-	// pins the equality the satellite task asks for explicitly).
-	traceEqual(t, fromJSONL, fromV1)
-	traceEqual(t, fromV1, fromV2)
 }
 
 func TestDecodeAllocsPerChunk(t *testing.T) {
@@ -690,7 +719,7 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 	b.Run("inmemory", func(b *testing.B) {
 		measure(b, func(emit func(p *packet.Packet)) {
 			sim := simtime.New(1)
-			loaded, err := ReadBinary(bytes.NewReader(data))
+			loaded, err := readTrace(bytes.NewReader(data))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,14 +6,14 @@
 // sidecar; Replay feeds it back through any emit path at original or
 // scaled pacing.
 //
-// Two encodings are provided: a compact binary format (magic "IDTR") for
-// large benchmark traces, and JSON-lines for human inspection and
-// interchange.
+// IDT2 (stream.go) is the one trace format the harness reads: a chunked
+// binary encoding written and replayed in O(chunk) memory. WriteJSONL
+// renders a trace as JSON lines for human inspection; nothing reads
+// that form back.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,6 +97,19 @@ func (t *Trace) Summarize() Stats {
 	return s
 }
 
+// PlanHosts returns the cluster and external host counts a testbed
+// needs for its address plan to reach every plan address in the trace:
+// the ClusterHosts/ExternalHosts an IDT2 footer records for the same
+// records.
+func (t *Trace) PlanHosts() (cluster, external int) {
+	var s StreamStats
+	for _, r := range t.Records {
+		s.coverHost(r.Pk.Src)
+		s.coverHost(r.Pk.Dst)
+	}
+	return s.ClusterHosts, s.ExternalHosts
+}
+
 // Recorder captures packets into a Trace; plug its Emit into a generator
 // or a netsim tap.
 type Recorder struct {
@@ -146,234 +159,6 @@ func Replay(sim *simtime.Sim, t *Trace, start time.Duration, speedup float64, em
 		}
 	}
 	return nil
-}
-
-// ---- binary encoding ----
-
-const (
-	magic   = 0x49445452 // "IDTR"
-	version = 1
-)
-
-// WriteBinary serializes the trace in the compact binary format.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := make([]byte, 16)
-	binary.BigEndian.PutUint32(hdr[0:4], magic)
-	binary.BigEndian.PutUint32(hdr[4:8], version)
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(t.Records)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	writeStr := func(s string) error {
-		if len(s) > 0xFFFF {
-			return fmt.Errorf("trace: string too long (%d)", len(s))
-		}
-		var lb [2]byte
-		binary.BigEndian.PutUint16(lb[:], uint16(len(s)))
-		if _, err := bw.Write(lb[:]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeStr(t.Profile); err != nil {
-		return err
-	}
-	var seedBuf [8]byte
-	binary.BigEndian.PutUint64(seedBuf[:], uint64(t.Seed))
-	if _, err := bw.Write(seedBuf[:]); err != nil {
-		return err
-	}
-	rec := make([]byte, 40)
-	for _, r := range t.Records {
-		p := r.Pk
-		binary.BigEndian.PutUint64(rec[0:8], uint64(r.At))
-		binary.BigEndian.PutUint64(rec[8:16], p.Seq)
-		binary.BigEndian.PutUint64(rec[16:24], uint64(p.Sent))
-		binary.BigEndian.PutUint32(rec[24:28], uint32(p.Src))
-		binary.BigEndian.PutUint32(rec[28:32], uint32(p.Dst))
-		binary.BigEndian.PutUint16(rec[32:34], p.SrcPort)
-		binary.BigEndian.PutUint16(rec[34:36], p.DstPort)
-		rec[36] = byte(p.Proto)
-		rec[37] = byte(p.Flags)
-		rec[38] = p.TTL
-		if p.Truth.Malicious {
-			rec[39] = 1
-		} else {
-			rec[39] = 0
-		}
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-		if p.Truth.Malicious {
-			if err := writeStr(p.Truth.AttackID); err != nil {
-				return err
-			}
-			if err := writeStr(p.Truth.Technique); err != nil {
-				return err
-			}
-		}
-		var lb [4]byte
-		binary.BigEndian.PutUint32(lb[:], uint32(len(p.Payload)))
-		if _, err := bw.Write(lb[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(p.Payload); err != nil {
-			return err
-		}
-	}
-	// Incident sidecar.
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], uint32(len(t.Incidents)))
-	if _, err := bw.Write(ib[:]); err != nil {
-		return err
-	}
-	inc := make([]byte, 36)
-	for _, in := range t.Incidents {
-		if err := writeStr(in.ID); err != nil {
-			return err
-		}
-		if err := writeStr(in.Technique); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint64(inc[0:8], uint64(in.Start))
-		binary.BigEndian.PutUint64(inc[8:16], uint64(in.Duration))
-		binary.BigEndian.PutUint64(inc[16:24], uint64(in.Packets))
-		binary.BigEndian.PutUint32(inc[24:28], uint32(in.Attacker))
-		binary.BigEndian.PutUint32(inc[28:32], uint32(in.Victim))
-		binary.BigEndian.PutUint32(inc[32:36], 0) // reserved
-		if _, err := bw.Write(inc); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a binary trace in either encoding, detecting the v1
-// ("IDTR") and v2 ("IDT2") formats by magic. The whole trace is
-// materialized in memory; use NewReader for O(chunk) streaming of v2
-// traces.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	if m, err := br.Peek(4); err == nil && binary.BigEndian.Uint32(m) == magic2 {
-		return readStreamAll(br)
-	}
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: header: %w", err)
-	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != magic {
-		return nil, errors.New("trace: bad magic")
-	}
-	if v := binary.BigEndian.Uint32(hdr[4:8]); v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	n := binary.BigEndian.Uint64(hdr[8:16])
-	const maxRecords = 1 << 28
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	// A record is at least 44 bytes on the wire; when the source's total
-	// size is knowable (in-memory readers, seekable files), a count that
-	// could not possibly fit the remaining input is rejected before any
-	// allocation is sized from it.
-	const minRecordLen = 44
-	if rem, ok := remainingBytes(br, r); ok && n > uint64(rem)/minRecordLen+1 {
-		return nil, fmt.Errorf("trace: record count %d exceeds remaining input (%d bytes)", n, rem)
-	}
-	readStr := func() (string, error) {
-		var lb [2]byte
-		if _, err := io.ReadFull(br, lb[:]); err != nil {
-			return "", err
-		}
-		b := make([]byte, binary.BigEndian.Uint16(lb[:]))
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	t := &Trace{}
-	var err error
-	if t.Profile, err = readStr(); err != nil {
-		return nil, fmt.Errorf("trace: profile: %w", err)
-	}
-	var seedBuf [8]byte
-	if _, err := io.ReadFull(br, seedBuf[:]); err != nil {
-		return nil, fmt.Errorf("trace: seed: %w", err)
-	}
-	t.Seed = int64(binary.BigEndian.Uint64(seedBuf[:]))
-	rec := make([]byte, 40)
-	// Preallocation is capped so a corrupt count cannot demand gigabytes
-	// up front; the slice grows normally past the cap.
-	t.Records = make([]Record, 0, minU64(n, 1<<16))
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		p := &packet.Packet{
-			Seq:     binary.BigEndian.Uint64(rec[8:16]),
-			Sent:    time.Duration(binary.BigEndian.Uint64(rec[16:24])),
-			Src:     packet.Addr(binary.BigEndian.Uint32(rec[24:28])),
-			Dst:     packet.Addr(binary.BigEndian.Uint32(rec[28:32])),
-			SrcPort: binary.BigEndian.Uint16(rec[32:34]),
-			DstPort: binary.BigEndian.Uint16(rec[34:36]),
-			Proto:   packet.Proto(rec[36]),
-			Flags:   packet.TCPFlags(rec[37]),
-			TTL:     rec[38],
-		}
-		at := time.Duration(binary.BigEndian.Uint64(rec[0:8]))
-		if rec[39] == 1 {
-			p.Truth.Malicious = true
-			if p.Truth.AttackID, err = readStr(); err != nil {
-				return nil, fmt.Errorf("trace: record %d attack id: %w", i, err)
-			}
-			if p.Truth.Technique, err = readStr(); err != nil {
-				return nil, fmt.Errorf("trace: record %d technique: %w", i, err)
-			}
-		}
-		var lb [4]byte
-		if _, err := io.ReadFull(br, lb[:]); err != nil {
-			return nil, fmt.Errorf("trace: record %d payload len: %w", i, err)
-		}
-		plen := binary.BigEndian.Uint32(lb[:])
-		const maxPayload = 1 << 20
-		if plen > maxPayload {
-			return nil, fmt.Errorf("trace: record %d payload %d exceeds limit", i, plen)
-		}
-		if plen > 0 {
-			p.Payload = make([]byte, plen)
-			if _, err := io.ReadFull(br, p.Payload); err != nil {
-				return nil, fmt.Errorf("trace: record %d payload: %w", i, err)
-			}
-		}
-		t.Records = append(t.Records, Record{At: at, Pk: p})
-	}
-	var ib [4]byte
-	if _, err := io.ReadFull(br, ib[:]); err != nil {
-		return nil, fmt.Errorf("trace: incident count: %w", err)
-	}
-	ni := binary.BigEndian.Uint32(ib[:])
-	inc := make([]byte, 36)
-	for i := uint32(0); i < ni; i++ {
-		var in attack.Incident
-		if in.ID, err = readStr(); err != nil {
-			return nil, fmt.Errorf("trace: incident %d id: %w", i, err)
-		}
-		if in.Technique, err = readStr(); err != nil {
-			return nil, fmt.Errorf("trace: incident %d technique: %w", i, err)
-		}
-		if _, err := io.ReadFull(br, inc); err != nil {
-			return nil, fmt.Errorf("trace: incident %d: %w", i, err)
-		}
-		in.Start = time.Duration(binary.BigEndian.Uint64(inc[0:8]))
-		in.Duration = time.Duration(binary.BigEndian.Uint64(inc[8:16]))
-		in.Packets = int(binary.BigEndian.Uint64(inc[16:24]))
-		in.Attacker = packet.Addr(binary.BigEndian.Uint32(inc[24:28]))
-		in.Victim = packet.Addr(binary.BigEndian.Uint32(inc[28:32]))
-		t.Incidents = append(t.Incidents, in)
-	}
-	return t, nil
 }
 
 // ---- JSON-lines encoding ----

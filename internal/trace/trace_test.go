@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,63 +77,70 @@ func TestAppendEnforcesTimeOrder(t *testing.T) {
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
+	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Profile != tr.Profile || got.Seed != tr.Seed {
-		t.Fatalf("meta mismatch: %q/%d vs %q/%d", got.Profile, got.Seed, tr.Profile, tr.Seed)
+	traceEqual(t, tr, got)
+}
+
+func TestNewReaderRejectsGarbage(t *testing.T) {
+	tr := sampleTrace(t)
+	var buf bytes.Buffer
+	if err := tr.WriteStream(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("records %d vs %d", len(got.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		a, b := tr.Records[i], got.Records[i]
-		if a.At != b.At {
-			t.Fatalf("record %d time %v vs %v", i, a.At, b.At)
-		}
-		if a.Pk.Seq != b.Pk.Seq || a.Pk.Src != b.Pk.Src || a.Pk.Dst != b.Pk.Dst ||
-			a.Pk.SrcPort != b.Pk.SrcPort || a.Pk.DstPort != b.Pk.DstPort ||
-			a.Pk.Proto != b.Pk.Proto || a.Pk.Flags != b.Pk.Flags || a.Pk.TTL != b.Pk.TTL {
-			t.Fatalf("record %d header mismatch", i)
-		}
-		if !bytes.Equal(a.Pk.Payload, b.Pk.Payload) {
-			t.Fatalf("record %d payload mismatch", i)
-		}
-		if a.Pk.Truth != b.Pk.Truth {
-			t.Fatalf("record %d truth %+v vs %+v", i, a.Pk.Truth, b.Pk.Truth)
-		}
-	}
-	if len(got.Incidents) != len(tr.Incidents) {
-		t.Fatalf("incidents %d vs %d", len(got.Incidents), len(tr.Incidents))
-	}
-	for i := range tr.Incidents {
-		if got.Incidents[i] != tr.Incidents[i] {
-			t.Fatalf("incident %d mismatch: %+v vs %+v", i, got.Incidents[i], tr.Incidents[i])
+	for name, in := range map[string][]byte{
+		"garbage":    []byte("not a trace at all...."),
+		"empty":      nil,
+		"legacy v1":  legacyV1(),
+		"half IDT2":  buf.Bytes()[:buf.Len()/2],
+		"IDT2 magic": buf.Bytes()[:4],
+	} {
+		for _, src := range []io.Reader{bytes.NewReader(in), nonSeeker{bytes.NewReader(in)}} {
+			if _, err := readTrace(src); err == nil {
+				t.Fatalf("%s accepted", name)
+			}
 		}
 	}
 }
 
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace at all....")); err == nil {
-		t.Fatal("garbage accepted")
+// readTrace materializes a whole IDT2 stream as an in-memory Trace.
+// Chunks are never released, so the records stay valid.
+func readTrace(r io.Reader) (*Trace, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
+	tr := &Trace{Profile: rd.Profile(), Seed: rd.Seed()}
+	for {
+		c, err := rd.Next()
+		if err == io.EOF {
+			tr.Incidents = rd.Incidents()
+			return tr, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		tr.Records = append(tr.Records, c.Records...)
 	}
-	// Truncated valid prefix.
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	half := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(half)); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
+}
+
+// legacyV1 hand-encodes a one-record trace in the retired v1 ("IDTR")
+// format, which the reader rejects like any other non-IDT2 input.
+func legacyV1() []byte {
+	b := binary.BigEndian.AppendUint32(nil, 0x49445452) // "IDTR"
+	b = binary.BigEndian.AppendUint32(b, 1)             // version
+	b = binary.BigEndian.AppendUint64(b, 1)             // record count
+	b = binary.BigEndian.AppendUint16(b, 6)
+	b = append(b, "legacy"...)
+	b = binary.BigEndian.AppendUint64(b, 21)   // seed
+	b = append(b, make([]byte, 40)...)         // the record's fixed fields
+	b = binary.BigEndian.AppendUint32(b, 0)    // payload length
+	return binary.BigEndian.AppendUint32(b, 0) // incident count
 }
 
 func TestJSONLIncludesTruthAndTrailer(t *testing.T) {
@@ -208,7 +216,7 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
-// Property: binary round-trip is identity for arbitrary single-packet
+// Property: the IDT2 round trip is identity for arbitrary single-packet
 // traces.
 func TestPropertyBinaryRoundTrip(t *testing.T) {
 	f := func(src, dst uint32, sport, dport uint16, proto, flags, ttl uint8, payload []byte, mal bool) bool {
@@ -226,10 +234,10 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
+		if err := tr.WriteStream(&buf); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readTrace(&buf)
 		if err != nil || len(got.Records) != 1 {
 			return false
 		}
@@ -240,34 +248,6 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBinaryWrite(b *testing.B) {
-	tr := sampleTraceForBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBinaryRead(b *testing.B) {
-	tr := sampleTraceForBench(b)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -298,42 +278,8 @@ func TestSummarizeEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestWriteBinaryRejectsOversizeStrings(t *testing.T) {
-	tr := &Trace{Profile: strings.Repeat("x", 70000)}
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err == nil {
+func TestNewWriterRejectsOversizeProfile(t *testing.T) {
+	if _, err := NewWriter(io.Discard, strings.Repeat("x", 70000), 1); err == nil {
 		t.Fatal("oversized profile string accepted")
-	}
-}
-
-func TestReadBinaryRejectsHugePayloadClaim(t *testing.T) {
-	// Hand-craft a header claiming one record with an absurd payload
-	// length; the reader must refuse rather than allocate.
-	var buf bytes.Buffer
-	hdr := make([]byte, 16)
-	binary.BigEndian.PutUint32(hdr[0:4], 0x49445452)
-	binary.BigEndian.PutUint32(hdr[4:8], 1)
-	binary.BigEndian.PutUint64(hdr[8:16], 1)
-	buf.Write(hdr)
-	buf.Write([]byte{0, 0}) // empty profile string
-	buf.Write(make([]byte, 8))
-	rec := make([]byte, 40)
-	buf.Write(rec)
-	plen := make([]byte, 4)
-	binary.BigEndian.PutUint32(plen, 1<<30)
-	buf.Write(plen)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("gigabyte payload claim accepted")
-	}
-}
-
-func TestReadBinaryRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 16)
-	binary.BigEndian.PutUint32(hdr[0:4], 0x49445452)
-	binary.BigEndian.PutUint32(hdr[4:8], 99)
-	buf.Write(hdr)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
