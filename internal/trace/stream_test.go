@@ -74,6 +74,27 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 	return buf.Bytes()
 }
 
+// TestStreamRoundTripViaReadBinary checks that WriteStream output starts
+// with the IDT2 magic and reads back whole, through readTrace, from a
+// seekable and from a sequential source.
+func TestStreamRoundTripViaReadBinary(t *testing.T) {
+	tr := sampleTrace(t)
+	var buf bytes.Buffer
+	if err := tr.WriteStream(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 4 || binary.BigEndian.Uint32(buf.Bytes()) != magic2 {
+		t.Fatal("stream does not start with IDT2 magic")
+	}
+	for _, src := range []io.Reader{bytes.NewReader(buf.Bytes()), nonSeeker{bytes.NewReader(buf.Bytes())}} {
+		got, err := readTrace(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traceEqual(t, tr, got)
+	}
+}
+
 func TestStreamReaderChunksAndStats(t *testing.T) {
 	tr := sampleTrace(t)
 	data := encodeStream(t, tr, 64)
