@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchhot benchgate benchtrace benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
+.PHONY: all build test race bench benchhot benchgate benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
@@ -121,15 +121,6 @@ benchsim:
 	@echo '{"Action":"output","Package":"benchsim-host","Output":"# host-cpus: '"$$(nproc)"'"}' >> BENCH_sim.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_sim.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_sim.json (host cpus: $$(nproc))"
-
-# Trace codec benchmarks (IDT2 encode/decode throughput, allocation
-# counts, and the replay live-heap comparison), captured as JSON so
-# successive runs can be diffed across commits.
-benchtrace:
-	$(GO) test -run=NONE -bench='StreamEncode|StreamDecode|StreamDecodePipelined|ReplayLiveHeap' \
-		-benchmem -count=1 -json ./internal/trace/ > BENCH_trace.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_trace.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
-	@echo "wrote BENCH_trace.json"
 
 # Telemetry-overhead benchmarks: the disabled (nil-instrument) path must
 # stay at a few ns/op with zero allocations — the contract that lets
@@ -254,4 +245,4 @@ traces:
 # deliberately via `make benchhot` / `make benchsim` / `make benchobs`.
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt BENCH_trace.json trace_sharded.json
+	rm -f test_output.txt bench_output.txt trace_sharded.json

@@ -598,7 +598,8 @@ const TechPingSweep = "pingsweep"
 // classic network-mapping reconnaissance that precedes targeted attacks.
 // It is not part of StandardScenarios (the calibrated campaign) but is
 // available to extended campaigns; the 5.1 signature update and anomaly
-// engines can both see it.
+// engines can both see it. No command launches it: it belongs to
+// ExtendedScenarios.
 type PingSweep struct {
 	// Rounds is how many passes over the cluster to make (default
 	// 3·intensity).
@@ -658,7 +659,9 @@ func (a PingSweep) Launch(c *Context, id string) Incident {
 // ExtendedScenarios is the harder campaign: the standard seven plus the
 // reconnaissance sweep and the evasion variants (fragmented exploit,
 // stealth scan). Use it to stress detection breadth beyond the
-// calibrated standard run.
+// calibrated standard run. No command runs it: it is the extended
+// campaign EXPERIMENTS.md describes, pinned by
+// TestVendorUpdateImprovesExtendedCampaign.
 func ExtendedScenarios(strength Intensity) []Scenario {
 	return append(StandardScenarios(strength),
 		PingSweep{Strength: strength},

@@ -55,12 +55,3 @@ func (c *Campaign) SpreadAcross(start, window time.Duration, scenarios []Scenari
 // Incidents returns ground truth for every attack launched so far. The
 // slice is live; callers should read it only after the simulation drains.
 func (c *Campaign) Incidents() []Incident { return c.incidents }
-
-// TotalAttackPackets sums labeled packets across incidents.
-func (c *Campaign) TotalAttackPackets() int {
-	n := 0
-	for _, inc := range c.incidents {
-		n += inc.Packets
-	}
-	return n
-}

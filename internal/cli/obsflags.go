@@ -147,15 +147,6 @@ func (o *ObsFlags) serve(ctx context.Context, log io.Writer) error {
 	return nil
 }
 
-// ServerAddr returns the live endpoint's bound address ("" when not
-// serving) — tests and smoke drivers use it to find a :0 port.
-func (o *ObsFlags) ServerAddr() string {
-	if o.server == nil {
-		return ""
-	}
-	return o.server.Addr()
-}
-
 // Finish exports the final state: Prometheus text to stderr under
 // -telemetry, JSONL under -telemetry-jsonl, and the Chrome trace under
 // -trace-out. snap overrides the snapshot source for this export only

@@ -35,7 +35,7 @@ func TestObsFlagsOffByDefault(t *testing.T) {
 	if err := o.Serve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if o.ServerAddr() != "" {
+	if o.server != nil {
 		t.Fatal("server started with no -listen")
 	}
 	if err := o.Finish(nil); err != nil {
@@ -79,10 +79,10 @@ func TestObsFlagsServeLifecycle(t *testing.T) {
 	if err := o.serve(ctx, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	addr := o.ServerAddr()
-	if addr == "" {
-		t.Fatal("no bound address")
+	if o.server == nil {
+		t.Fatal("not serving")
 	}
+	addr := o.server.Addr()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)

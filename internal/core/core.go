@@ -320,44 +320,3 @@ func Rank(cards []*Scorecard, w Weights) ([]WeightedScore, error) {
 	}
 	return out, nil
 }
-
-// MetricDelta is one changed observation between two scorecards of the
-// same system — the unit of the continual-re-evaluation workflow.
-type MetricDelta struct {
-	MetricID string
-	// Before/After are the two observations. A zero-valued Observation
-	// (empty MetricID) on either side means the metric was unscored there.
-	Before, After Observation
-	// Change is After.Score − Before.Score (0 when either side is
-	// unscored; check the MetricIDs).
-	Change int
-}
-
-// Diff compares two scorecards against the same registry and returns the
-// metrics whose scores differ (or are present on only one side), in
-// registry order. It errors if the cards are bound to different
-// registries.
-func Diff(before, after *Scorecard) ([]MetricDelta, error) {
-	if before.reg != after.reg {
-		return nil, errors.New("core: diffing scorecards from different registries")
-	}
-	var out []MetricDelta
-	for _, m := range before.reg.All() {
-		b, okB := before.Get(m.ID)
-		a, okA := after.Get(m.ID)
-		switch {
-		case okB && okA:
-			if b.Score != a.Score {
-				out = append(out, MetricDelta{
-					MetricID: m.ID, Before: b, After: a,
-					Change: int(a.Score) - int(b.Score),
-				})
-			}
-		case okB:
-			out = append(out, MetricDelta{MetricID: m.ID, Before: b})
-		case okA:
-			out = append(out, MetricDelta{MetricID: m.ID, After: a})
-		}
-	}
-	return out, nil
-}

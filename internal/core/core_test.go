@@ -404,27 +404,14 @@ func TestReadScorecardJSONRejectsInvalid(t *testing.T) {
 		`{"system":"x","observations":[{"metric":"bogus","score":1}]}`,
 		`{"system":"x","observations":[{"metric":"timeliness","score":9}]}`,
 		`{"system":"x","observations":[{"metric":"timeliness","score":2,"how":"psychic"}]}`,
+		`{"system":"x","observations":[{"metric":"timeliness","score":1},{"metric":"timeliness","score":4}]}`,
+		`{"system":"x","observations":[]} {"system":"y"}`,
+		`{"system":"x","observations":[]} trailing`,
 	}
 	for _, in := range cases {
 		if _, err := ReadScorecardJSON(strings.NewReader(in), reg); err == nil {
 			t.Fatalf("accepted %q", in)
 		}
-	}
-}
-
-func TestWeightsJSONRoundTrip(t *testing.T) {
-	reg := StandardRegistry()
-	w := Weights{MTimeliness: 6.5, MObservedFNRatio: 8, MOutsourcedSolution: -1}
-	var buf bytes.Buffer
-	if err := WriteWeightsJSON(&buf, w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWeightsJSON(&buf, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[MTimeliness] != 6.5 || got[MOutsourcedSolution] != -1 {
-		t.Fatalf("weights = %v", got)
 	}
 }
 
@@ -454,80 +441,5 @@ func BenchmarkEvaluateFullScorecard(b *testing.B) {
 		if _, err := c.Evaluate(w); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestDiffReportsChangedMetrics(t *testing.T) {
-	reg := StandardRegistry()
-	before := NewScorecard(reg, "X", "5.0")
-	after := NewScorecard(reg, "X", "5.1")
-	for _, m := range reg.All() {
-		if err := before.Set(Observation{MetricID: m.ID, Score: 2}); err != nil {
-			t.Fatal(err)
-		}
-		s := Score(2)
-		if m.ID == MObservedFNRatio {
-			s = 4 // the update improved detection
-		}
-		if err := after.Set(Observation{MetricID: m.ID, Score: s}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deltas, err := Diff(before, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 1 {
-		t.Fatalf("%d deltas, want 1", len(deltas))
-	}
-	if deltas[0].MetricID != MObservedFNRatio || deltas[0].Change != 2 {
-		t.Fatalf("delta = %+v", deltas[0])
-	}
-}
-
-func TestDiffHandlesMissingSides(t *testing.T) {
-	reg := StandardRegistry()
-	before := NewScorecard(reg, "X", "")
-	after := NewScorecard(reg, "X", "")
-	before.Set(Observation{MetricID: MTimeliness, Score: 3})
-	after.Set(Observation{MetricID: MObservedFPRatio, Score: 1})
-	deltas, err := Diff(before, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 2 {
-		t.Fatalf("%d deltas, want 2 one-sided", len(deltas))
-	}
-	for _, d := range deltas {
-		if d.Change != 0 {
-			t.Fatalf("one-sided delta has Change %d", d.Change)
-		}
-	}
-}
-
-func TestDiffRejectsDifferentRegistries(t *testing.T) {
-	regA := StandardRegistry()
-	regB := StandardRegistry()
-	a := NewScorecard(regA, "X", "")
-	b := NewScorecard(regB, "X", "")
-	if _, err := Diff(a, b); err == nil {
-		t.Fatal("cross-registry diff accepted")
-	}
-}
-
-func TestDiffIdenticalCardsEmpty(t *testing.T) {
-	reg := StandardRegistry()
-	a := NewScorecard(reg, "X", "")
-	b := NewScorecard(reg, "X", "")
-	for _, m := range reg.All() {
-		a.Set(Observation{MetricID: m.ID, Score: 3})
-		b.Set(Observation{MetricID: m.ID, Score: 3})
-	}
-	deltas, err := Diff(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 0 {
-		t.Fatalf("identical cards produced %d deltas", len(deltas))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // scorecardJSON is the interchange form of a scorecard.
@@ -54,17 +53,26 @@ func (c *Scorecard) WriteJSON(w io.Writer) error {
 }
 
 // ReadScorecardJSON parses a scorecard against the given registry,
-// validating every observation.
+// validating every observation. The input must hold exactly one JSON
+// object (trailing whitespace is allowed), and no metric may be scored
+// twice.
 func ReadScorecardJSON(r io.Reader, reg *Registry) (*Scorecard, error) {
 	var in scorecardJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: parsing scorecard: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: trailing data after scorecard")
 	}
 	if in.System == "" {
 		return nil, fmt.Errorf("core: scorecard has no system name")
 	}
 	c := NewScorecard(reg, in.System, in.Version)
 	for _, oj := range in.Observations {
+		if _, dup := c.obs[oj.Metric]; dup {
+			return nil, fmt.Errorf("core: metric %q scored twice", oj.Metric)
+		}
 		how, err := methodFromString(oj.How)
 		if err != nil {
 			return nil, err
@@ -74,43 +82,4 @@ func ReadScorecardJSON(r io.Reader, reg *Registry) (*Scorecard, error) {
 		}
 	}
 	return c, nil
-}
-
-// WriteWeightsJSON serializes weights sorted by metric ID.
-func WriteWeightsJSON(w io.Writer, weights Weights) error {
-	ids := make([]string, 0, len(weights))
-	for id := range weights {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	type entry struct {
-		Metric string  `json:"metric"`
-		Weight float64 `json:"weight"`
-	}
-	out := make([]entry, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, entry{Metric: id, Weight: weights[id]})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadWeightsJSON parses and validates weights against the registry.
-func ReadWeightsJSON(r io.Reader, reg *Registry) (Weights, error) {
-	var in []struct {
-		Metric string  `json:"metric"`
-		Weight float64 `json:"weight"`
-	}
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("core: parsing weights: %w", err)
-	}
-	w := make(Weights, len(in))
-	for _, e := range in {
-		w[e.Metric] = e.Weight
-	}
-	if err := w.Validate(reg); err != nil {
-		return nil, err
-	}
-	return w, nil
 }

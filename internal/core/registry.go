@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Registry is the fixed metric standard the methodology evaluates every
 // system against.
@@ -68,13 +65,6 @@ func (r *Registry) ByClass(c Class) []Metric {
 
 // Len returns the metric count.
 func (r *Registry) Len() int { return len(r.order) }
-
-// IDs returns all metric IDs sorted alphabetically.
-func (r *Registry) IDs() []string {
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
-}
 
 // Metric IDs for the Table 1–3 metrics, exported as constants so harness
 // code referencing them fails to compile rather than silently mis-keying.

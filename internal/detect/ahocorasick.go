@@ -241,12 +241,6 @@ func (m *Matcher) outs(state uint32) []int32 {
 	return m.outList[m.outStart[state]:m.outStart[state+1]]
 }
 
-// NumStates reports the automaton's state count (dense + sparse).
-func (m *Matcher) NumStates() int { return int(m.numDense) + len(m.spFail) }
-
-// NumDenseStates reports how many states carry dense 256-way rows.
-func (m *Matcher) NumDenseStates() int { return int(m.numDense) }
-
 // StateBytes reports the resident size of the compiled transition and
 // output tables plus retained pattern bytes — the footprint the
 // matcher-cache gauges publish. Slice headers and the struct itself are
@@ -270,9 +264,11 @@ type Match struct {
 }
 
 // Scan returns every pattern occurrence in data, in end-offset order.
-// The loop tracks the pre-shifted row base (state<<8) rather than the
-// state id: the packed transition load yields it directly (v>>1), so the
-// dependent chain per byte is load → shift → or → load.
+// No command calls it: it is the reference for tests, which check
+// ScanSetInto against it and it against NaiveScan. The loop tracks the
+// pre-shifted row base (state<<8) rather than the state id: the packed
+// transition load yields it directly (v>>1), so the dependent chain per
+// byte is load → shift → or → load.
 func (m *Matcher) Scan(data []byte) []Match {
 	var out []Match
 	row := uint32(0)
@@ -296,7 +292,9 @@ func (m *Matcher) Scan(data []byte) []Match {
 }
 
 // Contains reports whether any pattern occurs in data, without
-// materializing matches — the hot path for a boolean sensor verdict.
+// materializing matches. No command calls it: it is the instrument of
+// the gated BenchmarkAhoCorasickScan4K and of the matcher ablation that
+// EXPERIMENTS.md quotes.
 func (m *Matcher) Contains(data []byte) bool {
 	row := uint32(0)
 	dense := m.dense
@@ -316,37 +314,6 @@ func (m *Matcher) Contains(data []byte) bool {
 	return false
 }
 
-// ScanSet returns the sorted distinct pattern indices occurring in data.
-func (m *Matcher) ScanSet(data []byte) []int {
-	seen := make(map[int]bool)
-	row := uint32(0)
-	for i := 0; i < len(data); i++ {
-		v := m.step(row, data[i])
-		row = v >> 1
-		if v&1 != 0 {
-			for _, p := range m.outs(row >> 8) {
-				seen[int(p)] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// step is the uninlined-path transition used by the cold scanners; row is
-// the current state's pre-shifted row base (state<<8).
-func (m *Matcher) step(row uint32, b byte) uint32 {
-	idx := uint64(row) | uint64(b)
-	if idx < uint64(len(m.dense)) {
-		return m.dense[idx]
-	}
-	return m.stepSlow(int32(row>>8), b)
-}
-
 // ScanBuf is caller-owned scratch for ScanSetInto: a per-pattern seen
 // bitmap plus the result list. One ScanBuf per inspecting goroutine
 // lets many engines share a single immutable Matcher with zero
@@ -356,9 +323,9 @@ type ScanBuf struct {
 	hits []int32
 }
 
-// ScanSetInto is the allocation-free form of ScanSet: it returns the
-// sorted distinct pattern indices occurring in data, using buf for all
-// working state. The returned slice aliases buf and is valid until the
+// ScanSetInto returns the sorted distinct pattern indices occurring in
+// data, using buf for all working state, so it allocates nothing once
+// buf has grown. The returned slice aliases buf and is valid until the
 // next call with the same buf.
 func (m *Matcher) ScanSetInto(data []byte, buf *ScanBuf) []int32 {
 	if len(buf.seen) < len(m.patterns) {
@@ -385,9 +352,9 @@ func (m *Matcher) ScanSetInto(data []byte, buf *ScanBuf) []int32 {
 			}
 		}
 	}
-	// Reset the bitmap by walking only the touched entries, then restore
-	// ScanSet's ascending order with an in-place insertion sort (the hit
-	// set is tiny — bounded by the corpus size).
+	// Reset the bitmap by walking only the touched entries, then sort the
+	// hits ascending with an in-place insertion sort (the hit set is
+	// tiny — bounded by the corpus size).
 	for _, p := range hits {
 		buf.seen[p] = false
 	}
@@ -406,15 +373,10 @@ func insertionSortInt32(s []int32) {
 	}
 }
 
-// NumPatterns returns how many non-empty patterns were compiled.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
-// Pattern returns the compiled pattern at index i.
-func (m *Matcher) Pattern(i int) []byte { return m.patterns[i] }
-
-// NaiveScan is the baseline the Aho–Corasick ablation benchmark compares
-// against: scan each pattern independently with quadratic-ish substring
-// search.
+// NaiveScan scans each pattern independently with quadratic-ish
+// substring search. No command calls it: it is the reference for tests
+// (TestPropertyMatcherAgreesWithNaive) and the baseline of the gated
+// BenchmarkNaiveScan4K that the Aho–Corasick ablation compares against.
 func NaiveScan(patterns [][]byte, data []byte) []Match {
 	var out []Match
 	for pi, pat := range patterns {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -38,8 +39,8 @@ func TestMatcherOverlappingPatterns(t *testing.T) {
 
 func TestMatcherEmptyAndNoMatch(t *testing.T) {
 	m := NewMatcher([][]byte{[]byte("xyz"), nil, []byte("")})
-	if m.NumPatterns() != 1 {
-		t.Fatalf("NumPatterns = %d, want 1 (empties dropped)", m.NumPatterns())
+	if len(m.patterns) != 1 {
+		t.Fatalf("%d patterns compiled, want 1 (empties dropped)", len(m.patterns))
 	}
 	if got := m.Scan([]byte("hello world")); got != nil {
 		t.Fatalf("unexpected matches %v", got)
@@ -69,10 +70,26 @@ func TestMatcherBinaryPatterns(t *testing.T) {
 
 func TestScanSetDistinctSorted(t *testing.T) {
 	m := NewMatcher([][]byte{[]byte("ab"), []byte("bc"), []byte("zz")})
-	got := m.ScanSet([]byte("ababcbc"))
-	if !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("ScanSet = %v", got)
+	var buf ScanBuf
+	got := m.ScanSetInto([]byte("ababcbc"), &buf)
+	if !reflect.DeepEqual(got, []int32{0, 1}) {
+		t.Fatalf("ScanSetInto = %v", got)
 	}
+}
+
+// scanSetRef is the set-scan oracle: Scan's matches reduced to their
+// sorted distinct pattern indices.
+func scanSetRef(m *Matcher, data []byte) []int {
+	seen := map[int]bool{}
+	for _, mt := range m.Scan(data) {
+		seen[mt.Pattern] = true
+	}
+	out := make([]int, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Property: Aho–Corasick agrees with the naive scanner on random inputs

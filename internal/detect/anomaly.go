@@ -59,9 +59,8 @@ type AnomalyEngine struct {
 	services map[uint32]*serviceProfile // key: port<<8|proto
 	pairs    map[uint64]bool            // (src,dst,dstPort) triples seen in training
 	// srcRate learns per-source peak packet rates during training.
-	srcRate      map[packet.Addr]*rateTracker
-	trainedPeak  float64 // highest per-source pps seen in training
-	trainPackets uint64
+	srcRate     map[packet.Addr]*rateTracker
+	trainedPeak float64 // highest per-source pps seen in training
 
 	sensitivity float64
 	suppress    map[anomalySuppressKey]time.Duration
@@ -144,9 +143,6 @@ func (e *AnomalyEngine) SetSensitivity(s float64) error {
 	return nil
 }
 
-// Sensitivity implements Engine.
-func (e *AnomalyEngine) Sensitivity() float64 { return e.sensitivity }
-
 // CostPerPacket implements Engine: fixed feature extraction plus a cheap
 // per-byte entropy pass.
 func (e *AnomalyEngine) CostPerPacket(p *packet.Packet) time.Duration {
@@ -174,13 +170,9 @@ func pairKey(p *packet.Packet) uint64 {
 	return uint64(k.Src)<<32 ^ uint64(k.Dst)<<8 ^ uint64(servicePort(p))
 }
 
-// TrainedPackets returns how many benign packets built the baseline.
-func (e *AnomalyEngine) TrainedPackets() uint64 { return e.trainPackets }
-
 // Train implements Engine: fold one known-benign packet into the
 // baseline.
 func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) {
-	e.trainPackets++
 	sk := serviceKey(p)
 	sp, ok := e.services[sk]
 	if !ok {

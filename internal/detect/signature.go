@@ -216,7 +216,8 @@ func (e *SignatureEngine) EnableReassembly() {
 	e.reassembler = NewReassembler(longestPattern(e.rules) - 1)
 }
 
-// Reassembling reports whether cross-segment matching is enabled.
+// Reassembling reports whether cross-segment matching is enabled. Only
+// the products tests read it, to check which releases reassemble.
 func (e *SignatureEngine) Reassembling() bool { return e.reassembler != nil }
 
 // Name implements Engine.
@@ -237,9 +238,6 @@ func (e *SignatureEngine) SetSensitivity(s float64) error {
 	e.sensitivity = v
 	return nil
 }
-
-// Sensitivity implements Engine.
-func (e *SignatureEngine) Sensitivity() float64 { return e.sensitivity }
 
 // CostPerPacket implements Engine: a fixed header-rule cost plus a
 // per-byte payload scanning cost; stream reassembly adds flow-table

@@ -8,7 +8,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// PlacementResult compares sensor placements on the segmented topology:
+// PlacementResult compares sensor placements on the segmented topology
+// (netsim.LargeTopology):
 // a single central SPAN at the distribution switch versus one sensor per
 // subnet. Visibility is counted over labeled attack packets, separating
 // a north-south exploit from an intra-subnet insider pull.
@@ -24,14 +25,23 @@ type PlacementResult struct {
 	LeafPackets    uint64
 }
 
-// attackVisibility runs a fixed two-attack script over the segmented
-// topology with the given tap attachment and reports what was seen.
-func attackVisibility(seed int64, attach func(top *netsim.SegmentedTopology, counter func(p *packet.Packet))) (sawExploit, sawInsider bool, packets uint64) {
-	sim := simtime.New(seed)
-	top := netsim.BuildSegmentedTopology(sim, netsim.SegmentedConfig{Subnets: 2, HostsPerSubnet: 2, ExternalHosts: 1})
+// attackVisibility runs a fixed two-attack script over a two-segment
+// LargeTopology (two hosts per segment, one external host) with the
+// given tap attachment and reports what was seen. The coordinator runs
+// serially, so the taps in different domains may share the counter.
+func attackVisibility(seed int64, attach func(top *netsim.LargeTopology, counter func(p *packet.Packet)) error) (sawExploit, sawInsider bool, packets uint64) {
+	ss, err := simtime.NewSharded(seed, 3)
+	if err != nil {
+		panic(err)
+	}
+	defer ss.Close()
+	top, err := netsim.BuildLargeTopology(ss, netsim.LargeConfig{Segments: 2, HostsPerSegment: 2, ExternalHosts: 1})
+	if err != nil {
+		panic(err)
+	}
 	var exploitSeen, insiderSeen bool
 	var count uint64
-	attach(top, func(p *packet.Packet) {
+	err = attach(top, func(p *packet.Packet) {
 		if !p.Truth.Malicious {
 			return
 		}
@@ -43,11 +53,14 @@ func attackVisibility(seed int64, attach func(top *netsim.SegmentedTopology, cou
 			insiderSeen = true
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	// North-south exploit: external host to subnet 0.
 	ext := top.External[0]
 	victim := top.Segment[0][0]
-	sim.MustSchedule(time.Millisecond, func() {
+	top.CoreSim().MustSchedule(time.Millisecond, func() {
 		ext.Send(&packet.Packet{
 			Dst: victim.Addr(), SrcPort: 4000, DstPort: 80, Proto: packet.ProtoTCP,
 			Flags:   packet.ACK | packet.PSH,
@@ -59,7 +72,7 @@ func attackVisibility(seed int64, attach func(top *netsim.SegmentedTopology, cou
 	// the leaf switch.
 	insider := top.Segment[1][0]
 	target := top.Segment[1][1]
-	sim.MustSchedule(2*time.Millisecond, func() {
+	top.SegmentSim(1).MustSchedule(2*time.Millisecond, func() {
 		insider.Send(&packet.Packet{
 			Dst: target.Addr(), SrcPort: 4001, DstPort: 514, Proto: packet.ProtoTCP,
 			Flags:   packet.ACK | packet.PSH,
@@ -67,29 +80,34 @@ func attackVisibility(seed int64, attach func(top *netsim.SegmentedTopology, cou
 			Truth:   packet.Label{Malicious: true, AttackID: "a2", Technique: "insider-misuse"},
 		})
 	})
-	sim.Run()
+	ss.Run()
 	return exploitSeen, insiderSeen, count
 }
 
 // MeasurePlacement runs the visibility comparison. The structural result
 // the paper's placement warning predicts: the central sensor is blind to
-// intra-subnet insider traffic; per-subnet placement sees it.
+// intra-subnet insider traffic; per-subnet placement sees it. No command
+// runs it: it is the placement ablation (BenchmarkAblationPlacement)
+// that DESIGN.md lists, pinned by TestPlacementCentralBlindToIntraSubnet.
 func MeasurePlacement(seed int64) *PlacementResult {
 	res := &PlacementResult{}
 	res.CentralSawExploit, res.CentralSawInsider, res.CentralPackets = attackVisibility(seed,
-		func(top *netsim.SegmentedTopology, counter func(p *packet.Packet)) {
+		func(top *netsim.LargeTopology, counter func(p *packet.Packet)) error {
 			sink := netsim.NewSink("central")
 			sink.OnPacket = counter
-			top.AttachDistMirror(sink, netsim.LinkConfig{BandwidthBps: 10e9})
+			_, err := top.AttachDistMirror(sink, netsim.LinkConfig{BandwidthBps: 10e9})
+			return err
 		})
 	res.LeafSawExploit, res.LeafSawInsider, res.LeafPackets = attackVisibility(seed,
-		func(top *netsim.SegmentedTopology, counter func(p *packet.Packet)) {
+		func(top *netsim.LargeTopology, counter func(p *packet.Packet)) error {
 			for i := range top.Leaves {
 				sink := netsim.NewSink("leaf-sensor")
 				sink.OnPacket = counter
-				// Errors impossible: i ranges over existing leaves.
-				_, _ = top.AttachLeafMirror(i, sink, netsim.LinkConfig{BandwidthBps: 10e9})
+				if _, err := top.AttachLeafMirror(i, sink, netsim.LinkConfig{BandwidthBps: 10e9}); err != nil {
+					return err
+				}
 			}
+			return nil
 		})
 	return res
 }

@@ -202,10 +202,11 @@ func ScoreAdjustableSensitivity(e SensitivityEffect) core.Score {
 	}
 }
 
-// ScoreErrorReporting scores failure behaviour per the metric's anchors,
-// from the configured failure mode, observed recovery, and whether a
-// console (watchdog/reporting path) exists.
-func ScoreErrorReporting(cfg ids.Config, failuresObserved bool, recovered bool) core.Score {
+// ScoreErrorReporting scores failure behaviour per the metric's anchors
+// from configuration alone: the failure mode, whether a crashed sensor
+// restarts, and whether a console (the watchdog/reporting path) exists.
+// Failures and recoveries observed in the run do not enter the score.
+func ScoreErrorReporting(cfg ids.Config) core.Score {
 	base := core.Score(0)
 	switch cfg.FailureMode {
 	case ids.FailOpen:
@@ -221,13 +222,6 @@ func ScoreErrorReporting(cfg ids.Config, failuresObserved bool, recovered bool) 
 	}
 	if cfg.HasConsole && base < 4 {
 		base++ // failure is reported via the management channel
-	}
-	if failuresObserved && !recovered && cfg.FailureMode == ids.FailCrash && cfg.RestartAfter > 0 {
-		// Configured to restart but observed not recovering.
-		base--
-	}
-	if base < 0 {
-		base = 0
 	}
 	return base
 }
@@ -531,7 +525,7 @@ func (ev *ProductEvaluation) fillMeasuredScores() error {
 			fmt.Sprintf("sustained %.0f pps without loss", th.ZeroLossPps)},
 		{core.MAnalysisOfCompromise, ScoreCompromiseAnalysis(ev.Compromise.Coverage, len(ev.Compromise.Identified) > 0),
 			fmt.Sprintf("identified %d of %d compromised hosts", len(ev.Compromise.Identified), len(ev.Compromise.TrulyCompromised))},
-		{core.MErrorReporting, ScoreErrorReporting(spec.IDS, acc.SensorFailures > 0, acc.SensorFailures > 0),
+		{core.MErrorReporting, ScoreErrorReporting(spec.IDS),
 			fmt.Sprintf("%v, restart=%v, console=%v", spec.IDS.FailureMode, spec.IDS.RestartAfter > 0, hasConsole)},
 		{core.MFirewallInteraction, ScoreResponseChannel(hasConsole, policyHas(ids.ActionFirewallBlock), acc.FirewallBlocks, acc.FilteredPackets > 0),
 			fmt.Sprintf("%d blocks, %d packets filtered", acc.FirewallBlocks, acc.FilteredPackets)},

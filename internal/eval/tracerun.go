@@ -16,7 +16,9 @@ import (
 // and scores the monitor's reports against the trace's ground-truth
 // sidecar. The product first trains on live clean background for
 // trainFor, then the entire trace is replayed through the testbed hosts.
-// Cancelling ctx halts the replay at the kernel's interrupt stride.
+// Cancelling ctx halts the replay at the kernel's interrupt stride. No
+// command calls it: it is the reference for tests, which check
+// RunTraceAccuracyStream against it.
 func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, sensitivity float64, trainFor time.Duration, seed int64) (*AccuracyResult, error) {
 	if len(tr.Records) == 0 {
 		return nil, fmt.Errorf("eval: empty trace")

@@ -16,8 +16,10 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -199,13 +201,17 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// Parse decodes and validates a scenario from JSON.
+// Parse decodes and validates a scenario from JSON. The input must hold
+// exactly one JSON object; only whitespace may follow it.
 func Parse(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("faults: bad scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("faults: bad scenario: trailing data after the object")
 	}
 	if s.Name == "" {
 		return nil, fmt.Errorf("faults: scenario needs a name")

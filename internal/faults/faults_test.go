@@ -48,6 +48,8 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"bad-duration-string", `{"name":"x","events":[{"at":"1 parsec","kind":"sensor-crash","target":"sensor:0"}]}`, "bad duration"},
 		{"unknown-field", `{"name":"x","frobnicate":true,"events":[]}`, "unknown field"},
 		{"negative-offset", `{"name":"x","events":[{"at":"-1s","kind":"sensor-crash","target":"sensor:0"}]}`, "negative offset"},
+		{"trailing-object", `{"name":"x","events":[]} {"name":"y"}`, "trailing data"},
+		{"trailing-garbage", `{"name":"x","events":[]} ]`, "trailing data"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.in))
@@ -61,8 +63,9 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 	}
 }
 
-// testRig builds a minimal sim + link + IDS for injector tests.
-func testRig(t *testing.T) (*simtime.Sim, *netsim.Link, *ids.IDS, Targets) {
+// testRig builds a minimal sim + link + IDS for injector tests: src
+// sends over the "span" link to sink.
+func testRig(t *testing.T) (*simtime.Sim, *netsim.Host, *netsim.Sink, *ids.IDS, Targets) {
 	t.Helper()
 	sim := simtime.New(3)
 	sink := netsim.NewSink("sink")
@@ -78,11 +81,11 @@ func testRig(t *testing.T) (*simtime.Sim, *netsim.Link, *ids.IDS, Targets) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim, link, inst, Targets{Links: map[string]*netsim.Link{"span": link}, IDS: inst}
+	return sim, src, sink, inst, Targets{Links: map[string]*netsim.Link{"span": link}, IDS: inst}
 }
 
 func TestInjectorRejectsUnknownTargets(t *testing.T) {
-	sim, _, _, tg := testRig(t)
+	sim, _, _, _, tg := testRig(t)
 	cases := []struct {
 		ev      Event
 		wantErr string
@@ -108,8 +111,7 @@ func TestInjectorPartitionWindowScalesWithSeverity(t *testing.T) {
 	// A partition's active window scales with severity: packets offered
 	// inside the scaled window drop, those after it pass.
 	dropsAtSeverity := func(sev float64) uint64 {
-		sim, link, _, tg := testRig(t)
-		src := link.A().(*netsim.Host)
+		sim, src, sink, _, tg := testRig(t)
 		sc := &Scenario{Name: "t", Events: []Event{
 			{At: 0, Duration: Duration(8 * time.Second), Kind: KindLinkPartition, Target: "link:span"},
 		}}
@@ -128,7 +130,7 @@ func TestInjectorPartitionWindowScalesWithSeverity(t *testing.T) {
 			})
 		}
 		sim.Run()
-		return link.InjectedDrops()
+		return 10 - sink.Count
 	}
 	full, half, none := dropsAtSeverity(1), dropsAtSeverity(0.5), dropsAtSeverity(0)
 	if none != 0 {
@@ -143,7 +145,7 @@ func TestInjectorPartitionWindowScalesWithSeverity(t *testing.T) {
 }
 
 func TestInjectorZeroSeverityArmsNothing(t *testing.T) {
-	sim, _, _, tg := testRig(t)
+	sim, _, _, _, tg := testRig(t)
 	sc := &Scenario{Name: "t", Resilience: false, Events: []Event{
 		{At: 0, Duration: Duration(time.Second), Kind: KindAlertLoss},
 		{At: 0, Kind: KindSensorCrash, Target: "sensor:*"},
@@ -166,7 +168,7 @@ func TestInjectorZeroSeverityArmsNothing(t *testing.T) {
 }
 
 func TestInjectorSensorCrashAndHang(t *testing.T) {
-	sim, _, inst, tg := testRig(t)
+	sim, _, _, inst, tg := testRig(t)
 	sc := &Scenario{Name: "t", Events: []Event{
 		{At: Duration(time.Second), Kind: KindSensorCrash, Target: "sensor:0"},
 		{At: Duration(time.Second), Duration: Duration(2 * time.Second), Kind: KindSensorHang, Target: "sensor:1"},

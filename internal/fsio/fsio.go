@@ -154,12 +154,6 @@ func (a *AtomicFile) Abort() {
 	a.fs.Remove(tmp)
 }
 
-// SyncDir fsyncs a directory on the passthrough OS filesystem so a
-// completed rename or create inside it survives a crash. Filesystems
-// that refuse to sync directories are tolerated — counted and logged
-// once per directory (see ReadStats) instead of silently discarded.
-func SyncDir(dir string) error { return OS.SyncDir(dir) }
-
 // AppendFile is an append-only file whose writes are individually
 // durable: each Append writes one buffer and fsyncs before returning.
 // This is the campaign journal's commit discipline — an experiment is

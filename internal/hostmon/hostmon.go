@@ -32,26 +32,6 @@ const (
 	EventNetConn
 )
 
-// String names the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventLogin:
-		return "login"
-	case EventLoginFailed:
-		return "login-failed"
-	case EventProcessExec:
-		return "exec"
-	case EventFileAccess:
-		return "file-access"
-	case EventPrivilege:
-		return "privilege"
-	case EventNetConn:
-		return "net-conn"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
 // Event is one audit record.
 type Event struct {
 	At      time.Duration
@@ -164,9 +144,6 @@ func NewAgent(sim *simtime.Sim, host *rts.Host, level LogLevel) *Agent {
 	}
 }
 
-// Level returns the agent's logging level.
-func (a *Agent) Level() LogLevel { return a.level }
-
 // Observe processes one audit event: log it (charging the host), update
 // detection state, raise alerts.
 func (a *Agent) Observe(ev Event) {
@@ -248,11 +225,6 @@ func (a *Agent) updateOverhead(now time.Duration) {
 	// Charging the rts host is what couples IDS presence to deadline
 	// misses — the Operational Performance Impact metric.
 	_ = a.host.SetOverhead("hostmon/"+a.level.String(), OverheadFraction(a.level, a.activityRate))
-}
-
-// Overhead returns the fraction currently charged to the host.
-func (a *Agent) Overhead() float64 {
-	return OverheadFraction(a.level, a.activityRate)
 }
 
 // ActivityGenerator produces a host's benign audit stream at a steady

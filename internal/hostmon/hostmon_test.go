@@ -267,14 +267,14 @@ func TestAgentMigratesUnderAttack(t *testing.T) {
 	gen.Stop()
 	sim.Run()
 
-	migs := agent.Migrations()
+	migs := agent.migrations
 	if len(migs) != 1 {
 		t.Fatalf("%d migrations, want 1", len(migs))
 	}
 	if migs[0].From != "home" || migs[0].To != "refuge" {
 		t.Fatalf("migration %+v", migs[0])
 	}
-	if agent.Host() != refuge {
+	if agent.host != refuge {
 		t.Fatal("agent still on the attacked host")
 	}
 	// Overhead followed the agent.
@@ -322,7 +322,7 @@ func TestMigrationWindowExpiry(t *testing.T) {
 		agent.Observe(Event{Kind: EventPrivilege, User: "x", Detail: "su root", Remote: remote})
 	})
 	sim.Run()
-	if len(agent.Migrations()) != 0 {
+	if len(agent.migrations) != 0 {
 		t.Fatal("spaced alerts triggered migration")
 	}
 }

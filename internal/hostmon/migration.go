@@ -19,7 +19,9 @@ type MigrationEvent struct {
 // MigrationPolicy arms self-preservation: "when the host they run on is
 // under attack, [host-based IDSs] must quickly notify someone and
 // possibly migrate to another host before they are compromised or
-// disabled" (Section 2.1).
+// disabled" (Section 2.1). No command arms it: it is the extension
+// EXPERIMENTS.md describes under "Agent self-preservation", pinned by
+// TestAgentMigratesUnderAttack.
 type MigrationPolicy struct {
 	// AlertThreshold is how many own-host alerts within Window force a
 	// migration (default 3).
@@ -50,12 +52,6 @@ func (a *Agent) EnableMigration(p MigrationPolicy) error {
 	a.migration = &p
 	return nil
 }
-
-// Migrations returns the relocation history.
-func (a *Agent) Migrations() []MigrationEvent { return a.migrations }
-
-// Host returns the host currently charged for the agent.
-func (a *Agent) Host() *rts.Host { return a.host }
 
 // noteOwnHostAlerts feeds the migration trigger and performs the move
 // when the threshold trips. It returns a synthetic notification alert

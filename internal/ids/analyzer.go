@@ -2,7 +2,6 @@ package ids
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/detect"
@@ -96,9 +95,6 @@ func NewAnalyzer(sim *simtime.Sim, id int, window time.Duration, storagePerAlert
 	}
 }
 
-// ID returns the analyzer index.
-func (a *Analyzer) ID() int { return a.id }
-
 func incidentKey(al detect.Alert) string {
 	return fmt.Sprintf("%d/%d/%s", al.Attacker, al.Victim, al.Technique)
 }
@@ -112,9 +108,6 @@ func (a *Analyzer) SetStalled(stalled bool) {
 		a.drainSpool()
 	}
 }
-
-// Stalled reports whether the analyzer is currently stalled.
-func (a *Analyzer) Stalled() bool { return a.stalled }
 
 // configureSpool arms the bounded stall spool and its retry/backoff
 // drain loop (the resilience layer's knobs).
@@ -260,9 +253,8 @@ func (a *Analyzer) Flush() {
 }
 
 // Monitor is the monitoring subprocess: the operator's view of the
-// threat. It retains every reported incident, issues notifications when
-// severity crosses policy, and supports the historical querying the
-// monitoring metrics describe.
+// threat. It retains every reported incident and issues notifications
+// when severity crosses policy.
 type Monitor struct {
 	sim *simtime.Sim
 	// NotifyThreshold is the minimum severity for operator notification.
@@ -339,9 +331,6 @@ func (m *Monitor) SetMgmtOutage(out bool) {
 	}
 }
 
-// MgmtOutage reports whether the management channel is currently down.
-func (m *Monitor) MgmtOutage() bool { return m.outage }
-
 // configureMgmtSpool arms the bounded outage spool and retry loop.
 func (m *Monitor) configureMgmtSpool(limit int, backoff, max time.Duration) {
 	m.mgmtLimit = limit
@@ -413,22 +402,4 @@ func (m *Monitor) drainMgmtSpool() {
 		m.MgmtDelivered++
 		m.onNotify(inc)
 	}
-}
-
-// Query returns incidents overlapping [from, to], most severe first —
-// the "historical querying ability" of the monitoring subprocess.
-func (m *Monitor) Query(from, to time.Duration) []*ReportedIncident {
-	var out []*ReportedIncident
-	for _, inc := range m.Incidents {
-		if inc.LastAlert >= from && inc.FirstAlert <= to {
-			out = append(out, inc)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Severity != out[j].Severity {
-			return out[i].Severity > out[j].Severity
-		}
-		return out[i].FirstAlert < out[j].FirstAlert
-	})
-	return out
 }

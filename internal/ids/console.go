@@ -24,20 +24,6 @@ const (
 	ActionSNMPTrap
 )
 
-// String names the action.
-func (a ResponseAction) String() string {
-	switch a {
-	case ActionFirewallBlock:
-		return "firewall-block"
-	case ActionRouterRedirect:
-		return "router-redirect"
-	case ActionSNMPTrap:
-		return "snmp-trap"
-	default:
-		return "none"
-	}
-}
-
 // Firewall is the external blocking device the console drives.
 type Firewall struct {
 	blocked map[packet.Addr]bool
@@ -62,7 +48,6 @@ func (f *Firewall) Blocked(addr packet.Addr) bool { return f.blocked[addr] }
 // faulty policy risks shutting out legitimate users".
 type Console struct {
 	sim *simtime.Sim
-	ids *IDS
 
 	// Policy maps attack technique -> automated response.
 	Policy map[string]ResponseAction
@@ -72,9 +57,6 @@ type Console struct {
 	Firewall  *Firewall
 	SNMPTraps []SNMPTrap
 	Redirects []Redirect
-
-	// ConfigPushes counts centralized reconfigurations (1c:M evidence).
-	ConfigPushes int
 
 	// peers receive shared block intelligence (Information Sharing
 	// capability). Propagation is one hop: shared blocks are not
@@ -99,10 +81,11 @@ type Redirect struct {
 	Attacker packet.Addr
 }
 
-// NewConsole attaches a console to an IDS.
-func NewConsole(sim *simtime.Sim, owner *IDS) *Console {
+// NewConsole returns a console with an empty policy, no peers, and the
+// default response and sharing latencies.
+func NewConsole(sim *simtime.Sim) *Console {
 	return &Console{
-		sim: sim, ids: owner,
+		sim:             sim,
 		Policy:          make(map[string]ResponseAction),
 		ResponseLatency: 5 * time.Millisecond,
 		ShareLatency:    50 * time.Millisecond,
@@ -112,7 +95,9 @@ func NewConsole(sim *simtime.Sim, owner *IDS) *Console {
 
 // ShareWith registers a peer console to receive this console's block
 // intelligence — the Information Sharing performance capability: "ability
-// to exchange threat information with other IDS installations."
+// to exchange threat information with other IDS installations." No
+// command pairs consoles: it is the "Information sharing" extension
+// EXPERIMENTS.md describes, pinned by TestInformationSharingPropagatesBlocks.
 func (c *Console) ShareWith(peer *Console) {
 	if peer == nil || peer == c {
 		return
@@ -167,17 +152,4 @@ func (c *Console) handleThreat(inc *ReportedIncident) {
 			c.SNMPTraps = append(c.SNMPTraps, SNMPTrap{At: now, Technique: technique, Attacker: attacker})
 		}
 	})
-}
-
-// PushSensitivity centrally reconfigures every sensor — the Distributed
-// Management capability ("numbers of them configured centrally").
-func (c *Console) PushSensitivity(v float64) error {
-	c.ConfigPushes++
-	return c.ids.SetSensitivity(v)
-}
-
-// Unblock removes an address from the firewall (operator remediation of
-// faulty policy).
-func (c *Console) Unblock(addr packet.Addr) {
-	delete(c.Firewall.blocked, addr)
 }

@@ -2,7 +2,6 @@ package ids
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/packet"
 )
@@ -100,28 +99,12 @@ func (pool *DataPool) Selects(p *packet.Packet) bool {
 	return false
 }
 
-// String summarizes the pool for reports.
-func (pool *DataPool) String() string {
-	if pool == nil {
-		return "all traffic"
-	}
-	var parts []string
-	for _, r := range pool.Include {
-		parts = append(parts, "+"+r.Name)
-	}
-	for _, r := range pool.Exclude {
-		parts = append(parts, "-"+r.Name)
-	}
-	if len(parts) == 0 {
-		return "all traffic"
-	}
-	return strings.Join(parts, " ")
-}
-
 // ClusterExclusionPool implements the paper's suggestion for real-time
 // clusters: skip the cluster's own tightly-cadenced protocols (the
 // inter-node RPC service and bulk replication), which dominate east-west
-// volume and cannot carry the external threat.
+// volume and cannot carry the external threat. No command installs it:
+// it is the pool of the data-pool ablation (BenchmarkAblationDataPool)
+// that EXPERIMENTS.md quotes, pinned by TestDataPoolExcludeRules.
 func ClusterExclusionPool() *DataPool {
 	return &DataPool{
 		Exclude: []PoolRule{
@@ -144,6 +127,3 @@ func (s *IDS) SetDataPool(pool *DataPool) error {
 	s.pool = pool
 	return nil
 }
-
-// DataPool returns the active pool (nil = all traffic).
-func (s *IDS) DataPool() *DataPool { return s.pool }

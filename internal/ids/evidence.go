@@ -15,7 +15,9 @@ const maxSampleAlerts = 16
 // EvidenceBundle is the forensic package for one incident — the Evidence
 // Collection performance capability: the incident record, a sample of
 // the contributing alerts, and (when session recording is enabled and
-// captured the flow) the recorded traffic.
+// captured the flow) the recorded traffic. No command exports bundles:
+// it is the extension EXPERIMENTS.md describes, pinned by
+// TestEvidenceBundleCollectsAlertsAndRecording.
 type EvidenceBundle struct {
 	Incident  *ReportedIncident
 	Alerts    []detect.Alert

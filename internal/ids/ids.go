@@ -271,7 +271,7 @@ func New(sim *simtime.Sim, cfg Config) (*IDS, error) {
 		s.sensors = append(s.sensors, sensor)
 	}
 	if cfg.HasConsole {
-		s.console = NewConsole(sim, s)
+		s.console = NewConsole(sim)
 		s.monitor.onNotify = s.console.handleThreat
 	}
 	return s, nil
@@ -308,12 +308,6 @@ func (s *IDS) deliverFunc(an *Analyzer) func(alerts []detect.Alert) {
 		an.Submit(alerts)
 	}
 }
-
-// Name returns the deployment name.
-func (s *IDS) Name() string { return s.cfg.Name }
-
-// Config returns the assembled configuration (defaults applied).
-func (s *IDS) Config() Config { return s.cfg }
 
 // Monitor returns the monitoring subprocess.
 func (s *IDS) Monitor() *Monitor { return s.monitor }
@@ -492,7 +486,9 @@ type Cardinality struct {
 	SensorToAnalyze map[int]int // sensor index -> analyzer index
 }
 
-// Cardinality computes the current wiring.
+// Cardinality computes the current wiring. No command prints it:
+// BenchmarkFigure2Cardinality regenerates Figure 2 from it, and
+// TestPropertyCardinality pins it.
 func (s *IDS) Cardinality() Cardinality {
 	c := Cardinality{
 		Sensors:         len(s.sensors),

@@ -69,7 +69,10 @@ func (r *sessionRecorder) observe(p *packet.Packet) {
 	rec.Bytes += p.WireLen()
 }
 
-// Recordings returns all session recordings sorted by start time.
+// Recordings returns all session recordings sorted by start time. No
+// command reads recordings: session recording is the extension
+// EXPERIMENTS.md describes, pinned by
+// TestSessionRecordingCapturesAlertingFlow.
 func (s *IDS) Recordings() []*SessionRecording {
 	if s.recorder == nil {
 		return nil
@@ -103,7 +106,9 @@ type TrendBucket struct {
 }
 
 // Trend buckets the monitor's incidents by first-alert time. Empty
-// buckets between active ones are included so series plot evenly.
+// buckets between active ones are included so series plot evenly. No
+// command renders trends: it is the trend-analysis extension
+// EXPERIMENTS.md describes, pinned by TestTrendBucketsIncidents.
 func (m *Monitor) Trend(bucket time.Duration) []TrendBucket {
 	if bucket <= 0 || len(m.Incidents) == 0 {
 		return nil
@@ -140,9 +145,6 @@ type SelfEvent struct {
 	// Recovered is false for a failure event, true for a restart.
 	Recovered bool
 }
-
-// SelfEvents returns the health events recorded so far.
-func (s *IDS) SelfEvents() []SelfEvent { return s.selfEvents }
 
 // noteSensorEvent records a health event and, when a console exists
 // (watchdog path), notifies the operator through the normal monitor

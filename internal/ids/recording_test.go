@@ -1,16 +1,11 @@
 package ids
 
 import (
-	"bytes"
-	"io"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/detect"
 	"repro/internal/simtime"
-	"repro/internal/trace"
 )
 
 func recordingIDS(t *testing.T, budget int) (*simtime.Sim, *IDS) {
@@ -152,7 +147,7 @@ func TestSensorFailureSelfReported(t *testing.T) {
 		sim.MustSchedule(time.Duration(i)*time.Millisecond, func() { s.Ingest(benignPkt(1)) })
 	}
 	sim.Run()
-	events := s.SelfEvents()
+	events := s.selfEvents
 	if len(events) < 2 {
 		t.Fatalf("%d self events, want failure + recovery", len(events))
 	}
@@ -186,7 +181,7 @@ func TestSensorFailureNotReportedWithoutConsole(t *testing.T) {
 		sim.MustSchedule(time.Duration(i)*time.Millisecond, func() { s.Ingest(benignPkt(1)) })
 	}
 	sim.Run()
-	if len(s.SelfEvents()) == 0 {
+	if len(s.selfEvents) == 0 {
 		t.Fatal("self events not recorded")
 	}
 	for _, inc := range s.Monitor().Incidents {
@@ -208,98 +203,5 @@ func TestRecordingClonesPackets(t *testing.T) {
 	rec := s.Recordings()[0]
 	if string(rec.Packets[0].Payload) != "original" {
 		t.Fatal("recording shares storage with live packet")
-	}
-}
-
-func TestExportRecordingsWritesStreamTrace(t *testing.T) {
-	sim, s := recordingIDS(t, 0)
-	// Two alerting flows from distinct attackers, captured at distinct
-	// virtual times so the export has a real timeline.
-	sim.MustSchedule(time.Second, func() {
-		s.Ingest(attackPkt(1))
-	})
-	sim.MustSchedule(2*time.Second, func() {
-		p := attackPkt(1)
-		p.Payload = []byte("follow-up")
-		p.Sent = sim.Now()
-		s.Ingest(p)
-	})
-	sim.MustSchedule(3*time.Second, func() {
-		s.Ingest(attackPkt(2))
-	})
-	sim.Run()
-	if len(s.Recordings()) != 2 {
-		t.Fatalf("%d recordings, want 2", len(s.Recordings()))
-	}
-
-	var buf bytes.Buffer
-	if err := s.ExportRecordings(&buf, "forensics"); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Profile() != "forensics" {
-		t.Fatalf("profile %q", rd.Profile())
-	}
-	var total int
-	for _, rec := range s.Recordings() {
-		total += len(rec.Packets)
-	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != uint64(total) {
-		t.Fatalf("exported %d packets, recordings hold %d", st.Packets, total)
-	}
-	var lastSent time.Duration
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range c.Records {
-			if r.Pk.Sent < lastSent {
-				t.Fatal("export timeline out of order")
-			}
-			lastSent = r.Pk.Sent
-		}
-		c.Release()
-	}
-}
-
-func TestExportRecordingsFileAtomic(t *testing.T) {
-	sim, s := recordingIDS(t, 0)
-	sim.MustSchedule(time.Second, func() { s.Ingest(attackPkt(1)) })
-	sim.Run()
-	if len(s.Recordings()) == 0 {
-		t.Fatal("no recordings to export")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rec.idt2")
-	if err := s.ExportRecordingsFile(path, "forensics"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rd, err := trace.NewReader(f)
-	if err != nil {
-		t.Fatalf("exported file is not a readable trace: %v", err)
-	}
-	if rd.Profile() != "forensics" {
-		t.Fatalf("profile %q", rd.Profile())
-	}
-	// No temp litter: the only entry in dir is the committed file.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "rec.idt2" {
-		t.Fatalf("directory not clean after export: %v", ents)
 	}
 }

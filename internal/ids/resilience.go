@@ -94,7 +94,9 @@ func (s *IDS) EnableResilience(r Resilience) {
 	rs.instrument(s.obsReg)
 }
 
-// ResilienceEnabled reports whether the self-healing layer is on.
+// ResilienceEnabled reports whether the self-healing layer is on. Only
+// eval's external tests read it, to check that an empty fault scenario
+// leaves the layer off.
 func (s *IDS) ResilienceEnabled() bool { return s.res != nil }
 
 // ResilienceStats exposes the layer's counters (zero value when off).

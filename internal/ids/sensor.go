@@ -18,14 +18,6 @@ const (
 	SensorFailed
 )
 
-// String names the state.
-func (s SensorState) String() string {
-	if s == SensorFailed {
-		return "failed"
-	}
-	return "up"
-}
-
 // Sensor is the sensing subprocess: it runs a detection engine over its
 // share of traffic with a finite processing budget. Overload first drops
 // packets (the zero-loss-throughput boundary) and, sustained past the
@@ -168,9 +160,6 @@ func (r *pendingRing) pop() {
 
 // ID returns the sensor's index.
 func (s *Sensor) ID() int { return s.id }
-
-// Engine exposes the sensor's detection engine.
-func (s *Sensor) Engine() detect.Engine { return s.engine }
 
 // State returns the operational state.
 func (s *Sensor) State() SensorState { return s.state }

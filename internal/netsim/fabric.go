@@ -27,16 +27,12 @@ type Fabric struct {
 	dom        map[Endpoint]int
 	minProp    time.Duration
 	crossLinks int
-	finalized  bool
 }
 
 // NewFabric creates a fabric over the coordinator's domains.
 func NewFabric(ss *simtime.ShardedSim) *Fabric {
 	return &Fabric{ss: ss, dom: make(map[Endpoint]int)}
 }
-
-// Coordinator returns the underlying ShardedSim.
-func (f *Fabric) Coordinator() *simtime.ShardedSim { return f.ss }
 
 // Sim returns the Sim for one domain — the clock every component placed
 // there must be built against.
@@ -57,12 +53,6 @@ func (f *Fabric) Place(dom int, e Endpoint) error {
 	}
 	f.dom[e] = dom
 	return nil
-}
-
-// DomainOf reports where an endpoint was placed.
-func (f *Fabric) DomainOf(e Endpoint) (int, bool) {
-	d, ok := f.dom[e]
-	return d, ok
 }
 
 // Link connects two placed endpoints. Same-domain pairs get an ordinary
@@ -100,16 +90,12 @@ func (f *Fabric) Link(a, b Endpoint, cfg LinkConfig) (*Link, error) {
 	return l, nil
 }
 
-// CrossLinks returns how many cross-domain links exist.
-func (f *Fabric) CrossLinks() int { return f.crossLinks }
-
 // Finalize computes and installs the lookahead (the minimum cross-domain
 // propagation delay). Call it after all links are wired and before the
 // coordinator runs. A fabric with no cross-domain links places no bound
 // on the window; domains never interact, so windows are effectively the
 // whole run.
 func (f *Fabric) Finalize() error {
-	f.finalized = true
 	if f.crossLinks == 0 {
 		// Independent domains: any window works; pick one huge enough
 		// that the run completes in a single window per idle gap.

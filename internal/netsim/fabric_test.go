@@ -195,8 +195,8 @@ func TestMinimumLookaheadTorture(t *testing.T) {
 		if err := f.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		if got := ss.Lookahead(); got != simtime.Time(time.Microsecond) {
-			t.Fatalf("lookahead %v, want 1µs", got)
+		if f.minProp != time.Microsecond {
+			t.Fatalf("lookahead %v, want 1µs", f.minProp)
 		}
 		const wantRounds = 400
 		bsim, asim := ss.Domain(1), ss.Domain(0)

@@ -8,11 +8,15 @@ import (
 	"repro/internal/simtime"
 )
 
-// LargeTopology is the at-scale variant of the segmented testbed: the
-// same shape as SegmentedTopology — external hosts behind a border
-// router, a distribution switch fanning out to leaf switches, each leaf
-// with its own SPAN port — but partitioned across the event domains of a
-// ShardedSim so tens of thousands of hosts simulate on multiple cores.
+// LargeTopology is the segmented testbed: external hosts behind a border
+// router, and a distribution switch fanning out to leaf switches, each
+// leaf with its own SPAN port. It serves two experiments. Small, it is
+// the sensor-placement testbed of the paper's no-load-balancer
+// deployment — "the load may be statically spread out by placing sensors
+// in separate subnets. Individual, statically placed sensors may
+// overload or starve, and the protection of the network will be
+// uneven." Large, it is the at-scale testbed: the event domains of a
+// ShardedSim let tens of thousands of hosts simulate on multiple cores.
 //
 // Domain assignment is fixed by the topology: domain 0 holds the
 // external switch, border router, and distribution switch; domain i+1
@@ -64,7 +68,8 @@ func LargeAddr(s, h int) packet.Addr {
 
 // BuildLargeTopology wires the at-scale testbed across the coordinator's
 // domains (which must number Segments+1) and finalizes the fabric's
-// lookahead. The returned topology is ready to run.
+// lookahead. The returned topology is ready to run; SPAN sinks attach
+// after the build, since a mirror link never crosses domains.
 func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology, error) {
 	if cfg.Segments <= 0 {
 		cfg.Segments = 8
@@ -180,14 +185,29 @@ func (t *LargeTopology) AttachLeafMirror(i int, sink Endpoint, cfg LinkConfig) (
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("span-leaf%03d", i)
 	}
-	if err := t.Fabric.Place(i+1, sink); err != nil {
+	return t.attachMirror(i+1, t.Leaves[i], sink, cfg)
+}
+
+// AttachDistMirror connects a passive sink to the distribution switch's
+// SPAN port — the single-central-sensor placement. The sink lives in
+// domain 0, next to the distribution switch.
+func (t *LargeTopology) AttachDistMirror(sink Endpoint, cfg LinkConfig) (*Link, error) {
+	if cfg.Name == "" {
+		cfg.Name = "span-dist"
+	}
+	return t.attachMirror(0, t.Dist, sink, cfg)
+}
+
+// attachMirror places sink in sw's domain dom and makes it sw's SPAN.
+func (t *LargeTopology) attachMirror(dom int, sw *Switch, sink Endpoint, cfg LinkConfig) (*Link, error) {
+	if err := t.Fabric.Place(dom, sink); err != nil {
 		return nil, err
 	}
-	l, err := t.Fabric.Link(t.Leaves[i], sink, cfg)
+	l, err := t.Fabric.Link(sw, sink, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.Leaves[i].SetMirror(l)
+	sw.SetMirror(l)
 	return l, nil
 }
 

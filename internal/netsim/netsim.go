@@ -124,7 +124,6 @@ type linkImpairment struct {
 	bwScale   float64 // multiplies BandwidthBps when in (0,1)
 	dropEvery int     // drop every Nth offered packet; 0 disables
 	dropCount int
-	drops     uint64 // packets discarded by the impairment
 }
 
 // SetDown partitions (true) or heals (false) the link. While down every
@@ -145,30 +144,6 @@ func (l *Link) SetLossEvery(n int) {
 	imp := l.ensureImpairment()
 	imp.dropEvery = n
 	imp.dropCount = 0
-}
-
-// ClearImpairment removes all injected faults, keeping the drop count.
-func (l *Link) ClearImpairment() {
-	if l.imp == nil {
-		return
-	}
-	drops := l.imp.drops
-	l.imp = &linkImpairment{drops: drops}
-	l.imp.bwScale = 0
-	// A fully cleared impairment is equivalent to none; drop back to the
-	// nil fast path once nothing remains to remember.
-	if drops == 0 {
-		l.imp = nil
-	}
-}
-
-// InjectedDrops returns packets discarded by fault injection on this
-// link (both directions).
-func (l *Link) InjectedDrops() uint64 {
-	if l.imp == nil {
-		return 0
-	}
-	return l.imp.drops
 }
 
 func (l *Link) ensureImpairment() *linkImpairment {
@@ -244,18 +219,6 @@ func (l *Link) deliverFunc(dir *linkDir) func() {
 	}
 }
 
-// AttachA sets the endpoint on the A side.
-func (l *Link) AttachA(e Endpoint) { l.a.to = e }
-
-// AttachB sets the endpoint on the B side.
-func (l *Link) AttachB(e Endpoint) { l.b.to = e }
-
-// A returns the endpoint on the A side.
-func (l *Link) A() Endpoint { return l.a.to }
-
-// B returns the endpoint on the B side.
-func (l *Link) B() Endpoint { return l.b.to }
-
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
@@ -285,7 +248,6 @@ func (l *Link) Send(from Endpoint, p *packet.Packet) bool {
 	bw := l.BandwidthBps
 	if imp := l.imp; imp != nil {
 		if imp.down {
-			imp.drops++
 			dir.stats.Dropped++
 			dir.cDropped.Inc()
 			return false
@@ -294,7 +256,6 @@ func (l *Link) Send(from Endpoint, p *packet.Packet) bool {
 			imp.dropCount++
 			if imp.dropCount >= imp.dropEvery {
 				imp.dropCount = 0
-				imp.drops++
 				dir.stats.Dropped++
 				dir.cDropped.Inc()
 				return false
@@ -399,9 +360,6 @@ func (h *Host) Addr() packet.Addr { return h.addr }
 
 // SetLink attaches the host's NIC.
 func (h *Host) SetLink(l *Link) { h.link = l }
-
-// HasLink reports whether the host's NIC is attached.
-func (h *Host) HasLink() bool { return h.link != nil }
 
 // Send transmits a packet from this host, stamping Sent time and source
 // address if unset. It reports whether the local link accepted it. A host
@@ -538,7 +496,6 @@ type Router struct {
 	sim       *simtime.Sim
 	name      string
 	routes    []route
-	def       *Link
 	latency   time.Duration
 	Forwarded uint64
 	TTLDrops  uint64
@@ -575,9 +532,6 @@ func (r *Router) AddRoute(prefix packet.Addr, maskBits int, l *Link) {
 	}
 }
 
-// SetDefault sets the default route.
-func (r *Router) SetDefault(l *Link) { r.def = l }
-
 // Receive implements Endpoint.
 func (r *Router) Receive(p *packet.Packet, from *Link) {
 	forward := func() {
@@ -587,7 +541,7 @@ func (r *Router) Receive(p *packet.Packet, from *Link) {
 		}
 		q := *p // headers copied; payload shared read-only
 		q.TTL--
-		out := r.def
+		var out *Link
 		for _, rt := range r.routes {
 			if q.Dst&rt.mask == rt.prefix {
 				out = rt.link

@@ -356,20 +356,6 @@ func TestPlanIndexInvertsPlan(t *testing.T) {
 	}
 }
 
-func TestAddClusterHost(t *testing.T) {
-	sim := simtime.New(1)
-	top := BuildTopology(sim, TopologyConfig{ClusterHosts: 1, ExternalHosts: 1})
-	h := top.AddClusterHost()
-	if len(top.Cluster) != 2 {
-		t.Fatalf("cluster size %d", len(top.Cluster))
-	}
-	top.Cluster[0].Send(pkt(top.Cluster[0].Addr(), h.Addr(), 10))
-	sim.Run()
-	if h.Received != 1 {
-		t.Fatal("added host unreachable")
-	}
-}
-
 // Property: packet conservation on a single link — every accepted packet is
 // delivered exactly once, every rejected one is counted as a drop.
 func TestPropertyLinkConservation(t *testing.T) {

@@ -19,17 +19,16 @@ import (
 //	                                                             │
 //	                                                           mirror
 type Topology struct {
-	Sim          *simtime.Sim
-	Border       *Router
-	ExtSwitch    *Switch
-	LanSwitch    *Switch
-	External     []*Host
-	Cluster      []*Host
-	routerToLan  *Link
-	extTrunk     *Link
-	lanPrefix    packet.Addr
-	nextHostLink LinkConfig
-	obsReg       *obs.Registry
+	Sim         *simtime.Sim
+	Border      *Router
+	ExtSwitch   *Switch
+	LanSwitch   *Switch
+	External    []*Host
+	Cluster     []*Host
+	routerToLan *Link
+	extTrunk    *Link
+	lanPrefix   packet.Addr
+	obsReg      *obs.Registry
 }
 
 // TopologyConfig parameterizes BuildTopology.
@@ -110,12 +109,11 @@ func BuildTopology(sim *simtime.Sim, cfg TopologyConfig) *Topology {
 	}
 
 	t := &Topology{
-		Sim:          sim,
-		Border:       NewRouter(sim, "border-router", cfg.RouterLatency),
-		ExtSwitch:    NewSwitch(sim, "ext-switch", cfg.SwitchLatency),
-		LanSwitch:    NewSwitch(sim, "lan-switch", cfg.SwitchLatency),
-		lanPrefix:    LanPrefix,
-		nextHostLink: cfg.HostLink,
+		Sim:       sim,
+		Border:    NewRouter(sim, "border-router", cfg.RouterLatency),
+		ExtSwitch: NewSwitch(sim, "ext-switch", cfg.SwitchLatency),
+		LanSwitch: NewSwitch(sim, "lan-switch", cfg.SwitchLatency),
+		lanPrefix: LanPrefix,
 	}
 
 	extTrunk := cfg.BackboneLink
@@ -194,15 +192,6 @@ func (t *Topology) Instrument(reg *obs.Registry) {
 	t.routerToLan.Instrument(reg)
 	t.ExtSwitch.Instrument(reg)
 	t.LanSwitch.Instrument(reg)
-}
-
-// AddClusterHost adds another protected host to the LAN and returns it.
-func (t *Topology) AddClusterHost() *Host {
-	i := len(t.Cluster)
-	h := NewHost(t.Sim, fmt.Sprintf("node%02d", i), ClusterAddr(i))
-	t.LanSwitch.Connect(h, t.nextHostLink)
-	t.Cluster = append(t.Cluster, h)
-	return h
 }
 
 // AttachMirror connects a passive sink to the LAN switch SPAN port over a

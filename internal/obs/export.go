@@ -86,7 +86,9 @@ func FSIOSnapshot() *Snapshot {
 	}}
 }
 
-// Counter returns the named counter's value and whether it exists.
+// Counter returns the named counter's value and whether it exists. Only
+// tests read it: with Gauge, it is how the simtime, eval and cli tests
+// look up one series in a snapshot.
 func (s *Snapshot) Counter(name string) (uint64, bool) {
 	if s == nil {
 		return 0, false
@@ -99,7 +101,8 @@ func (s *Snapshot) Counter(name string) (uint64, bool) {
 	return 0, false
 }
 
-// Gauge returns the named gauge's state and whether it exists.
+// Gauge returns the named gauge's state and whether it exists (see
+// Counter).
 func (s *Snapshot) Gauge(name string) (GaugeSnap, bool) {
 	if s == nil {
 		return GaugeSnap{}, false
@@ -362,10 +365,4 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 // previous file intact.
 func (s *Snapshot) WriteJSONLFile(path string) error {
 	return fsio.WriteAtomic(path, s.WriteJSONL)
-}
-
-// WritePrometheusFile writes the Prometheus text export to path
-// atomically, with the same crash guarantees as WriteJSONLFile.
-func (s *Snapshot) WritePrometheusFile(path string) error {
-	return fsio.WriteAtomic(path, s.WritePrometheus)
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // promMetricName matches a legal Prometheus metric name.
@@ -181,7 +180,7 @@ func TestPrometheusExportConformance(t *testing.T) {
 	reg.Histogram("empty.lat_ns", ClockSim) // registered, never observed
 	reg.StartSpan("stage.one").End()
 	reg.StartSpan("stage.one").End() // second span, same name: needs unique labelset
-	reg.RecordSimSpan("stage.two", time.Second, time.Second)
+	reg.StartSpan("stage.two").End()
 
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
@@ -235,9 +234,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 			if got := s.Quantile(q); got != 0 {
 				t.Errorf("empty q%.2f = %d, want 0", q, got)
 			}
-		}
-		if s.Mean() != 0 {
-			t.Errorf("empty mean = %f", s.Mean())
 		}
 		if len(s.Buckets) != 0 {
 			t.Errorf("empty snap has buckets: %+v", s.Buckets)

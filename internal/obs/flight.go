@@ -170,7 +170,8 @@ func (f *FlightRecorder) Len() int {
 }
 
 // Recorded returns the total number of events ever recorded, including
-// ones the ring has since overwritten (0 for nil).
+// ones the ring has since overwritten (0 for nil). Only tests read it;
+// eval's telemetry tests use it to check the recorder was fed.
 func (f *FlightRecorder) Recorded() uint64 {
 	if f == nil {
 		return 0
@@ -181,7 +182,8 @@ func (f *FlightRecorder) Recorded() uint64 {
 }
 
 // Dropped returns how many events were overwritten after the ring
-// filled (0 for nil).
+// filled (0 for nil). Only tests read it; the simtime tests use it to
+// tell a full ring from a missing event.
 func (f *FlightRecorder) Dropped() uint64 {
 	if f == nil {
 		return 0

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -102,7 +101,8 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Count returns the number of observations (0 for nil).
+// Count returns the number of observations (0 for nil). Only tests read
+// it; the campaign tests use it to count checkpoint writes.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
@@ -165,14 +165,6 @@ type HistSnap struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s *HistSnap) Mean() float64 {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) by linear
 // interpolation inside the covering bucket, clamped to the observed
 // min/max so estimates never stray outside real data.
@@ -213,14 +205,4 @@ func (s *HistSnap) Quantile(q float64) int64 {
 // QuantileDuration is Quantile for nanosecond-valued histograms.
 func (s *HistSnap) QuantileDuration(q float64) time.Duration {
 	return time.Duration(s.Quantile(q))
-}
-
-// MeanDuration is Mean for nanosecond-valued histograms.
-func (s *HistSnap) MeanDuration() time.Duration {
-	return time.Duration(math.Round(s.Mean()))
-}
-
-// searchBounds is used by tests to verify the ladder is sorted.
-func searchBounds(bounds []int64, v int64) int {
-	return sort.Search(len(bounds), func(i int) bool { return bounds[i] >= v })
 }

@@ -119,7 +119,8 @@ func (g *Gauge) Set(v int64) {
 	atomicMax(&g.hi, v)
 }
 
-// Update adds d to the gauge and updates the high-water mark.
+// Update adds d to the gauge and updates the high-water mark. No command
+// calls it: it is the instrument of the gated BenchmarkGaugeUpdate pair.
 func (g *Gauge) Update(d int64) {
 	if g == nil {
 		return

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -95,8 +96,8 @@ func TestHistogramQuantilesKnownDistribution(t *testing.T) {
 	if got := s.Quantile(1); got != 1000 {
 		t.Errorf("q1 = %d, want max 1000", got)
 	}
-	if mean := s.Mean(); mean < 499 || mean > 502 {
-		t.Errorf("mean = %f, want ~500.5", mean)
+	if s.Sum != 500500 {
+		t.Errorf("sum = %d, want 500500", s.Sum)
 	}
 }
 
@@ -122,9 +123,10 @@ func TestHistogramDefaultLadderSortedAndCovers(t *testing.T) {
 	if got := s.Quantile(1); got != int64(10*time.Minute) {
 		t.Fatalf("q1 = %d", got)
 	}
-	// searchBounds agrees with the hot-path binary search placement.
+	// A plain binary search over the ladder agrees with the hot-path
+	// placement.
 	for _, v := range []int64{1, 100, 101, int64(time.Second), 1 << 62} {
-		want := searchBounds(b, v)
+		want := sort.Search(len(b), func(i int) bool { return b[i] >= v })
 		h2 := NewHistogram("probe", ClockNone, b)
 		h2.Observe(v)
 		idx := -1
@@ -147,10 +149,9 @@ func TestSpanRecordingAndTimeline(t *testing.T) {
 	da := sp.End()
 	sp = reg.StartSpan("stage.b")
 	db := sp.End()
-	reg.RecordSimSpan("stage.sim", 2*time.Second, 5*time.Second)
 
-	spans := reg.Spans()
-	if len(spans) != 3 {
+	spans := reg.Snapshot().Spans
+	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
 	}
 	if spans[0].Name != "stage.a" || spans[0].Dur != da || spans[0].Clock != ClockWall {
@@ -158,9 +159,6 @@ func TestSpanRecordingAndTimeline(t *testing.T) {
 	}
 	if spans[1].Start < spans[0].Start {
 		t.Fatal("wall spans not rebased onto a shared epoch")
-	}
-	if spans[2].Clock != ClockSim || spans[2].Start != 2*time.Second || spans[2].Dur != 5*time.Second {
-		t.Fatalf("sim span = %+v", spans[2])
 	}
 	if d, ok := reg.SpanDur("stage.b"); !ok || d != db {
 		t.Fatalf("SpanDur(stage.b) = %v, %v", d, ok)
@@ -287,7 +285,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := len(reg.Spans()); got != workers {
+	if got := len(reg.Snapshot().Spans); got != workers {
 		t.Fatalf("spans = %d, want %d", got, workers)
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"time"
 )
 
-// SpanRecord is one finished pipeline-stage span. Wall-clock spans
-// record Start as an offset from the registry's first span (so a log of
-// spans reads as a relative timeline without embedding absolute
-// timestamps); sim-clock spans record virtual time directly.
+// SpanRecord is one finished pipeline-stage span. Start is an offset
+// from the registry's first span, so a log of spans reads as a relative
+// timeline without embedding absolute timestamps.
 type SpanRecord struct {
 	Name  string        `json:"name"`
 	Clock Clock         `json:"clock"`
@@ -57,31 +56,6 @@ func (r *Registry) recordSpan(name string, clock Clock, start time.Time, d time.
 	r.spans = append(r.spans, SpanRecord{
 		Name: name, Clock: clock, Start: start.Sub(r.spanEpoch), Dur: d,
 	})
-}
-
-// RecordSimSpan records a span measured on the simulation clock (for
-// quantities like a replay window or a training phase, where the span's
-// extent is virtual time). No-op on a nil registry.
-func (r *Registry) RecordSimSpan(name string, start, dur time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans = append(r.spans, SpanRecord{Name: name, Clock: ClockSim, Start: start, Dur: dur})
-}
-
-// Spans returns a copy of the finished spans in record order. Nil
-// registries have none.
-func (r *Registry) Spans() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanRecord, len(r.spans))
-	copy(out, r.spans)
-	return out
 }
 
 // SpanDur returns the summed duration of all finished spans with the

@@ -34,18 +34,6 @@ const (
 	Unseen
 )
 
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case ActedOn:
-		return "acted-on"
-	case Dismissed:
-		return "dismissed"
-	default:
-		return "unseen"
-	}
-}
-
 // Handling records the fate of one notification.
 type Handling struct {
 	Notification ids.Notification
@@ -113,9 +101,6 @@ func New(sim *simtime.Sim, cfg Config) *Operator {
 		vigilance: 1,
 	}
 }
-
-// Vigilance returns the current attention level in (0,1].
-func (o *Operator) Vigilance() float64 { return o.vigilance }
 
 // Notify presents one monitor notification to the operator at the
 // current virtual time.

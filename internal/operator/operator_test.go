@@ -73,7 +73,7 @@ func TestFatigueErodesVigilance(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if v := op.Vigilance(); v > 0.5 {
+	if v := op.vigilance; v > 0.5 {
 		t.Fatalf("vigilance %.2f after 40 back-to-back triages", v)
 	}
 	// Some dismissals must appear once tired.
@@ -96,7 +96,7 @@ func TestVigilanceRecoversWhenQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunUntil(90 * time.Second)
-	tired := op.Vigilance()
+	tired := op.vigilance
 	sim.Run()
 	rested := op.Handled[len(op.Handled)-1].Vigilance
 	if rested <= tired {

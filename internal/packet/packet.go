@@ -1,5 +1,5 @@
-// Package packet models network packets, flows, and TCP streams for the
-// IDS evaluation testbed. The model is deliberately self-contained (no
+// Package packet models network packets and flow keys for the IDS
+// evaluation testbed. The model is deliberately self-contained (no
 // real sockets): headers carry exactly the fields the paper's metrics and
 // the detection engines consume — addresses, ports, protocol, TCP flags,
 // sizes and payload bytes — plus ground-truth annotations used only by the
@@ -22,11 +22,6 @@ func IPv4(a, b, c, d byte) Addr {
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-}
-
-// Octets returns the four dotted-quad components.
-func (a Addr) Octets() (byte, byte, byte, byte) {
-	return byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)
 }
 
 // Proto is an IP protocol number. Only the protocols the testbed generates

@@ -4,17 +4,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestIPv4String(t *testing.T) {
 	a := IPv4(192, 168, 1, 20)
 	if got := a.String(); got != "192.168.1.20" {
 		t.Fatalf("String() = %q", got)
-	}
-	o1, o2, o3, o4 := a.Octets()
-	if o1 != 192 || o2 != 168 || o3 != 1 || o4 != 20 {
-		t.Fatalf("Octets() = %d.%d.%d.%d", o1, o2, o3, o4)
 	}
 }
 
@@ -101,137 +96,6 @@ func TestPacketWireLenAndClone(t *testing.T) {
 	}
 }
 
-func TestFlowTable(t *testing.T) {
-	ft := NewFlowTable()
-	k := testKey()
-	p := &Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto, Flags: SYN, Payload: []byte("x")}
-	ft.Observe(p, time.Second)
-	ft.Observe(p, 2*time.Second)
-	if ft.Len() != 1 {
-		t.Fatalf("Len() = %d", ft.Len())
-	}
-	st := ft.Get(k)
-	if st == nil {
-		t.Fatal("flow missing")
-	}
-	if st.Packets != 2 || st.Payloads != 2 || !st.SynSeen || st.FinSeen {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.First != time.Second || st.Last != 2*time.Second {
-		t.Fatalf("times = %v..%v", st.First, st.Last)
-	}
-	if got := ft.Get(k.Reverse()); got != nil {
-		t.Fatal("reverse direction must be a distinct flow")
-	}
-}
-
-func TestFlowTableKeysSorted(t *testing.T) {
-	ft := NewFlowTable()
-	for i := byte(10); i > 0; i-- {
-		ft.Observe(&Packet{Src: IPv4(10, 0, 0, i), Dst: IPv4(10, 0, 0, 100), Proto: ProtoUDP}, 0)
-	}
-	keys := ft.Keys()
-	if len(keys) != 10 {
-		t.Fatalf("len(keys) = %d", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		if !keys[i-1].less(keys[i]) {
-			t.Fatal("keys not sorted")
-		}
-	}
-}
-
-func mkTCP(k FlowKey, flags TCPFlags) *Packet {
-	return &Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: ProtoTCP, Flags: flags}
-}
-
-func TestTCPTrackerHandshakeLifecycle(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	if tr.Concurrent() != 0 {
-		t.Fatal("session established after bare SYN")
-	}
-	tr.Observe(mkTCP(k.Reverse(), SYN|ACK), time.Millisecond)
-	tr.Observe(mkTCP(k, ACK), 2*time.Millisecond)
-	if tr.Concurrent() != 1 {
-		t.Fatalf("Concurrent() = %d after handshake", tr.Concurrent())
-	}
-	if st, ok := tr.State(k); !ok || st != TCPStateEstablished {
-		t.Fatalf("State() = %v, %v", st, ok)
-	}
-	tr.Observe(mkTCP(k, FIN|ACK), 3*time.Millisecond)
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after FIN", tr.Concurrent())
-	}
-	if tr.PeakConcurrent() != 1 || tr.TotalOpened() != 1 {
-		t.Fatalf("peak=%d total=%d", tr.PeakConcurrent(), tr.TotalOpened())
-	}
-}
-
-func TestTCPTrackerRSTCloses(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	tr.Observe(mkTCP(k.Reverse(), SYN|ACK), 1)
-	tr.Observe(mkTCP(k, ACK), 2)
-	tr.Observe(mkTCP(k.Reverse(), RST), 3)
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after RST", tr.Concurrent())
-	}
-}
-
-func TestTCPTrackerMidStreamPickup(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, ACK|PSH), 0)
-	if tr.Concurrent() != 1 {
-		t.Fatal("mid-stream traffic must be counted as an established session")
-	}
-}
-
-func TestTCPTrackerPeakConcurrent(t *testing.T) {
-	tr := NewTCPTracker(0)
-	for i := byte(1); i <= 5; i++ {
-		k := FlowKey{Src: IPv4(10, 0, 0, i), Dst: IPv4(10, 0, 1, 1), SrcPort: 1000 + uint16(i), DstPort: 80, Proto: ProtoTCP}
-		tr.Observe(mkTCP(k, SYN), 0)
-		tr.Observe(mkTCP(k, ACK), 1)
-	}
-	if tr.PeakConcurrent() != 5 || tr.Concurrent() != 5 {
-		t.Fatalf("peak=%d cur=%d", tr.PeakConcurrent(), tr.Concurrent())
-	}
-}
-
-func TestTCPTrackerExpire(t *testing.T) {
-	tr := NewTCPTracker(10 * time.Second)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	tr.Observe(mkTCP(k, ACK), time.Second)
-	if n := tr.Expire(5 * time.Second); n != 0 {
-		t.Fatalf("expired %d sessions too early", n)
-	}
-	if n := tr.Expire(30 * time.Second); n != 1 {
-		t.Fatalf("Expire = %d, want 1", n)
-	}
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after expiry", tr.Concurrent())
-	}
-	// Zero timeout disables expiry entirely.
-	tr2 := NewTCPTracker(0)
-	tr2.Observe(mkTCP(k, ACK), 0)
-	if n := tr2.Expire(time.Hour); n != 0 {
-		t.Fatal("expiry ran with zero timeout")
-	}
-}
-
-func TestTCPTrackerIgnoresNonTCP(t *testing.T) {
-	tr := NewTCPTracker(0)
-	tr.Observe(&Packet{Proto: ProtoUDP}, 0)
-	if tr.Concurrent() != 0 || tr.TotalOpened() != 0 {
-		t.Fatal("UDP affected TCP tracker")
-	}
-}
-
 func BenchmarkFlowKeyHash(b *testing.B) {
 	k := testKey()
 	b.ReportAllocs()
@@ -240,26 +104,16 @@ func BenchmarkFlowKeyHash(b *testing.B) {
 	}
 }
 
-func BenchmarkFlowTableObserve(b *testing.B) {
-	ft := NewFlowTable()
-	p := &Packet{Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Proto: ProtoTCP}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.SrcPort = uint16(i % 5000)
-		ft.Observe(p, time.Duration(i))
-	}
-}
-
 func TestSeqCounter(t *testing.T) {
 	var c SeqCounter
-	if c.Issued() != 0 {
+	if c.n != 0 {
 		t.Fatal("fresh counter issued nonzero")
 	}
 	if c.Next() != 1 || c.Next() != 2 {
 		t.Fatal("sequence not monotonic from 1")
 	}
-	if c.Issued() != 2 {
-		t.Fatalf("Issued() = %d", c.Issued())
+	if c.n != 2 {
+		t.Fatalf("issued %d", c.n)
 	}
 }
 
@@ -278,13 +132,6 @@ func TestPacketString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestTCPStateString(t *testing.T) {
-	if TCPStateSynSent.String() != "syn-sent" || TCPStateEstablished.String() != "established" ||
-		TCPStateClosed.String() != "closed" || TCPState(9).String() != "invalid" {
-		t.Fatal("state names wrong")
 	}
 }
 

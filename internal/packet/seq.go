@@ -13,6 +13,3 @@ func (c *SeqCounter) Next() uint64 {
 	c.n++
 	return c.n
 }
-
-// Issued returns how many sequence numbers have been handed out.
-func (c *SeqCounter) Issued() uint64 { return c.n }

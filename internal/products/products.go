@@ -381,11 +381,6 @@ func All() []Spec {
 	return []Spec{NetRecorder(), TrueSecure(), StreamHunter(), AgentSwarm()}
 }
 
-// Commercial returns just the three commercial products.
-func Commercial() []Spec {
-	return []Spec{NetRecorder(), TrueSecure(), StreamHunter()}
-}
-
 // Find resolves a product by name, case-insensitively. An optional
 // ":version" suffix selects a specific release ("netrecorder:5.1");
 // without one the current release in All() is returned.

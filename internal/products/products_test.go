@@ -16,9 +16,6 @@ func TestAllProductsInstantiate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if inst.Name() != spec.Name {
-			t.Fatalf("%s: instance named %q", spec.Name, inst.Name())
-		}
 		if len(inst.Sensors()) != spec.IDS.Sensors {
 			t.Fatalf("%s: %d sensors, want %d", spec.Name, len(inst.Sensors()), spec.IDS.Sensors)
 		}
@@ -33,9 +30,6 @@ func TestFieldCoversPaperLineup(t *testing.T) {
 	all := All()
 	if len(all) != 4 {
 		t.Fatalf("%d products, want 4 (three commercial + research)", len(all))
-	}
-	if len(Commercial()) != 3 {
-		t.Fatal("Commercial() must return three products")
 	}
 	names := map[string]bool{}
 	for _, s := range all {

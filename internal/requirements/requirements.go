@@ -68,7 +68,9 @@ func (s *Set) Validate(reg *core.Registry) error {
 // AssignOrdinalWeights implements the suggested algorithm's first half:
 // given requirement names grouped by importance (least important group
 // first), assign weight 1 to the first group, 2 to the second, and so on.
-// Duplicate weights within a group reflect the partial ordering.
+// Duplicate weights within a group reflect the partial ordering. No
+// command calls it: it is the ordinal step of the Figure 6 algorithm
+// (F6 in DESIGN.md), pinned by TestAssignOrdinalWeights.
 func AssignOrdinalWeights(groups [][]string) []Requirement {
 	var out []Requirement
 	for gi, group := range groups {

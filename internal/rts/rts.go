@@ -222,16 +222,6 @@ func (g *TrustGraph) AddTrust(trusting, trusted string) {
 	g.edges[trusted] = append(g.edges[trusted], trusting)
 }
 
-// Nodes returns all hosts, sorted.
-func (g *TrustGraph) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CompromiseScope returns every host transitively endangered if start is
 // compromised (including start), sorted — the computation behind the
 // Analysis of Compromise metric ("determine which of the distributed

@@ -62,7 +62,6 @@ type shardMsg struct {
 // channel-synchronized handoffs, so domain state needs no locks).
 type ShardedSim struct {
 	domains   []*Sim
-	seed      int64
 	lookahead Time
 	now       Time // start of the next window (global committed time)
 	workers   int
@@ -127,7 +126,7 @@ func NewSharded(seed int64, domains int) (*ShardedSim, error) {
 	if domains < 1 {
 		return nil, fmt.Errorf("simtime: sharded sim needs >= 1 domain, got %d", domains)
 	}
-	ss := &ShardedSim{seed: seed, workers: 1}
+	ss := &ShardedSim{workers: 1}
 	for i := 0; i < domains; i++ {
 		ss.domains = append(ss.domains, New(seed))
 	}
@@ -151,16 +150,6 @@ func (ss *ShardedSim) Domains() int { return len(ss.domains) }
 // Domain returns domain i's Sim. Model components scheduled on it must
 // touch only state owned by domain i.
 func (ss *ShardedSim) Domain(i int) *Sim { return ss.domains[i] }
-
-// Seed returns the root seed shared by every domain.
-func (ss *ShardedSim) Seed() int64 { return ss.seed }
-
-// Now returns the global committed time: every event before it has
-// executed, in every domain.
-func (ss *ShardedSim) Now() Time { return ss.now }
-
-// Lookahead returns the conservative window length.
-func (ss *ShardedSim) Lookahead() Time { return ss.lookahead }
 
 // Windows returns how many synchronization windows have run.
 func (ss *ShardedSim) Windows() uint64 { return ss.windows }

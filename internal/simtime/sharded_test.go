@@ -10,41 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// --- satellite: O(1) Pending + NextEventTime ---
-
-func TestPendingIsLiveCounter(t *testing.T) {
-	s := New(1)
-	if s.Pending() != 0 {
-		t.Fatalf("fresh sim Pending = %d, want 0", s.Pending())
-	}
-	ids := make([]EventID, 0, 5)
-	for i := 0; i < 5; i++ {
-		ids = append(ids, s.MustSchedule(Time(i+1)*100, func() {}))
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("after 5 schedules Pending = %d, want 5", s.Pending())
-	}
-	s.Cancel(ids[2])
-	if s.Pending() != 4 {
-		t.Fatalf("after cancel Pending = %d, want 4", s.Pending())
-	}
-	s.Step()
-	if s.Pending() != 3 {
-		t.Fatalf("after step Pending = %d, want 3", s.Pending())
-	}
-	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("after Run Pending = %d, want 0", s.Pending())
-	}
-	// Step over a cancelled head must not double-decrement.
-	id := s.MustSchedule(10, func() {})
-	s.MustSchedule(20, func() {})
-	s.Cancel(id)
-	s.Step()
-	if s.Pending() != 0 {
-		t.Fatalf("after step over cancelled head Pending = %d, want 0", s.Pending())
-	}
-}
+// --- NextEventTime ---
 
 func TestNextEventTimeSkipsCancelled(t *testing.T) {
 	s := New(1)
@@ -239,8 +205,8 @@ func TestShardedRunUntilWindowsAndClock(t *testing.T) {
 	ss, _ := buildDigestPingPong(t, 3, 1000, 50_000, 9)
 	defer ss.Close()
 	n1 := ss.RunUntil(25_000)
-	if ss.Now() != 25_000 {
-		t.Fatalf("Now = %v after RunUntil(25000)", ss.Now())
+	if ss.now != 25_000 {
+		t.Fatalf("Now = %v after RunUntil(25000)", ss.now)
 	}
 	for i := 0; i < ss.Domains(); i++ {
 		if got := ss.Domain(i).Now(); got != 25_000 {
@@ -320,8 +286,8 @@ func TestShardedSingleDomainFastPath(t *testing.T) {
 	if n := ss.RunUntil(15); n != 1 || ran != 1 {
 		t.Fatalf("RunUntil(15) = %d events (ran %d), want 1", n, ran)
 	}
-	if ss.Now() != 15 {
-		t.Fatalf("Now = %v, want 15", ss.Now())
+	if ss.now != 15 {
+		t.Fatalf("Now = %v, want 15", ss.now)
 	}
 	if n := ss.Run(); n != 1 || ran != 2 {
 		t.Fatalf("Run = %d events (ran %d), want 1 more", n, ran)

@@ -138,16 +138,12 @@ type Sim struct {
 	now     Time
 	seq     uint64
 	pending eventHeap
-	// live counts scheduled-but-not-cancelled events, maintained on
-	// schedule/cancel/execute so Pending is O(1) instead of a heap scan.
-	live int
 	// free recycles executed/cancelled event structs for reuse by
 	// ScheduleAt; its size is bounded by the peak pending-event count.
 	free    []*event
 	streams map[string]*rand.Rand
 	seed    int64
 	running bool
-	stopped bool
 	// Processed counts events executed since creation; useful both for
 	// progress accounting and for loop-detection limits in tests.
 	processed uint64
@@ -181,12 +177,6 @@ func (s *Sim) Seed() int64 { return s.seed }
 
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.processed }
-
-// Pending returns the number of events currently scheduled. It is O(1):
-// a live-event counter is maintained on schedule/cancel/execute, so
-// progress heartbeats and stall watchdogs can poll it on large heaps
-// without paying a linear scan.
-func (s *Sim) Pending() int { return s.live }
 
 // NextEventTime returns the virtual time of the earliest live pending
 // event. Cancelled events at the head of the heap are retired in
@@ -249,7 +239,6 @@ func (s *Sim) ScheduleAt(at Time, fn Handler) (EventID, error) {
 		e = &event{at: at, seq: s.seq, fn: fn}
 	}
 	s.pending.push(e)
-	s.live++
 	return EventID{e: e, gen: e.gen}, nil
 }
 
@@ -270,32 +259,11 @@ func (s *Sim) Cancel(id EventID) bool {
 		return false
 	}
 	e.dead = true
-	s.live--
 	return true
 }
 
-// Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
-func (s *Sim) Step() bool {
-	for len(s.pending) > 0 {
-		e := s.pending.popMin()
-		if e.dead {
-			s.release(e)
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		s.live--
-		fn := e.fn
-		s.release(e)
-		fn()
-		return true
-	}
-	return false
-}
-
-// Run executes events until the queue is empty or Stop is called.
-// It returns the number of events executed.
+// Run executes events until the queue is empty or an interrupt halts
+// the run (see SetInterrupt). It returns the number of events executed.
 func (s *Sim) Run() uint64 {
 	return s.RunUntil(1<<62 - 1)
 }
@@ -312,11 +280,10 @@ func (s *Sim) RunUntil(deadline Time) uint64 {
 		return 0
 	}
 	s.running = true
-	s.stopped = false
 	defer func() { s.running = false }()
 
 	var n uint64
-	for len(s.pending) > 0 && !s.stopped {
+	for len(s.pending) > 0 {
 		// The stride counts events executed during THIS call (not the
 		// lifetime total), so the first check fires on entry and every
 		// call's cancellation latency is bounded by one stride — a
@@ -340,21 +307,16 @@ func (s *Sim) RunUntil(deadline Time) uint64 {
 		s.pending.popMin()
 		s.now = next.at
 		s.processed++
-		s.live--
 		fn := next.fn
 		s.release(next)
 		fn()
 		n++
 	}
-	if !s.stopped && s.intErr == nil && s.now < deadline && deadline < 1<<62-1 {
+	if s.intErr == nil && s.now < deadline && deadline < 1<<62-1 {
 		s.now = deadline
 	}
 	return n
 }
-
-// Stop halts the currently running Run/RunUntil after the current event
-// handler returns. It may only be called from inside an event handler.
-func (s *Sim) Stop() { s.stopped = true }
 
 // SetInterrupt installs a cancellation check consulted about every
 // interruptStride executed events during Run/RunUntil. When check

@@ -103,28 +103,6 @@ func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 100; i++ {
-		s.MustSchedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 10 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("ran %d events after Stop, want 10", count)
-	}
-	// Run may be resumed afterwards.
-	s.Run()
-	if count != 100 {
-		t.Fatalf("resume ran to %d, want 100", count)
-	}
-}
-
 func TestEventsScheduledDuringRunExecute(t *testing.T) {
 	s := New(1)
 	var order []string
@@ -201,19 +179,6 @@ func TestTickerBadPeriod(t *testing.T) {
 	}
 	if _, err := s.NewTicker(-time.Second, func() {}); err == nil {
 		t.Fatal("negative period accepted")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	s := New(1)
-	id := s.MustSchedule(time.Second, func() {})
-	s.MustSchedule(2*time.Second, func() {})
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
-	}
-	s.Cancel(id)
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", got)
 	}
 }
 
@@ -311,33 +276,20 @@ func TestSeedAndProcessedAccessors(t *testing.T) {
 	}
 }
 
-func TestStepExecutesSingleEvent(t *testing.T) {
-	s := New(1)
-	ran := 0
-	s.MustSchedule(time.Second, func() { ran++ })
-	s.MustSchedule(2*time.Second, func() { ran++ })
-	if !s.Step() || ran != 1 {
-		t.Fatalf("first Step ran %d events", ran)
-	}
-	if s.Now() != time.Second {
-		t.Fatalf("Now() = %v after first step", s.Now())
-	}
-	if !s.Step() || ran != 2 {
-		t.Fatal("second Step failed")
-	}
-	if s.Step() {
-		t.Fatal("Step on empty queue reported work")
-	}
-}
-
+// TestStepSkipsCancelled checks that a run step over a cancelled head
+// event retires it without executing or counting it, and executes the
+// next live event at that event's time.
 func TestStepSkipsCancelled(t *testing.T) {
 	s := New(1)
 	id := s.MustSchedule(time.Second, func() { t.Fatal("cancelled event ran") })
 	s.Cancel(id)
 	ran := false
 	s.MustSchedule(2*time.Second, func() { ran = true })
-	if !s.Step() || !ran {
-		t.Fatal("Step did not skip the cancelled event")
+	if n := s.RunUntil(2 * time.Second); n != 1 || !ran {
+		t.Fatalf("RunUntil executed %d events (live one ran: %v), want 1", n, ran)
+	}
+	if s.Processed() != 1 || s.Now() != 2*time.Second {
+		t.Fatalf("processed %d at %v, want 1 at 2s", s.Processed(), s.Now())
 	}
 }
 

@@ -24,7 +24,7 @@ func smallChunkStream(t *testing.T) ([]byte, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetChunkRecords(3)
+	w.chunkRecords = 3
 	for _, rec := range tr.Records {
 		if err := w.Append(rec.At, rec.Pk); err != nil {
 			t.Fatal(err)

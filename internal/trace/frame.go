@@ -111,9 +111,6 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	return &FrameReader{r: r, max: max}
 }
 
-// Offset returns the count of stream bytes fully consumed so far.
-func (fr *FrameReader) Offset() int64 { return fr.off }
-
 // fail wraps cause with the current frame's position.
 func (fr *FrameReader) fail(ord uint32, start int64, cause error) error {
 	return &FrameDecodeError{Ordinal: ord, Offset: start, Cause: cause}

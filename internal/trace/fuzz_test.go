@@ -33,7 +33,7 @@ func FuzzReadTrace(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sw.SetChunkRecords(3)
+	sw.chunkRecords = 3
 	for _, r := range tr.Records {
 		if err := sw.Append(r.At, r.Pk); err != nil {
 			f.Fatal(err)

@@ -48,15 +48,11 @@ func (p *PipelinedReader) Close() { p.pipe.Stop() }
 // ReplayReader returns, so decode errors that surface mid-run are
 // reported here; check Err after the simulation drains.
 type ReplayStream struct {
-	err    error
-	chunks int
+	err error
 }
 
 // Err returns the first mid-replay fetch/schedule error, if any.
 func (rs *ReplayStream) Err() error { return rs.err }
-
-// Chunks reports how many chunks have been scheduled so far.
-func (rs *ReplayStream) Chunks() int { return rs.chunks }
 
 // releaseLag is how many chunks a replayed chunk is kept alive after
 // its successor starts. Packets emitted into a testbed sit in bounded
@@ -140,7 +136,6 @@ func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedu
 			rs.err = err
 			return
 		}
-		rs.chunks++
 		if _, err := sim.ScheduleAt(scale(c.LastAt()), advance); err != nil {
 			rs.err = err
 			return
@@ -151,7 +146,6 @@ func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedu
 	if err := schedule(first); err != nil {
 		return nil, err
 	}
-	rs.chunks = 1
 	if _, err := sim.ScheduleAt(scale(first.LastAt()), advance); err != nil {
 		return nil, err
 	}

@@ -178,14 +178,6 @@ func NewWriter(w io.Writer, profile string, seed int64) (*Writer, error) {
 	return sw, nil
 }
 
-// SetChunkRecords overrides the records-per-chunk target. It must be
-// called before the first Append; later calls are ignored.
-func (w *Writer) SetChunkRecords(n int) {
-	if n > 0 && n <= maxChunkRecords && w.stats.Packets == 0 && len(w.pend) == 0 {
-		w.chunkRecords = n
-	}
-}
-
 // SetIncidents attaches the ground-truth sidecar, written at Close.
 func (w *Writer) SetIncidents(incs []attack.Incident) { w.incidents = incs }
 
@@ -710,7 +702,9 @@ func (r *Reader) Incidents() []attack.Incident {
 	return r.incidents
 }
 
-// Index returns the chunk index (seekable streams only).
+// Index returns the chunk index (seekable streams only). No command
+// reads it: with SeekTo it is the time-range seek README and DESIGN §8
+// describe, pinned by TestStreamReaderChunksAndStats.
 func (r *Reader) Index() []ChunkInfo { return r.index }
 
 // ChunksRead reports how many chunks have been decoded so far.
@@ -718,7 +712,8 @@ func (r *Reader) ChunksRead() int { return int(r.chunksRead.Load()) }
 
 // SeekTo repositions the stream so the next chunk returned by Next is
 // the first one whose time range ends at or after t. It requires an
-// indexed, seekable stream.
+// indexed, seekable stream. No command seeks: it is the time-range seek
+// README and DESIGN §8 describe, pinned by TestStreamSeekTo.
 func (r *Reader) SeekTo(t time.Duration) error {
 	if r.rs == nil || !r.hasFooter {
 		return errors.New("trace: SeekTo requires an indexed seekable stream")

@@ -61,7 +61,7 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.SetChunkRecords(chunkRecords)
+	sw.chunkRecords = chunkRecords
 	for _, r := range tr.Records {
 		if err := sw.Append(r.At, r.Pk); err != nil {
 			t.Fatal(err)
@@ -322,9 +322,6 @@ func TestReplayReaderMatchesInMemoryReplay(t *testing.T) {
 				t.Fatalf("speedup %v: emit %d differs: %+v vs %+v", speedup, i, got[i], want[i])
 			}
 		}
-		if rs.Chunks() == 0 {
-			t.Fatal("no chunks counted")
-		}
 	}
 }
 
@@ -372,7 +369,7 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.SetChunkRecords(100)
+	sw.chunkRecords = 100
 	sim := simtime.New(21)
 	srec := NewStreamRecorder(sim, sw)
 	seq := &packet.SeqCounter{}

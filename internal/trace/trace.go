@@ -100,7 +100,8 @@ func (t *Trace) Summarize() Stats {
 // PlanHosts returns the cluster and external host counts a testbed
 // needs for its address plan to reach every plan address in the trace:
 // the ClusterHosts/ExternalHosts an IDT2 footer records for the same
-// records.
+// records. No command calls it: it is the reference for tests, which
+// check the footer's counts against it.
 func (t *Trace) PlanHosts() (cluster, external int) {
 	var s StreamStats
 	for _, r := range t.Records {
@@ -139,7 +140,8 @@ func (r *Recorder) Trace() *Trace { return r.t }
 // Replay schedules every record of t onto sim, offset so the first record
 // fires at start, with inter-packet gaps scaled by 1/speedup (speedup 2
 // replays twice as fast; 0 or 1 preserves original pacing). Each packet is
-// delivered through emit.
+// delivered through emit. No command calls it: it is the reference for
+// tests, which check the streaming ReplayReader against it.
 func Replay(sim *simtime.Sim, t *Trace, start time.Duration, speedup float64, emit func(p *packet.Packet)) error {
 	if emit == nil {
 		return errors.New("trace: nil emit")

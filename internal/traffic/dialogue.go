@@ -43,15 +43,6 @@ func (d Dialogue) PacketCount() int {
 	return n
 }
 
-// PayloadBytes returns total application bytes across all steps.
-func (d Dialogue) PayloadBytes() int {
-	n := 0
-	for _, s := range d.Steps {
-		n += len(s.Payload)
-	}
-	return n
-}
-
 // thinkTime returns a human/application pause in a plausible range.
 func thinkTime(rng *rand.Rand, base time.Duration) time.Duration {
 	return base + time.Duration(rng.Int63n(int64(base)))

@@ -201,7 +201,8 @@ var planPool = sync.Pool{New: func() any { return new([]TimedPacket) }}
 // FrameDialogue expands a dialogue into transport-framed timed packets:
 // TCP sessions get a three-way handshake, MSS segmentation with PSH on
 // final segments, and FIN teardown; UDP dialogues map steps directly to
-// datagrams.
+// datagrams. No command calls it (the generator uses appendDialogue): it
+// is the instrument of the gated BenchmarkFrameDialogue.
 func FrameDialogue(rng *rand.Rand, d Dialogue, rtt time.Duration) []TimedPacket {
 	return appendDialogue(nil, rng, d, rtt)
 }

@@ -154,8 +154,8 @@ func TestBuildDialogueAllKinds(t *testing.T) {
 		if len(d.Steps) == 0 {
 			t.Fatalf("kind %v: empty dialogue", k)
 		}
-		if d.PacketCount() <= 0 || d.PayloadBytes() <= 0 {
-			t.Fatalf("kind %v: count=%d bytes=%d", k, d.PacketCount(), d.PayloadBytes())
+		if d.PacketCount() <= 0 || payloadBytes(d) <= 0 {
+			t.Fatalf("kind %v: count=%d bytes=%d", k, d.PacketCount(), payloadBytes(d))
 		}
 	}
 }
@@ -392,6 +392,15 @@ func TestGeneratorApproximatesTargetPps(t *testing.T) {
 }
 
 // Property: framing any dialogue conserves payload bytes.
+// payloadBytes totals a dialogue's application bytes across all steps.
+func payloadBytes(d Dialogue) int {
+	n := 0
+	for _, s := range d.Steps {
+		n += len(s.Payload)
+	}
+	return n
+}
+
 func TestPropertyFramingConservesBytes(t *testing.T) {
 	f := func(seed int64, kindRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -402,7 +411,7 @@ func TestPropertyFramingConservesBytes(t *testing.T) {
 		for _, tp := range plan {
 			total += len(tp.Packet.Payload)
 		}
-		return total == d.PayloadBytes()
+		return total == payloadBytes(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
