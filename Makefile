@@ -2,13 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchhot benchgate benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
+.PHONY: all build fmtcheck test race bench benchhot benchgate benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
-build:
+build: fmtcheck
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# Fail on any tracked Go file gofmt would rewrite. Listing tracked files
+# keeps the check out of the Go build cache under .bench_build/.
+fmtcheck:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -18,7 +24,7 @@ race:
 
 # The full gate a change must pass before merging, one step per
 # contract:
-#   - build and vet;
+#   - gofmt, build and vet;
 #   - the whole suite under the race detector (the parallel evaluation
 #     pipeline and the shard coordinator make -race part of
 #     correctness). It already runs every fuzz target's seed corpus, the
@@ -38,6 +44,7 @@ race:
 #     telemetry disabled path, and serve-ingest allocations held against
 #     the committed baselines.
 ci:
+	$(MAKE) fmtcheck
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...

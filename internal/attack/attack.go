@@ -47,6 +47,11 @@ type Context struct {
 	// generator's TCP framing so malicious sessions are indistinguishable
 	// in transport shape from benign ones.
 	Gen *traffic.Generator
+
+	// lane carries sent packets to Emit. A scenario sends in time order,
+	// so only a new launch can send before the lane's tail; that send
+	// starts a new lane and the old one drains on its own.
+	lane *simtime.Lane[*packet.Packet]
 }
 
 // send stamps, labels, and schedules one raw packet after delay.
@@ -56,7 +61,11 @@ func (c *Context) send(delay time.Duration, p *packet.Packet, truth packet.Label
 	if p.TTL == 0 {
 		p.TTL = 64
 	}
-	c.Sim.MustSchedule(delay, func() { c.Emit(p) })
+	at := c.Sim.Now() + delay
+	if c.lane == nil || at < c.lane.Tail() {
+		c.lane = simtime.NewLane(c.Sim, func(p *packet.Packet) { c.Emit(p) })
+	}
+	c.lane.Push(at, p)
 }
 
 // Incident is the ground-truth record of one launched attack instance.

@@ -121,11 +121,9 @@ func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool
 		n = 1
 	}
 	gap := time.Duration(float64(opts.Window) / float64(n))
+	feed := simtime.NewLane(sim, func(p *packet.Packet) { inst.Ingest(p) })
 	for i := 0; i < n; i++ {
-		p := pool[i%len(pool)]
-		if _, err := sim.ScheduleAt(time.Duration(i)*gap, func() { inst.Ingest(p) }); err != nil {
-			return 0, 0, err
-		}
+		feed.Push(time.Duration(i)*gap, pool[i%len(pool)])
 	}
 	sim.Run()
 	if err := sim.Interrupted(); err != nil {

@@ -86,13 +86,13 @@ func (osFS) OpenAppend(path string) (File, error) {
 	return f, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error     { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error                 { return os.Remove(path) }
-func (osFS) RemoveAll(path string) error              { return os.RemoveAll(path) }
-func (osFS) Truncate(path string, size int64) error   { return os.Truncate(path, size) }
-func (osFS) MkdirAll(path string, p fs.FileMode) error { return os.MkdirAll(path, p) }
-func (osFS) Stat(path string) (fs.FileInfo, error)    { return os.Stat(path) }
-func (osFS) ReadFile(path string) ([]byte, error)     { return os.ReadFile(path) }
+func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                   { return os.Remove(path) }
+func (osFS) RemoveAll(path string) error                { return os.RemoveAll(path) }
+func (osFS) Truncate(path string, size int64) error     { return os.Truncate(path, size) }
+func (osFS) MkdirAll(path string, p fs.FileMode) error  { return os.MkdirAll(path, p) }
+func (osFS) Stat(path string) (fs.FileInfo, error)      { return os.Stat(path) }
+func (osFS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
 func (osFS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
 
 func (osFS) SyncDir(dir string) error {

@@ -179,6 +179,9 @@ type IDS struct {
 
 	// flowPins maps canonical flows to sensors for the dynamic balancer.
 	flowPins map[packet.FlowKey]int
+	// balanced carries packets through the balancer's latency to their
+	// sensors; nil when BalancerCost is zero.
+	balanced *simtime.Lane[offer]
 
 	// recorder captures alerting flows when RecordSessions is set.
 	recorder *sessionRecorder
@@ -254,6 +257,9 @@ func New(sim *simtime.Sim, cfg Config) (*IDS, error) {
 		return nil, fmt.Errorf("ids: %d sensors need a load balancer or static placement", cfg.Sensors)
 	}
 	s := &IDS{sim: sim, cfg: cfg, flowPins: make(map[packet.FlowKey]int)}
+	if cfg.BalancerCost > 0 {
+		s.balanced = simtime.NewLane(sim, func(o offer) { o.to.Offer(o.p) })
+	}
 	if cfg.RecordSessions {
 		s.recorder = newSessionRecorder(cfg.RecordBudgetBytes, 0)
 	}
@@ -389,15 +395,22 @@ func (s *IDS) Ingest(p *packet.Packet) bool {
 		target = s.res.reroute(picked)
 	}
 	target.cPicked.Inc()
-	if s.cfg.BalancerCost > 0 {
+	if s.balanced != nil {
 		// Balancer latency is modeled as added delay before sensing;
 		// the packet itself (in-line) is not held, matching a mirroring
 		// balancer. In-line hold cost is modeled by netsim.InlineDevice.
-		s.sim.MustSchedule(s.cfg.BalancerCost, func() { target.Offer(p) })
+		s.balanced.Push(s.sim.Now()+s.cfg.BalancerCost, offer{to: target, p: p})
 		return picked.PassVerdict() && target.PassVerdict()
 	}
 	target.Offer(p)
 	return picked.PassVerdict() && target.PassVerdict()
+}
+
+// offer is one packet bound for a sensor once the balancer's latency
+// has passed.
+type offer struct {
+	to *Sensor
+	p  *packet.Packet
 }
 
 // SetAlertLoss arms (true) or clears (false) the alert-loss fault on the

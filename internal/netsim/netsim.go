@@ -404,6 +404,7 @@ type Switch struct {
 	uplink     *Link // default route for unknown destinations
 	mirror     *Link
 	latency    time.Duration
+	delay      *simtime.Lane[hop] // packets waiting out latency; nil when it is zero
 	Forwarded  uint64
 	NoRoute    uint64
 	MirrorSent uint64
@@ -411,15 +412,25 @@ type Switch struct {
 	cForwarded, cNoRoute, cMirror *obs.Counter
 }
 
+// hop is one received packet and the link it arrived on.
+type hop struct {
+	p    *packet.Packet
+	from *Link
+}
+
 // NewSwitch creates a switch with the given internal forwarding latency
 // (zero means an idealized cut-through switch).
 func NewSwitch(sim *simtime.Sim, name string, latency time.Duration) *Switch {
-	return &Switch{
+	s := &Switch{
 		sim:     sim,
 		name:    name,
 		table:   make(map[packet.Addr]*Link),
 		latency: latency,
 	}
+	if latency > 0 {
+		s.delay = simtime.NewLane(sim, s.forward)
+	}
+	return s
 }
 
 // Name implements Endpoint.
@@ -460,32 +471,33 @@ func (s *Switch) Instrument(reg *obs.Registry) {
 // Receive implements Endpoint: forward by destination address, mirroring a
 // copy if a SPAN port is configured.
 func (s *Switch) Receive(p *packet.Packet, from *Link) {
-	forward := func() {
-		out, ok := s.table[p.Dst]
-		if !ok {
-			out = s.uplink
-		}
-		if out == nil || out == from {
-			s.NoRoute++
-			s.cNoRoute.Inc()
-			return
-		}
-		s.Forwarded++
-		s.cForwarded.Inc()
-		out.Send(s, p)
-		if s.mirror != nil && s.mirror != from {
-			s.MirrorSent++
-			s.cMirror.Inc()
-			// The mirror port serializes its own copy and may drop under
-			// load — exactly how a saturated SPAN port starves a passive
-			// sensor.
-			s.mirror.Send(s, p)
-		}
+	if s.delay != nil {
+		s.delay.Push(s.sim.Now()+s.latency, hop{p: p, from: from})
+		return
 	}
-	if s.latency > 0 {
-		s.sim.MustSchedule(s.latency, forward)
-	} else {
-		forward()
+	s.forward(hop{p: p, from: from})
+}
+
+func (s *Switch) forward(h hop) {
+	out, ok := s.table[h.p.Dst]
+	if !ok {
+		out = s.uplink
+	}
+	if out == nil || out == h.from {
+		s.NoRoute++
+		s.cNoRoute.Inc()
+		return
+	}
+	s.Forwarded++
+	s.cForwarded.Inc()
+	out.Send(s, h.p)
+	if s.mirror != nil && s.mirror != h.from {
+		s.MirrorSent++
+		s.cMirror.Inc()
+		// The mirror port serializes its own copy and may drop under
+		// load — exactly how a saturated SPAN port starves a passive
+		// sensor.
+		s.mirror.Send(s, h.p)
 	}
 }
 
@@ -497,6 +509,7 @@ type Router struct {
 	name      string
 	routes    []route
 	latency   time.Duration
+	delay     *simtime.Lane[hop] // packets waiting out latency; nil when it is zero
 	Forwarded uint64
 	TTLDrops  uint64
 	NoRoute   uint64
@@ -510,7 +523,11 @@ type route struct {
 
 // NewRouter creates a router with the given per-packet forwarding latency.
 func NewRouter(sim *simtime.Sim, name string, latency time.Duration) *Router {
-	return &Router{sim: sim, name: name, latency: latency}
+	r := &Router{sim: sim, name: name, latency: latency}
+	if latency > 0 {
+		r.delay = simtime.NewLane(sim, r.forward)
+	}
+	return r
 }
 
 // Name implements Endpoint.
@@ -534,32 +551,33 @@ func (r *Router) AddRoute(prefix packet.Addr, maskBits int, l *Link) {
 
 // Receive implements Endpoint.
 func (r *Router) Receive(p *packet.Packet, from *Link) {
-	forward := func() {
-		if p.TTL <= 1 {
-			r.TTLDrops++
-			return
-		}
-		q := *p // headers copied; payload shared read-only
-		q.TTL--
-		var out *Link
-		for _, rt := range r.routes {
-			if q.Dst&rt.mask == rt.prefix {
-				out = rt.link
-				break
-			}
-		}
-		if out == nil || out == from {
-			r.NoRoute++
-			return
-		}
-		r.Forwarded++
-		out.Send(r, &q)
+	if r.delay != nil {
+		r.delay.Push(r.sim.Now()+r.latency, hop{p: p, from: from})
+		return
 	}
-	if r.latency > 0 {
-		r.sim.MustSchedule(r.latency, forward)
-	} else {
-		forward()
+	r.forward(hop{p: p, from: from})
+}
+
+func (r *Router) forward(h hop) {
+	if h.p.TTL <= 1 {
+		r.TTLDrops++
+		return
 	}
+	q := *h.p // headers copied; payload shared read-only
+	q.TTL--
+	var out *Link
+	for _, rt := range r.routes {
+		if q.Dst&rt.mask == rt.prefix {
+			out = rt.link
+			break
+		}
+	}
+	if out == nil || out == h.from {
+		r.NoRoute++
+		return
+	}
+	r.Forwarded++
+	out.Send(r, &q)
 }
 
 // InlineDevice sits in the forwarding path between two links, imposing a

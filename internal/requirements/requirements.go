@@ -207,11 +207,16 @@ func (s *Set) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses a requirement set.
+// ReadJSON parses a requirement set. The input must hold exactly one
+// JSON object; only whitespace may follow it.
 func ReadJSON(r io.Reader) (*Set, error) {
 	var in setJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("requirements: parsing: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("requirements: trailing data after the set")
 	}
 	s := &Set{}
 	for _, rq := range in.Requirements {

@@ -190,8 +190,14 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("requirement %d mismatch", i)
 		}
 	}
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
-		t.Fatal("broken JSON accepted")
+	for _, bad := range []string{
+		"{broken",
+		`{"requirements":[]} garbage {`,
+		`{"requirements":[]} {"requirements":[]}`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
+			t.Fatalf("malformed JSON %q accepted", bad)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package simtime provides the deterministic discrete-event simulation
 // kernel that every substrate in this repository runs on: a virtual clock,
-// an event heap ordered by (time, sequence), and named deterministic random
-// streams.
+// an event heap ordered by (time, sequence), lanes that feed it one
+// monotone event source at a time (see lane.go), and named deterministic
+// random streams.
 //
 // Each Sim is deliberately single-threaded. Determinism is a design goal
 // of the evaluation methodology this repository reproduces — the paper's
@@ -41,6 +42,7 @@ type event struct {
 	seq  uint64 // tie-break so equal-time events run in schedule order
 	fn   Handler
 	dead bool   // cancelled
+	keep bool   // owned by a Lane, which re-pushes it; never recycled
 	idx  int    // heap index, maintained by eventHeap
 	gen  uint64 // incarnation counter for recycled events
 }
@@ -243,8 +245,12 @@ func (s *Sim) ScheduleAt(at Time, fn Handler) (EventID, error) {
 }
 
 // release returns a popped event to the freelist, retiring every
-// EventID issued for its current incarnation.
+// EventID issued for its current incarnation. A lane's head event stays
+// with its lane.
 func (s *Sim) release(e *event) {
+	if e.keep {
+		return
+	}
 	e.fn = nil
 	e.dead = false
 	e.gen++
@@ -370,6 +376,7 @@ type Ticker struct {
 	sim    *Sim
 	period Time
 	fn     Handler
+	tick   Handler // t.fire, bound once so re-arming allocates nothing
 	id     EventID
 	live   bool
 }
@@ -381,20 +388,21 @@ func (s *Sim) NewTicker(period Time, fn Handler) (*Ticker, error) {
 		return nil, fmt.Errorf("simtime: ticker period %v must be positive", period)
 	}
 	t := &Ticker{sim: s, period: period, fn: fn, live: true}
+	t.tick = t.fire
 	t.arm()
 	return t, nil
 }
 
-func (t *Ticker) arm() {
-	t.id = t.sim.MustSchedule(t.period, func() {
-		if !t.live {
-			return
-		}
-		t.fn()
-		if t.live {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.id = t.sim.MustSchedule(t.period, t.tick) }
+
+func (t *Ticker) fire() {
+	if !t.live {
+		return
+	}
+	t.fn()
+	if t.live {
+		t.arm()
+	}
 }
 
 // Stop prevents future ticks. It is idempotent.

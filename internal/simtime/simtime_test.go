@@ -253,6 +253,20 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneRun is BenchmarkScheduleRun's 1000 events fed through one
+// lane, in time order as a lane requires.
+func BenchmarkLaneRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(1)
+		l := NewLane(s, func(int) {})
+		for j := 0; j < 1000; j++ {
+			l.Push(time.Duration(j*97/1000)*time.Millisecond, j)
+		}
+		s.Run()
+	}
+}
+
 func TestMustSchedulePanicsOnNegative(t *testing.T) {
 	s := New(1)
 	defer func() {

@@ -39,6 +39,9 @@ type Generator struct {
 	running bool
 	rate    float64 // sessions per second
 
+	// idle holds drained session lanes for reuse by PlaySession.
+	idle []*simtime.Lane[*packet.Packet]
+
 	// Stats.
 	SessionsStarted uint64
 	PacketsEmitted  uint64
@@ -151,13 +154,16 @@ func (g *Generator) pickEndpoints(loc Locality) (client, server packet.Addr) {
 // PlaySession schedules every packet of a framed dialogue between client
 // and server, stamping each with the given ground-truth label. Attack
 // scenarios reuse this path so malicious sessions are framed identically
-// to benign ones.
+// to benign ones. Step gaps must be non-negative: a session's packets
+// leave in plan order.
 func (g *Generator) PlaySession(d Dialogue, client, server packet.Addr, truth packet.Label) {
 	cport := uint16(1024 + g.rng.Intn(64000))
 	sport := d.Kind.WellKnownPort()
 	pp := planPool.Get().(*[]TimedPacket)
 	plan := appendDialogue((*pp)[:0], g.rng, d, g.handshakeRTT)
 	g.SessionsStarted++
+	lane := g.sessionLane()
+	now := g.sim.Now()
 	for _, tp := range plan {
 		p := tp.Packet
 		p.Seq = g.seq.Next()
@@ -169,20 +175,36 @@ func (g *Generator) PlaySession(d Dialogue, client, server packet.Addr, truth pa
 			p.Src, p.Dst = server, client
 			p.SrcPort, p.DstPort = sport, cport
 		}
-		g.sim.MustSchedule(tp.Offset, func() {
-			g.PacketsEmitted++
-			g.BytesEmitted += uint64(p.WireLen())
-			g.emit(p)
-		})
+		lane.Push(now+tp.Offset, p)
 	}
-	// The scheduled closures capture only the packet pointers, so the
-	// plan slice itself can go straight back to the pool — cleared so it
-	// doesn't pin the packets beyond their own lifetimes.
+	// The lane holds only the packet pointers, so the plan slice itself
+	// can go straight back to the pool — cleared so it doesn't pin the
+	// packets beyond their own lifetimes.
 	for i := range plan {
 		plan[i].Packet = nil
 	}
 	*pp = plan[:0]
 	planPool.Put(pp)
+}
+
+// sessionLane returns a drained lane from the freelist, or a new one
+// that rejoins the freelist each time it drains.
+func (g *Generator) sessionLane() *simtime.Lane[*packet.Packet] {
+	if n := len(g.idle); n > 0 {
+		l := g.idle[n-1]
+		g.idle = g.idle[:n-1]
+		return l
+	}
+	var l *simtime.Lane[*packet.Packet]
+	l = simtime.NewLane(g.sim, func(p *packet.Packet) {
+		g.PacketsEmitted++
+		g.BytesEmitted += uint64(p.WireLen())
+		if l.Len() == 0 {
+			g.idle = append(g.idle, l)
+		}
+		g.emit(p)
+	})
+	return l
 }
 
 // TimedPacket is one planned transmission: a packet without addressing,
