@@ -6,9 +6,12 @@ GO ?= go
 
 all: build test race
 
+# cmd/idsbench is its own Go module, so ./... skips it; vetting it
+# here catches a change that deletes a repro identifier it still calls.
 build: fmtcheck
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C cmd/idsbench vet .
 
 # Fail on any tracked Go file gofmt would rewrite. Listing tracked files
 # keeps the check out of the Go build cache under .bench_build/.
@@ -24,7 +27,7 @@ race:
 
 # The full gate a change must pass before merging, one step per
 # contract:
-#   - gofmt, build and vet;
+#   - gofmt, build and vet, the benchmark module (cmd/idsbench) included;
 #   - the whole suite under the race detector (the parallel evaluation
 #     pipeline and the shard coordinator make -race part of
 #     correctness). It already runs every fuzz target's seed corpus, the
@@ -47,6 +50,7 @@ ci:
 	$(MAKE) fmtcheck
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C cmd/idsbench vet .
 	$(GO) test -race ./...
 	$(MAKE) faultscenarios
 	$(MAKE) live-smoke

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"context"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -268,31 +270,95 @@ func TestEqualErrorRateInterpolation(t *testing.T) {
 	}
 }
 
-func TestScoreMappingsMonotone(t *testing.T) {
-	// Each mapping must be monotone in its argument.
-	if ScoreZeroLoss(200_000) < ScoreZeroLoss(1_000) {
-		t.Fatal("zero-loss mapping not monotone")
+// TestScoreBands checks every band's shape — strictly ordered edges,
+// inclusive on the edge, monotone toward the bad end, every score
+// reachable — and pins the guards of the three metrics whose raw value
+// alone does not decide the score.
+func TestScoreBands(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		band Band
+	}{
+		{"zero loss", ZeroLossBand},
+		{"lethal dose", LethalDoseBand},
+		{"induced latency", InducedLatencyBand},
+		{"timeliness", TimelinessBand},
+		{"FP ratio", FalsePositiveBand},
+		{"FN", FalseNegativeBand},
+		{"operational impact", OperationalImpactBand},
+		{"data storage", DataStorageBand},
+		{"compromise", CompromiseBand},
+		{"survivability", SurvivabilityBand},
+		{"graceful degradation", GracefulDegradationBand},
+	} {
+		b, e := c.band, c.band.Edges
+		lowerIsBetter := e[0] < e[3]
+		bad := math.Inf(-1)
+		if lowerIsBetter {
+			bad = math.Inf(1)
+		}
+		for i := 1; i < len(e); i++ {
+			if e[i-1] == e[i] || (e[i-1] < e[i]) != lowerIsBetter {
+				t.Errorf("%s: edges %v are not strictly ordered", c.name, e)
+			}
+		}
+		probes := []float64{0, bad, -bad}
+		for i, edge := range e {
+			past := math.Nextafter(edge, bad)
+			want := core.MaxScore - core.Score(i)
+			if got := b.Score(edge); got != want {
+				t.Errorf("%s: Score(edge %v) = %d, want %d", c.name, edge, got, want)
+			}
+			if got := b.Score(past); got != want-1 {
+				t.Errorf("%s: Score(%v, just past edge %v) = %d, want %d", c.name, past, edge, got, want-1)
+			}
+			probes = append(probes, edge, past, edge/2, edge*2)
+			if i > 0 {
+				probes = append(probes, (e[i-1]+edge)/2)
+			}
+		}
+		sort.Float64s(probes)
+		if !lowerIsBetter {
+			sort.Sort(sort.Reverse(sort.Float64Slice(probes)))
+		}
+		seen := map[core.Score]bool{}
+		prev := core.MaxScore
+		for _, v := range probes {
+			s := b.Score(v)
+			if s > prev {
+				t.Errorf("%s: Score(%v) = %d rises above %d toward the bad end", c.name, v, s, prev)
+			}
+			prev = s
+			seen[s] = true
+		}
+		for s := core.MinScore; s <= core.MaxScore; s++ {
+			if !seen[s] {
+				t.Errorf("%s: score %d unreachable", c.name, s)
+			}
+		}
+		if got := b.Score(math.NaN()); got != 0 {
+			t.Errorf("%s: Score(NaN) = %d, want 0", c.name, got)
+		}
 	}
-	if ScoreInducedLatency(time.Microsecond) < ScoreInducedLatency(time.Second) {
-		t.Fatal("latency mapping not monotone")
-	}
-	if ScoreTimeliness(10*time.Millisecond, true) < ScoreTimeliness(time.Minute, true) {
-		t.Fatal("timeliness mapping not monotone")
-	}
-	if ScoreTimeliness(time.Millisecond, false) != 0 {
-		t.Fatal("no detections must score 0 timeliness")
-	}
-	if ScoreFalseNegative(0) != 4 || ScoreFalseNegative(1) != 0 {
-		t.Fatal("FN mapping endpoints wrong")
-	}
-	if ScoreFalsePositiveRatio(0) != 4 || ScoreFalsePositiveRatio(0.5) != 0 {
-		t.Fatal("FP mapping endpoints wrong")
-	}
-	if ScoreOperationalImpact(0) != 4 || ScoreOperationalImpact(0.3) != 0 {
-		t.Fatal("impact mapping endpoints wrong")
-	}
-	if ScoreLethalDose(0, true) != 4 {
-		t.Fatal("indestructible must score 4")
+
+	for _, c := range []struct {
+		name      string
+		got, want core.Score
+	}{
+		{"no detection", timelinessScore(&AccuracyResult{}), 0},
+		{"detected at zero delay", timelinessScore(&AccuracyResult{DetectedIncidents: 1}), 4},
+		{"indestructible", lethalDoseScore(&ThroughputResult{Indestructible: true}), 4},
+		{"failed at 0 pps", lethalDoseScore(&ThroughputResult{}), 0},
+		{"coverage 0, a host named", compromiseScore(&CompromiseResult{Identified: []string{"c1"}}), 1},
+		{"coverage 0, none named", compromiseScore(&CompromiseResult{}), 0},
+		{"retention exactly 0.1", SurvivabilityBand.Score(0.1), 0},
+		{"miss rate 0", FalseNegativeBand.Score(0), 4},
+		// AgentSwarm's host overhead is exactly the 0.20 edge.
+		{"host overhead 0.2", OperationalImpactBand.Score(0.2), 1},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: score %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -293,8 +293,8 @@ func (s *FaultSweepResult) Publish(reg *obs.Registry) {
 	last := s.Points[len(s.Points)-1]
 	reg.Gauge("scorecard.survivability_retention_ppm").Set(int64(s.Retention() * 1e6))
 	reg.Gauge("scorecard.degradation_max_step_ppm").Set(int64(s.MaxStepDrop() * 1e6))
-	reg.Gauge("scorecard.survivability_score").Set(int64(ScoreSurvivability(s.Retention())))
-	reg.Gauge("scorecard.graceful_degradation_score").Set(int64(ScoreGracefulDegradation(s.MaxStepDrop())))
+	reg.Gauge("scorecard.survivability_score").Set(int64(SurvivabilityBand.Score(s.Retention())))
+	reg.Gauge("scorecard.graceful_degradation_score").Set(int64(GracefulDegradationBand.Score(s.MaxStepDrop())))
 	reg.Gauge("scorecard.fault_alerts_lost").Set(int64(last.AlertsLost))
 	reg.Gauge("scorecard.fault_alerts_dropped").Set(int64(last.AlertsDropped))
 	reg.Gauge("scorecard.fault_spool_delivered").Set(int64(last.SpoolDelivered))

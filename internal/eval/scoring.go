@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/attack"
@@ -14,158 +15,110 @@ import (
 	"repro/internal/products"
 )
 
-// Score mappings: every function here converts a raw observation into the
-// discrete 0–4 scale. Thresholds are this repository's calibration of the
-// paper's qualitative anchors ("low / average / high"); their absolute
-// positions are documented here and in EXPERIMENTS.md, and the relative
-// ordering of products — which is what the methodology ranks on — does
-// not depend on the exact cut points.
+// Score bands: each scalar metric's raw observation maps onto the
+// discrete 0–4 scale through one Band. The edges are this repository's
+// calibration of the paper's qualitative anchors ("low / average /
+// high"); EXPERIMENTS.md documents how far product ordering depends on
+// their exact positions.
 
-// ScoreZeroLoss maps zero-loss throughput (pps) to a score.
-func ScoreZeroLoss(pps float64) core.Score {
-	switch {
-	case pps >= 100_000:
-		return 4
-	case pps >= 40_000:
-		return 3
-	case pps >= 15_000:
-		return 2
-	case pps >= 5_000:
-		return 1
-	default:
-		return 0
-	}
+// Band is one scalar metric's raw→score mapping: its unit and four
+// edges, from the score-4 edge down to the score-1 edge. The edges'
+// order gives the direction: descending edges reward high raw values,
+// ascending edges low ones. Every edge is inclusive — a raw value on an
+// edge earns that edge's score — and a value past the score-1 edge, or
+// NaN, scores 0. A strict edge "> x" is written above(x).
+type Band struct {
+	Unit  string
+	Edges [4]float64
 }
 
-// ScoreLethalDose maps the failure rate (pps) to a score; indestructible
-// within the probed range scores 4.
-func ScoreLethalDose(lethalPps float64, indestructible bool) core.Score {
-	if indestructible {
-		return 4
+// Score maps raw onto the 0–4 scale.
+func (b Band) Score(raw float64) core.Score {
+	lowerIsBetter := b.Edges[0] < b.Edges[3]
+	for i, edge := range b.Edges {
+		if lowerIsBetter && raw <= edge || !lowerIsBetter && raw >= edge {
+			return core.MaxScore - core.Score(i)
+		}
 	}
-	switch {
-	case lethalPps >= 150_000:
-		return 4
-	case lethalPps >= 60_000:
-		return 3
-	case lethalPps >= 20_000:
-		return 2
-	case lethalPps >= 8_000:
-		return 1
-	default:
-		return 0
-	}
+	return core.MinScore
 }
 
-// ScoreSystemThroughput is the architectural twin of zero-loss: maximal
-// successfully-processed input rate.
-func ScoreSystemThroughput(pps float64) core.Score { return ScoreZeroLoss(pps) }
+// above is the least float64 greater than x, so an inclusive edge at
+// above(x) is the strict edge "> x".
+func above(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
-// ScoreInducedLatency maps added per-packet latency to a score (lower is
-// better).
-func ScoreInducedLatency(d time.Duration) core.Score {
-	switch {
-	case d <= 10*time.Microsecond:
-		return 4
-	case d <= 100*time.Microsecond:
-		return 3
-	case d <= time.Millisecond:
-		return 2
-	case d <= 10*time.Millisecond:
-		return 1
-	default:
-		return 0
+var (
+	// ZeroLossBand scores the highest offered rate sustained without
+	// loss. System Throughput, its architectural twin (maximal
+	// successfully-processed input rate), reads the same band.
+	ZeroLossBand = Band{"pps", [4]float64{100_000, 40_000, 15_000, 5_000}}
+	// LethalDoseBand scores the rate at which a sensor fails; a product
+	// indestructible within the probed range scores 4 without it.
+	LethalDoseBand = Band{"pps", [4]float64{150_000, 60_000, 20_000, 8_000}}
+	// InducedLatencyBand scores the mean latency added per packet.
+	InducedLatencyBand = Band{"ns", [4]float64{
+		float64(10 * time.Microsecond), float64(100 * time.Microsecond),
+		float64(time.Millisecond), float64(10 * time.Millisecond)}}
+	// TimelinessBand scores the mean detection delay; a product that
+	// detected nothing scores 0 without it.
+	TimelinessBand = Band{"ns", [4]float64{
+		float64(100 * time.Millisecond), float64(time.Second),
+		float64(5 * time.Second), float64(30 * time.Second)}}
+	// FalsePositiveBand scores the Figure-3 FP ratio (per transaction).
+	FalsePositiveBand = Band{"false alarms per transaction", [4]float64{0.001, 0.01, 0.05, 0.15}}
+	// FalseNegativeBand scores the per-attack miss rate; only a product
+	// that missed nothing scores 4. The per-attack view is used because
+	// the per-transaction FN ratio is diluted by benign transaction
+	// volume; both are reported.
+	FalseNegativeBand = Band{"attacks missed per attack", [4]float64{0, 0.15, 0.35, 0.6}}
+	// OperationalImpactBand scores host CPU overhead. The paper's
+	// calibration points: ~0% (standalone network sensor) is ideal, 3-5%
+	// (nominal logging) is acceptable, ~20% (C2 auditing) is a real-time
+	// problem.
+	OperationalImpactBand = Band{"host CPU fraction", [4]float64{0.005, 0.05, 0.10, 0.20}}
+	// DataStorageBand scores bytes stored per megabyte of source traffic.
+	DataStorageBand = Band{"bytes per MB", [4]float64{1 << 10, 16 << 10, 128 << 10, 1 << 20}}
+	// CompromiseBand scores the fraction of truly compromised hosts the
+	// product names; a product that names only uncompromised hosts still
+	// scores 1.
+	CompromiseBand = Band{"fraction of compromised hosts named", [4]float64{0.99, 0.66, 0.33, above(0)}}
+	// SurvivabilityBand scores a fault sweep's retention: detection
+	// capability remaining at full fault severity as a fraction of the
+	// clean baseline. The high anchor is the paper's "resistance to
+	// attack upon self": a product that keeps detecting while its own
+	// parts fail.
+	SurvivabilityBand = Band{"fraction of baseline detection", [4]float64{0.9, 0.7, 0.4, above(0.1)}}
+	// GracefulDegradationBand scores the worst single-step detection drop
+	// across a severity sweep, normalized by baseline: small steps mean
+	// capability decays smoothly with severity, one large step means a
+	// cliff — the product fails all at once.
+	GracefulDegradationBand = Band{"fraction of baseline detection", [4]float64{0.1, 0.25, 0.5, 0.75}}
+)
+
+// The three metrics whose raw value alone does not decide the score
+// guard their band.
+
+func lethalDoseScore(th *ThroughputResult) core.Score {
+	if th.Indestructible {
+		return core.MaxScore
 	}
+	return LethalDoseBand.Score(th.LethalPps)
 }
 
-// ScoreTimeliness maps mean detection delay to a score.
-func ScoreTimeliness(mean time.Duration, detectedAny bool) core.Score {
-	if !detectedAny {
-		return 0
+func timelinessScore(acc *AccuracyResult) core.Score {
+	// With no detection the mean delay is 0, which the band scores 4.
+	if acc.DetectedIncidents == 0 {
+		return core.MinScore
 	}
-	switch {
-	case mean <= 100*time.Millisecond:
-		return 4
-	case mean <= time.Second:
-		return 3
-	case mean <= 5*time.Second:
-		return 2
-	case mean <= 30*time.Second:
-		return 1
-	default:
-		return 0
-	}
+	return TimelinessBand.Score(float64(acc.MeanDetectionDelay))
 }
 
-// ScoreFalsePositiveRatio maps the Figure-3 FP ratio (per transaction) to
-// a score (lower is better).
-func ScoreFalsePositiveRatio(r float64) core.Score {
-	switch {
-	case r <= 0.001:
-		return 4
-	case r <= 0.01:
-		return 3
-	case r <= 0.05:
-		return 2
-	case r <= 0.15:
-		return 1
-	default:
-		return 0
+func compromiseScore(c *CompromiseResult) core.Score {
+	s := CompromiseBand.Score(c.Coverage)
+	if s == 0 && len(c.Identified) > 0 {
+		return 1 // named hosts, none of them truly compromised
 	}
-}
-
-// ScoreFalseNegative maps the per-attack miss rate to a score (lower is
-// better). The per-attack view is used because the per-transaction FN
-// ratio is diluted by benign transaction volume; both are reported.
-func ScoreFalseNegative(missRate float64) core.Score {
-	switch {
-	case missRate == 0:
-		return 4
-	case missRate <= 0.15:
-		return 3
-	case missRate <= 0.35:
-		return 2
-	case missRate <= 0.6:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ScoreOperationalImpact maps host CPU overhead to a score. The paper's
-// calibration points: ~0% (standalone network sensor) is ideal, 3-5%
-// (nominal logging) is acceptable, ~20% (C2 auditing) is a real-time
-// problem.
-func ScoreOperationalImpact(frac float64) core.Score {
-	switch {
-	case frac <= 0.005:
-		return 4
-	case frac <= 0.05:
-		return 3
-	case frac <= 0.10:
-		return 2
-	case frac <= 0.20:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ScoreDataStorage maps stored bytes per megabyte of source traffic to a
-// score (lower is better).
-func ScoreDataStorage(storedPerMB float64) core.Score {
-	switch {
-	case storedPerMB <= 1<<10:
-		return 4
-	case storedPerMB <= 16<<10:
-		return 3
-	case storedPerMB <= 128<<10:
-		return 2
-	case storedPerMB <= 1<<20:
-		return 1
-	default:
-		return 0
-	}
+	return s
 }
 
 // ScoreLoadBalancing scores the discipline per the paper's anchors:
@@ -242,63 +195,6 @@ func ScoreResponseChannel(hasConsole, policyHasChannel bool, events int, effecti
 		return 2
 	default:
 		return 1
-	}
-}
-
-// ScoreCompromiseAnalysis maps compromise-identification coverage to a
-// score, with a bonus for products whose correlation names the full
-// scope.
-func ScoreCompromiseAnalysis(coverage float64, identifiedAny bool) core.Score {
-	switch {
-	case coverage >= 0.99:
-		return 4
-	case coverage >= 0.66:
-		return 3
-	case coverage >= 0.33:
-		return 2
-	case identifiedAny:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ScoreSurvivability maps the fault sweep's retention — detection
-// capability remaining at full fault severity as a fraction of the clean
-// baseline — to the 0–4 scale. The high anchor is the paper's
-// "resistance to attack upon self": a product that keeps detecting while
-// its own parts fail.
-func ScoreSurvivability(retention float64) core.Score {
-	switch {
-	case retention >= 0.9:
-		return 4
-	case retention >= 0.7:
-		return 3
-	case retention >= 0.4:
-		return 2
-	case retention > 0.1:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ScoreGracefulDegradation maps the worst single-step detection drop
-// across the severity sweep (normalized by baseline) to the 0–4 scale:
-// small steps mean capability decays smoothly with severity, one large
-// step means a cliff — the product fails all at once.
-func ScoreGracefulDegradation(maxStepDrop float64) core.Score {
-	switch {
-	case maxStepDrop <= 0.1:
-		return 4
-	case maxStepDrop <= 0.25:
-		return 3
-	case maxStepDrop <= 0.5:
-		return 2
-	case maxStepDrop <= 0.75:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -517,35 +413,35 @@ func (ev *ProductEvaluation) fillMeasuredScores() error {
 	entries := []entry{
 		{core.MAdjustableSensitivity, ScoreAdjustableSensitivity(sw.Effect()),
 			fmt.Sprintf("Type II swing %.1f pts, Type I swing %.2f pts across sweep", sw.Effect().TypeIIRange, sw.Effect().TypeIRange)},
-		{core.MDataStorage, ScoreDataStorage(storedPerMB),
+		{core.MDataStorage, DataStorageBand.Score(storedPerMB),
 			fmt.Sprintf("%.0f bytes stored per MB of source traffic", storedPerMB)},
 		{core.MScalableLoadBalancing, ScoreLoadBalancing(spec.IDS.Balancer),
 			fmt.Sprintf("discipline: %v across %d sensors", spec.IDS.Balancer, spec.IDS.Sensors)},
-		{core.MSystemThroughput, ScoreSystemThroughput(th.ZeroLossPps),
+		{core.MSystemThroughput, ZeroLossBand.Score(th.ZeroLossPps),
 			fmt.Sprintf("sustained %.0f pps without loss", th.ZeroLossPps)},
-		{core.MAnalysisOfCompromise, ScoreCompromiseAnalysis(ev.Compromise.Coverage, len(ev.Compromise.Identified) > 0),
+		{core.MAnalysisOfCompromise, compromiseScore(ev.Compromise),
 			fmt.Sprintf("identified %d of %d compromised hosts", len(ev.Compromise.Identified), len(ev.Compromise.TrulyCompromised))},
 		{core.MErrorReporting, ScoreErrorReporting(spec.IDS),
 			fmt.Sprintf("%v, restart=%v, console=%v", spec.IDS.FailureMode, spec.IDS.RestartAfter > 0, hasConsole)},
 		{core.MFirewallInteraction, ScoreResponseChannel(hasConsole, policyHas(ids.ActionFirewallBlock), acc.FirewallBlocks, acc.FilteredPackets > 0),
 			fmt.Sprintf("%d blocks, %d packets filtered", acc.FirewallBlocks, acc.FilteredPackets)},
-		{core.MInducedLatency, ScoreInducedLatency(lat.Induced),
+		{core.MInducedLatency, InducedLatencyBand.Score(float64(lat.Induced)),
 			fmt.Sprintf("induced %v mean, %v p95 (%v tap)", lat.Induced, lat.InducedP95, lat.Tap)},
-		{core.MZeroLossThroughput, ScoreZeroLoss(th.ZeroLossPps),
+		{core.MZeroLossThroughput, ZeroLossBand.Score(th.ZeroLossPps),
 			fmt.Sprintf("%.0f pps zero loss", th.ZeroLossPps)},
-		{core.MNetworkLethalDose, ScoreLethalDose(th.LethalPps, th.Indestructible),
+		{core.MNetworkLethalDose, lethalDoseScore(th),
 			lethalNote(th)},
-		{core.MObservedFNRatio, ScoreFalseNegative(acc.MissRate),
+		{core.MObservedFNRatio, FalseNegativeBand.Score(acc.MissRate),
 			fmt.Sprintf("missed %d of %d attacks (FN ratio %.5f per transaction)", acc.ActualIncidents-acc.DetectedIncidents, acc.ActualIncidents, acc.FalseNegativeRatio)},
-		{core.MObservedFPRatio, ScoreFalsePositiveRatio(acc.FalsePositiveRatio),
+		{core.MObservedFPRatio, FalsePositiveBand.Score(acc.FalsePositiveRatio),
 			fmt.Sprintf("%d false alarms over %d transactions (ratio %.5f)", acc.FalseAlarms, acc.Transactions, acc.FalsePositiveRatio)},
-		{core.MOperationalImpact, ScoreOperationalImpact(imp.OverheadFraction),
+		{core.MOperationalImpact, OperationalImpactBand.Score(imp.OverheadFraction),
 			fmt.Sprintf("%.1f%% host CPU, %d deadline misses", imp.OverheadFraction*100, imp.DeadlineMisses)},
 		{core.MRouterInteraction, ScoreResponseChannel(hasConsole, policyHas(ids.ActionRouterRedirect), acc.RouterRedirects, acc.RouterRedirects > 0),
 			fmt.Sprintf("%d redirects", acc.RouterRedirects)},
 		{core.MSNMPInteraction, ScoreResponseChannel(hasConsole, policyHas(ids.ActionSNMPTrap), acc.SNMPTraps, acc.SNMPTraps > 0),
 			fmt.Sprintf("%d traps", acc.SNMPTraps)},
-		{core.MTimeliness, ScoreTimeliness(acc.MeanDetectionDelay, acc.DetectedIncidents > 0),
+		{core.MTimeliness, timelinessScore(acc),
 			fmt.Sprintf("mean %v, p50 %v, p95 %v, p99 %v, max %v",
 				acc.MeanDetectionDelay, acc.DelayP50, acc.DelayP95, acc.DelayP99, acc.MaxDetectionDelay)},
 	}

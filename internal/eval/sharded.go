@@ -38,9 +38,6 @@ type ShardedScaleConfig struct {
 	// BackgroundPps is the offered background load per segment
 	// (default 4000).
 	BackgroundPps float64
-	// CrossRatio is the fraction of background flows that leave their
-	// segment over the distribution switch (default 0.15).
-	CrossRatio float64
 	// AttackEvery spaces attack injections during the detection phase
 	// (default Duration/10, i.e. 500ms at the default duration); attacks
 	// rotate round-robin across segments.
@@ -68,12 +65,6 @@ func (c *ShardedScaleConfig) applyDefaults() {
 	}
 	if c.BackgroundPps <= 0 {
 		c.BackgroundPps = 4000
-	}
-	if c.CrossRatio < 0 {
-		c.CrossRatio = 0
-	}
-	if c.CrossRatio == 0 {
-		c.CrossRatio = 0.15
 	}
 	if c.AttackEvery <= 0 {
 		// One attack per tenth of the scored phase (500ms at the default
@@ -186,32 +177,18 @@ func RunShardedScale(ctx context.Context, spec products.Spec, cfg ShardedScaleCo
 	trainUntil := simtime.Time(trainFor)
 
 	// IDS architecture knobs from the product spec, with the assembly
-	// defaults the spec itself relies on.
-	queue := spec.IDS.SensorQueue
-	if queue <= 0 {
-		queue = 2048
-	}
-	window := spec.IDS.CorrelationWindow
-	if window <= 0 {
-		window = 5 * time.Second
-	}
-	threshold := spec.IDS.NotifyThreshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	storage := spec.IDS.StorageBytesPerAlert
-	if storage <= 0 {
-		storage = 512
-	}
+	// defaults ids.New applies.
+	idsCfg := spec.IDS
+	idsCfg.ApplyDefaults()
 
 	segs := make([]*segPipeline, cfg.Segments)
 	for s := 0; s < cfg.Segments; s++ {
 		s := s
 		segSim := top.SegmentSim(s)
-		sp := &segPipeline{engine: spec.IDS.Engine()}
-		sp.monitor = ids.NewMonitor(segSim, threshold)
-		sp.analyzer = ids.NewAnalyzer(segSim, s, window, storage, sp.monitor)
-		sp.sensor = ids.NewSensor(segSim, s, sp.engine, queue, spec.IDS.FailureMode, 0, 0)
+		sp := &segPipeline{engine: idsCfg.Engine()}
+		sp.monitor = ids.NewMonitor(segSim, idsCfg.NotifyThreshold)
+		sp.analyzer = ids.NewAnalyzer(segSim, s, idsCfg.CorrelationWindow, idsCfg.StorageBytesPerAlert, sp.monitor)
+		sp.sensor = ids.NewSensor(segSim, s, sp.engine, idsCfg.SensorQueue, idsCfg.FailureMode, 0, 0)
 		sp.sensor.SetDeliver(func(alerts []detect.Alert) {
 			for _, a := range alerts {
 				if a.Flow.DstPort == attackPort {
@@ -284,7 +261,7 @@ func RunShardedScale(ctx context.Context, spec products.Spec, cfg ShardedScaleCo
 	}
 	res.Attribution = ss.Attribution()
 	var delays []time.Duration
-	for s, sp := range segs {
+	for _, sp := range segs {
 		st := SegmentScaleStats{
 			Tapped:      sp.sink.Count,
 			MirrorDrops: sp.mirror.StatsToward(sp.sink).Dropped,
@@ -318,7 +295,6 @@ func RunShardedScale(ctx context.Context, spec products.Spec, cfg ShardedScaleCo
 		res.AttacksInjected += st.AttacksInjected
 		res.AttacksDetected += st.AttacksDetected
 		res.PerSegment = append(res.PerSegment, st)
-		_ = s
 	}
 	if len(delays) > 0 {
 		sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
@@ -336,6 +312,10 @@ func RunShardedScale(ctx context.Context, spec products.Spec, cfg ShardedScaleCo
 // attackPort is the destination port attack injections use; detection
 // matching keys on it.
 const attackPort uint16 = 31337
+
+// crossRatio is the fraction of background flows that leave their
+// segment over the distribution switch.
+const crossRatio = 0.15
 
 // startSegmentDriver installs segment s's self-rescheduling background
 // source. All of its state — rng stream, sequence counter, host picks —
@@ -356,7 +336,7 @@ func startSegmentDriver(top *netsim.LargeTopology, sp *segPipeline, s int, cfg S
 		si := rng.Intn(len(hosts))
 		src := hosts[si]
 		var dst packet.Addr
-		if cfg.Segments > 1 && rng.Float64() < cfg.CrossRatio {
+		if cfg.Segments > 1 && rng.Float64() < crossRatio {
 			os := rng.Intn(cfg.Segments - 1)
 			if os >= s {
 				os++

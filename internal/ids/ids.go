@@ -139,8 +139,8 @@ type Config struct {
 	RecordBudgetBytes int
 }
 
-// applyDefaults fills zero values.
-func (c *Config) applyDefaults() {
+// ApplyDefaults fills zero values with the assembly defaults New uses.
+func (c *Config) ApplyDefaults() {
 	if c.Sensors == 0 {
 		c.Sensors = 1
 	}
@@ -246,7 +246,7 @@ func (s *IDS) Instrument(reg *obs.Registry) {
 
 // New assembles an IDS from cfg.
 func New(sim *simtime.Sim, cfg Config) (*IDS, error) {
-	cfg.applyDefaults()
+	cfg.ApplyDefaults()
 	if cfg.Engine == nil {
 		return nil, errors.New("ids: config needs an Engine factory")
 	}

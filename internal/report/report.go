@@ -392,11 +392,11 @@ func FaultSweepReport(w io.Writer, s *eval.FaultSweepResult) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "\nretention at full severity: %.1f%% of baseline (survivability score %d)\n",
-		s.Retention()*100, eval.ScoreSurvivability(s.Retention())); err != nil {
+		s.Retention()*100, eval.SurvivabilityBand.Score(s.Retention())); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "worst step drop: %.1f%% of baseline (graceful degradation score %d)\n",
-		s.MaxStepDrop()*100, eval.ScoreGracefulDegradation(s.MaxStepDrop())); err != nil {
+		s.MaxStepDrop()*100, eval.GracefulDegradationBand.Score(s.MaxStepDrop())); err != nil {
 		return err
 	}
 	last := s.Points[len(s.Points)-1]

@@ -8,6 +8,9 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +20,44 @@ import (
 	"repro/internal/products"
 	"repro/internal/report"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// quickGolden holds every product's seed-11 quick scorecard report. It is
+// recorded on linux/amd64; if another GOARCH renders differently (FMA
+// fusion, say), that GOARCH gets a golden of its own rather than a skip.
+const quickGolden = "testdata/quick_scorecards.golden"
+
+// checkGolden compares got with the golden file at path and names the
+// first differing line; with -update it rewrites the file instead.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test -run %s -update records it)", err, t.Name())
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of output>"
+	}
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	t.Fatalf("%s: first difference at line %d:\nwant: %s\n got: %s", path, i+1, line(w, i), line(g, i))
+}
 
 // renderEvaluations runs the full product field at the given worker
 // count and renders every scorecard report into one byte stream.
@@ -39,12 +80,14 @@ func renderEvaluations(t *testing.T, workers int) []byte {
 // TestParallelEvaluationMatchesSerial is the tentpole acceptance test:
 // serial (workers=1), machine-sized (workers=0), and oversubscribed
 // (workers=8) runs of the full product matrix produce byte-identical
-// rendered reports for the same seed.
+// rendered reports for the same seed, and the serial run matches the
+// committed golden.
 func TestParallelEvaluationMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full product matrix ×3 is too slow for -short")
 	}
 	serial := renderEvaluations(t, 1)
+	checkGolden(t, quickGolden, serial)
 	for _, workers := range []int{0, 8} {
 		got := renderEvaluations(t, workers)
 		if !bytes.Equal(serial, got) {
