@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race bench benchhot benchgate benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
+.PHONY: all build fmtcheck test race bench benchhot benchgate benchkernel benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden live-smoke chaossmoke crashmatrix idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
@@ -43,9 +43,9 @@ race:
 #     single-fault schedule a hostile disk can produce;
 #   - idsbench-smoke: the end-to-end benchmark's golden report digests,
 #     scorecard sanity, and every declared metric emitted;
-#   - benchgate: scan throughput, sharded-kernel events/sec, the
-#     telemetry disabled path, and serve-ingest allocations held against
-#     the committed baselines.
+#   - benchgate: event-kernel allocations, scan throughput,
+#     sharded-kernel events/sec, the telemetry disabled path, and
+#     serve-ingest allocations held against the committed baselines.
 ci:
 	$(MAKE) fmtcheck
 	$(GO) build ./...
@@ -77,12 +77,19 @@ benchhot:
 # Throughput regression gate: rerun the benchhot and benchsim suites
 # into scratch files and fail if any gated benchmark (MB/s for the scan
 # hot path, events/sec for the sharded kernel) dropped more than 15%
-# against the committed baselines. On hosts with >= 4 CPUs the sim gate
+# against the committed baselines. The event-kernel allocation gate
+# runs first: it depends on the code alone, so it still gives a verdict
+# on a host too slow or busy for the throughput steps. On hosts with >= 4 CPUs the sim gate
 # additionally enforces the 4-shard/1-shard scaling floor; single-core
 # hosts report the ratio and skip. Regenerate baselines with `make
 # benchhot` / `make benchsim` (and commit them) after an intentional
 # perf change.
 benchgate:
+	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \
+		-benchmem -count=1 -json ./internal/simtime/ > /tmp/BENCH_kernel.current.json
+	$(GO) run ./cmd/benchgate -baseline BENCH_kernel.json \
+		-current /tmp/BENCH_kernel.current.json \
+		-gate-allocs '$(KERNELBENCH)' -max-allocs-grow-pct 0
 	$(GO) test -run=NONE -bench='$(HOTBENCH)' \
 		-benchmem -count=1 -json ./internal/detect/ ./internal/traffic/ > /tmp/BENCH_hotpath.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_hotpath.json \
@@ -117,6 +124,21 @@ idsbench:
 # every declared metric emitted.
 idsbench-smoke:
 	$(GO) -C cmd/idsbench test .
+
+# Event-kernel benchmarks: 1000 events through ScheduleAt
+# (BenchmarkScheduleRun) and through one lane (BenchmarkLaneRun). The
+# committed BENCH_kernel.json doubles as the benchgate baseline, gated
+# on allocs/op with no growth allowed: the counts are deterministic
+# (no per-event struct; the handler slab and the heap grow by
+# doubling), and a pointer-bearing or per-event allocation creeping
+# back into the kernel shows there first. ns/op is reported, not gated.
+KERNELBENCH := ScheduleRun|LaneRun
+
+benchkernel:
+	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \
+		-benchmem -count=1 -json ./internal/simtime/ > BENCH_kernel.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_kernel.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
+	@echo "wrote BENCH_kernel.json"
 
 # Sharded-kernel throughput benchmarks: the >= 10k-host LargeConfig run
 # at 1, 2, 4, and 8 executor goroutines, captured as JSON. The committed
@@ -251,9 +273,11 @@ traces:
 	$(GO) run ./cmd/trafficgen -o /tmp/eval.idt2 -seconds 60 -pps 600
 	$(GO) run ./cmd/replay -trace /tmp/eval.idt2 -product TrueSecure
 
-# BENCH_hotpath.json, BENCH_sim.json, and BENCH_obs.json are NOT
-# cleaned: they are the committed benchgate baselines, regenerated
-# deliberately via `make benchhot` / `make benchsim` / `make benchobs`.
+# BENCH_hotpath.json, BENCH_sim.json, BENCH_obs.json, BENCH_serve.json
+# and BENCH_kernel.json are NOT cleaned: they are the committed
+# benchgate baselines, regenerated deliberately via `make benchhot` /
+# `make benchsim` / `make benchobs` / `make benchserve` / `make
+# benchkernel`.
 clean:
 	$(GO) clean ./...
 	rm -f test_output.txt bench_output.txt trace_sharded.json

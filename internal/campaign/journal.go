@@ -68,9 +68,11 @@ func resultFile(dir, id string) string {
 }
 
 // ReplayJournal reads the journal (absent ⇒ empty) and returns the
-// last entry per experiment ID plus the total line count. A torn final
-// line — the signature of a kill mid-append — is tolerated and
-// ignored; a torn line anywhere else is corruption and errors.
+// last entry per experiment ID plus the total line count. A line is
+// committed with its newline: bytes after the last newline — the
+// signature of a kill mid-append — are a torn final line, ignored even
+// when they parse; an unparseable line before it is corruption and
+// errors.
 func ReplayJournal(dir string) (map[string]Entry, int, error) {
 	last, lines, _, err := replayJournal(fsio.OS, dir)
 	return last, lines, err
@@ -93,31 +95,25 @@ func replayJournal(fsys fsio.FS, dir string) (map[string]Entry, int, int64, erro
 
 	last := map[string]Entry{}
 	lines, offset := 0, 0
-	valid := int64(0)
-	for offset < len(data) {
-		lineEnd := len(data)
-		final := true
-		raw := data[offset:]
-		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
-			raw = raw[:i]
-			lineEnd = offset + i + 1
-			final = false
+	for {
+		// A torn last append has no newline. Kept, it would be joined by
+		// the next append into one unparseable line, so it is left out
+		// of the valid prefix even when its bytes happen to parse.
+		i := bytes.IndexByte(data[offset:], '\n')
+		if i < 0 {
+			break
 		}
+		raw := data[offset : offset+i]
+		offset += i + 1
 		if len(bytes.TrimSpace(raw)) == 0 {
-			offset, valid = lineEnd, int64(lineEnd)
 			continue
 		}
 		var e Entry
 		if err := json.Unmarshal(raw, &e); err != nil || e.ID == "" {
-			if final {
-				// The torn last append; ignore it.
-				break
-			}
 			return nil, 0, 0, fmt.Errorf("campaign: journal %s: torn line %d is not final — journal corrupt", journalFile(dir), lines+1)
 		}
 		last[e.ID] = e
 		lines++
-		offset, valid = lineEnd, int64(lineEnd)
 	}
-	return last, lines, valid, nil
+	return last, lines, int64(offset), nil
 }

@@ -50,6 +50,19 @@ func TestReplayJournalToleratesTornTail(t *testing.T) {
 	if _, ok := got["b"]; ok {
 		t.Fatal("torn entry for b must not be replayed")
 	}
+
+	// A tear that takes only the newline leaves bytes that parse. The
+	// line is still uncommitted: kept, the next append would join it.
+	writeJournal(t, dir,
+		`{"id":"a","status":"done"}`+"\n"+
+			`{"id":"b","status":"done"}`)
+	got, n, err := ReplayJournal(dir)
+	if err != nil || n != 1 {
+		t.Fatalf("newline-torn tail: %d entries, err %v; want 1 and no error", n, err)
+	}
+	if _, ok := got["b"]; ok {
+		t.Fatal("an entry missing its newline must not be replayed")
+	}
 }
 
 func TestReplayJournalRejectsTornMiddle(t *testing.T) {

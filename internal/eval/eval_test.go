@@ -127,8 +127,14 @@ func TestThroughputSearch(t *testing.T) {
 	if res.ZeroLossPps <= 0 {
 		t.Fatalf("zero-loss = %v", res.ZeroLossPps)
 	}
-	if res.Probes < 3 {
+	if res.Probes < 2 {
 		t.Fatalf("only %d probes", res.Probes)
+	}
+	// Probes counts simulations run. With zero-loss at hi, the lethal
+	// ramp's first rate is hi, which the search already ran to
+	// completion, so it must cost no probe of its own.
+	if res.ZeroLossPps == opts.HiPps && res.Probes != 2 {
+		t.Fatalf("%d probes with zero-loss at hi, want 2: the ramp re-ran the hi probe", res.Probes)
 	}
 	if !res.Indestructible && res.LethalPps < res.ZeroLossPps {
 		t.Fatalf("lethal %v below zero-loss %v", res.LethalPps, res.ZeroLossPps)

@@ -58,7 +58,9 @@ type ThroughputResult struct {
 	LethalPps float64
 	// Indestructible means no probe up to HiPps caused a sensor failure.
 	Indestructible bool
-	// Probes counts load points evaluated.
+	// Probes counts the probe simulations actually run. A question at
+	// a rate whose probe already ran to completion is answered from
+	// that probe's Stats and adds none.
 	Probes int
 }
 
@@ -102,18 +104,29 @@ func fillPool(sim *simtime.Sim, pool *[]*packet.Packet, n int, start func()) err
 	return nil
 }
 
-// probe offers the pool at a fixed rate to a fresh product instance and
-// reports drops and sensor failures.
-func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, pps float64) (drops uint64, failures int, err error) {
+// verdict is the one yes/no question a probe answers, about a sensor
+// counter that only grows: once it holds mid-run it holds at the end.
+type verdict func(ids.Stats) bool
+
+func anyDrop(st ids.Stats) bool    { return st.SensorDropped > 0 }
+func anyFailure(st ids.Stats) bool { return st.SensorFailures > 0 }
+
+// probeSteps is how many equal RunUntil windows a probe's load window
+// is cut into; the probe checks its verdict after each.
+const probeSteps = 64
+
+// startProbe queues one window of the pool at a fixed rate for a fresh
+// product instance.
+func startProbe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, pps float64) (*simtime.Sim, *ids.IDS, error) {
 	sim := simtime.New(opts.Seed)
 	bindSim(ctx, sim)
 	inst, err := spec.Instantiate(sim)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	if opts.Pool != nil {
 		if err := inst.SetDataPool(opts.Pool); err != nil {
-			return 0, 0, err
+			return nil, nil, err
 		}
 	}
 	n := int(pps * opts.Window.Seconds())
@@ -125,18 +138,42 @@ func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool
 	for i := 0; i < n; i++ {
 		feed.Push(time.Duration(i)*gap, pool[i%len(pool)])
 	}
+	return sim, inst, nil
+}
+
+// probe runs startProbe's load and asks ask of the instance's sensors.
+// It stops at the first of probeSteps windows after which ask holds; a
+// probe that never decides runs to completion, and complete reports
+// that st is then the whole run's Stats. The windows change no event
+// order: nothing is scheduled between them.
+func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, pps float64, ask verdict) (st ids.Stats, complete bool, err error) {
+	sim, inst, err := startProbe(ctx, spec, opts, pool, pps)
+	if err != nil {
+		return ids.Stats{}, false, err
+	}
+	for k := 1; k <= probeSteps; k++ {
+		sim.RunUntil(time.Duration(k) * opts.Window / probeSteps)
+		if err := sim.Interrupted(); err != nil {
+			return ids.Stats{}, false, fmt.Errorf("eval: throughput probe interrupted: %w", err)
+		}
+		if st := inst.Stats(); ask(st) {
+			return st, false, nil
+		}
+	}
 	sim.Run()
 	if err := sim.Interrupted(); err != nil {
-		return 0, 0, fmt.Errorf("eval: throughput probe interrupted: %w", err)
+		return ids.Stats{}, false, fmt.Errorf("eval: throughput probe interrupted: %w", err)
 	}
-	st := inst.Stats()
-	return st.SensorDropped, st.SensorFailures, nil
+	return inst.Stats(), true, nil
 }
 
 // MeasureThroughput finds the zero-loss throughput by binary search in
-// log space, then ramps upward to find the lethal dose. Cancelling ctx
-// aborts the in-flight probe at the kernel's interrupt stride and
-// surfaces the cancellation error.
+// log space, then ramps upward to find the lethal dose. Each probe
+// stops at its verdict, and a question at a rate already probed to
+// completion reuses that probe: the ramp starts at the zero-loss rate,
+// which the search always ran to completion. Cancelling ctx aborts the
+// in-flight probe at the kernel's interrupt stride and surfaces the
+// cancellation error.
 func MeasureThroughput(ctx context.Context, spec products.Spec, opts ThroughputOptions) (*ThroughputResult, error) {
 	opts.applyDefaults()
 	if opts.LoPps >= opts.HiPps {
@@ -147,33 +184,44 @@ func MeasureThroughput(ctx context.Context, spec products.Spec, opts ThroughputO
 		return nil, err
 	}
 	res := &ThroughputResult{Product: spec.Name}
+	done := make(map[float64]ids.Stats) // probes run to completion, by rate
+	at := func(pps float64, ask verdict) (bool, error) {
+		if st, ok := done[pps]; ok {
+			return ask(st), nil
+		}
+		res.Probes++
+		st, complete, err := probe(ctx, spec, opts, pool, pps, ask)
+		if err != nil {
+			return false, err
+		}
+		if complete {
+			done[pps] = st
+		}
+		return ask(st), nil
+	}
 
 	// Establish bracket: lo must pass, hi must fail; expand/shrink as
 	// needed.
 	lo, hi := opts.LoPps, opts.HiPps
-	dropsAt := func(pps float64) (uint64, int, error) {
-		res.Probes++
-		return probe(ctx, spec, opts, pool, pps)
-	}
-	if d, _, err := dropsAt(lo); err != nil {
+	if d, err := at(lo, anyDrop); err != nil {
 		return nil, err
-	} else if d > 0 {
+	} else if d {
 		// Even the floor drops; report the floor as the bound.
 		res.ZeroLossPps = 0
 	} else {
-		if d, _, err := dropsAt(hi); err != nil {
+		if d, err := at(hi, anyDrop); err != nil {
 			return nil, err
-		} else if d == 0 {
+		} else if !d {
 			// Never drops in range: zero-loss is at least hi.
 			res.ZeroLossPps = hi
 		} else {
 			for hi/lo > 1.15 {
 				mid := math.Sqrt(lo * hi)
-				d, _, err := dropsAt(mid)
+				d, err := at(mid, anyDrop)
 				if err != nil {
 					return nil, err
 				}
-				if d == 0 {
+				if !d {
 					lo = mid
 				} else {
 					hi = mid
@@ -190,11 +238,11 @@ func MeasureThroughput(ctx context.Context, spec products.Spec, opts ThroughputO
 	}
 	res.Indestructible = true
 	for rate <= opts.HiPps {
-		_, failures, err := dropsAt(rate)
+		failed, err := at(rate, anyFailure)
 		if err != nil {
 			return nil, err
 		}
-		if failures > 0 {
+		if failed {
 			res.LethalPps = rate
 			res.Indestructible = false
 			break

@@ -7,8 +7,8 @@ import "fmt"
 // packets, a probe's feed, a switch's forwarding delay). Scheduling each
 // item with ScheduleAt would put one heap entry and one closure per
 // item in flight; a lane keeps only its head in the Sim's heap, through
-// one event the lane owns and re-pushes, and hands each item to a
-// handler bound once at construction.
+// one slab slot the lane owns for the Sim's lifetime and re-pushes, and
+// hands each item to a handler bound once at construction.
 //
 // A lane changes no event order. Push takes the item's tie-break
 // sequence number at push time, exactly as ScheduleAt does, so every
@@ -21,7 +21,7 @@ import "fmt"
 type Lane[T any] struct {
 	sim   *Sim
 	run   func(T)
-	ev    event // in the heap, keyed by items[head], while the lane is non-empty
+	slot  int32 // the lane's keep slot: in the heap, keyed by items[head], while the lane is non-empty
 	items []laneItem[T]
 	head  int
 	tail  Time // time of the last push
@@ -37,8 +37,8 @@ type laneItem[T any] struct {
 // item's time.
 func NewLane[T any](s *Sim, run func(T)) *Lane[T] {
 	l := &Lane[T]{sim: s, run: run}
-	l.ev.keep = true
-	l.ev.fn = l.fire
+	l.slot = s.newSlot(l.fire)
+	s.slots[l.slot].keep = true
 	return l
 }
 
@@ -56,8 +56,7 @@ func (l *Lane[T]) Push(at Time, v T) {
 	s.seq++
 	l.tail = at
 	if l.head == len(l.items) {
-		l.ev.at, l.ev.seq = at, s.seq
-		s.pending.push(&l.ev)
+		s.push(entry{at: at, seq: s.seq, slot: l.slot})
 	} else if len(l.items) == cap(l.items) && l.head > 0 {
 		// Reclaim the fired prefix before append would grow the array.
 		n := copy(l.items, l.items[l.head:])
@@ -75,7 +74,7 @@ func (l *Lane[T]) Len() int { return len(l.items) - l.head }
 // next Push may use.
 func (l *Lane[T]) Tail() Time { return l.tail }
 
-// fire runs the head item, first re-pushing the lane's event for the
+// fire runs the head item, first re-pushing the lane's slot for the
 // next one so a handler that pushes onto this lane sees it consistent.
 func (l *Lane[T]) fire() {
 	v := l.items[l.head].v
@@ -86,8 +85,7 @@ func (l *Lane[T]) fire() {
 		l.head = 0
 	} else {
 		next := &l.items[l.head]
-		l.ev.at, l.ev.seq = next.at, next.seq
-		l.sim.pending.push(&l.ev)
+		l.sim.push(entry{at: next.at, seq: next.seq, slot: l.slot})
 	}
 	l.run(v)
 }

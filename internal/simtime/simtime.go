@@ -32,117 +32,67 @@ type Time = time.Duration
 // Handler is a scheduled action. It runs at its scheduled virtual time.
 type Handler func()
 
-// event is one entry in the pending-event heap. Executed and cancelled
-// events are recycled through the Sim's freelist, so a high-rate
-// simulation reuses a small set of event structs instead of allocating
-// one per scheduled action; gen distinguishes incarnations so a stale
-// EventID can never cancel the struct's next occupant.
-type event struct {
+// entry is one element of the pending-event heap: the event's (at, seq)
+// key and the slab slot that holds its handler. It holds no pointers, so
+// the heap's sifts move plain words and compare keys without leaving the
+// heap array; the GC write barrier, which a concurrent evaluation keeps
+// switched on for much of a run, never fires on them.
+type entry struct {
 	at   Time
 	seq  uint64 // tie-break so equal-time events run in schedule order
-	fn   Handler
-	dead bool   // cancelled
-	keep bool   // owned by a Lane, which re-pushes it; never recycled
-	idx  int    // heap index, maintained by eventHeap
-	gen  uint64 // incarnation counter for recycled events
+	slot int32  // index into Sim.slots
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). The
-// ordering is a strict total order (seq is unique), so the pop sequence
-// is the sorted sequence regardless of heap arity or implementation —
-// switching heap internals can never change simulation behaviour. The
-// 4-ary layout halves the tree depth of a binary heap and the direct
-// methods avoid container/heap's interface calls, which together make
-// up a large share of the kernel's per-event cost.
-type eventHeap []*event
-
-func eventLess(a, b *event) bool {
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push inserts e, maintaining e.idx for Cancel.
-func (h *eventHeap) push(e *event) {
-	hh := append(*h, e)
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !eventLess(e, hh[p]) {
-			break
-		}
-		hh[i] = hh[p]
-		hh[i].idx = i
-		i = p
-	}
-	hh[i] = e
-	e.idx = i
-	*h = hh
-}
-
-// popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *event {
-	hh := *h
-	e := hh[0]
-	n := len(hh) - 1
-	last := hh[n]
-	hh[n] = nil
-	*h = hh[:n]
-	e.idx = -1
-	if n > 0 {
-		h.siftDown(last, 0)
-	}
-	return e
-}
-
-// siftDown sinks e from the hole at position i to its heap position.
-func (h *eventHeap) siftDown(e *event, i int) {
-	hh := *h
-	n := len(hh)
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if eventLess(hh[j], hh[m]) {
-				m = j
-			}
-		}
-		if !eventLess(hh[m], e) {
-			break
-		}
-		hh[i] = hh[m]
-		hh[i].idx = i
-		i = m
-	}
-	hh[i] = e
-	e.idx = i
+// event is one slot of the Sim's handler slab. A popped or cancelled
+// event's slot is recycled through the Sim's free list, so a high-rate
+// simulation reuses a small slab instead of allocating per scheduled
+// action; gen distinguishes incarnations so a stale EventID can never
+// cancel the slot's next occupant.
+type event struct {
+	fn   Handler
+	gen  uint64 // bumped when the slot is released
+	dead bool   // cancelled
+	keep bool   // owned by a Lane, which re-pushes it; never recycled
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It pins
-// the event's incarnation, so an ID held across the event's execution
-// stays a safe no-op even after the underlying struct is recycled.
+// the event's slot (plus one, so the zero EventID names nothing) and
+// incarnation, so an ID held across the event's execution stays a safe
+// no-op even after the slot is recycled.
 type EventID struct {
-	e   *event
-	gen uint64
+	slot int32
+	gen  uint64
 }
 
 // Sim is a discrete-event simulation: a virtual clock plus a pending-event
 // queue. The zero value is not usable; create one with New.
 type Sim struct {
-	now     Time
-	seq     uint64
-	pending eventHeap
-	// free recycles executed/cancelled event structs for reuse by
-	// ScheduleAt; its size is bounded by the peak pending-event count.
-	free    []*event
+	now Time
+	seq uint64
+	// pending is a hand-rolled 4-ary min-heap of entries ordered by
+	// (at, seq). The ordering is a strict total order (seq is unique),
+	// so the pop sequence is the sorted sequence regardless of heap
+	// arity or implementation — switching heap internals can never
+	// change simulation behaviour. The 4-ary layout halves the tree
+	// depth of a binary heap. Every write to it goes through the field
+	// itself (s.pending = append(s.pending, x), s.pending =
+	// s.pending[:n]), which the compiler lowers to a length store; a
+	// local copy written back would store the array pointer too.
+	pending []entry
+	// slots is the handler slab that entries and lanes index. It grows,
+	// so a pointer into it must not be held across a call that can
+	// schedule.
+	slots []event
+	// free recycles released slots for reuse by ScheduleAt; its size is
+	// bounded by the peak pending-event count.
+	free    []int32
 	streams map[string]*rand.Rand
 	seed    int64
 	running bool
@@ -187,14 +137,80 @@ func (s *Sim) Processed() uint64 { return s.processed }
 func (s *Sim) NextEventTime() (at Time, ok bool) {
 	for len(s.pending) > 0 {
 		head := s.pending[0]
-		if head.dead {
-			s.pending.popMin()
-			s.release(head)
+		if s.slots[head.slot].dead {
+			s.popMin()
+			s.release(head.slot)
 			continue
 		}
 		return head.at, true
 	}
 	return 0, false
+}
+
+// push inserts x into the pending heap.
+func (s *Sim) push(x entry) {
+	s.pending = append(s.pending, x)
+	h := s.pending
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// popMin removes the earliest entry; the caller has already read it at
+// s.pending[0].
+func (s *Sim) popMin() {
+	n := len(s.pending) - 1
+	last := s.pending[n]
+	s.pending = s.pending[:n]
+	if n > 0 {
+		s.siftDown(last)
+	}
+}
+
+// siftDown sinks x from the hole at the root to its heap position.
+func (s *Sim) siftDown(x entry) {
+	h := s.pending
+	n := len(h)
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := min(c+4, n)
+		for j := c + 1; j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}
+
+// newSlot takes a free slab slot for fn, growing the slab when none is
+// free. A recycled slot keeps its bumped gen.
+func (s *Sim) newSlot(fn Handler) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[i].fn = fn
+		return i
+	}
+	s.slots = append(s.slots, event{fn: fn})
+	return int32(len(s.slots) - 1)
 }
 
 // ErrPastTime is returned by ScheduleAt when the requested time is before
@@ -231,37 +247,35 @@ func (s *Sim) ScheduleAt(at Time, fn Handler) (EventID, error) {
 		return EventID{}, errors.New("simtime: nil handler")
 	}
 	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.at, e.seq, e.fn = at, s.seq, fn
-	} else {
-		e = &event{at: at, seq: s.seq, fn: fn}
-	}
-	s.pending.push(e)
-	return EventID{e: e, gen: e.gen}, nil
+	i := s.newSlot(fn)
+	s.push(entry{at: at, seq: s.seq, slot: i})
+	return EventID{slot: i + 1, gen: s.slots[i].gen}, nil
 }
 
-// release returns a popped event to the freelist, retiring every
-// EventID issued for its current incarnation. A lane's head event stays
-// with its lane.
-func (s *Sim) release(e *event) {
+// release returns a popped event's slot to the free list, retiring
+// every EventID issued for its current incarnation. It runs before the
+// event's handler, so an event is pending exactly while its ID's gen
+// matches. A lane's slot stays with its lane.
+func (s *Sim) release(i int32) {
+	e := &s.slots[i]
 	if e.keep {
 		return
 	}
 	e.fn = nil
 	e.dead = false
 	e.gen++
-	s.free = append(s.free, e)
+	s.free = append(s.free, i)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-run or
 // already-cancelled event is a no-op and reports false.
 func (s *Sim) Cancel(id EventID) bool {
-	e := id.e
-	if e == nil || e.gen != id.gen || e.dead || e.idx < 0 {
+	i := int(id.slot) - 1
+	if i < 0 || i >= len(s.slots) {
+		return false
+	}
+	e := &s.slots[i]
+	if e.gen != id.gen || e.dead || e.keep {
 		return false
 	}
 	e.dead = true
@@ -302,19 +316,20 @@ func (s *Sim) RunUntil(deadline Time) uint64 {
 			}
 		}
 		next := s.pending[0]
-		if next.dead {
-			s.pending.popMin()
-			s.release(next)
+		e := &s.slots[next.slot]
+		if e.dead {
+			s.popMin()
+			s.release(next.slot)
 			continue
 		}
 		if next.at > deadline {
 			break
 		}
-		s.pending.popMin()
+		s.popMin()
 		s.now = next.at
 		s.processed++
-		fn := next.fn
-		s.release(next)
+		fn := e.fn
+		s.release(next.slot)
 		fn()
 		n++
 	}

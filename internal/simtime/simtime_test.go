@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,6 +86,47 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
+
+	if s.Cancel(EventID{}) {
+		t.Fatal("the zero EventID cancelled something")
+	}
+
+	// The cancelled event's slot is free again, so the next ScheduleAt
+	// recycles it; the stale ID must not reach the new occupant.
+	ran = false
+	fresh := s.MustSchedule(time.Second, func() { ran = true })
+	if fresh.slot != id.slot {
+		t.Fatalf("new event took slot %d, want the recycled slot %d", fresh.slot, id.slot)
+	}
+	if s.Cancel(EventID{}) || s.Cancel(id) {
+		t.Fatal("a stale or zero EventID cancelled the slot's new occupant")
+	}
+	s.Run()
+	if !ran {
+		t.Fatal("the recycled slot's new occupant did not run")
+	}
+}
+
+// TestHeapEntryHoldsNoPointers pins the pending heap's element layout:
+// a pointer-bearing field in entry would bring GC write barriers back
+// onto every heap move.
+func TestHeapEntryHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Func, reflect.Chan, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("entry", reflect.TypeOf(entry{}))
 }
 
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
