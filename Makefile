@@ -31,10 +31,9 @@ race:
 #   - the whole suite under the race detector (the parallel evaluation
 #     pipeline and the shard coordinator make -race part of
 #     correctness). It already runs every fuzz target's seed corpus, the
-#     telemetry determinism guard, the no-fault contract, and the
-#     campaign crash-safety tests;
-#   - faultscenarios: the shipped fault scenarios reproduce their golden
-#     degradation curves byte for byte;
+#     telemetry determinism guard, the no-fault contract, the campaign
+#     crash-safety tests, and TestFaultGoldens, which pins the shipped
+#     fault scenarios to their golden degradation curves byte for byte;
 #   - live-smoke: the campaign binary end to end — plan, run with the
 #     live HTTP plane scraped mid-run, SIGINT, resume to completion;
 #   - chaossmoke: idsevald SIGKILLed mid-stream, restarted, resumed from
@@ -52,7 +51,6 @@ ci:
 	$(GO) vet ./...
 	$(GO) -C cmd/idsbench vet .
 	$(GO) test -race ./...
-	$(MAKE) faultscenarios
 	$(MAKE) live-smoke
 	$(MAKE) chaossmoke
 	$(MAKE) crashmatrix
@@ -198,9 +196,10 @@ sweep:
 FAULT_SCENARIOS := span-degrade sensor-outage pipeline-outage
 FAULTSWEEP_FLAGS := -quick -points 3 -seed 11
 
-# Pin the shipped fault scenarios to golden degradation curves: for a
-# fixed seed, scenario, and severity grid the sweep output is part of
-# the determinism contract and must stay byte-identical.
+# The shipped fault scenarios' golden degradation curves, checked at the
+# command level: for a fixed seed, scenario, and severity grid the
+# faultsweep output is part of the determinism contract and must stay
+# byte-identical. TestFaultGoldens runs the same check in `go test`.
 faultscenarios:
 	@for s in $(FAULT_SCENARIOS); do \
 		echo "fault scenario $$s"; \
@@ -210,11 +209,7 @@ faultscenarios:
 
 # Regenerate the golden curves after an intentional behaviour change.
 faultgolden:
-	@for s in $(FAULT_SCENARIOS); do \
-		$(GO) run ./cmd/faultsweep -scenario examples/faults/$$s.json $(FAULTSWEEP_FLAGS) \
-			> examples/faults/golden/$$s.txt; \
-		echo "wrote examples/faults/golden/$$s.txt"; \
-	done
+	$(GO) test ./internal/eval -run TestFaultGoldens -update
 
 LIVESMOKE_DIR := /tmp/repro-live-smoke
 

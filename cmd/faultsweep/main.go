@@ -11,12 +11,12 @@
 //
 // Output on stdout is fully deterministic for a given seed, scenario,
 // and point count: identical invocations produce byte-identical output
-// (the Makefile's faultscenarios target pins the shipped examples to
-// golden files). Telemetry export goes to stderr only and never
-// perturbs stdout. -o writes the report or CSV to a file atomically
-// (temp + rename), so a crash never leaves a torn file. Ctrl-C (or
-// -timeout expiry) drains in-flight points at a clean event boundary
-// and prints the completed points with an INTERRUPTED banner.
+// (TestFaultGoldens and the Makefile's faultscenarios target pin the
+// shipped examples to golden files). Telemetry export goes to stderr
+// only and never perturbs stdout. -o writes the report or CSV to a file
+// atomically (temp + rename), so a crash never leaves a torn file.
+// Ctrl-C (or -timeout expiry) drains in-flight points at a clean event
+// boundary and prints the completed points with an INTERRUPTED banner.
 package main
 
 import (

@@ -67,7 +67,7 @@ func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, att
 	}
 	resilient := sc != nil && sc.Resilience && !sc.Empty()
 	if resilient {
-		tb.IDS.EnableResilience(ids.Resilience{})
+		tb.IDS.EnableResilience()
 	}
 	if err := tb.Train(); err != nil {
 		return nil, err

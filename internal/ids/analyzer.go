@@ -58,28 +58,18 @@ type Analyzer struct {
 	// StorageBytes models accumulated historical data.
 	StorageBytes uint64
 
-	// Stall/spool state. While stalled the analyzer folds nothing; alerts
-	// go to a bounded spool (resilience on) or are counted lost
+	// Stall state. While stalled the analyzer folds nothing: alerts wait
+	// in a bounded retry spool (resilience on) or are counted lost
 	// (resilience off). The spool is the only buffering on the
 	// analyzer→monitor path and it is always bounded: overload shows up
 	// in DroppedAlerts and the ids.analyzer.alerts_dropped counter, never
 	// as unbounded memory growth.
-	stalled      bool
-	spool        []detect.Alert
-	spoolLimit   int
-	retryBackoff time.Duration
-	retryMax     time.Duration
-	curBackoff   time.Duration
-	retryArmed   bool
+	stalled bool
+	spool   retrySpool[detect.Alert]
 
 	// DroppedAlerts counts alerts lost at the analyzer boundary: raised
-	// while stalled with no spool configured, or overflowing the bounded
-	// spool.
+	// while stalled with the spool off or full.
 	DroppedAlerts uint64
-	// SpoolDelivered counts alerts delivered late out of the spool.
-	SpoolDelivered uint64
-	// SpoolPeak is the spool's high-water mark.
-	SpoolPeak int
 
 	cAlerts  *obs.Counter
 	cDropped *obs.Counter // shared ids.analyzer.alerts_dropped
@@ -100,151 +90,65 @@ func incidentKey(al detect.Alert) string {
 }
 
 // SetStalled pauses (true) or resumes (false) incident folding — the
-// analyzer-stall fault. On resume without a retry loop configured,
-// whatever survived the bounded spool delivers immediately.
-func (a *Analyzer) SetStalled(stalled bool) {
-	a.stalled = stalled
-	if !stalled && a.retryBackoff <= 0 {
-		a.drainSpool()
-	}
-}
-
-// configureSpool arms the bounded stall spool and its retry/backoff
-// drain loop (the resilience layer's knobs).
-func (a *Analyzer) configureSpool(limit int, backoff, max time.Duration) {
-	a.spoolLimit = limit
-	a.retryBackoff = backoff
-	a.retryMax = max
-}
-
-// deferOrDrop handles alerts submitted while stalled: bounded spooling
-// when configured, explicit accounted loss otherwise.
-func (a *Analyzer) deferOrDrop(alerts []detect.Alert) {
-	for _, al := range alerts {
-		if len(a.spool) >= a.spoolLimit {
-			a.DroppedAlerts++
-			a.cDropped.Inc()
-			continue
-		}
-		a.spool = append(a.spool, al)
-	}
-	if len(a.spool) > a.SpoolPeak {
-		a.SpoolPeak = len(a.spool)
-	}
-	if len(a.spool) > 0 {
-		a.armRetry()
-	}
-}
-
-// armRetry schedules the next spool-drain attempt, if a retry loop is
-// configured and none is pending.
-func (a *Analyzer) armRetry() {
-	if a.retryBackoff <= 0 || a.retryArmed {
-		return
-	}
-	a.retryArmed = true
-	delay := a.curBackoff
-	if delay <= 0 {
-		delay = a.retryBackoff
-	}
-	a.sim.MustSchedule(delay, a.retryFlush)
-}
-
-// retryFlush is one drain attempt: deliver if the stall has cleared,
-// otherwise back off (doubling, capped) and try again. The loop always
-// terminates — it only re-arms while the stall persists, and every
-// injected stall has a scheduled end.
-func (a *Analyzer) retryFlush() {
-	a.retryArmed = false
-	if len(a.spool) == 0 {
-		a.curBackoff = 0
-		return
-	}
-	if a.stalled {
-		a.curBackoff *= 2
-		if a.curBackoff < a.retryBackoff {
-			a.curBackoff = a.retryBackoff
-		}
-		if a.retryMax > 0 && a.curBackoff > a.retryMax {
-			a.curBackoff = a.retryMax
-		}
-		a.armRetry()
-		return
-	}
-	a.drainSpool()
-}
-
-// drainSpool folds every spooled alert, late but delivered.
-func (a *Analyzer) drainSpool() {
-	if len(a.spool) == 0 {
-		return
-	}
-	batch := a.spool
-	a.spool = nil
-	a.curBackoff = 0
-	a.SpoolDelivered += uint64(len(batch))
-	a.fold(batch)
-}
+// analyzer-stall fault. Spooled alerts fold at the spool's next retry.
+func (a *Analyzer) SetStalled(stalled bool) { a.stalled = stalled }
 
 // Submit folds a batch of alerts into open incidents, creating and
-// reporting new incidents as needed. A stalled analyzer defers to the
-// bounded spool instead (or accounts the loss).
+// reporting new incidents as needed. A stalled analyzer spools each
+// alert instead, or accounts its loss.
 func (a *Analyzer) Submit(alerts []detect.Alert) {
-	if a.stalled {
-		a.deferOrDrop(alerts)
-		return
+	for _, al := range alerts {
+		if !a.stalled {
+			a.fold(al)
+		} else if !a.spool.add(al) {
+			a.DroppedAlerts++
+			a.cDropped.Inc()
+		}
 	}
-	a.fold(alerts)
 }
 
-// fold is the actual correlation pass.
-func (a *Analyzer) fold(alerts []detect.Alert) {
+// fold is the actual correlation pass, one alert at a time.
+func (a *Analyzer) fold(al detect.Alert) {
 	now := a.sim.Now()
-	for _, al := range alerts {
-		a.AlertsSeen++
-		a.cAlerts.Inc()
-		a.StorageBytes += uint64(a.storagePerAlert)
-		k := incidentKey(al)
-		inc, ok := a.open[k]
-		if ok && now-inc.LastAlert > a.window {
-			// Stale: close it out and start fresh.
-			delete(a.open, k)
-			ok = false
+	a.AlertsSeen++
+	a.cAlerts.Inc()
+	a.StorageBytes += uint64(a.storagePerAlert)
+	k := incidentKey(al)
+	inc, ok := a.open[k]
+	if ok && now-inc.LastAlert > a.window {
+		// Stale: close it out and start fresh.
+		delete(a.open, k)
+		ok = false
+	}
+	if !ok {
+		inc = &ReportedIncident{
+			Attacker: al.Attacker, Victim: al.Victim, Technique: al.Technique,
+			Severity: al.Severity, FirstAlert: al.At, LastAlert: al.At,
+			ReportedAt: now, AlertCount: 1, Engines: []string{al.Engine},
+			sampleAlerts: []detect.Alert{al},
 		}
-		if !ok {
-			inc = &ReportedIncident{
-				Attacker: al.Attacker, Victim: al.Victim, Technique: al.Technique,
-				Severity: al.Severity, FirstAlert: al.At, LastAlert: al.At,
-				ReportedAt: now, AlertCount: 1, Engines: []string{al.Engine},
-				sampleAlerts: []detect.Alert{al},
-			}
-			a.open[k] = inc
-			a.monitor.Report(inc)
-			continue
-		}
-		inc.AlertCount++
-		if len(inc.sampleAlerts) < maxSampleAlerts {
-			inc.sampleAlerts = append(inc.sampleAlerts, al)
-		}
-		if al.Severity > inc.Severity {
-			inc.Severity = al.Severity
-			// Escalation may cross the notification threshold.
-			a.monitor.Escalate(inc)
-		}
-		if al.At > inc.LastAlert {
-			inc.LastAlert = al.At
-		}
-		found := false
-		for _, e := range inc.Engines {
-			if e == al.Engine {
-				found = true
-				break
-			}
-		}
-		if !found {
-			inc.Engines = append(inc.Engines, al.Engine)
+		a.open[k] = inc
+		a.monitor.Report(inc)
+		return
+	}
+	inc.AlertCount++
+	if len(inc.sampleAlerts) < maxSampleAlerts {
+		inc.sampleAlerts = append(inc.sampleAlerts, al)
+	}
+	if al.Severity > inc.Severity {
+		inc.Severity = al.Severity
+		// Escalation may cross the notification threshold.
+		a.monitor.Escalate(inc)
+	}
+	if al.At > inc.LastAlert {
+		inc.LastAlert = al.At
+	}
+	for _, e := range inc.Engines {
+		if e == al.Engine {
+			return
 		}
 	}
+	inc.Engines = append(inc.Engines, al.Engine)
 }
 
 // Flush closes every open incident (end of run).
@@ -272,22 +176,13 @@ type Monitor struct {
 
 	// Management-channel outage state. The operator-facing Notifications
 	// record is unaffected (the monitor still knows); only the
-	// monitor→console control channel is severed. Spooled incidents are
-	// re-driven with doubling backoff when resilience is on; otherwise
-	// the console deliveries are counted lost.
-	outage        bool
-	mgmtSpool     []*ReportedIncident
-	mgmtLimit     int
-	retryBackoff  time.Duration
-	retryMax      time.Duration
-	curBackoff    time.Duration
-	retryArmed    bool
-	MgmtDropped   uint64 // console deliveries lost to the outage
-	MgmtRetries   uint64 // drain attempts made while the channel was down
-	MgmtDelivered uint64 // console deliveries completed late from the spool
+	// monitor→console control channel is severed. Console deliveries
+	// wait in a bounded retry spool (resilience on) or are counted lost.
+	outage      bool
+	mgmt        retrySpool[*ReportedIncident]
+	MgmtDropped uint64 // console deliveries lost to the outage
 
-	cIncidents, cNotifications *obs.Counter
-	cMgmtDropped, cMgmtRetries *obs.Counter
+	cIncidents, cNotifications, cMgmtDropped *obs.Counter
 }
 
 // Notification is one operator alert.
@@ -322,84 +217,19 @@ func (m *Monitor) maybeNotify(inc *ReportedIncident) {
 }
 
 // SetMgmtOutage severs (true) or restores (false) the monitor→console
-// management channel. On restore without a retry loop, surviving spooled
-// incidents deliver immediately.
-func (m *Monitor) SetMgmtOutage(out bool) {
-	m.outage = out
-	if !out && m.retryBackoff <= 0 {
-		m.drainMgmtSpool()
-	}
-}
-
-// configureMgmtSpool arms the bounded outage spool and retry loop.
-func (m *Monitor) configureMgmtSpool(limit int, backoff, max time.Duration) {
-	m.mgmtLimit = limit
-	m.retryBackoff = backoff
-	m.retryMax = max
-}
+// management channel. Spooled incidents reach the console at the
+// spool's next retry.
+func (m *Monitor) SetMgmtOutage(out bool) { m.outage = out }
 
 // dispatchConsole drives the console hook through the management
 // channel, spooling or accounting the loss during an outage.
 func (m *Monitor) dispatchConsole(inc *ReportedIncident) {
-	if m.onNotify == nil {
-		return
-	}
-	if !m.outage {
+	switch {
+	case m.onNotify == nil: // no console attached
+	case !m.outage:
 		m.onNotify(inc)
-		return
-	}
-	if len(m.mgmtSpool) < m.mgmtLimit {
-		m.mgmtSpool = append(m.mgmtSpool, inc)
-		m.armMgmtRetry()
-		return
-	}
-	m.MgmtDropped++
-	m.cMgmtDropped.Inc()
-}
-
-func (m *Monitor) armMgmtRetry() {
-	if m.retryBackoff <= 0 || m.retryArmed {
-		return
-	}
-	m.retryArmed = true
-	delay := m.curBackoff
-	if delay <= 0 {
-		delay = m.retryBackoff
-	}
-	m.sim.MustSchedule(delay, m.mgmtRetryFlush)
-}
-
-func (m *Monitor) mgmtRetryFlush() {
-	m.retryArmed = false
-	if len(m.mgmtSpool) == 0 {
-		m.curBackoff = 0
-		return
-	}
-	if m.outage {
-		m.MgmtRetries++
-		m.cMgmtRetries.Inc()
-		m.curBackoff *= 2
-		if m.curBackoff < m.retryBackoff {
-			m.curBackoff = m.retryBackoff
-		}
-		if m.retryMax > 0 && m.curBackoff > m.retryMax {
-			m.curBackoff = m.retryMax
-		}
-		m.armMgmtRetry()
-		return
-	}
-	m.drainMgmtSpool()
-}
-
-func (m *Monitor) drainMgmtSpool() {
-	if len(m.mgmtSpool) == 0 {
-		return
-	}
-	batch := m.mgmtSpool
-	m.mgmtSpool = nil
-	m.curBackoff = 0
-	for _, inc := range batch {
-		m.MgmtDelivered++
-		m.onNotify(inc)
+	case !m.mgmt.add(inc):
+		m.MgmtDropped++
+		m.cMgmtDropped.Inc()
 	}
 }

@@ -238,7 +238,7 @@ func (s *IDS) Instrument(reg *obs.Registry) {
 	s.monitor.cIncidents = reg.Counter("ids.monitor.incidents")
 	s.monitor.cNotifications = reg.Counter("ids.monitor.notifications")
 	s.monitor.cMgmtDropped = reg.Counter("ids.monitor.mgmt_dropped")
-	s.monitor.cMgmtRetries = reg.Counter("ids.monitor.mgmt_retries")
+	s.monitor.mgmt.cRetries = reg.Counter("ids.monitor.mgmt_retries")
 	if s.res != nil {
 		s.res.instrument(reg)
 	}
@@ -454,7 +454,7 @@ type Stats struct {
 	// is in exactly one of these buckets, never silently gone.
 	AlertsLost     uint64 // severed in sensor→analyzer transit
 	AlertsDropped  uint64 // lost at the analyzer boundary (stall/overflow)
-	SpoolDelivered uint64 // delivered late via any spool
+	SpoolDelivered uint64 // delivered late via the transit or an analyzer spool
 	MgmtDropped    uint64 // console deliveries lost to a mgmt outage
 	SensorDowntime time.Duration
 }
@@ -477,10 +477,10 @@ func (s *IDS) Stats() Stats {
 		st.AlertsRaised += a.AlertsSeen
 		st.StorageBytes += a.StorageBytes
 		st.AlertsDropped += a.DroppedAlerts
-		st.SpoolDelivered += a.SpoolDelivered
+		st.SpoolDelivered += a.spool.delivered
 	}
 	if s.res != nil {
-		st.SpoolDelivered += s.res.SpoolDelivered
+		st.SpoolDelivered += s.res.transit.delivered
 	}
 	st.Incidents = len(s.monitor.Incidents)
 	st.Notifications = len(s.monitor.Notifications)

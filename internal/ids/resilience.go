@@ -5,92 +5,146 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/obs"
+	"repro/internal/simtime"
 )
 
-// Resilience configures the opt-in self-healing layer: a monitor-driven
-// heartbeat that tracks per-sensor health, balancer rerouting away from
-// dead or degraded sensors, and bounded spooling with retry/backoff for
-// alerts caught in transit by an outage. The layer is off by default —
-// an IDS without EnableResilience behaves bit-identically to one built
-// before the layer existed, which is what the no-faults determinism
-// guard pins.
-type Resilience struct {
-	// HeartbeatEvery is the health-poll period (default 500ms).
-	HeartbeatEvery time.Duration
-	// SpoolLimit bounds every spool (alerts or notifications) introduced
-	// by the layer (default 4096). Overflow is counted, never buffered.
-	SpoolLimit int
-	// RetryBackoff is the initial redelivery delay (default 250ms).
-	RetryBackoff time.Duration
-	// RetryMax caps the doubling backoff (default 4s).
-	RetryMax time.Duration
+// The self-healing layer's fixed knobs.
+const (
+	// heartbeatEvery is the health-poll period.
+	heartbeatEvery = 500 * time.Millisecond
+	// spoolLimit bounds every spool the layer adds. Overflow is counted,
+	// never buffered.
+	spoolLimit = 4096
+	// retryBackoff is the first redelivery delay and the floor of the
+	// doubling backoff.
+	retryBackoff = 250 * time.Millisecond
+	// retryMax caps the doubling backoff.
+	retryMax = 4 * time.Second
+)
+
+// retrySpool is the layer's one bounded spool with doubling, capped
+// retry. It holds items while faulted reports its fault. The first
+// retry fires retryBackoff after the first item arrives; each retry
+// that finds the fault still active doubles the next delay, from
+// retryBackoff up to retryMax (250ms, 500ms, 1s, 2s, 4s, 4s, …). The
+// first retry that finds it cleared delivers every item in arrival
+// order. The loop always ends: it re-arms only while the fault
+// persists, and every injected fault has a scheduled end. The retry is
+// armed exactly while items wait.
+//
+// Until enable switches it on, a spool refuses every item: without the
+// layer, each one is the caller's accounted loss.
+type retrySpool[T any] struct {
+	sim     *simtime.Sim
+	faulted func() bool
+	deliver func(T)
+
+	items   []T
+	backoff time.Duration
+
+	// spooled, delivered and retries count items accepted, items
+	// delivered late, and retries that found the fault still active.
+	// The obs counters, where a call site sets them, mirror them.
+	spooled, delivered, retries    uint64
+	cSpooled, cDelivered, cRetries *obs.Counter
 }
 
-func (r *Resilience) applyDefaults() {
-	if r.HeartbeatEvery <= 0 {
-		r.HeartbeatEvery = 500 * time.Millisecond
+// enable switches the spool on with its call site's fault test and
+// delivery function.
+func (s *retrySpool[T]) enable(sim *simtime.Sim, faulted func() bool, deliver func(T)) {
+	s.sim, s.faulted, s.deliver = sim, faulted, deliver
+}
+
+// room reports how many more items the spool accepts.
+func (s *retrySpool[T]) room() int {
+	if s.faulted == nil {
+		return 0
 	}
-	if r.SpoolLimit <= 0 {
-		r.SpoolLimit = 4096
+	return spoolLimit - len(s.items)
+}
+
+// add spools item and arms the retry if it is the only one waiting. It
+// reports false, holding nothing, when the spool refuses the item.
+func (s *retrySpool[T]) add(item T) bool {
+	if s.room() == 0 {
+		return false
 	}
-	if r.RetryBackoff <= 0 {
-		r.RetryBackoff = 250 * time.Millisecond
+	if len(s.items) == 0 {
+		s.sim.MustSchedule(retryBackoff, s.retry)
 	}
-	if r.RetryMax <= 0 {
-		r.RetryMax = 4 * time.Second
+	s.items = append(s.items, item)
+	s.spooled++
+	s.cSpooled.Inc()
+	return true
+}
+
+// retry delivers the spool if the fault has cleared, and otherwise
+// backs off and re-arms.
+func (s *retrySpool[T]) retry() {
+	if s.faulted() {
+		s.retries++
+		s.cRetries.Inc()
+		s.backoff = min(max(2*s.backoff, retryBackoff), retryMax)
+		s.sim.MustSchedule(s.backoff, s.retry)
+		return
+	}
+	items := s.items
+	s.items, s.backoff = nil, 0
+	for _, it := range items {
+		s.delivered++
+		s.cDelivered.Inc()
+		s.deliver(it)
 	}
 }
 
-// spooledBatch is one alert batch held back by the sensor→analyzer
-// transit spool during an alert-loss fault.
-type spooledBatch struct {
-	an     *Analyzer
-	alerts []detect.Alert
+// transitAlert is one alert held back by the sensor→analyzer transit
+// spool during an alert-loss fault.
+type transitAlert struct {
+	an    *Analyzer
+	alert detect.Alert
 }
 
 // resilienceState is the live self-healing machinery of one IDS.
 type resilienceState struct {
-	cfg   Resilience
 	owner *IDS
 
 	running bool
 	healthy []bool
 
-	// Transit spool for the sensor→analyzer path (alert-loss fault).
-	spool      []spooledBatch
-	spoolCount int
-	retryArmed bool
-	curBackoff time.Duration
+	// transit spools the sensor→analyzer path through an alert-loss
+	// fault.
+	transit retrySpool[transitAlert]
 
 	// HealthChecks counts heartbeat polls.
 	HealthChecks uint64
 	// Rerouted counts packets steered away from an unhealthy sensor.
 	Rerouted uint64
-	// Spooled / SpoolDelivered count alerts through the transit spool.
-	Spooled        uint64
-	SpoolDelivered uint64
-	// Retries counts transit redelivery attempts that found the fault
-	// still active.
-	Retries uint64
 
-	cRerouted, cSpooled, cDelivered *obs.Counter
-	gUnhealthy                      *obs.Gauge
+	cRerouted  *obs.Counter
+	gUnhealthy *obs.Gauge
 }
 
-// EnableResilience switches the self-healing layer on. Call before the
-// run starts; the heartbeat itself is started with StartHealthLoop so
-// the caller controls when ticking begins (and Drain can finish).
-func (s *IDS) EnableResilience(r Resilience) {
-	r.applyDefaults()
-	rs := &resilienceState{cfg: r, owner: s, healthy: make([]bool, len(s.sensors))}
+// EnableResilience switches on the opt-in self-healing layer: a
+// monitor-driven heartbeat that tracks per-sensor health, balancer
+// rerouting away from dead or degraded sensors, and bounded spooling
+// with retry/backoff for alerts caught by an outage. The layer is off
+// by default — an IDS without EnableResilience behaves bit-identically
+// to one built before the layer existed, which is what the no-faults
+// determinism guard pins. Call before the run starts; the heartbeat
+// itself is started with StartHealthLoop so the caller controls when
+// ticking begins (and Drain can finish).
+func (s *IDS) EnableResilience() {
+	rs := &resilienceState{owner: s, healthy: make([]bool, len(s.sensors))}
 	for i := range rs.healthy {
 		rs.healthy[i] = true
 	}
+	rs.transit.enable(s.sim, func() bool { return s.alertLossActive },
+		func(t transitAlert) { t.an.Submit([]detect.Alert{t.alert}) })
 	s.res = rs
 	for _, a := range s.analyzers {
-		a.configureSpool(r.SpoolLimit, r.RetryBackoff, r.RetryMax)
+		a.spool.enable(s.sim, func() bool { return a.stalled }, a.fold)
 	}
-	s.monitor.configureMgmtSpool(r.SpoolLimit, r.RetryBackoff, r.RetryMax)
+	s.monitor.mgmt.enable(s.sim, func() bool { return s.monitor.outage }, s.monitor.onNotify)
 	rs.instrument(s.obsReg)
 }
 
@@ -100,6 +154,9 @@ func (s *IDS) EnableResilience(r Resilience) {
 func (s *IDS) ResilienceEnabled() bool { return s.res != nil }
 
 // ResilienceStats exposes the layer's counters (zero value when off).
+// Spooled, SpoolDelivered and Retries count the transit spool: alerts
+// spooled, alerts redelivered, and retries that found the alert-loss
+// fault still active.
 type ResilienceStats struct {
 	HealthChecks   uint64
 	Rerouted       uint64
@@ -116,9 +173,9 @@ func (s *IDS) ResilienceStats() ResilienceStats {
 	return ResilienceStats{
 		HealthChecks:   s.res.HealthChecks,
 		Rerouted:       s.res.Rerouted,
-		Spooled:        s.res.Spooled,
-		SpoolDelivered: s.res.SpoolDelivered,
-		Retries:        s.res.Retries,
+		Spooled:        s.res.transit.spooled,
+		SpoolDelivered: s.res.transit.delivered,
+		Retries:        s.res.transit.retries,
 	}
 }
 
@@ -144,8 +201,8 @@ func (rs *resilienceState) instrument(reg *obs.Registry) {
 		return
 	}
 	rs.cRerouted = reg.Counter("ids.balancer.rerouted")
-	rs.cSpooled = reg.Counter("ids.spool.spooled")
-	rs.cDelivered = reg.Counter("ids.spool.delivered")
+	rs.transit.cSpooled = reg.Counter("ids.spool.spooled")
+	rs.transit.cDelivered = reg.Counter("ids.spool.delivered")
 	rs.gUnhealthy = reg.Gauge("ids.health.unhealthy")
 }
 
@@ -166,7 +223,7 @@ func (rs *resilienceState) tick() {
 		}
 	}
 	rs.gUnhealthy.Set(int64(unhealthy))
-	rs.owner.sim.MustSchedule(rs.cfg.HeartbeatEvery, rs.tick)
+	rs.owner.sim.MustSchedule(heartbeatEvery, rs.tick)
 }
 
 // reroute steers a packet destined for an unhealthy sensor to the
@@ -187,59 +244,14 @@ func (rs *resilienceState) reroute(picked *Sensor) *Sensor {
 }
 
 // spoolBatch holds an alert batch caught by the alert-loss fault for
-// redelivery. Whole-batch granularity: a batch that does not fit is
-// refused and the caller accounts the loss.
+// redelivery, one spool item per alert. A batch that does not fit
+// whole is refused, and the caller accounts the loss.
 func (rs *resilienceState) spoolBatch(an *Analyzer, alerts []detect.Alert) bool {
-	if rs.spoolCount+len(alerts) > rs.cfg.SpoolLimit {
+	if rs.transit.room() < len(alerts) {
 		return false
 	}
-	rs.spool = append(rs.spool, spooledBatch{an: an, alerts: alerts})
-	rs.spoolCount += len(alerts)
-	rs.Spooled += uint64(len(alerts))
-	rs.cSpooled.Add(uint64(len(alerts)))
-	rs.armRetry()
+	for _, al := range alerts {
+		rs.transit.add(transitAlert{an: an, alert: al})
+	}
 	return true
-}
-
-func (rs *resilienceState) armRetry() {
-	if rs.retryArmed {
-		return
-	}
-	rs.retryArmed = true
-	delay := rs.curBackoff
-	if delay <= 0 {
-		delay = rs.cfg.RetryBackoff
-	}
-	rs.owner.sim.MustSchedule(delay, rs.retryFlush)
-}
-
-// retryFlush redelivers the transit spool once the alert-loss fault has
-// cleared, backing off (doubling, capped) while it persists.
-func (rs *resilienceState) retryFlush() {
-	rs.retryArmed = false
-	if len(rs.spool) == 0 {
-		rs.curBackoff = 0
-		return
-	}
-	if rs.owner.alertLossActive {
-		rs.Retries++
-		rs.curBackoff *= 2
-		if rs.curBackoff < rs.cfg.RetryBackoff {
-			rs.curBackoff = rs.cfg.RetryBackoff
-		}
-		if rs.curBackoff > rs.cfg.RetryMax {
-			rs.curBackoff = rs.cfg.RetryMax
-		}
-		rs.armRetry()
-		return
-	}
-	batches := rs.spool
-	rs.spool = nil
-	rs.spoolCount = 0
-	rs.curBackoff = 0
-	for _, b := range batches {
-		rs.SpoolDelivered += uint64(len(b.alerts))
-		rs.cDelivered.Add(uint64(len(b.alerts)))
-		b.an.Submit(b.alerts)
-	}
 }

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,9 +12,8 @@ import (
 )
 
 // resilientIDS builds an instrumented two-sensor IDS with the
-// self-healing layer on, using a fast heartbeat and short backoff so
-// tests stay in the millisecond range.
-func resilientIDS(t *testing.T, r Resilience) (*simtime.Sim, *IDS, *obs.Registry) {
+// self-healing layer on.
+func resilientIDS(t *testing.T) (*simtime.Sim, *IDS, *obs.Registry) {
 	t.Helper()
 	sim := simtime.New(11)
 	inst, err := New(sim, Config{
@@ -28,7 +28,7 @@ func resilientIDS(t *testing.T, r Resilience) (*simtime.Sim, *IDS, *obs.Registry
 	}
 	reg := obs.NewRegistry()
 	inst.Instrument(reg)
-	inst.EnableResilience(r)
+	inst.EnableResilience()
 	return sim, inst, reg
 }
 
@@ -37,7 +37,7 @@ func benign(src packet.Addr) *packet.Packet {
 }
 
 func TestRerouteAwayFromDeadSensor(t *testing.T) {
-	sim, inst, reg := resilientIDS(t, Resilience{HeartbeatEvery: 100 * time.Millisecond})
+	sim, inst, reg := resilientIDS(t)
 	// Static balancer: third-octet parity picks the sensor. Crash sensor
 	// 0 before the first heartbeat classifies it.
 	inst.Sensors()[0].InjectCrash()
@@ -80,7 +80,7 @@ func TestRerouteKeepsFailClosedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.EnableResilience(Resilience{HeartbeatEvery: 100 * time.Millisecond})
+	inst.EnableResilience()
 	inst.Sensors()[0].InjectCrash()
 	inst.StartHealthLoop()
 	if inst.Ingest(benign(packet.IPv4(10, 0, 0, 1))) {
@@ -94,7 +94,7 @@ func TestRerouteKeepsFailClosedVerdict(t *testing.T) {
 }
 
 func TestAlertLossSpooledAndRedelivered(t *testing.T) {
-	sim, inst, reg := resilientIDS(t, Resilience{RetryBackoff: 100 * time.Millisecond})
+	sim, inst, reg := resilientIDS(t)
 	deliver := inst.deliverFunc(inst.Analyzers()[0])
 	alerts := []detect.Alert{{Technique: "probe", Severity: 0.9, Engine: "sig"}}
 
@@ -106,17 +106,21 @@ func TestAlertLossSpooledAndRedelivered(t *testing.T) {
 	if got := inst.ResilienceStats().Spooled; got != 1 {
 		t.Fatalf("Spooled = %d, want 1", got)
 	}
-	sim.MustSchedule(350*time.Millisecond, func() { inst.SetAlertLoss(false) })
+	sim.MustSchedule(600*time.Millisecond, func() { inst.SetAlertLoss(false) })
 	sim.Run()
 
 	st := inst.ResilienceStats()
 	if st.SpoolDelivered != 1 {
 		t.Fatalf("SpoolDelivered = %d, want 1", st.SpoolDelivered)
 	}
-	// Retries at 100ms and 300ms found the fault active; the 700ms pass
-	// (backoff doubled 100->200->400) delivered.
+	// Retries at 250ms and 500ms found the fault active; the pass at 1s
+	// delivered. The first retry interval repeats the 250ms base delay,
+	// and the second doubles it to 500ms.
 	if st.Retries != 2 {
 		t.Fatalf("Retries = %d, want 2", st.Retries)
+	}
+	if got := inst.Monitor().Incidents[0].ReportedAt; got != time.Second {
+		t.Fatalf("redelivered at %v, want 1s", got)
 	}
 	if got := inst.Analyzers()[0].AlertsSeen; got != 1 {
 		t.Fatalf("analyzer saw %d alerts after redelivery, want 1", got)
@@ -164,36 +168,38 @@ func TestAlertLossWithoutResilienceAccountsLoss(t *testing.T) {
 }
 
 func TestAnalyzerStallSpoolOverflowAccounted(t *testing.T) {
-	sim, inst, reg := resilientIDS(t, Resilience{SpoolLimit: 2, RetryBackoff: 100 * time.Millisecond})
+	sim, inst, reg := resilientIDS(t)
 	an := inst.Analyzers()[0]
 	an.SetStalled(true)
-	an.Submit([]detect.Alert{
-		{Technique: "a"}, {Technique: "b"}, {Technique: "c"}, {Technique: "d"},
-	})
+	alerts := make([]detect.Alert, spoolLimit+2)
+	for i := range alerts {
+		alerts[i] = detect.Alert{Technique: "a"}
+	}
+	an.Submit(alerts)
 
 	if an.DroppedAlerts != 2 {
-		t.Fatalf("DroppedAlerts = %d, want 2 (spool limit 2)", an.DroppedAlerts)
+		t.Fatalf("DroppedAlerts = %d, want 2 (spool limit %d)", an.DroppedAlerts, spoolLimit)
 	}
 	if got := reg.Counter("ids.analyzer.alerts_dropped").Value(); got != 2 {
 		t.Fatalf("alerts_dropped counter = %d, want 2", got)
 	}
-	if an.SpoolPeak != 2 {
-		t.Fatalf("SpoolPeak = %d, want 2", an.SpoolPeak)
+	if got := len(an.spool.items); got != spoolLimit {
+		t.Fatalf("spool holds %d alerts, want %d", got, spoolLimit)
 	}
 
 	sim.MustSchedule(150*time.Millisecond, func() { an.SetStalled(false) })
 	sim.Run()
 
-	if an.SpoolDelivered != 2 {
-		t.Fatalf("SpoolDelivered = %d, want 2", an.SpoolDelivered)
+	if an.spool.delivered != spoolLimit {
+		t.Fatalf("spool delivered %d, want %d", an.spool.delivered, spoolLimit)
 	}
 	// Every submitted alert is in exactly one bucket.
-	if an.AlertsSeen+an.DroppedAlerts != 4 {
-		t.Fatalf("accounting leak: seen %d + dropped %d != 4 submitted", an.AlertsSeen, an.DroppedAlerts)
+	if an.AlertsSeen+an.DroppedAlerts != spoolLimit+2 {
+		t.Fatalf("accounting leak: seen %d + dropped %d != %d submitted", an.AlertsSeen, an.DroppedAlerts, spoolLimit+2)
 	}
 	st := inst.Stats()
-	if st.AlertsDropped != 2 || st.SpoolDelivered != 2 {
-		t.Fatalf("Stats dropped/delivered = %d/%d, want 2/2", st.AlertsDropped, st.SpoolDelivered)
+	if st.AlertsDropped != 2 || st.SpoolDelivered != spoolLimit {
+		t.Fatalf("Stats dropped/delivered = %d/%d, want 2/%d", st.AlertsDropped, st.SpoolDelivered, spoolLimit)
 	}
 }
 
@@ -229,18 +235,21 @@ func TestAnalyzerStallWithoutSpoolDropsAll(t *testing.T) {
 }
 
 func TestMgmtOutageSpoolsAndDrainsConsoleDeliveries(t *testing.T) {
-	sim, inst, reg := resilientIDS(t, Resilience{SpoolLimit: 1, RetryBackoff: 100 * time.Millisecond})
+	sim, inst, reg := resilientIDS(t)
 	m := inst.Monitor()
 	an := inst.Analyzers()[0]
 
 	m.SetMgmtOutage(true)
-	// Two distinct incidents above the notify threshold: the first console
-	// delivery spools (limit 1), the second is counted lost.
-	an.Submit([]detect.Alert{{Technique: "probe", Severity: 0.9, Engine: "sig"}})
-	an.Submit([]detect.Alert{{Technique: "flood", Severity: 0.8, Engine: "sig"}})
+	// spoolLimit+1 distinct incidents above the notify threshold: the
+	// first spoolLimit console deliveries spool, the last is counted lost.
+	alerts := make([]detect.Alert, spoolLimit+1)
+	for i := range alerts {
+		alerts[i] = detect.Alert{Technique: fmt.Sprintf("t%d", i), Severity: 0.9, Engine: "sig"}
+	}
+	an.Submit(alerts)
 
-	if len(m.Notifications) != 2 {
-		t.Fatalf("operator notifications = %d, want 2 (monitor view survives the outage)", len(m.Notifications))
+	if len(m.Notifications) != spoolLimit+1 {
+		t.Fatalf("operator notifications = %d, want %d (monitor view survives the outage)", len(m.Notifications), spoolLimit+1)
 	}
 	if m.MgmtDropped != 1 {
 		t.Fatalf("MgmtDropped = %d, want 1", m.MgmtDropped)
@@ -249,19 +258,111 @@ func TestMgmtOutageSpoolsAndDrainsConsoleDeliveries(t *testing.T) {
 		t.Fatalf("mgmt_dropped counter = %d, want 1", got)
 	}
 
-	sim.MustSchedule(250*time.Millisecond, func() { m.SetMgmtOutage(false) })
+	sim.MustSchedule(400*time.Millisecond, func() { m.SetMgmtOutage(false) })
 	sim.Run()
 
-	if m.MgmtDelivered != 1 {
-		t.Fatalf("MgmtDelivered = %d, want 1 (spooled incident drained)", m.MgmtDelivered)
+	if m.mgmt.delivered != spoolLimit {
+		t.Fatalf("mgmt spool delivered %d, want %d (spooled incidents drained)", m.mgmt.delivered, spoolLimit)
 	}
-	if m.MgmtRetries == 0 {
+	if m.mgmt.retries == 0 {
 		t.Fatal("no retry recorded while the channel was down")
 	}
-	if got := reg.Counter("ids.monitor.mgmt_retries").Value(); got != m.MgmtRetries {
-		t.Fatalf("mgmt_retries counter = %d, want %d", got, m.MgmtRetries)
+	if got := reg.Counter("ids.monitor.mgmt_retries").Value(); got != m.mgmt.retries {
+		t.Fatalf("mgmt_retries counter = %d, want %d", got, m.mgmt.retries)
 	}
 	if got := inst.Stats().MgmtDropped; got != 1 {
 		t.Fatalf("Stats().MgmtDropped = %d, want 1", got)
+	}
+}
+
+// TestSpoolRetrySchedule pins the retry schedule the three resilience
+// spools share. Each run spools one item at t=0 with its fault on and
+// clears the fault at T; the item arrives on the first retry after T.
+// The first retry fires one base delay (250ms) after the item arrives,
+// and each later delay doubles from the base up to the 4s cap: 250ms,
+// 500ms, 1s, 2s, 4s, 4s, ….
+func TestSpoolRetrySchedule(t *testing.T) {
+	alert := detect.Alert{Technique: "probe", Severity: 0.9, Engine: "sig"}
+	reportedAt := func(inst *IDS) []time.Duration {
+		var at []time.Duration
+		for _, inc := range inst.Monitor().Incidents {
+			at = append(at, inc.ReportedAt)
+		}
+		return at
+	}
+	spools := []struct {
+		name  string
+		fault func(inst *IDS, on bool)
+		add   func(inst *IDS)
+		// deliveredAt lists the delivery times seen after the run.
+		deliveredAt func(inst *IDS) []time.Duration
+		// retries is nil for a spool that does not count its retries.
+		retries func(inst *IDS, reg *obs.Registry) uint64
+	}{
+		{
+			name:        "transit",
+			fault:       func(inst *IDS, on bool) { inst.SetAlertLoss(on) },
+			add:         func(inst *IDS) { inst.deliverFunc(inst.Analyzers()[0])([]detect.Alert{alert}) },
+			deliveredAt: reportedAt,
+			retries:     func(inst *IDS, _ *obs.Registry) uint64 { return inst.ResilienceStats().Retries },
+		},
+		{
+			name:        "analyzer",
+			fault:       func(inst *IDS, on bool) { inst.Analyzers()[0].SetStalled(on) },
+			add:         func(inst *IDS) { inst.Analyzers()[0].Submit([]detect.Alert{alert}) },
+			deliveredAt: reportedAt,
+		},
+		{
+			name:  "management",
+			fault: func(inst *IDS, on bool) { inst.Monitor().SetMgmtOutage(on) },
+			add: func(inst *IDS) {
+				inst.Console().SetPolicy(alert.Technique, ActionSNMPTrap)
+				inst.Analyzers()[0].Submit([]detect.Alert{alert})
+			},
+			// The console acts one response latency after delivery.
+			deliveredAt: func(inst *IDS) []time.Duration {
+				var at []time.Duration
+				for _, trap := range inst.Console().SNMPTraps {
+					at = append(at, trap.At-inst.Console().ResponseLatency)
+				}
+				return at
+			},
+			retries: func(_ *IDS, reg *obs.Registry) uint64 {
+				return reg.Counter("ids.monitor.mgmt_retries").Value()
+			},
+		},
+	}
+	schedule := []struct {
+		clear, deliver time.Duration
+		retries        uint64
+	}{
+		{100 * time.Millisecond, 250 * time.Millisecond, 0},
+		{300 * time.Millisecond, 500 * time.Millisecond, 1},
+		{600 * time.Millisecond, time.Second, 2},
+		{1500 * time.Millisecond, 2 * time.Second, 3},
+		{3 * time.Second, 4 * time.Second, 4},
+		{5 * time.Second, 8 * time.Second, 5},
+		{9 * time.Second, 12 * time.Second, 6},
+		{13 * time.Second, 16 * time.Second, 7},
+	}
+	for _, sp := range spools {
+		for _, want := range schedule {
+			sim, inst, reg := resilientIDS(t)
+			sp.fault(inst, true)
+			sp.add(inst)
+			sim.MustSchedule(want.clear, func() { sp.fault(inst, false) })
+			sim.Run()
+
+			got := sp.deliveredAt(inst)
+			if len(got) != 1 || got[0] != want.deliver {
+				t.Errorf("%s spool, fault cleared at %v: delivered at %v, want [%v]", sp.name, want.clear, got, want.deliver)
+			}
+			if sp.retries == nil {
+				continue
+			}
+			if n := sp.retries(inst, reg); n != want.retries {
+				t.Errorf("%s spool, fault cleared at %v: %d retries, want %d", sp.name, want.clear, n, want.retries)
+			}
+		}
 	}
 }

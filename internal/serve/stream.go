@@ -349,8 +349,10 @@ func recoverAcks(fsys fsio.FS, dir string) (chunks uint64, bytes int64, err erro
 			break // torn final line
 		}
 		var e ackEntry
+		// Compare against the spool bytes left rather than summing: a
+		// huge journaled length would overflow the sum.
 		if json.Unmarshal(data[off:nl], &e) != nil ||
-			uint64(e.Ord) != chunks || e.Len < 0 || bytes+int64(e.Len) > spoolSize {
+			uint64(e.Ord) != chunks || e.Len < 0 || int64(e.Len) > spoolSize-bytes {
 			break
 		}
 		chunks++
