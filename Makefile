@@ -124,13 +124,14 @@ idsbench-smoke:
 	$(GO) -C cmd/idsbench test .
 
 # Event-kernel benchmarks: 1000 events through ScheduleAt
-# (BenchmarkScheduleRun) and through one lane (BenchmarkLaneRun). The
-# committed BENCH_kernel.json doubles as the benchgate baseline, gated
-# on allocs/op with no growth allowed: the counts are deterministic
-# (no per-event struct; the handler slab and the heap grow by
-# doubling), and a pointer-bearing or per-event allocation creeping
-# back into the kernel shows there first. ns/op is reported, not gated.
-KERNELBENCH := ScheduleRun|LaneRun
+# (BenchmarkScheduleRun), through one lane (BenchmarkLaneRun) and as
+# one series (BenchmarkSeriesRun). The committed BENCH_kernel.json
+# doubles as the benchgate baseline, gated on allocs/op with no growth
+# allowed: the counts are deterministic (no per-event struct; the
+# handler slab and the heap grow by doubling), and a pointer-bearing or
+# per-event allocation creeping back into the kernel shows there first.
+# ns/op is reported, not gated.
+KERNELBENCH := ScheduleRun|LaneRun|SeriesRun
 
 benchkernel:
 	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \

@@ -196,14 +196,21 @@ func (a SYNFlood) Launch(c *Context, id string) Incident {
 	truth := label(id, TechSYNFlood)
 	n := int(pps * dur.Seconds())
 	gap := time.Duration(float64(time.Second) / pps)
-	for i := 0; i < n; i++ {
-		p := &packet.Packet{
-			Src: attacker, Dst: victim,
-			SrcPort: uint16(1024 + c.Rng.Intn(64000)), DstPort: 80,
-			Proto: packet.ProtoTCP, Flags: packet.SYN,
-		}
-		c.send(time.Duration(i)*gap, p, truth)
+	// Only the port draws happen at launch, in the order a send loop
+	// would make them; each SYN is built when it fires, with the Seq
+	// and the event key that sending it at launch would have given it.
+	ports := make([]uint16, max(n, 0))
+	for i := range ports {
+		ports[i] = uint16(1024 + c.Rng.Intn(64000))
 	}
+	seq := c.Seq.Reserve(len(ports))
+	simtime.NewSeries(c.Sim, c.Sim.Now(), gap, n, func(i int) {
+		c.Emit(&packet.Packet{
+			Seq: seq + uint64(i), Src: attacker, Dst: victim,
+			SrcPort: ports[i], DstPort: 80,
+			Proto: packet.ProtoTCP, Flags: packet.SYN, TTL: 64, Truth: truth,
+		})
+	})
 	return Incident{
 		ID: id, Technique: TechSYNFlood, Start: c.Sim.Now(),
 		Duration: dur, Packets: n, Attacker: attacker, Victim: victim,

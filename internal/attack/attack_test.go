@@ -2,6 +2,9 @@ package attack
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -250,20 +253,51 @@ func TestCampaignEmptyScenarios(t *testing.T) {
 	}
 }
 
+// standardCampaign spreads StandardScenarios(1) across 10 s on a fresh
+// Sim, ready to run.
+func standardCampaign(emit traffic.Emit) *simtime.Sim {
+	sim := simtime.New(4)
+	ctx := &Context{
+		Sim: sim, Rng: sim.Stream("attack"), Seq: &packet.SeqCounter{},
+		Eps: traffic.Endpoints{
+			External: []packet.Addr{packet.IPv4(203, 0, 1, 1)},
+			Cluster:  []packet.Addr{packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2)},
+		},
+		Emit: emit,
+	}
+	if err := NewCampaign(ctx).SpreadAcross(0, 10*time.Second, StandardScenarios(1)); err != nil {
+		panic(err)
+	}
+	return sim
+}
+
 func BenchmarkCampaignStandard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sim := simtime.New(4)
-		ctx := &Context{
-			Sim: sim, Rng: sim.Stream("attack"), Seq: &packet.SeqCounter{},
-			Eps: traffic.Endpoints{
-				External: []packet.Addr{packet.IPv4(203, 0, 1, 1)},
-				Cluster:  []packet.Addr{packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2)},
-			},
-			Emit: func(p *packet.Packet) {},
-		}
-		camp := NewCampaign(ctx)
-		camp.SpreadAcross(0, 10*time.Second, StandardScenarios(1))
-		sim.Run()
+		standardCampaign(func(p *packet.Packet) {}).Run()
+	}
+}
+
+// TestStandardCampaignStream pins the standard campaign's packet stream:
+// every emitted packet's emit time, identity, header and ground truth,
+// in emit order. Building a packet when it fires rather than at launch
+// must not move any of it.
+func TestStandardCampaignStream(t *testing.T) {
+	const (
+		wantPackets = 8330
+		wantDigest  = "55ef8826acc541ae0448dfa914d6865ecc492146ac80bdd3128287999a2e23da"
+	)
+	h := sha256.New()
+	n := 0
+	var sim *simtime.Sim
+	sim = standardCampaign(func(p *packet.Packet) {
+		n++
+		fmt.Fprintf(h, "%d %d %d>%d %d>%d %d %d %d %t %q %q %x\n",
+			sim.Now(), p.Seq, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto, p.Flags, p.TTL,
+			p.Truth.Malicious, p.Truth.AttackID, p.Truth.Technique, p.Payload)
+	})
+	sim.Run()
+	if got := hex.EncodeToString(h.Sum(nil)); n != wantPackets || got != wantDigest {
+		t.Fatalf("campaign emitted %d packets with digest %s, want %d with %s", n, got, wantPackets, wantDigest)
 	}
 }
 

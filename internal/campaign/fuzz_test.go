@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -73,6 +75,56 @@ func FuzzReplayJournal(f *testing.F) {
 				t.Fatalf("re-encoded %q replays to %+v (lines %d, valid %d, err %v), want %+v",
 					line, got, n, v, err, e)
 			}
+		}
+	})
+}
+
+// FuzzLoadPlan reads arbitrary bytes as a campaign's plan.json. Every
+// input must be rejected, by LoadPlan or by the loaded Spec's Plan, or
+// be one JSON value whose Spec survives a SavePlan → LoadPlan round
+// trip unchanged.
+func FuzzLoadPlan(f *testing.F) {
+	saved := f.TempDir()
+	if err := SavePlan(saved, &Spec{Name: "seed", Products: []string{"TrueSecure"}, Evals: true, SweepPoints: 3}); err != nil {
+		f.Fatal(err)
+	}
+	plan, err := os.ReadFile(planFile(saved))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		string(plan),
+		`{"name":"a","seed":3,"evals":true}{"name":"b","seed":9}`,
+		`{"name":"a","seed":3,"evals":true} garbage`,
+		`{"evals":true,"products":[],"traces":[]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(planFile(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := LoadPlan(dir)
+		if err != nil {
+			return
+		}
+		if _, err := spec.Plan(); err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("LoadPlan accepted %q, which is not one JSON value", data)
+		}
+		again := t.TempDir()
+		if err := SavePlan(again, spec); err != nil {
+			t.Fatalf("saving the plan loaded from %q: %v", data, err)
+		}
+		back, err := LoadPlan(again)
+		if err != nil {
+			t.Fatalf("reloading the plan loaded from %q: %v", data, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("%q loads as %+v but round-trips to %+v", data, spec, back)
 		}
 	})
 }

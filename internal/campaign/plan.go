@@ -200,7 +200,8 @@ func SavePlanFS(fsys fsio.FS, dir string, spec *Spec) error {
 	})
 }
 
-// LoadPlan reads the campaign's plan.json.
+// LoadPlan reads the campaign's plan.json, which must hold exactly one
+// JSON object; only whitespace may follow it.
 func LoadPlan(dir string) (*Spec, error) {
 	f, err := os.Open(planFile(dir))
 	if err != nil {
@@ -212,6 +213,16 @@ func LoadPlan(dir string) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("campaign: parsing %s: %w", planFile(dir), err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("campaign: parsing %s: trailing data after the plan", planFile(dir))
+	}
+	// An empty list means what an absent one does, and SavePlan writes
+	// neither; nil is the one form, so a plan equals its reload.
+	for _, l := range []*[]string{&spec.Products, &spec.FaultScenarios, &spec.Traces} {
+		if len(*l) == 0 {
+			*l = nil
+		}
 	}
 	spec.applyDefaults()
 	return &spec, nil

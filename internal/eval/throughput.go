@@ -134,10 +134,7 @@ func startProbe(ctx context.Context, spec products.Spec, opts ThroughputOptions,
 		n = 1
 	}
 	gap := time.Duration(float64(opts.Window) / float64(n))
-	feed := simtime.NewLane(sim, func(p *packet.Packet) { inst.Ingest(p) })
-	for i := 0; i < n; i++ {
-		feed.Push(time.Duration(i)*gap, pool[i%len(pool)])
-	}
+	simtime.NewSeries(sim, 0, gap, n, func(i int) { inst.Ingest(pool[i%len(pool)]) })
 	return sim, inst, nil
 }
 

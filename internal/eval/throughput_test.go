@@ -60,12 +60,28 @@ func TestMeasureThroughputInvertedBounds(t *testing.T) {
 	}
 }
 
+// pinnedThroughput holds MeasureThroughput's seed-11 results, exactly,
+// under the quick and the full probe window. How a probe schedules its
+// feed must not move any of them.
+var pinnedThroughput = map[string]ThroughputResult{
+	"quick/NetRecorder":  {Product: "NetRecorder", ZeroLossPps: 52146.07834875593, Indestructible: true, Probes: 8},
+	"quick/TrueSecure":   {Product: "TrueSecure", ZeroLossPps: 65536, Indestructible: true, Probes: 2},
+	"quick/StreamHunter": {Product: "StreamHunter", ZeroLossPps: 65536, Indestructible: true, Probes: 2},
+	"quick/AgentSwarm":   {Product: "AgentSwarm", ZeroLossPps: 38448.31242079346, Indestructible: true, Probes: 9},
+	"quick/FloorDropper": {Product: "FloorDropper", ZeroLossPps: 0, LethalPps: 1280, Probes: 4},
+	"full/NetRecorder":   {Product: "NetRecorder", ZeroLossPps: 45046.48232425811, LethalPps: 72074.37171881298, Probes: 9},
+	"full/TrueSecure":    {Product: "TrueSecure", ZeroLossPps: 89353.96781337826, LethalPps: 142966.3485014052, Probes: 9},
+	"full/StreamHunter":  {Product: "StreamHunter", ZeroLossPps: 262144, Indestructible: true, Probes: 2},
+	"full/AgentSwarm":    {Product: "AgentSwarm", ZeroLossPps: 30457.044845559078, LethalPps: 48731.27175289453, Probes: 9},
+	"full/FloorDropper":  {Product: "FloorDropper", ZeroLossPps: 0, LethalPps: 500, Probes: 2},
+}
+
 // TestDecidedProbeMatchesFullRun checks that a probe stopped at its
 // verdict answers as a run-to-completion probe would: for each product,
 // at rates on both sides of its zero-loss and lethal edges, under the
 // quick and the full probe window. At the zero-loss edge, which is also
 // the lethal ramp's first rate, MeasureThroughput's own conclusions
-// must match the full run.
+// must match the full run, and every result must match its pin.
 func TestDecidedProbeMatchesFullRun(t *testing.T) {
 	ctx := context.Background()
 	// floor drops even at LoPps, so the search's probe there stops at
@@ -92,6 +108,9 @@ func TestDecidedProbeMatchesFullRun(t *testing.T) {
 			res, err := MeasureThroughput(ctx, spec, w.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want := pinnedThroughput[w.name+"/"+spec.Name]; *res != want {
+				t.Errorf("%s %s: measured %+v, pinned %+v", w.name, spec.Name, *res, want)
 			}
 			edge := max(res.ZeroLossPps, opts.LoPps)
 			rates := []float64{edge, edge * 1.15}

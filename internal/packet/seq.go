@@ -13,3 +13,11 @@ func (c *SeqCounter) Next() uint64 {
 	c.n++
 	return c.n
 }
+
+// Reserve issues a block of n sequence numbers, as n calls to Next
+// would, and returns the first; the block is first..first+n-1.
+func (c *SeqCounter) Reserve(n int) (first uint64) {
+	first = c.n + 1
+	c.n += uint64(n)
+	return first
+}

@@ -3,8 +3,10 @@ package simtime
 import "fmt"
 
 // Lane is a FIFO of future events whose times never decrease: the shape
-// of every per-packet scheduler in the substrate (a session's planned
-// packets, a probe's feed, a switch's forwarding delay). Scheduling each
+// of most per-packet schedulers in the substrate (a session's planned
+// packets, a scenario's sends, a switch's forwarding delay). A source
+// whose items are evenly spaced and computable from their index uses a
+// series instead (see NewSeries), which stores no items. Scheduling each
 // item with ScheduleAt would put one heap entry and one closure per
 // item in flight; a lane keeps only its head in the Sim's heap, through
 // one slab slot the lane owns for the Sim's lifetime and re-pushes, and

@@ -14,13 +14,14 @@ type world interface {
 	now() Time
 	schedule(at Time, id int)
 	push(lane int, at Time, id int)
+	series(start, gap Time, n, first int)
 	cancel(id int) bool
 	run()
 }
 
-// program is a random mix of ScheduleAt, lane pushes and Cancel calls
-// (stale IDs included), where every executed event issues more of the
-// same. An event's follow-up work depends only on the seed and the
+// program is a random mix of ScheduleAt, lane pushes, series and Cancel
+// calls (stale IDs included), where every executed event issues more of
+// the same. An event's follow-up work depends only on the seed and the
 // event's id, so two worlds run the same program for as long as they
 // execute the same ids in the same order.
 type program struct {
@@ -51,7 +52,7 @@ func (r *splitmix) Intn(n int) int {
 
 func (p *program) ops(w world, r *splitmix, n int) {
 	for i := 0; i < n && p.issued < p.budget; i++ {
-		switch k := r.Intn(10); {
+		switch k := r.Intn(12); {
 		case k < 4:
 			id := p.issued
 			p.issued++
@@ -65,6 +66,17 @@ func (p *program) ops(w world, r *splitmix, n int) {
 			id := p.issued
 			p.issued++
 			w.push(j, at, id)
+		case k < 10:
+			// Series of 0, 1 and many items, starting now or soon,
+			// with gaps of 0 included.
+			n := r.Intn(3)
+			if n == 2 {
+				n += r.Intn(30)
+			}
+			start, gap := w.now()+Time(r.Intn(3)), Time(r.Intn(3))
+			id := p.issued
+			p.issued += n
+			w.series(start, gap, n, id)
 		default:
 			if len(p.sched) > 0 {
 				p.cancels = append(p.cancels, w.cancel(p.sched[r.Intn(len(p.sched))]))
@@ -113,9 +125,14 @@ func (w *kernelWorld) push(lane int, at Time, id int) { w.lanes[lane].Push(at, i
 func (w *kernelWorld) cancel(id int) bool             { return w.s.Cancel(w.ids[id]) }
 func (w *kernelWorld) run()                           { w.s.Run() }
 
+func (w *kernelWorld) series(start, gap Time, n, first int) {
+	NewSeries(w.s, start, gap, n, func(i int) { w.p.exec(w, first+i) })
+}
+
 // oracleWorld keeps every event ever issued and runs the pending one
 // with the least (at, seq) by linear scan. Lane items are plain events
-// whose seq is taken at push time.
+// whose seq is taken at push time; a series is n plain events whose
+// seqs are all taken when it is created.
 type oracleWorld struct {
 	p   *program
 	t   Time
@@ -138,6 +155,12 @@ func (w *oracleWorld) schedule(at Time, id int) {
 }
 
 func (w *oracleWorld) push(_ int, at Time, id int) { w.schedule(at, id) }
+
+func (w *oracleWorld) series(start, gap Time, n, first int) {
+	for i := 0; i < n; i++ {
+		w.schedule(start+Time(i)*gap, first+i)
+	}
+}
 
 func (w *oracleWorld) cancel(id int) bool {
 	e := &w.evs[id]
@@ -169,8 +192,9 @@ func (w *oracleWorld) run() {
 }
 
 // TestPropertyKernelMatchesOracle runs random programs on the kernel and
-// on a brute-force oracle that sorts every (at, seq): the executed ids,
-// every Cancel result, the final clock and Processed must all agree.
+// on a brute-force oracle that sorts every (at, seq), series included:
+// the executed ids, every Cancel result, the final clock and Processed
+// must all agree.
 func TestPropertyKernelMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		kp, op := newProgram(seed), newProgram(seed)
@@ -217,6 +241,47 @@ func TestLanePushOutOfOrderPanics(t *testing.T) {
 			}()
 			l.Push(tc.at, 1)
 		})
+	}
+}
+
+func TestSeriesPastStartOrNegativeGapPanics(t *testing.T) {
+	cases := []struct {
+		name       string
+		start, gap Time
+		want       []string
+	}{
+		{"start before now", 3, 1, []string{"start=3ns", "now=5ns"}},
+		{"negative gap", 5, -1, []string{"gap=-1ns"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			s.MustSchedule(5, func() {})
+			s.Run()
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Fatalf("panic %q does not name %q", msg, w)
+					}
+				}
+			}()
+			NewSeries(s, tc.start, tc.gap, 1, func(int) {})
+		})
+	}
+}
+
+// TestSeriesReturnsItsSlot runs one series after another; each must
+// give its slab slot back when its last item pops.
+func TestSeriesReturnsItsSlot(t *testing.T) {
+	s := New(1)
+	ran := 0
+	for n := 1; n <= 5; n++ {
+		NewSeries(s, s.Now(), 1, n, func(int) { ran++ })
+		s.Run()
+	}
+	if ran != 15 || len(s.slots) != 1 {
+		t.Fatalf("ran %d items over a slab of %d slots, want 15 over 1", ran, len(s.slots))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package simtime provides the deterministic discrete-event simulation
 // kernel that every substrate in this repository runs on: a virtual clock,
-// an event heap ordered by (time, sequence), lanes that feed it one
-// monotone event source at a time (see lane.go), and named deterministic
-// random streams.
+// an event heap ordered by (time, sequence), lanes and series that feed
+// it one monotone event source at a time (see lane.go and series.go), and
+// named deterministic random streams.
 //
 // Each Sim is deliberately single-threaded. Determinism is a design goal
 // of the evaluation methodology this repository reproduces — the paper's
@@ -59,7 +59,7 @@ type event struct {
 	fn   Handler
 	gen  uint64 // bumped when the slot is released
 	dead bool   // cancelled
-	keep bool   // owned by a Lane, which re-pushes it; never recycled
+	keep bool   // owned by a Lane or a series, which re-pushes it; release skips it
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It pins
@@ -86,9 +86,9 @@ type Sim struct {
 	// s.pending[:n]), which the compiler lowers to a length store; a
 	// local copy written back would store the array pointer too.
 	pending []entry
-	// slots is the handler slab that entries and lanes index. It grows,
-	// so a pointer into it must not be held across a call that can
-	// schedule.
+	// slots is the handler slab that entries, lanes and series index.
+	// It grows, so a pointer into it must not be held across a call that
+	// can schedule.
 	slots []event
 	// free recycles released slots for reuse by ScheduleAt; its size is
 	// bounded by the peak pending-event count.
@@ -255,7 +255,8 @@ func (s *Sim) ScheduleAt(at Time, fn Handler) (EventID, error) {
 // release returns a popped event's slot to the free list, retiring
 // every EventID issued for its current incarnation. It runs before the
 // event's handler, so an event is pending exactly while its ID's gen
-// matches. A lane's slot stays with its lane.
+// matches. A lane's slot stays with its lane, and a series' slot with
+// its series until the last item pops.
 func (s *Sim) release(i int32) {
 	e := &s.slots[i]
 	if e.keep {

@@ -309,6 +309,17 @@ func BenchmarkLaneRun(b *testing.B) {
 	}
 }
 
+// BenchmarkSeriesRun is BenchmarkLaneRun's 1000 items over the same
+// 97 ms as one series, which holds no per-item state.
+func BenchmarkSeriesRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(1)
+		NewSeries(s, 0, 97*time.Microsecond, 1000, func(int) {})
+		s.Run()
+	}
+}
+
 func TestMustSchedulePanicsOnNegative(t *testing.T) {
 	s := New(1)
 	defer func() {
