@@ -3,10 +3,12 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,6 +245,76 @@ func TestCrashResumeReportByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("result %s differs between clean and resumed runs", e.Name())
 		}
+	}
+}
+
+// TestResumeCutsJournalDamagedMidFile pins the journal's one recovery
+// rule: a line damaged mid-file ends the valid prefix like a torn tail,
+// so resume cuts the journal there, re-runs exactly the experiments the
+// cut lines recorded, and renders the uninterrupted report.
+func TestResumeCutsJournalDamagedMidFile(t *testing.T) {
+	spec := syntheticSpec(t, 3)
+	dir := t.TempDir()
+	if err := campaign.SavePlan(dir, spec); err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(dir, spec)
+	r.SetExecOverride(syntheticExec)
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := renderReport(t, dir)
+
+	path := filepath.Join(dir, "journal.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) != 7 { // six entries and the empty rest after the last newline
+		t.Fatalf("journal has %d lines, want 6 entries", len(lines)-1)
+	}
+	cutIDs := map[string]bool{}
+	for _, line := range lines[2:6] {
+		var e campaign.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		cutIDs[e.ID] = true
+	}
+	// Damage the third line in place: its length and newline stay, its
+	// JSON does not.
+	lines[2][0] = '#'
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rr := newRunner(dir, spec)
+	var mu sync.Mutex
+	reran := map[string]bool{}
+	rr.SetExecOverride(func(ctx context.Context, ex campaign.Experiment) (*campaign.Result, error) {
+		mu.Lock()
+		reran[ex.ID] = true
+		mu.Unlock()
+		return syntheticExec(ctx, ex)
+	})
+	out, err := rr.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Skipped != 2 || out.Completed != 4 || !reflect.DeepEqual(reran, cutIDs) {
+		t.Fatalf("resume skipped %d, completed %d, re-ran %v; want the 4 cut experiments %v",
+			out.Skipped, out.Completed, reran, cutIDs)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, bytes.Join(lines[:2], nil)) || bytes.Contains(after, lines[2]) {
+		t.Fatalf("journal after resume %q does not continue the valid prefix past the cut", after)
+	}
+	if got := renderReport(t, dir); got != want {
+		t.Fatalf("resumed report differs from uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -67,53 +66,31 @@ func resultFile(dir, id string) string {
 	return filepath.Join(resultsDir(dir), strings.ReplaceAll(id, "/", "_")+".json")
 }
 
-// ReplayJournal reads the journal (absent ⇒ empty) and returns the
-// last entry per experiment ID plus the total line count. A line is
-// committed with its newline: bytes after the last newline — the
-// signature of a kill mid-append — are a torn final line, ignored even
-// when they parse; an unparseable line before it is corruption and
-// errors.
+// ReplayJournal reads the journal (absent ⇒ empty) without writing to
+// it and returns the last entry per experiment ID plus the entry count
+// of its valid prefix (fsio.ReplayLog): replay stops at the first line
+// that lacks its newline or is neither blank nor an entry.
 func ReplayJournal(dir string) (map[string]Entry, int, error) {
-	last, lines, _, err := replayJournal(fsio.OS, dir)
-	return last, lines, err
+	last, lines := map[string]Entry{}, 0
+	if _, _, err := fsio.ReplayLog(fsio.OS, journalFile(dir), keepEntry(last, &lines)); err != nil {
+		return nil, 0, fmt.Errorf("campaign: %w", err)
+	}
+	return last, lines, nil
 }
 
-// replayJournal additionally returns the byte length of the journal's
-// valid prefix. When the file is longer than that prefix, the tail is
-// a torn final append: before reopening the journal for append the
-// runner truncates to the valid length, otherwise the next line would
-// concatenate onto the torn fragment and corrupt the journal for the
-// replay after this one.
-func replayJournal(fsys fsio.FS, dir string) (map[string]Entry, int, int64, error) {
-	data, err := fsys.ReadFile(journalFile(dir))
-	if os.IsNotExist(err) {
-		return map[string]Entry{}, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("campaign: %w", err)
-	}
-
-	last := map[string]Entry{}
-	lines, offset := 0, 0
-	for {
-		// A torn last append has no newline. Kept, it would be joined by
-		// the next append into one unparseable line, so it is left out
-		// of the valid prefix even when its bytes happen to parse.
-		i := bytes.IndexByte(data[offset:], '\n')
-		if i < 0 {
-			break
-		}
-		raw := data[offset : offset+i]
-		offset += i + 1
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
+// keepEntry is the journal's line check: it keeps a blank line, and an
+// entry line after recording it in last and counting it in lines.
+func keepEntry(last map[string]Entry, lines *int) func([]byte) bool {
+	return func(line []byte) bool {
+		if len(bytes.TrimSpace(line)) == 0 {
+			return true
 		}
 		var e Entry
-		if err := json.Unmarshal(raw, &e); err != nil || e.ID == "" {
-			return nil, 0, 0, fmt.Errorf("campaign: journal %s: torn line %d is not final — journal corrupt", journalFile(dir), lines+1)
+		if json.Unmarshal(line, &e) != nil || e.ID == "" {
+			return false
 		}
 		last[e.ID] = e
-		lines++
+		*lines++
+		return true
 	}
-	return last, lines, int64(offset), nil
 }

@@ -65,13 +65,22 @@ func TestReplayJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// A torn line before the tail ends the valid prefix as a torn tail
+// does: it and every line after it are not replayed, and there is no
+// error. The runner cuts them and re-runs what they recorded
+// (TestResumeCutsJournalDamagedMidFile).
 func TestReplayJournalRejectsTornMiddle(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir,
-		`{"id":"a","status":"do`+"\n"+
-			`{"id":"b","status":"done"}`+"\n")
-	if _, _, err := ReplayJournal(dir); err == nil {
-		t.Fatal("a torn non-final line is corruption and must error")
+		`{"id":"a","status":"done"}`+"\n"+
+			`{"id":"b","status":"do`+"\n"+
+			`{"id":"c","status":"done"}`+"\n")
+	got, n, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatalf("a torn middle line must be cut, not reported: %v", err)
+	}
+	if n != 1 || len(got) != 1 || got["a"].Status != StatusDone {
+		t.Fatalf("replayed %d entries %+v; want only a, before the torn line", n, got)
 	}
 }
 

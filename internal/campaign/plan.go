@@ -16,10 +16,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -202,14 +202,15 @@ func SavePlanFS(fsys fsio.FS, dir string, spec *Spec) error {
 
 // LoadPlan reads the campaign's plan.json, which must hold exactly one
 // JSON object; only whitespace may follow it.
-func LoadPlan(dir string) (*Spec, error) {
-	f, err := os.Open(planFile(dir))
+func LoadPlan(dir string) (*Spec, error) { return loadPlanFS(fsio.OS, dir) }
+
+func loadPlanFS(fsys fsio.FS, dir string) (*Spec, error) {
+	data, err := fsys.ReadFile(planFile(dir))
 	if err != nil {
 		return nil, fmt.Errorf("campaign: no plan in %s (run `campaign plan` first): %w", dir, err)
 	}
-	defer f.Close()
 	var spec Spec
-	dec := json.NewDecoder(f)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("campaign: parsing %s: %w", planFile(dir), err)

@@ -60,8 +60,8 @@ type Runner struct {
 	// the daemon's live /metrics feed for matrix evaluations. Must be
 	// safe for concurrent use.
 	OnEvalSnapshot func(product string, snap *obs.Snapshot)
-	// FS is the storage seam every durability-bearing write goes
-	// through (journal appends, result files, the torn-tail truncate).
+	// FS is the storage seam every durability-bearing write and every
+	// recovery read goes through (plan, journal, result files).
 	// nil means the real filesystem; cmd/crashtorture substitutes a
 	// fault-injecting one.
 	FS fsio.FS
@@ -205,8 +205,9 @@ func (r *Runner) logf(format string, args ...any) {
 // their siblings; Run reports them in the outcome and error.
 func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	r.applyDefaults()
+	fsys := fsio.DefaultFS(r.FS)
 	if r.Spec == nil {
-		spec, err := LoadPlan(r.Dir)
+		spec, err := loadPlanFS(fsys, r.Dir)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +217,6 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	fsys := fsio.DefaultFS(r.FS)
 	if err := fsys.MkdirAll(resultsDir(r.Dir), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -226,17 +226,15 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	if n := fsio.CleanStrayTemps(fsys, r.Dir) + fsio.CleanStrayTemps(fsys, resultsDir(r.Dir)); n > 0 {
 		r.logf("campaign: removed %d stray temp file(s) left by an earlier crash", n)
 	}
-	done, _, valid, err := replayJournal(fsys, r.Dir)
+	done := map[string]Entry{}
+	jf, cut, err := fsio.OpenLog(fsys, journalFile(r.Dir), keepEntry(done, new(int)))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	// A torn final append (kill -9 mid-write) leaves a fragment with no
-	// trailing newline; truncate it so the next append starts a fresh
-	// line instead of concatenating into corruption.
-	if fi, serr := fsys.Stat(journalFile(r.Dir)); serr == nil && fi.Size() > valid {
-		if terr := fsys.Truncate(journalFile(r.Dir), valid); terr != nil {
-			return nil, fmt.Errorf("campaign: truncating torn journal tail: %w", terr)
-		}
+	r.journal = jf
+	defer jf.Close()
+	if cut > 0 {
+		r.logf("campaign: cut %d journal byte(s) after its valid prefix; what they recorded re-runs", cut)
 	}
 
 	out := &Outcome{Planned: len(exps)}
@@ -272,13 +270,6 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	if len(pending) == 0 {
 		return out, nil
 	}
-
-	jf, err := fsio.OpenAppendFS(fsys, journalFile(r.Dir))
-	if err != nil {
-		return nil, err
-	}
-	r.journal = jf
-	defer jf.Close()
 
 	// stop cancels the remaining experiments without marking the parent
 	// ctx — used by MaxNew and the crash hook.

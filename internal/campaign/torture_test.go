@@ -5,14 +5,18 @@ package campaign_test
 // by its exact deterministic fault schedule.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fsio"
 	"repro/internal/fsio/faultfs"
 )
 
@@ -148,6 +152,105 @@ func TestResumeSweepsStrayResultTemp(t *testing.T) {
 	if _, err := campaign.Load(dir); err != nil {
 		t.Fatalf("campaign unloadable after resume: %v", err)
 	}
+}
+
+// serialRunner runs spec with one worker and synthetic experiments, so
+// the operations it performs come in one fixed order.
+func serialRunner(dir string, spec *campaign.Spec, fs fsio.FS) *campaign.Runner {
+	return &campaign.Runner{
+		Dir: dir, Spec: spec, FS: fs, Workers: 1,
+		MaxAttempts: 1, Backoff: time.Millisecond, StallTimeout: -1,
+		Exec: syntheticExec,
+	}
+}
+
+// crashMidJournalAppend plans spec in a fresh directory and runs it into
+// one crashed state: the first result commit fails at its rename and
+// cannot remove its temp file, and the power is cut halfway through the
+// third journal append. The journal ends in a torn line; results/ holds
+// a stray temp.
+func crashMidJournalAppend(t *testing.T, spec *campaign.Spec) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := campaign.SavePlan(dir, spec); err != nil {
+		t.Fatal(err)
+	}
+	ffs := faultfs.New(
+		faultfs.Rule{Op: faultfs.OpRename, Path: "results/", Err: syscall.ENOSPC},
+		faultfs.Rule{Op: faultfs.OpRemove, Path: "results/", Err: syscall.EIO},
+		faultfs.Rule{Op: faultfs.OpWrite, Path: "journal.jsonl", N: 3, Crash: true, Partial: -1},
+	)
+	if _, err := serialRunner(dir, spec, ffs).Run(context.Background()); err == nil || !ffs.Crashed() {
+		t.Fatalf("schedule did not crash the run (err %v)", err)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(journal, []byte("\n")) != 2 || bytes.HasSuffix(journal, []byte("\n")) || !hasStray(t, filepath.Join(dir, "results")) {
+		t.Fatalf("crashed state drifted: want two journal lines and a torn third beside a stray result temp, journal %q", journal)
+	}
+	return dir
+}
+
+// TestCrashDuringResumeConverges crashes the campaign's recovery
+// itself. From one crashed state (a torn journal append and a stray
+// result temp) it records the resume's operation trace, then crashes
+// the resume at each operation, before it and, for a rename or remove,
+// after it too. A second resume on the real filesystem must still give
+// the uninterrupted run's report and result files, byte for byte.
+func TestCrashDuringResumeConverges(t *testing.T) {
+	spec := syntheticSpec(t, 3)
+	clean := t.TempDir()
+	if err := campaign.SavePlan(clean, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serialRunner(clean, spec, nil).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want, wantResults := renderReport(t, clean), readTree(t, filepath.Join(clean, "results"))
+
+	probe := faultfs.New()
+	if _, err := serialRunner(crashMidJournalAppend(t, spec), spec, probe).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range faultfs.CrashPoints(probe.Trace()) {
+		t.Run(p.Label, func(t *testing.T) {
+			dir := crashMidJournalAppend(t, spec)
+			ffs := faultfs.New(p.Rule)
+			serialRunner(dir, spec, ffs).Run(context.Background())
+			if !ffs.Crashed() {
+				t.Fatal("the resume never reached the operation")
+			}
+			if _, err := serialRunner(dir, spec, nil).Run(context.Background()); err != nil {
+				t.Fatalf("resume after the crashed resume: %v", err)
+			}
+			if got := renderReport(t, dir); got != want {
+				t.Fatalf("report differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+			if got := readTree(t, filepath.Join(dir, "results")); !reflect.DeepEqual(got, wantResults) {
+				t.Fatalf("result files differ from the uninterrupted run: %d files, want %d", len(got), len(wantResults))
+			}
+		})
+	}
+}
+
+// readTree maps every file name in dir to its contents.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
 }
 
 func hasStray(t *testing.T, dir string) bool {

@@ -125,6 +125,37 @@ func New(rules ...Rule) *FS {
 	return f
 }
 
+// CrashPoint is one schedule that crash-stops a replay of a recorded
+// trace at one of its operations.
+type CrashPoint struct {
+	// Label names the operation by class and 1-based occurrence, and
+	// the crash's timing: "truncate#1:crash", "rename#2:crash-after".
+	Label string
+	Rule  Rule
+}
+
+// CrashPoints returns, in trace order, a crash before every operation
+// of trace and, for a rename or remove, a crash after it applied too.
+// Each rule picks its operation by class and occurrence, so it fires at
+// the same operation of any replay that performs the same operations.
+func CrashPoints(trace []Record) []CrashPoint {
+	occ := map[Op]int{}
+	var out []CrashPoint
+	for _, rec := range trace {
+		occ[rec.Op]++
+		r := Rule{Op: rec.Op, N: occ[rec.Op], Crash: true}
+		label := fmt.Sprintf("%s#%d:", rec.Op, r.N)
+		if rec.Op != OpRename && rec.Op != OpRemove {
+			out = append(out, CrashPoint{label + "crash", r})
+			continue
+		}
+		out = append(out, CrashPoint{label + "crash-before", r})
+		r.After = true
+		out = append(out, CrashPoint{label + "crash-after", r})
+	}
+	return out
+}
+
 // Injected reports how many scheduled faults have fired.
 func (f *FS) Injected() int {
 	f.mu.Lock()

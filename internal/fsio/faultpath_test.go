@@ -9,6 +9,7 @@ package fsio_test
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,5 +134,33 @@ func TestAppendPoisonedAfterFailedRepair(t *testing.T) {
 	}
 	if err := af.Append([]byte("next\n")); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("poisoned file must refuse appends, got: %v", err)
+	}
+}
+
+// statEIO is a hostile disk whose Stat fails with EIO.
+type statEIO struct{ *faultfs.FS }
+
+func (statEIO) Stat(string) (fs.FileInfo, error) { return nil, syscall.EIO }
+
+// TestOpenAppendStatFailureKeepsRecords pins the durable watermark: an
+// append file whose size cannot be read must not open, because a
+// watermark guessed at 0 lets the next failed append's repair truncate
+// away every record already on disk.
+func TestOpenAppendStatFailureKeepsRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.log")
+	const records = "{\"id\":1}\n{\"id\":22}\n"
+	if err := os.WriteFile(path, []byte(records), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	af, err := fsio.OpenAppendFS(statEIO{faultfs.New(faultfs.Rule{Op: faultfs.OpWrite, Err: syscall.ENOSPC})}, path)
+	if err == nil {
+		af.Append([]byte("{\"id\":3}\n")) // fails with ENOSPC and repairs
+		af.Close()
+		t.Error("opened an append file whose size could not be read")
+	} else if !errors.Is(err, syscall.EIO) {
+		t.Errorf("err = %v, want the Stat's EIO", err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != records {
+		t.Fatalf("records %q became %q", records, b)
 	}
 }

@@ -1,6 +1,7 @@
 // Package fsio is the harness's crash-safe file I/O: atomic whole-file
-// writes (temp file in the same directory, fsync, rename) and durable
-// appends for the campaign journal. Every file the harness produces —
+// writes (temp file in the same directory, fsync, rename), durable
+// appends, and the log (OpenLog) under the campaign journal and
+// idsevald's ack journal. Every file the harness produces —
 // checkpoint results, telemetry exports, CSV series, recorded traces —
 // goes through this package so that a crash or kill at any instant
 // leaves either the previous complete file or the new complete file,
@@ -16,13 +17,16 @@
 // passthrough costs nothing, and fsio/faultfs substitutes a hostile
 // disk so cmd/crashtorture can prove the recovery paths instead of
 // presuming them. The package-level helpers (WriteAtomic, Create,
-// OpenAppend, SyncDir) are OS-bound conveniences; the *FS variants take
-// the seam explicitly.
+// OpenAppend) are OS-bound conveniences; the *FS variants take the
+// seam explicitly.
 package fsio
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"strings"
 )
@@ -156,8 +160,8 @@ func (a *AtomicFile) Abort() {
 
 // AppendFile is an append-only file whose writes are individually
 // durable: each Append writes one buffer and fsyncs before returning.
-// This is the campaign journal's commit discipline — an experiment is
-// "done" exactly when its journal line has reached the disk.
+// This is the logs' commit discipline — an experiment is "done", and a
+// chunk acked, exactly when its line has reached the disk.
 //
 // A failed append repairs itself: the partial record (short write, or
 // a full write whose fsync failed) is truncated away so the file ends
@@ -170,10 +174,8 @@ type AppendFile struct {
 	f    File
 	path string
 	// good is the byte offset of the last record boundary known to be
-	// durable; size is the current write offset (== good between calls
-	// unless a repair failed).
+	// durable: the file's size between calls, unless a repair failed.
 	good   int64
-	size   int64
 	broken error
 }
 
@@ -188,11 +190,14 @@ func OpenAppendFS(fsys FS, path string) (*AppendFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fsio: %w", err)
 	}
-	size := int64(0)
-	if fi, serr := fsys.Stat(path); serr == nil {
-		size = fi.Size()
+	// The size is the watermark a failed append repairs back to; a
+	// guessed 0 would let that repair erase every record on disk.
+	fi, err := fsys.Stat(path)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("fsio: %w", err)
 	}
-	return &AppendFile{f: f, path: path, good: size, size: size}, nil
+	return &AppendFile{f: f, path: path, good: fi.Size()}, nil
 }
 
 // Append writes p and fsyncs. On failure the file is truncated back to
@@ -203,7 +208,6 @@ func (a *AppendFile) Append(p []byte) error {
 		return fmt.Errorf("fsio: append %s: file poisoned by earlier unrepaired failure: %w", a.path, a.broken)
 	}
 	n, err := a.f.Write(p)
-	a.size += int64(n)
 	if err == nil && n < len(p) {
 		err = io.ErrShortWrite
 	}
@@ -213,7 +217,7 @@ func (a *AppendFile) Append(p []byte) error {
 	if err := a.f.Sync(); err != nil {
 		return a.repair(fmt.Errorf("fsio: sync %s: %w", a.path, err))
 	}
-	a.good = a.size
+	a.good += int64(n)
 	return nil
 }
 
@@ -224,38 +228,66 @@ func (a *AppendFile) repair(cause error) error {
 		a.broken = fmt.Errorf("%w (and truncate-repair to %d failed: %v)", cause, a.good, terr)
 		return a.broken
 	}
-	a.size = a.good
 	noteAppendRepair()
 	return cause
 }
 
-// Sync fsyncs the file — the escape hatch for callers that batch
-// several writes between durability points.
-func (a *AppendFile) Sync() error {
-	if a.broken != nil {
-		return a.broken
-	}
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("fsio: sync %s: %w", a.path, err)
-	}
-	a.good = a.size
-	return nil
-}
-
-// Close fsyncs and closes the underlying file, so the final append of
-// a clean shutdown is durable even if a future caller batched it.
+// Close fsyncs and closes the underlying file, which gives the last
+// append of a clean shutdown one more fsync in case its own lied.
 // Returns the first error; the close always runs.
 func (a *AppendFile) Close() error {
 	var serr error
 	if a.broken == nil {
 		if err := a.f.Sync(); err != nil {
 			serr = fmt.Errorf("fsio: sync %s at close: %w", a.path, err)
-		} else {
-			a.good = a.size
 		}
 	}
 	if cerr := a.f.Close(); cerr != nil && serr == nil {
 		serr = cerr
 	}
 	return serr
+}
+
+// ReplayLog reads the newline-committed log at path without writing to
+// it and hands each line of its valid prefix, without the newline, to
+// keep, which must not retain it. The prefix ends at the first line
+// that lacks its newline (a crash mid-append) or that keep refuses.
+// ReplayLog returns the prefix's length and the file's; an absent file
+// is an empty log.
+func ReplayLog(fsys FS, path string, keep func(line []byte) bool) (valid, size int64, err error) {
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("fsio: %w", err)
+	}
+	for {
+		i := bytes.IndexByte(data[valid:], '\n')
+		if i < 0 || !keep(data[valid:valid+int64(i)]) {
+			return valid, int64(len(data)), nil
+		}
+		valid += int64(i) + 1
+	}
+}
+
+// OpenLog recovers the log at path and opens it for durable appends:
+// it replays the valid prefix through keep (see ReplayLog), cuts the
+// file after it so the next record starts a line of its own, and
+// returns the appender with the number of bytes cut. The cut repeats
+// work, since what a cut line recorded is done again, but loses no
+// committed output. Refusing to open would not do: after a lying fsync
+// a log can end in a complete line that keep must refuse.
+func OpenLog(fsys FS, path string, keep func(line []byte) bool) (*AppendFile, int64, error) {
+	valid, size, err := ReplayLog(fsys, path, keep)
+	if err != nil {
+		return nil, 0, err
+	}
+	if size > valid {
+		if err := fsys.Truncate(path, valid); err != nil {
+			return nil, 0, fmt.Errorf("fsio: cutting %s after its valid prefix: %w", path, err)
+		}
+	}
+	a, err := OpenAppendFS(fsys, path)
+	return a, size - valid, err
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/fsio"
 )
 
-// FuzzRecoverAcks drives ack-journal recovery over arbitrary journal
-// bytes and spool lengths. Recovery must never fail on what it finds:
-// it cuts the journal back to a newline-terminated prefix of its input
-// and the spool to the bytes that prefix acknowledges, and running it
-// again on its own result changes nothing.
+// FuzzRecoverAcks drives the recovery of a half-uploaded stream over
+// arbitrary ack-journal bytes and spool lengths. The journal's own
+// recovery rule is FuzzLog's (internal/fsio); here recovery must never
+// fail on what it finds, must cut the spool to exactly the bytes the
+// kept acks cover, and must change nothing when run again.
 func FuzzRecoverAcks(f *testing.F) {
 	for _, s := range []struct {
 		journal  string
@@ -41,17 +41,7 @@ func FuzzRecoverAcks(f *testing.F) {
 		if err := os.WriteFile(ackPath, journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		chunks, n, err := recoverAcks(fsio.OS, dir)
-		if err != nil {
-			t.Fatalf("recovering journal %q over a %d-byte spool: %v", journal, spoolLen, err)
-		}
-		left, err := os.ReadFile(ackPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(journal, left) || (len(left) > 0 && left[len(left)-1] != '\n') {
-			t.Fatalf("journal %q recovered to %q, not a newline-terminated prefix", journal, left)
-		}
+		chunks, n := reopenStream(t, dir)
 		if n < 0 || n > int64(spoolLen) {
 			t.Fatalf("recovered %d spool bytes of %d", n, spoolLen)
 		}
@@ -62,9 +52,30 @@ func FuzzRecoverAcks(f *testing.F) {
 		if fi.Size() != n {
 			t.Fatalf("spool left at %d bytes, recovery reported %d", fi.Size(), n)
 		}
-		againChunks, againN, err := recoverAcks(fsio.OS, dir)
-		if err != nil || againChunks != chunks || againN != n {
-			t.Fatalf("second recovery: (%d, %d, %v), first (%d, %d)", againChunks, againN, err, chunks, n)
+		acks, err := os.ReadFile(ackPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		againChunks, againN := reopenStream(t, dir)
+		again, err := os.ReadFile(ackPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if againChunks != chunks || againN != n || !bytes.Equal(again, acks) {
+			t.Fatalf("second recovery: %d chunks, %d bytes, journal %q; first %d, %d, %q",
+				againChunks, againN, again, chunks, n, acks)
 		}
 	})
+}
+
+// reopenStream recovers the half-uploaded stream in dir and closes its
+// files, returning the acked chunks and spool bytes.
+func reopenStream(t *testing.T, dir string) (uint64, int64) {
+	t.Helper()
+	st := &stream{dir: dir}
+	if err := st.reopen(fsio.OS); err != nil {
+		t.Fatalf("recovering %s: %v", dir, err)
+	}
+	st.closeFiles()
+	return st.chunks, st.bytes
 }

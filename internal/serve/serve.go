@@ -15,11 +15,11 @@
 //
 //   - Ack-is-durable. A chunk is acked only after its payload is
 //     appended to the stream's spool and fsynced AND its ack-journal
-//     line is appended and fsynced, in that order. A restart replays
-//     the ack journal's valid prefix (tolerating a torn tail and a
-//     spool that ran ahead of the journal), so the Hello response's
-//     "next" ordinal tells the client exactly where to resume — acked
-//     work is never re-uploaded and never lost.
+//     line is appended and fsynced, in that order. A restart opens the
+//     ack journal as an fsio log, whose valid prefix is the acked
+//     chunks, and cuts the journal and spool after them, so the Hello
+//     response's "next" ordinal tells the client exactly where to
+//     resume — acked work is never re-uploaded and never lost.
 //
 //   - Byte-identical recovery. Accepted streams are evaluated through
 //     internal/campaign, whose journal line is the commit point; a
@@ -98,10 +98,10 @@ type Config struct {
 	Obs *obs.Registry
 	// Log, when set, receives operational lines (never protocol data).
 	Log io.Writer
-	// FS is the storage seam every durability-bearing write goes
-	// through: spool appends, the ack journal, finish.json, tombstones,
-	// and the campaign files beneath. nil means the real filesystem;
-	// cmd/crashtorture substitutes a fault-injecting one.
+	// FS is the storage seam every durability-bearing write and every
+	// recovery read goes through: spool appends, the ack journal, the
+	// state records, and the campaign files beneath. nil means the real
+	// filesystem; cmd/crashtorture substitutes a fault-injecting one.
 	FS fsio.FS
 }
 

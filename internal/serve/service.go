@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -81,6 +82,9 @@ func Open(cfg Config) (*Service, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	if err := s.recover(); err != nil {
+		for _, st := range s.streams {
+			st.closeFiles()
+		}
 		return nil, err
 	}
 	for i := 0; i < cfg.EvalWorkers; i++ {
@@ -111,6 +115,21 @@ func (s *Service) recover() error {
 		}
 		name := ent.Name()
 		dir := filepath.Join(root, name)
+		st := &stream{name: name, dir: dir, ledger: s.ledger, spoolAcct: &s.spoolBytes, lastActive: time.Now()}
+		var shed shedRecord
+		var fin finishRecord
+		var fail failRecord
+		var rerr error
+		read := func(file string, v any) bool {
+			ok, err := readRecord(s.fs, st.path(file), v)
+			rerr = cmp.Or(rerr, err)
+			return ok
+		}
+		hasMeta, isShed, isFailed, scored, finished := read(metaFile, &st.meta), read(shedFile, &shed),
+			read(failedFile, &fail), read(scorecardFile, nil), read(finishFile, &fin)
+		if rerr != nil {
+			return fmt.Errorf("serve: recovering stream %s: %w", name, rerr)
+		}
 		// A crash mid-commit (meta, finish, tombstone, plan, scorecard)
 		// strands the atomic write's temp file; sweep the directories
 		// this service owns before interpreting what's left.
@@ -119,20 +138,16 @@ func (s *Service) recover() error {
 			fsio.CleanStrayTemps(s.fs, filepath.Join(dir, campaignDir, "results")); n > 0 {
 			s.cfg.logf("serve: stream %s: removed %d stray temp file(s) left by an earlier crash", name, n)
 		}
-		st := &stream{name: name, dir: dir, ledger: s.ledger, spoolAcct: &s.spoolBytes, lastActive: time.Now()}
-		if err := readJSONFile(st.path(metaFile), &st.meta); err != nil {
+		if !hasMeta {
 			// Crash between mkdir and the atomic meta write: nothing was
 			// ever acked under this name, so the empty husk is removable.
-			s.cfg.logf("serve: removing meta-less stream dir %s: %v", name, err)
+			s.cfg.logf("serve: removing meta-less stream dir %s", name)
 			s.fs.RemoveAll(dir)
 			continue
 		}
 
-		var shed shedRecord
-		var fin finishRecord
-		var fail failRecord
 		switch {
-		case readJSONFile(st.path(shedFile), &shed) == nil:
+		case isShed:
 			st.state = StateShed
 			st.chunks = shed.Chunks
 			st.reason = string(shed.Reason)
@@ -140,23 +155,21 @@ func (s *Service) recover() error {
 			// The shed commit point is the tombstone; a crash between it
 			// and the removals leaves the dead spool and ack journal
 			// behind. Finish the job — they hold disk, not budget.
-			if fileExists(st.path(spoolFile)) || fileExists(st.path(ackFile)) {
-				s.fs.Remove(st.path(spoolFile))
-				s.fs.Remove(st.path(ackFile))
+			if errSpool, errAcks := s.fs.Remove(st.path(spoolFile)), s.fs.Remove(st.path(ackFile)); errSpool == nil || errAcks == nil {
 				s.cfg.logf("serve: stream %s: removed spool left behind by interrupted shed", name)
 			}
-		case readJSONFile(st.path(failedFile), &fail) == nil:
+		case isFailed:
 			st.state = StateFailed
 			st.chunks = fail.Chunks
 			st.reason = fail.Error
 			s.ledger.Restore(fail.Chunks, false, true, "")
-		case fileExists(st.path(scorecardFile)):
+		case scored:
 			st.state = StateDone
-			if readJSONFile(st.path(finishFile), &fin) == nil {
+			if finished {
 				st.chunks, st.bytes = fin.Chunks, fin.Bytes
 			}
 			s.ledger.Restore(st.chunks, false, true, "")
-		case readJSONFile(st.path(finishFile), &fin) == nil:
+		case finished:
 			// Delivered but not (fully) evaluated: re-enter the queue.
 			// Recovery bypasses QueueDepth — these chunks were already
 			// admitted and acked; refusing them now would break the
@@ -166,38 +179,20 @@ func (s *Service) recover() error {
 			s.ledger.Restore(fin.Chunks, false, true, "")
 			s.queue = append(s.queue, st)
 		default:
-			// Mid-upload: replay the ack journal's valid prefix and
-			// reopen for appends at the recovered offset.
-			chunks, bytes, rerr := recoverAcks(s.fs, dir)
-			if rerr != nil {
-				return rerr
-			}
-			spool, oerr := fsio.OpenAppendFS(s.fs, st.path(spoolFile))
-			if oerr != nil {
-				return oerr
-			}
-			acks, oerr := fsio.OpenAppendFS(s.fs, st.path(ackFile))
-			if oerr != nil {
-				spool.Close()
-				return oerr
+			// Mid-upload: reopen exactly after the last acked chunk.
+			if err := st.reopen(s.fs); err != nil {
+				return fmt.Errorf("serve: recovering stream %s: %w", name, err)
 			}
 			st.state = StateOpen
-			st.chunks, st.bytes = chunks, bytes
-			st.spool, st.acks = spool, acks
-			s.ledger.Restore(chunks, true, false, "")
-			s.spoolBytes.Add(bytes)
-			s.cfg.logf("serve: recovered open stream %s at chunk %d (%d bytes)", name, chunks, bytes)
+			s.ledger.Restore(st.chunks, true, false, "")
+			s.spoolBytes.Add(st.bytes)
+			s.cfg.logf("serve: recovered open stream %s at chunk %d (%d bytes)", name, st.chunks, st.bytes)
 		}
 		s.streams[name] = st
 	}
 	// Deterministic queue order after a restart.
 	sort.Slice(s.queue, func(i, j int) bool { return s.queue[i].name < s.queue[j].name })
 	return nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // HelloInfo is the server's answer to a stream Hello.

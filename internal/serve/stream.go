@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -310,66 +312,63 @@ func writeJSONFile(fsys fsio.FS, path string, v any) error {
 	})
 }
 
-func readJSONFile(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// readRecord reports whether path holds a state record and decodes it
+// into v (nil: only whether the file exists). A missing file is absent,
+// and so is a record that does not parse, which a lying fsync can leave
+// at a final path; any other read error is returned.
+func readRecord(fsys fsio.FS, path string, v any) (bool, error) {
+	var data []byte
+	var err error
+	if v == nil {
+		_, err = fsys.Stat(path)
+	} else {
+		data, err = fsys.ReadFile(path)
 	}
-	return json.Unmarshal(data, v)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	return err == nil && (v == nil || json.Unmarshal(data, v) == nil), err
 }
 
-// recoverAcks replays the ack journal's valid prefix against the spool
-// after a crash: entries must be sequential from 0 and covered by
-// spooled bytes. Both files are truncated to the recovered prefix —
-// the journal to drop a torn tail, the spool to drop bytes whose ack
-// line never committed. Returns the recovered chunk count and spool
-// length. Missing files mean an empty stream.
-func recoverAcks(fsys fsio.FS, dir string) (chunks uint64, bytes int64, err error) {
-	spoolPath := filepath.Join(dir, spoolFile)
-	ackPath := filepath.Join(dir, ackFile)
+// reopen recovers a half-uploaded stream and opens its spool and ack
+// journal for appends. The ack journal is an fsio log whose lines must
+// run in order from ordinal 0 and be covered by spooled bytes: its
+// valid prefix is the stream's acked chunks, and the spool is cut to
+// the bytes they cover, since a crash between the two fsyncs leaves it
+// ahead of the journal. Missing files mean an empty stream.
+func (st *stream) reopen(fsys fsio.FS) error {
 	var spoolSize int64
-	if fi, serr := fsys.Stat(spoolPath); serr == nil {
+	if fi, err := fsys.Stat(st.path(spoolFile)); err == nil {
 		spoolSize = fi.Size()
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	data, rerr := fsys.ReadFile(ackPath)
-	if rerr != nil && !os.IsNotExist(rerr) {
-		return 0, 0, fmt.Errorf("serve: reading ack journal: %w", rerr)
-	}
-
-	var validLen int // byte length of the valid journal prefix
-	for off := 0; off < len(data); {
-		nl := -1
-		for i := off; i < len(data); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // torn final line
-		}
+	acks, _, err := fsio.OpenLog(fsys, st.path(ackFile), func(line []byte) bool {
 		var e ackEntry
 		// Compare against the spool bytes left rather than summing: a
 		// huge journaled length would overflow the sum.
-		if json.Unmarshal(data[off:nl], &e) != nil ||
-			uint64(e.Ord) != chunks || e.Len < 0 || int64(e.Len) > spoolSize-bytes {
-			break
+		if json.Unmarshal(line, &e) != nil || uint64(e.Ord) != st.chunks ||
+			e.Len < 0 || int64(e.Len) > spoolSize-st.bytes {
+			return false
 		}
-		chunks++
-		bytes += int64(e.Len)
-		validLen = nl + 1
-		off = nl + 1
+		st.chunks++
+		st.bytes += int64(e.Len)
+		return true
+	})
+	if err != nil {
+		return err
 	}
-
-	if int64(validLen) < int64(len(data)) {
-		if err := fsys.Truncate(ackPath, int64(validLen)); err != nil {
-			return 0, 0, fmt.Errorf("serve: truncating torn ack journal: %w", err)
-		}
-	}
-	if bytes < spoolSize {
-		if err := fsys.Truncate(spoolPath, bytes); err != nil {
-			return 0, 0, fmt.Errorf("serve: truncating unjournaled spool tail: %w", err)
+	if st.bytes < spoolSize {
+		if err := fsys.Truncate(st.path(spoolFile), st.bytes); err != nil {
+			acks.Close()
+			return fmt.Errorf("cutting the spool after its acked bytes: %w", err)
 		}
 	}
-	return chunks, bytes, nil
+	spool, err := fsio.OpenAppendFS(fsys, st.path(spoolFile))
+	if err != nil {
+		acks.Close()
+		return err
+	}
+	st.spool, st.acks = spool, acks
+	return nil
 }

@@ -17,13 +17,17 @@ package serve_test
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/fsio"
 	"repro/internal/fsio/faultfs"
 	"repro/internal/serve"
 )
@@ -259,6 +263,154 @@ func TestRecoverySweepsStrayCommitTemps(t *testing.T) {
 	if info.State != serve.StateOpen || info.Next != uint32(len(chunks)) {
 		t.Fatalf("stream after recovery: state=%s next=%d, want open/%d", info.State, info.Next, len(chunks))
 	}
+}
+
+// crashMidAckAppend uploads into a fresh directory until one crashed
+// state: the first Hello fails at its meta.json rename and cannot remove
+// the temp file, the retried Hello succeeds, and the power is cut
+// halfway through the third chunk's ack line, after its spool append.
+// The ack journal holds two acks and a torn line; the spool runs ahead.
+func crashMidAckAppend(t *testing.T, chunks [][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	ffs := faultfs.New(
+		faultfs.Rule{Op: faultfs.OpRename, Path: "meta.json", Err: syscall.ENOSPC},
+		faultfs.Rule{Op: faultfs.OpRemove, Path: "meta.json", Err: syscall.EIO},
+		faultfs.Rule{Op: faultfs.OpWrite, Path: "acks.jsonl", N: 3, Crash: true, Partial: -1},
+	)
+	svc := openService(t, dir, func(c *serve.Config) {
+		c.EvalWorkers = -1
+		c.FS = ffs
+	})
+	defer svc.Close()
+	if _, err := svc.Hello(quickMeta("torn")); err == nil {
+		t.Fatal("first Hello survived its failed meta.json rename")
+	}
+	if _, err := svc.Hello(quickMeta("torn")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		svc.Accept("torn", uint32(i), chunks[i])
+	}
+	if !ffs.Crashed() || !hasStrayTemp(t, filepath.Join(dir, "streams", "torn")) {
+		t.Fatal("schedule did not leave a torn ack append beside a stray temp")
+	}
+	return dir
+}
+
+// TestCrashDuringRecoveryResumesUpload crashes idsevald's recovery
+// itself. From one crashed state (a torn ack append, the spool ahead of
+// the journal, a stray meta temp) it records recovery's operation
+// trace, then crashes recovery at each operation, before it and, for a
+// remove, after it too. Recovering again on the real filesystem must
+// resume at the two durable acks, finish the upload with a spool
+// byte-identical to the trace, and balance the ledger.
+func TestCrashDuringRecoveryResumesUpload(t *testing.T) {
+	payload := buildTraceBytes(t, 7)
+	chunks := chunked(payload, (len(payload)+3)/4)
+	probe := faultfs.New()
+	svc := openService(t, crashMidAckAppend(t, chunks), func(c *serve.Config) {
+		c.EvalWorkers = -1
+		c.FS = probe
+	})
+	// Recovery removes the stray temp, cuts and opens the ack journal,
+	// and cuts and opens the spool.
+	trace := probe.Trace()
+	svc.Close()
+	if len(trace) != 5 {
+		t.Fatalf("recovery performed %v, want 5 operations", trace)
+	}
+	for _, p := range faultfs.CrashPoints(trace) {
+		t.Run(p.Label, func(t *testing.T) {
+			dir := crashMidAckAppend(t, chunks)
+			ffs := faultfs.New(p.Rule)
+			if svc, err := serve.Open(serve.Config{Dir: dir, FS: ffs, EvalWorkers: -1}); err == nil {
+				svc.Close()
+				t.Fatal("recovery survived a crash at its own operation")
+			}
+			svc := openService(t, dir, func(c *serve.Config) { c.EvalWorkers = -1 })
+			defer svc.Close()
+			checkLedger(t, svc)
+			info, err := svc.Hello(quickMeta("torn"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.State != serve.StateOpen || info.Next != 2 {
+				t.Fatalf("after the crashed recovery: state %s, next %d; want open at the 2 durable acks", info.State, info.Next)
+			}
+			uploadAll(t, svc, quickMeta("torn"), chunks)
+			spool, err := os.ReadFile(filepath.Join(dir, "streams", "torn", "trace.idt2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(spool, payload) {
+				t.Fatalf("resumed spool differs from the trace (%d vs %d bytes)", len(spool), len(payload))
+			}
+			checkLedger(t, svc)
+		})
+	}
+}
+
+// readEIO fails the read of one stream's state record with EIO and
+// passes everything else through to the real filesystem.
+type readEIO struct {
+	fsio.FS
+	suffix string
+}
+
+func (r readEIO) ReadFile(path string) ([]byte, error) {
+	if strings.HasSuffix(path, r.suffix) {
+		return nil, &fs.PathError{Op: "read", Path: path, Err: syscall.EIO}
+	}
+	return r.FS.ReadFile(path)
+}
+
+// TestRecoveryReadErrorFailsOpen pins that only a missing or unparseable
+// state record reads as absent. A meta.json that exists but cannot be
+// read used to remove an acked upload as a meta-less husk, and an
+// unreadable shed.json resurrected a shed stream as open. Either must
+// now fail Open, name the stream, and leave every file as it was.
+func TestRecoveryReadErrorFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	svc := shedService(t, dir, nil)
+	if err := spoolTwoThenOverflow(t, svc); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	before := treeBytes(t, dir)
+	for _, tc := range []struct{ stream, file string }{
+		{"noisy", "meta.json"}, // one acked chunk
+		{"victim", "shed.json"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			_, err := serve.Open(serve.Config{Dir: dir, EvalWorkers: -1,
+				FS: readEIO{FS: fsio.OS, suffix: filepath.Join(tc.stream, tc.file)}})
+			if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "stream "+tc.stream) {
+				t.Fatalf("Open over an unreadable %s/%s: %v; want an EIO naming the stream", tc.stream, tc.file, err)
+			}
+			if !reflect.DeepEqual(treeBytes(t, dir), before) {
+				t.Fatal("the failed recovery changed the stream files")
+			}
+		})
+	}
+}
+
+// treeBytes maps every file under dir to its contents.
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func hasStrayTemp(t *testing.T, dir string) bool {
