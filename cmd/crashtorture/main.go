@@ -529,33 +529,32 @@ func runIngest(dir string, fs fsio.FS, golden any) error {
 	return svc.Finish(ingestStream, uint64(len(g.chunks)), int64(len(g.payload)))
 }
 
-// countAckLines parses an ack journal the way recovery does: complete,
-// valid, sequential lines whose bytes are covered by the spool.
+// countAckLines replays an ack journal the way recovery does: the
+// lines of its fsio log prefix that run in order from ordinal 0 and
+// whose lengths the spool's bytes cover.
 func countAckLines(dir string) uint64 {
 	spoolSize := int64(0)
 	if fi, err := os.Stat(filepath.Join(dir, "trace.idt2")); err == nil {
 		spoolSize = fi.Size()
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "acks.jsonl"))
-	if err != nil {
-		return 0
-	}
 	var chunks uint64
 	var covered int64
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	// An unreadable journal counts as empty, like an absent one.
+	_, _, _ = fsio.ReplayLog(fsio.OS, filepath.Join(dir, "acks.jsonl"), func(line []byte) bool {
 		var e struct {
 			Ord uint32 `json:"ord"`
 			Len int    `json:"len"`
 		}
-		if json.Unmarshal(line, &e) != nil || uint64(e.Ord) != chunks || covered+int64(e.Len) > spoolSize {
-			break
+		// Compare against the spool bytes left, as recovery does: a
+		// huge journaled length would overflow the sum.
+		if json.Unmarshal(line, &e) != nil || uint64(e.Ord) != chunks ||
+			e.Len < 0 || int64(e.Len) > spoolSize-covered {
+			return false
 		}
 		chunks++
 		covered += int64(e.Len)
-	}
+		return true
+	})
 	return chunks
 }
 

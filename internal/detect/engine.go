@@ -124,14 +124,29 @@ func Entropy(data []byte) float64 {
 	for _, b := range data {
 		counts[b]++
 	}
-	n := float64(len(data))
-	var h float64
+	// H = Σ −(c/n)·log2(c/n) = (n·log2 n − Σ c·log2 c)/n, so counts
+	// below the table's end cost no Log2. Subtracting before dividing
+	// keeps a one-symbol payload at exactly 0.
+	var sum float64
 	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
+		sum += xlog2x(c)
 	}
-	return h
+	return (xlog2x(len(data)) - sum) / float64(len(data))
+}
+
+// xlog2xTable holds c·log2 c for the counts a packet payload reaches
+// (0·log2 0 is taken as 0).
+var xlog2xTable = func() (t [2048]float64) {
+	for c := 2; c < len(t); c++ {
+		t[c] = float64(c) * math.Log2(float64(c))
+	}
+	return t
+}()
+
+// xlog2x returns c·log2 c, from the table when c is in it.
+func xlog2x(c int) float64 {
+	if c < len(xlog2xTable) {
+		return xlog2xTable[c]
+	}
+	return float64(c) * math.Log2(float64(c))
 }

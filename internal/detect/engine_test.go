@@ -39,6 +39,13 @@ func TestEntropy(t *testing.T) {
 	if got := Entropy(all); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("full-alphabet entropy = %v, want 8", got)
 	}
+	// Past the c·log2 c table: counts are computed directly.
+	if got := Entropy(bytes.Repeat([]byte{'a'}, 5000)); got != 0 {
+		t.Fatalf("long uniform byte entropy = %v, want 0", got)
+	}
+	if got := Entropy(bytes.Repeat(all, 20)); math.Abs(got-8) > 1e-9 {
+		t.Fatalf("long full-alphabet entropy = %v, want 8", got)
+	}
 	text := Entropy([]byte("the quick brown fox jumps over the lazy dog"))
 	if text < 3 || text > 5 {
 		t.Fatalf("english text entropy = %v, want ~4", text)
@@ -415,6 +422,27 @@ func TestHybridSerialShortCircuits(t *testing.T) {
 	}
 	if len(alerts) == 0 {
 		t.Fatal("serial hybrid missed signature hit")
+	}
+}
+
+// TestHybridTagsChildNames pins the tagged engine names, "hybrid-<mode>/
+// <child>", and that tagging a known child's alert allocates nothing; a
+// child name the engine was not built with is still tagged.
+func TestHybridTagsChildNames(t *testing.T) {
+	h := NewHybridEngine(NewStandardSignatureEngine(), NewAnomalyEngine(), HybridSerial)
+	alerts := []Alert{{Engine: "signature"}, {Engine: "anomaly"}, {Engine: "other"}}
+	h.tag(alerts)
+	for i, want := range []string{"hybrid-serial/signature", "hybrid-serial/anomaly", "hybrid-serial/other"} {
+		if alerts[i].Engine != want {
+			t.Fatalf("alert %d tagged %q, want %q", i, alerts[i].Engine, want)
+		}
+	}
+	known := make([]Alert, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		known[0].Engine, known[1].Engine = "signature", "anomaly"
+		h.tag(known)
+	}); n != 0 {
+		t.Fatalf("tagging known children allocated %v times per call", n)
 	}
 }
 

@@ -35,13 +35,20 @@ type HybridEngine struct {
 	sig  Engine
 	anom Engine
 	mode HybridMode
+	// tags maps each child's name to its tagged form, built once so
+	// tagging an alert allocates nothing.
+	tags map[string]string
 }
 
 // NewHybridEngine composes the two engines. Typically sig is a
 // *SignatureEngine and anom an *AnomalyEngine, but any pair works (the
 // ablation benches exploit this).
 func NewHybridEngine(sig, anom Engine, mode HybridMode) *HybridEngine {
-	return &HybridEngine{sig: sig, anom: anom, mode: mode}
+	e := &HybridEngine{sig: sig, anom: anom, mode: mode, tags: map[string]string{}}
+	for _, child := range []Engine{sig, anom} {
+		e.tags[child.Name()] = e.Name() + "/" + child.Name()
+	}
+	return e
 }
 
 // Name implements Engine.
@@ -110,7 +117,11 @@ func (e *HybridEngine) InspectPrescanned(p *packet.Packet, now time.Duration, id
 // to the composed engine.
 func (e *HybridEngine) tag(alerts []Alert) []Alert {
 	for i := range alerts {
-		alerts[i].Engine = e.Name() + "/" + alerts[i].Engine
+		tagged, ok := e.tags[alerts[i].Engine]
+		if !ok {
+			tagged = e.Name() + "/" + alerts[i].Engine
+		}
+		alerts[i].Engine = tagged
 	}
 	return alerts
 }

@@ -860,7 +860,7 @@ func (s *Service) Scorecard(name string) ([]byte, error) {
 	if status.State != StateDone {
 		return nil, fmt.Errorf("serve: stream %q is %s, scorecard not ready", name, status.State)
 	}
-	return os.ReadFile(st.path(scorecardFile))
+	return s.fs.ReadFile(st.path(scorecardFile))
 }
 
 // Subscribe attaches to a stream's result feed: the returned history
@@ -873,7 +873,7 @@ func (s *Service) Subscribe(name string) (history []Event, ch chan Event, cancel
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("serve: unknown stream %q", name)
 	}
-	history, ch, cancel = st.subscribe()
+	history, ch, cancel = st.subscribe(s.fs)
 	return history, ch, cancel, nil
 }
 

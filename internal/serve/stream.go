@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -233,8 +232,10 @@ func (st *stream) publish(ev Event) {
 
 // subscribe returns the event history so far plus a live channel (nil
 // when the feed already ended — the history then contains the terminal
-// event). cancel detaches; safe to call multiple times.
-func (st *stream) subscribe() (history []Event, ch chan Event, cancel func()) {
+// event). A done stream recovered from disk replays its scorecard from
+// fsys; when that read fails its feed ends in EventFailed naming the
+// error. cancel detaches; safe to call multiple times.
+func (st *stream) subscribe(fsys fsio.FS) (history []Event, ch chan Event, cancel func()) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	history = append([]Event(nil), st.events...)
@@ -243,10 +244,11 @@ func (st *stream) subscribe() (history []Event, ch chan Event, cancel func()) {
 	if len(history) == 0 || !history[len(history)-1].terminal() {
 		switch st.state {
 		case StateDone:
-			if card, err := os.ReadFile(st.path(scorecardFile)); err == nil {
-				history = append(history, Event{Kind: EventScorecard, Payload: card})
+			if card, err := fsys.ReadFile(st.path(scorecardFile)); err != nil {
+				history = append(history, Event{Kind: EventFailed, Payload: []byte("reading scorecard: " + err.Error())})
+			} else {
+				history = append(history, Event{Kind: EventScorecard, Payload: card}, Event{Kind: EventComplete})
 			}
-			history = append(history, Event{Kind: EventComplete})
 		case StateFailed:
 			history = append(history, Event{Kind: EventFailed, Payload: []byte(st.reason)})
 		case StateShed:

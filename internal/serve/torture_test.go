@@ -426,3 +426,40 @@ func hasStrayTemp(t *testing.T, dir string) bool {
 	}
 	return false
 }
+
+// TestScorecardReadErrorFailsFeed pins that a done stream's scorecard
+// is read through Config.FS. When scorecard.txt cannot be read after a
+// restart, Scorecard returns the error, and a subscriber's replayed
+// feed ends in EventFailed naming it rather than completing without a
+// scorecard.
+func TestScorecardReadErrorFailsFeed(t *testing.T) {
+	dir := t.TempDir()
+	svc := openService(t, dir, nil)
+	uploadAll(t, svc, quickMeta("card"), chunked(buildTraceBytes(t, 31), 48<<10))
+	awaitDone(t, svc, "card")
+	svc.Close()
+
+	svc = openService(t, dir, func(c *serve.Config) {
+		c.FS = readEIO{FS: fsio.OS, suffix: filepath.Join("card", "scorecard.txt")}
+	})
+	defer svc.Close()
+	if _, err := svc.Scorecard("card"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Scorecard over an unreadable scorecard.txt: %v; want EIO", err)
+	}
+	history, ch, cancel, err := svc.Subscribe("card")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if ch != nil || len(history) == 0 {
+		t.Fatalf("done stream's feed: %d events, live=%v; want an ended feed", len(history), ch != nil)
+	}
+	for _, ev := range history[:len(history)-1] {
+		if ev.Kind == serve.EventScorecard || ev.Kind == serve.EventComplete {
+			t.Fatalf("feed carries %v before its end", ev.Kind)
+		}
+	}
+	if last := history[len(history)-1]; last.Kind != serve.EventFailed || !strings.Contains(string(last.Payload), syscall.EIO.Error()) {
+		t.Fatalf("feed ends in %v %q; want EventFailed naming EIO", last.Kind, last.Payload)
+	}
+}

@@ -31,8 +31,12 @@
 package simtime
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -56,10 +60,11 @@ type shardMsg struct {
 // lookahead, and drive it with Run/RunUntil like a plain Sim.
 //
 // The coordinator itself is single-threaded: all methods must be called
-// from one goroutine (the one that owns the simulation), and model
-// handlers run either on that goroutine (Workers <= 1) or on the
-// executor pool (each domain on exactly one goroutine per window, with
-// channel-synchronized handoffs, so domain state needs no locks).
+// from one goroutine (the one that owns the simulation). Model handlers
+// run on that goroutine (Workers <= 1) or on whichever executor claimed
+// their domain for the window: each domain runs on exactly one goroutine
+// per window, and the barrier's atomic counters order every handoff, so
+// domain state needs no locks.
 type ShardedSim struct {
 	domains   []*Sim
 	lookahead Time
@@ -74,17 +79,23 @@ type ShardedSim struct {
 	windows uint64
 	merged  []shardMsg // reusable merge scratch
 
-	// Executor pool (lazy; only exists when workers > 1). Each slot of
-	// windowCounts/started/finished is written only by the executor
-	// running that domain and read by the coordinator after the ack
-	// barrier.
-	jobs         chan int
-	acks         chan int
-	target       Time // window deadline for pool workers
+	// Parallel barrier (helpers start lazily, on the first window with
+	// workers > 1). The coordinator publishes target, zeroes done,
+	// reopens next and bumps epoch; it and the helpers claim domains
+	// from next and count each finished one into done. windowCounts,
+	// started and finished hold one slot per domain, written by the
+	// executor that ran it and read by the coordinator once done counts
+	// every domain.
+	target       Time
+	epoch        atomic.Uint64
+	next         atomic.Int64
+	done         atomic.Int64
+	helpers      []*helper
+	quit         atomic.Bool // set by Close
+	exited       sync.WaitGroup
 	windowCounts []uint64
 	started      []time.Time
 	finished     []time.Time
-	closed       bool
 
 	// Telemetry (nil = free no-ops).
 	cEvents  []*obs.Counter
@@ -136,6 +147,7 @@ func NewSharded(seed int64, domains int) (*ShardedSim, error) {
 		ss.mail[i] = make([][]shardMsg, domains)
 		ss.mailIdx[i] = make([]uint64, domains)
 	}
+	ss.windowCounts = make([]uint64, domains)
 	ss.started = make([]time.Time, domains)
 	ss.finished = make([]time.Time, domains)
 	// Nil *obs.Counter entries are free no-ops (obs instruments are
@@ -179,9 +191,10 @@ func (ss *ShardedSim) SetLookahead(d Time) error {
 }
 
 // SetWorkers bounds how many executor goroutines advance domains inside
-// a window. 1 (the default) runs every domain on the caller's goroutine;
-// values above the domain count are clamped. The setting has no effect
-// on results — only on wall-clock.
+// a window: the caller's goroutine plus n-1 helpers. 1 (the default)
+// runs every domain on the caller's goroutine; values above the domain
+// count are clamped. The setting has no effect on results — only on
+// wall-clock.
 func (ss *ShardedSim) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -378,119 +391,183 @@ func (ss *ShardedSim) RunUntil(deadline Time) uint64 {
 	return n
 }
 
-// runWindow advances every domain to runTo, using the executor pool when
-// more than one worker is configured. Per-domain event totals are
-// accumulated into the telemetry counters either way; with attribution
-// on (Instrument was called), each domain-window also charges busy and
+// runWindow advances every domain to runTo, in parallel when more than
+// one worker is configured. Per-domain event totals are accumulated into
+// the telemetry counters either way; with attribution on (Instrument was
+// called), each domain-window also charges busy and — in parallel —
 // barrier-blocked wall time and emits flight timeline events. All of it
 // is observation only — the uninstrumented loop performs no clock reads.
 func (ss *ShardedSim) runWindow(runTo Time) uint64 {
-	winBase := int64(ss.now)
 	if ss.attrib != nil && ss.runStart.IsZero() {
 		ss.runStart = time.Now()
 	}
+	parallel := ss.workers > 1
+	if parallel {
+		ss.runParallel(runTo)
+	} else {
+		for i := range ss.domains {
+			ss.runDomain(i, runTo)
+		}
+	}
 	var n uint64
-	if ss.workers <= 1 {
-		for i, d := range ss.domains {
-			var t0 time.Time
-			if ss.attrib != nil {
-				t0 = time.Now()
-			}
-			en := d.RunUntil(runTo)
-			ss.cEvents[i].Add(en)
-			n += en
-			if ss.attrib != nil {
-				busy := time.Since(t0)
-				a := &ss.attrib[i]
-				a.Events += en
-				a.Windows++
-				a.Busy += busy
-				ss.hOccupancy.Observe(int64(en))
-				if en > 0 {
-					ss.flight.RecordSpan(obs.FlightWindow, int32(i), t0, busy, winBase, int64(en), "")
-				}
-			}
-		}
-		if ss.attrib != nil {
-			ss.publishAttribution()
-		}
+	for _, en := range ss.windowCounts {
+		n += en
+	}
+	if ss.attrib == nil {
 		return n
-	}
-	ss.ensurePool()
-	ss.target = runTo
-	for i := range ss.domains {
-		ss.jobs <- i
-	}
-	var last time.Time
-	for range ss.domains {
-		i := <-ss.acks
-		if ss.finished[i].After(last) {
-			last = ss.finished[i]
-		}
 	}
 	// Barrier stall: wall time each domain idled waiting for the window's
 	// slowest domain. Telemetry only — never feeds back into results.
-	for i := range ss.domains {
-		stall := last.Sub(ss.finished[i])
-		if ss.hStall != nil {
+	var last time.Time
+	if parallel {
+		for _, f := range ss.finished {
+			if f.After(last) {
+				last = f
+			}
+		}
+	}
+	winBase := int64(ss.now)
+	for i, en := range ss.windowCounts {
+		busy := ss.finished[i].Sub(ss.started[i])
+		var stall time.Duration
+		if parallel {
+			stall = last.Sub(ss.finished[i])
 			ss.hStall.Observe(int64(stall))
 		}
-		en := ss.windowCounts[i]
-		n += en
-		if ss.attrib != nil {
-			busy := ss.finished[i].Sub(ss.started[i])
-			a := &ss.attrib[i]
-			a.Events += en
-			a.Windows++
-			a.Busy += busy
-			a.Blocked += stall
-			ss.hOccupancy.Observe(int64(en))
-			if en > 0 {
-				ss.flight.RecordSpan(obs.FlightWindow, int32(i), ss.started[i], busy, winBase, int64(en), "")
-			}
-			if stall > 0 {
-				ss.flight.RecordSpan(obs.FlightBarrierWait, int32(i), ss.finished[i], stall, winBase, 0, "")
-			}
+		a := &ss.attrib[i]
+		a.Events += en
+		a.Windows++
+		a.Busy += busy
+		a.Blocked += stall
+		ss.hOccupancy.Observe(int64(en))
+		if en > 0 {
+			ss.flight.RecordSpan(obs.FlightWindow, int32(i), ss.started[i], busy, winBase, int64(en), "")
+		}
+		if stall > 0 {
+			ss.flight.RecordSpan(obs.FlightBarrierWait, int32(i), ss.finished[i], stall, winBase, 0, "")
 		}
 	}
-	if ss.attrib != nil {
-		ss.publishAttribution()
-	}
+	ss.publishAttribution()
 	return n
 }
 
-// ensurePool starts the executor goroutines on first parallel window.
-func (ss *ShardedSim) ensurePool() {
-	if ss.jobs != nil {
-		return
+// runDomain advances domain i to runTo on the calling executor and
+// records its event count and, when instrumented, its busy interval.
+func (ss *ShardedSim) runDomain(i int, runTo Time) {
+	if ss.attrib != nil {
+		ss.started[i] = time.Now()
 	}
-	ss.jobs = make(chan int, len(ss.domains))
-	ss.acks = make(chan int, len(ss.domains))
-	ss.windowCounts = make([]uint64, len(ss.domains))
-	for w := 0; w < ss.workers; w++ {
-		go func() {
-			for i := range ss.jobs {
-				ss.started[i] = time.Now()
-				en := ss.domains[i].RunUntil(ss.target)
-				ss.windowCounts[i] = en
-				ss.cEvents[i].Add(en)
-				ss.finished[i] = time.Now()
-				ss.acks <- i
-			}
-		}()
+	en := ss.domains[i].RunUntil(runTo)
+	ss.windowCounts[i] = en
+	ss.cEvents[i].Add(en)
+	if ss.attrib != nil {
+		ss.finished[i] = time.Now()
 	}
 }
 
-// Close shuts the executor pool down. Safe to call multiple times and
-// on a coordinator that never went parallel.
+// helperSpins is how many times an idle helper yields while polling for
+// the next window before it parks. Windows are microseconds apart in a
+// busy run, so a helper that spins through the coordinator's serial
+// stretch (merge, fast-forward) joins the next window without a wake-up;
+// one idle for longer parks and costs nothing.
+const helperSpins = 256
+
+// helper is one parallel executor besides the coordinator. parked is set
+// while it sleeps on wake; whoever clears it owns the wake-up, so each
+// park is paired with at most one token and wake never fills.
+type helper struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// runParallel runs one window on the coordinator and its helpers: the
+// coordinator publishes the window, wakes parked helpers, claims domains
+// like any helper, then yields until every domain is counted done.
+func (ss *ShardedSim) runParallel(runTo Time) {
+	if ss.helpers == nil && !ss.quit.Load() {
+		for w := 1; w < ss.workers; w++ {
+			h := &helper{wake: make(chan struct{}, 1)}
+			ss.helpers = append(ss.helpers, h)
+			ss.exited.Add(1)
+			go ss.help(h, ss.epoch.Load())
+		}
+	}
+	ss.target = runTo
+	// done is zeroed before next reopens: a helper still claiming from
+	// the last window takes domain 0 the moment next is reset, and its
+	// completion must count towards this window.
+	ss.done.Store(0)
+	ss.next.Store(0)
+	ss.epoch.Add(1)
+	ss.wakeHelpers()
+	ss.claim()
+	for ss.done.Load() < int64(len(ss.domains)) {
+		runtime.Gosched()
+	}
+}
+
+// claim runs unclaimed domains of the current window until none remain.
+// target is read only after a successful claim, whose counter load
+// orders it after the coordinator's publish.
+func (ss *ShardedSim) claim() {
+	for {
+		i := int(ss.next.Add(1) - 1)
+		if i >= len(ss.domains) {
+			return
+		}
+		ss.runDomain(i, ss.target)
+		ss.done.Add(1)
+	}
+}
+
+// wakeHelpers hands a wake-up token to every parked helper.
+func (ss *ShardedSim) wakeHelpers() {
+	for _, h := range ss.helpers {
+		if h.parked.CompareAndSwap(true, false) {
+			h.wake <- struct{}{}
+		}
+	}
+}
+
+// help is a helper's loop: wait for an epoch past seen, spinning for
+// helperSpins yields and then parking, claim domains, repeat until quit.
+// seen is read before the helper starts, so no epoch bump, not even
+// Close's, can pass unnoticed while the goroutine is being scheduled.
+func (ss *ShardedSim) help(h *helper, seen uint64) {
+	defer ss.exited.Done()
+	for {
+		e := ss.epoch.Load()
+		for spin := 0; e == seen && spin < helperSpins; spin++ {
+			runtime.Gosched()
+			e = ss.epoch.Load()
+		}
+		if e == seen {
+			// Park, then look again: a window published before parked
+			// was set must not be slept through. If the coordinator
+			// cleared parked first, its token is on the way.
+			h.parked.Store(true)
+			if e = ss.epoch.Load(); e == seen || !h.parked.CompareAndSwap(true, false) {
+				<-h.wake
+				e = ss.epoch.Load()
+			}
+		}
+		seen = e
+		if ss.quit.Load() {
+			return
+		}
+		ss.claim()
+	}
+}
+
+// Close stops the helpers and waits for them to exit. Safe to call
+// multiple times and on a coordinator that never went parallel.
 func (ss *ShardedSim) Close() {
-	if ss.closed {
+	if ss.quit.Swap(true) {
 		return
 	}
-	ss.closed = true
-	if ss.jobs != nil {
-		close(ss.jobs)
-	}
+	ss.epoch.Add(1)
+	ss.wakeHelpers()
+	ss.exited.Wait()
 }
 
 // drainMail moves every buffered cross-domain message into its
@@ -514,19 +591,7 @@ func (ss *ShardedSim) drainMail() {
 		if len(ss.merged) == 0 {
 			continue
 		}
-		sort.Slice(ss.merged, func(i, j int) bool {
-			a, b := ss.merged[i], ss.merged[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.sent != b.sent {
-				return a.sent < b.sent
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.idx < b.idx
-		})
+		slices.SortFunc(ss.merged, compareShardMsg)
 		dom := ss.domains[dst]
 		for i := range ss.merged {
 			m := &ss.merged[i]
@@ -538,4 +603,18 @@ func (ss *ShardedSim) drainMail() {
 		ss.posted += uint64(len(ss.merged))
 		ss.cPosted.Add(uint64(len(ss.merged)))
 	}
+}
+
+// compareShardMsg orders cross-domain deliveries by (at, sent, src, idx).
+func compareShardMsg(a, b shardMsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.sent, b.sent); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }

@@ -3,7 +3,9 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -498,4 +500,104 @@ func TestShardedInstrumentedRunIsByteIdentical(t *testing.T) {
 		t.Fatalf("processed/windows differ: %d/%d vs %d/%d",
 			bare.Processed(), bare.Windows(), inst.Processed(), inst.Windows())
 	}
+}
+
+// runWithin runs f and fails the test if it has not returned within d:
+// a parallel barrier that loses a completion or a wake-up wedges rather
+// than erring.
+func runWithin(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s wedged (no return within %v)", what, d)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// want shortly after Close: helpers signal their exit just before their
+// goroutines end.
+func waitGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after Close, %d before the run", what, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShardedBarrierManyWindows drives the parallel barrier through
+// tens of thousands of windows holding an event or two per domain, so a
+// helper leaving one window keeps racing the coordinator opening the
+// next. Every executor count, including one above GOMAXPROCS, must
+// reproduce the serial digests without wedging; Close must take every
+// helper down, even straight after a short run; and an interrupt raised
+// mid-run must halt the run.
+func TestShardedBarrierManyWindows(t *testing.T) {
+	domains := max(6, runtime.GOMAXPROCS(0)+2)
+	const lookahead, horizon = Time(1000), Time(24_000_000)
+	serial, serialDig := buildDigestPingPong(t, domains, lookahead, horizon, 3)
+	serial.Run()
+	serial.Close()
+	if serial.Windows() < 20_000 {
+		t.Fatalf("model ran %d windows, want >= 20000", serial.Windows())
+	}
+	for _, workers := range []int{2, 3, domains} {
+		what := fmt.Sprintf("workers=%d", workers)
+		before := runtime.NumGoroutine()
+		ss, dig := buildDigestPingPong(t, domains, lookahead, horizon, 3)
+		ss.SetWorkers(workers)
+		runWithin(t, time.Minute, what+" run", func() { ss.Run() })
+		runWithin(t, time.Minute, what+" Close", ss.Close)
+		waitGoroutines(t, before, what)
+		for i := range serialDig {
+			if *dig[i] != *serialDig[i] {
+				t.Fatalf("%s domain %d digest %x != serial %x", what, i, *dig[i], *serialDig[i])
+			}
+		}
+		if ss.Windows() != serial.Windows() || ss.Processed() != serial.Processed() {
+			t.Fatalf("%s ran %d windows/%d events, serial %d/%d",
+				what, ss.Windows(), ss.Processed(), serial.Windows(), serial.Processed())
+		}
+	}
+
+	// Close right after a run of a few windows, before the helpers may
+	// even have been scheduled: none of them may sleep through it.
+	before := runtime.NumGoroutine()
+	for r := 0; r < 200; r++ {
+		ss, _ := buildDigestPingPong(t, domains, lookahead, 3000, int64(r))
+		ss.SetWorkers(3)
+		ss.Run()
+		runWithin(t, time.Minute, "Close after a short run", ss.Close)
+	}
+	waitGoroutines(t, before, "short runs")
+
+	// Interrupt: the check runs on whichever executor holds a domain, so
+	// it counts atomically; it fires a few hundred windows in.
+	ss, _ := buildDigestPingPong(t, domains, lookahead, horizon, 3)
+	ss.SetWorkers(3)
+	stop := errors.New("stop")
+	var checks atomic.Int64
+	ss.SetInterrupt(func() error {
+		if checks.Add(1) > int64(300*domains) {
+			return stop
+		}
+		return nil
+	})
+	runWithin(t, time.Minute, "interrupted run", func() { ss.Run() })
+	if !errors.Is(ss.Interrupted(), stop) {
+		t.Fatalf("Interrupted = %v, want %v", ss.Interrupted(), stop)
+	}
+	if ss.Windows() >= serial.Windows() {
+		t.Fatalf("interrupted run went on for all %d windows", ss.Windows())
+	}
+	runWithin(t, time.Minute, "Close after interrupt", ss.Close)
+	waitGoroutines(t, before, "interrupted run")
 }
