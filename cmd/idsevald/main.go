@@ -9,8 +9,8 @@
 // restart resumes exactly where the previous process died: clients are
 // told the next expected chunk ordinal at Hello, interrupted
 // evaluations re-run only their missing experiments, and the resumed
-// scorecard is byte-identical to an uninterrupted run (make chaossmoke
-// proves this with a real SIGKILL).
+// scorecard is byte-identical to an uninterrupted run
+// (TestKillRestartResume proves this with a real SIGKILL).
 //
 // Usage:
 //

@@ -62,7 +62,7 @@ type Runner struct {
 	OnEvalSnapshot func(product string, snap *obs.Snapshot)
 	// FS is the storage seam every durability-bearing write and every
 	// recovery read goes through (plan, journal, result files).
-	// nil means the real filesystem; cmd/crashtorture substitutes a
+	// nil means the real filesystem; TestCrashMatrix substitutes a
 	// fault-injecting one.
 	FS fsio.FS
 	// Exec, when set, substitutes experiment execution — the seam the

@@ -1,15 +1,21 @@
 package campaign_test
 
-// Pinned regression schedules from cmd/crashtorture: the recovery bugs
-// the storage-fault matrix found in the campaign runner, each replayed
-// by its exact deterministic fault schedule.
+// The campaign runner's storage-fault tests. TestCrashMatrix crosses
+// every durable operation of a campaign run with every single fault a
+// hostile disk can produce, one subtest per schedule label, so
+// `go test -run 'TestCrashMatrix/campaign/write#7:crash-torn'` replays
+// one schedule. The other tests pin the recovery bugs the matrix found,
+// each replayed by its exact deterministic fault schedule.
 
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -67,8 +73,8 @@ func TestResumeRerunsDoneEntryWithUnusableResult(t *testing.T) {
 // TestLyingFsyncOnResultFileHealsOnResume is the end-to-end version
 // through the hostile disk: the result file's fsync lies, the journal
 // line lands durably, the power cut then exposes the loss. The exact
-// schedule comes from the crashtorture matrix (sync:lie on the first
-// result commit).
+// schedule comes from the crash matrix (a lie on the first result
+// file's fsync).
 func TestLyingFsyncOnResultFileHealsOnResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := syntheticSpec(t, 3)
@@ -152,6 +158,102 @@ func TestResumeSweepsStrayResultTemp(t *testing.T) {
 	if _, err := campaign.Load(dir); err != nil {
 		t.Fatalf("campaign unloadable after resume: %v", err)
 	}
+}
+
+// TestCrashMatrix probes the operations of one clean serial run (the
+// plan write, each result commit, each journal append), then replays
+// the run once per faultfs.Matrix schedule. After each, a resume on the
+// real filesystem must re-run exactly the experiments the fault left
+// without a durably committed result, and give the clean run's report
+// and result files byte for byte, with no torn file at a final path.
+// The run is serial so that each label names one operation.
+func TestCrashMatrix(t *testing.T) {
+	// Hundreds of injected directory-sync and append failures would
+	// each log a warning.
+	prev := fsio.SetWarnLog(io.Discard)
+	t.Cleanup(func() { fsio.SetWarnLog(prev) })
+
+	spec := syntheticSpec(t, 3)
+	run := func(dir string, fs fsio.FS) error {
+		if err := campaign.SavePlanFS(fs, dir, spec); err != nil {
+			return err
+		}
+		_, err := serialRunner(dir, spec, fs).Run(context.Background())
+		return err
+	}
+	clean, probe := t.TempDir(), faultfs.New()
+	again, probeAgain := t.TempDir(), faultfs.New()
+	if err := errors.Join(run(clean, probe), run(again, probeAgain)); err != nil {
+		t.Fatalf("clean probe run: %v", err)
+	}
+	if !slices.Equal(ops(clean, probe.Trace()), ops(again, probeAgain.Trace())) {
+		t.Fatal("two clean runs performed different operations, so a schedule label would not name one operation")
+	}
+	want, wantResults := renderReport(t, clean), readTree(t, filepath.Join(clean, "results"))
+	verify := func(t *testing.T, dir string) {
+		// How much work did the fault durably commit? The resume must
+		// skip exactly that and re-run exactly the rest. An unreadable
+		// journal commits nothing; the resume repairs it.
+		committed := 0
+		if entries, _, err := campaign.ReplayJournal(dir); err == nil {
+			for id, e := range entries {
+				if e.Status != campaign.StatusDone {
+					continue
+				}
+				if _, err := campaign.LoadResult(dir, id); err == nil {
+					committed++
+				}
+			}
+		}
+		if err := campaign.SavePlan(dir, spec); err != nil {
+			t.Fatalf("re-saving plan: %v", err)
+		}
+		out, err := serialRunner(dir, spec, nil).Run(context.Background())
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if out.Skipped != committed || out.Completed != out.Planned-committed {
+			t.Fatalf("resume did not re-run exactly the missing work: %d committed before the fault, resume skipped %d and completed %d of %d",
+				committed, out.Skipped, out.Completed, out.Planned)
+		}
+		if got := renderReport(t, dir); got != want {
+			t.Fatalf("resumed report differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+		}
+		if got := readTree(t, filepath.Join(dir, "results")); !reflect.DeepEqual(got, wantResults) {
+			t.Fatalf("result files differ from the uninterrupted run: %d files, want %d", len(got), len(wantResults))
+		}
+		if err := faultfs.CheckFinalFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("campaign", func(t *testing.T) {
+		verify(t, clean)
+		for _, s := range faultfs.Matrix(probe.Trace()) {
+			t.Run(s.Label, func(t *testing.T) {
+				dir, ffs := t.TempDir(), faultfs.New(s.Rule)
+				// Most schedules fail the run; only the resume's verdict
+				// counts.
+				err := run(dir, ffs)
+				t.Logf("run under the fault: %v", err)
+				if s.Rule.SyncLie {
+					ffs.CrashNow()
+				}
+				verify(t, dir)
+			})
+		}
+	})
+}
+
+// ops renders a trace recorded under dir as "op path" lines, with paths
+// relative to dir and temp file names cut before their random part, so
+// two runs' lines are equal when they did the same to the same files.
+func ops(dir string, trace []faultfs.Record) []string {
+	out := make([]string, len(trace))
+	for i, r := range trace {
+		path, _, _ := strings.Cut(strings.TrimPrefix(r.Path, dir), ".tmp-")
+		out[i] = string(r.Op) + " " + path
+	}
+	return out
 }
 
 // serialRunner runs spec with one worker and synthetic experiments, so

@@ -25,15 +25,21 @@
 //
 // Schedules are just ordered Rules matched by (operation, path
 // substring, Nth occurrence). The same rules against the same workload
-// replay identically, which is what lets cmd/crashtorture pin a bug as
-// a regression schedule.
+// replay identically, which is what lets a test name one schedule by
+// its label, replay it with go test -run, and pin a bug it found as a
+// regression schedule. Matrix and CrashPoints derive the schedules
+// from a recorded trace; CheckFinalFiles is the oracle every recovery
+// must pass.
 package faultfs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -114,8 +120,8 @@ type FS struct {
 }
 
 // New builds a hostile filesystem with the given schedule. No rules
-// means a recording passthrough — cmd/crashtorture uses that probe
-// mode to enumerate the operation trace a clean cycle performs.
+// means a recording passthrough: the probe mode that records the
+// operation trace a clean run performs, for Matrix and CrashPoints.
 func New(rules ...Rule) *FS {
 	f := &FS{files: make(map[string]*tracked)}
 	for i := range rules {
@@ -125,35 +131,119 @@ func New(rules ...Rule) *FS {
 	return f
 }
 
-// CrashPoint is one schedule that crash-stops a replay of a recorded
-// trace at one of its operations.
-type CrashPoint struct {
+// Schedule is one single-fault plan over a recorded trace.
+type Schedule struct {
 	// Label names the operation by class and 1-based occurrence, and
-	// the crash's timing: "truncate#1:crash", "rename#2:crash-after".
+	// the fault: "truncate#1:crash", "rename#2:crash-after",
+	// "write#7:crash-torn".
 	Label string
 	Rule  Rule
 }
 
+// fault is one fault class: its label suffix and the rule's effect.
+type fault struct {
+	name string
+	rule Rule
+}
+
+var (
+	crash       = fault{"crash", Rule{Crash: true}}
+	crashBefore = fault{"crash-before", Rule{Crash: true}}
+	crashAfter  = fault{"crash-after", Rule{Crash: true, After: true}}
+	enospc      = fault{"enospc", Rule{Err: syscall.ENOSPC}}
+	eio         = fault{"eio", Rule{Err: syscall.EIO}}
+)
+
+// matrixFaults lists the fault classes Matrix applies to each
+// operation class.
+var matrixFaults = map[Op][]fault{
+	OpWrite:      {enospc, {"short", Rule{ShortWrite: true}}, {"crash-torn", Rule{Crash: true, Partial: -1}}},
+	OpSync:       {eio, {"lie", Rule{SyncLie: true}}, crash},
+	OpRename:     {enospc, crashBefore, crashAfter},
+	OpRemove:     {crashBefore, crashAfter},
+	OpCreate:     {enospc, crash},
+	OpOpenAppend: {enospc, crash},
+	OpTruncate:   {eio, crash},
+	OpSyncDir:    {eio, crash},
+}
+
+// Matrix returns, in trace order, one schedule per operation of trace
+// per fault class that operation can suffer: ENOSPC and EIO errors,
+// short writes, lying fsyncs, crash-stop at the operation, a crash
+// that leaves a torn tail mid-write, and a crash after a rename or
+// remove applied. A lying fsync shows only at a later power cut, so a
+// caller replaying a Rule with SyncLie set calls CrashNow once the
+// workload returns.
+func Matrix(trace []Record) []Schedule {
+	return schedules(trace, func(op Op) []fault { return matrixFaults[op] })
+}
+
 // CrashPoints returns, in trace order, a crash before every operation
 // of trace and, for a rename or remove, a crash after it applied too.
-// Each rule picks its operation by class and occurrence, so it fires at
-// the same operation of any replay that performs the same operations.
-func CrashPoints(trace []Record) []CrashPoint {
+func CrashPoints(trace []Record) []Schedule {
+	return schedules(trace, func(op Op) []fault {
+		if op == OpRename || op == OpRemove {
+			return []fault{crashBefore, crashAfter}
+		}
+		return []fault{crash}
+	})
+}
+
+// schedules makes one schedule per operation of trace per fault class
+// that faults lists for the operation's class. Each rule picks its
+// operation by class and occurrence, so it fires at the same operation
+// of any replay that performs the same operations.
+func schedules(trace []Record, faults func(Op) []fault) []Schedule {
 	occ := map[Op]int{}
-	var out []CrashPoint
+	var out []Schedule
 	for _, rec := range trace {
 		occ[rec.Op]++
-		r := Rule{Op: rec.Op, N: occ[rec.Op], Crash: true}
-		label := fmt.Sprintf("%s#%d:", rec.Op, r.N)
-		if rec.Op != OpRename && rec.Op != OpRemove {
-			out = append(out, CrashPoint{label + "crash", r})
-			continue
+		for _, f := range faults(rec.Op) {
+			r := f.rule
+			r.Op, r.N = rec.Op, occ[rec.Op]
+			out = append(out, Schedule{fmt.Sprintf("%s#%d:%s", rec.Op, r.N, f.name), r})
 		}
-		out = append(out, CrashPoint{label + "crash-before", r})
-		r.After = true
-		out = append(out, CrashPoint{label + "crash-after", r})
 	}
 	return out
+}
+
+// CheckFinalFiles walks dir and fails on any torn final-path artifact:
+// a *.json or *.jsonl file that does not parse, or a stray atomic-write
+// temp file.
+func CheckFinalFiles(dir string) error {
+	return filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		name := filepath.Base(path)
+		if strings.Contains(name, ".tmp-") {
+			return fmt.Errorf("stray atomic-write temp file %s", path)
+		}
+		switch {
+		case strings.HasSuffix(name, ".json"):
+			b, rerr := os.ReadFile(path)
+			if rerr != nil {
+				return rerr
+			}
+			if !json.Valid(b) {
+				return fmt.Errorf("torn JSON at final path %s", path)
+			}
+		case strings.HasSuffix(name, ".jsonl"):
+			b, rerr := os.ReadFile(path)
+			if rerr != nil {
+				return rerr
+			}
+			for ln, line := range bytes.Split(b, []byte("\n")) {
+				if len(bytes.TrimSpace(line)) == 0 {
+					continue
+				}
+				if !json.Valid(line) {
+					return fmt.Errorf("torn journal line %d at final path %s", ln+1, path)
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // Injected reports how many scheduled faults have fired.

@@ -15,8 +15,8 @@
 //
 // Every operation runs against an FS (see vfs.go): the default OS
 // passthrough costs nothing, and fsio/faultfs substitutes a hostile
-// disk so cmd/crashtorture can prove the recovery paths instead of
-// presuming them. The package-level helpers (WriteAtomic, Create,
+// disk so the crash-matrix tests can prove the recovery paths instead
+// of presuming them. The package-level helpers (WriteAtomic, Create,
 // OpenAppend) are OS-bound conveniences; the *FS variants take the
 // seam explicitly.
 package fsio

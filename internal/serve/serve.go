@@ -25,7 +25,8 @@
 //     internal/campaign, whose journal line is the commit point; a
 //     daemon killed at any instant and restarted re-runs only the
 //     missing experiments and renders a scorecard byte-identical to an
-//     uninterrupted run (cmd/chaossmoke pins this end to end).
+//     uninterrupted run (cmd/idsevald's TestKillRestartResume pins this
+//     end to end with a real SIGKILL).
 //
 // Backpressure is explicit rather than implicit: admission control caps
 // open streams, the evaluation queue is bounded, and the spool has a
@@ -101,7 +102,7 @@ type Config struct {
 	// FS is the storage seam every durability-bearing write and every
 	// recovery read goes through: spool appends, the ack journal, the
 	// state records, and the campaign files beneath. nil means the real
-	// filesystem; cmd/crashtorture substitutes a fault-injecting one.
+	// filesystem; TestCrashMatrix substitutes a fault-injecting one.
 	FS fsio.FS
 }
 

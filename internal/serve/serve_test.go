@@ -114,9 +114,17 @@ func chunked(data []byte, size int) [][]byte {
 // finishes.
 func uploadAll(t *testing.T, svc *serve.Service, meta serve.StreamMeta, chunks [][]byte) {
 	t.Helper()
+	if err := upload(svc, meta, chunks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// upload is uploadAll stopping at the first error, for runs that a
+// fault may cut short.
+func upload(svc *serve.Service, meta serve.StreamMeta, chunks [][]byte) error {
 	info, err := svc.Hello(meta)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var total int64
 	for _, c := range chunks {
@@ -124,12 +132,10 @@ func uploadAll(t *testing.T, svc *serve.Service, meta serve.StreamMeta, chunks [
 	}
 	for i := int(info.Next); i < len(chunks); i++ {
 		if _, err := svc.Accept(meta.Name, uint32(i), chunks[i]); err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
+			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 	}
-	if err := svc.Finish(meta.Name, uint64(len(chunks)), total); err != nil {
-		t.Fatal(err)
-	}
+	return svc.Finish(meta.Name, uint64(len(chunks)), total)
 }
 
 // awaitDone polls until the stream reaches a terminal state and

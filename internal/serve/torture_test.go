@@ -1,7 +1,11 @@
 package serve_test
 
-// Pinned regression schedules from cmd/crashtorture. Each test replays
-// one exact fault schedule that exposed (or guards) a recovery bug:
+// idsevald's storage-fault tests. TestCrashMatrix crosses every durable
+// operation of the ingest and shed workloads with every single fault a
+// hostile disk can produce, one subtest per schedule label, so
+// `go test -run 'TestCrashMatrix/ingest/write#2:crash-torn'` replays
+// one schedule. The other tests each replay one exact fault schedule
+// that exposed (or guards) a recovery bug:
 //
 //   - the shed crash window: removing the spool before the tombstone
 //     committed silently destroyed acked chunks across a crash;
@@ -17,7 +21,9 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -48,23 +54,270 @@ func shedService(t *testing.T, dir string, fs *faultfs.FS) *serve.Service {
 
 // spoolTwoThenOverflow uploads two 1000-byte chunks on "victim", then
 // lets "noisy" overflow the 2500-byte budget so the service sheds the
-// idle victim. Returns the error from the overflowing accept.
-func spoolTwoThenOverflow(t *testing.T, svc *serve.Service) error {
-	t.Helper()
+// idle victim. It stops at the first error and returns it.
+func spoolTwoThenOverflow(svc *serve.Service) error {
 	chunk := bytes.Repeat([]byte{0xAB}, 1000)
 	if _, err := svc.Hello(quickMeta("victim")); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := svc.Accept("victim", uint32(i), chunk); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	if _, err := svc.Hello(quickMeta("noisy")); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	_, err := svc.Accept("noisy", 0, chunk)
 	return err
+}
+
+// TestCrashMatrix probes each workload's clean operation trace, then
+// replays the workload once per faultfs.Matrix schedule and recovers on
+// the real filesystem:
+//
+//   - ingest: a 3-chunk upload and finish. The ledger balances, Hello's
+//     next is the durable ack prefix, the resumed upload completes, and
+//     the reassembled spool is the trace byte for byte.
+//   - shed: "noisy" overflows the spool budget and sheds the idle
+//     "victim". The victim ends tombstoned with its chunks accounted,
+//     or intact at its durable acks: a crash inside the shed sequence
+//     never silently empties a stream.
+//
+// The workloads open the service on an empty directory, which performs
+// no recorded operation, so no schedule fails the open itself.
+func TestCrashMatrix(t *testing.T) {
+	// Hundreds of injected directory-sync and append failures would
+	// each log a warning.
+	prev := fsio.SetWarnLog(io.Discard)
+	t.Cleanup(func() { fsio.SetWarnLog(prev) })
+
+	payload := buildTraceBytes(t, 7)
+	chunks := chunked(payload, (len(payload)+2)/3)
+	t.Run("ingest", func(t *testing.T) {
+		crashMatrix(t, func(t *testing.T, dir string, ffs *faultfs.FS) error {
+			svc := openService(t, dir, func(c *serve.Config) {
+				c.EvalWorkers = -1
+				c.FS = ffs
+			})
+			defer svc.Close()
+			return upload(svc, quickMeta("tor"), chunks)
+		}, func(t *testing.T, dir string, lying bool) {
+			verifyIngest(t, dir, payload, chunks, lying)
+		})
+	})
+	t.Run("shed", func(t *testing.T) {
+		crashMatrix(t, func(t *testing.T, dir string, ffs *faultfs.FS) error {
+			svc := shedService(t, dir, ffs)
+			defer svc.Close()
+			return spoolTwoThenOverflow(svc)
+		}, verifyShed)
+	})
+}
+
+// crashMatrix runs workload once on a recording faultfs and verifies
+// the clean result, then runs one subtest per faultfs.Matrix schedule
+// of the recorded trace: the workload under that fault, a power cut if
+// the schedule lied about an fsync, and verify on what the fault left.
+func crashMatrix(t *testing.T, workload func(t *testing.T, dir string, ffs *faultfs.FS) error,
+	verify func(t *testing.T, dir string, lying bool)) {
+	t.Helper()
+	probe, dir := faultfs.New(), t.TempDir()
+	if err := workload(t, dir, probe); err != nil {
+		t.Fatalf("clean probe run: %v", err)
+	}
+	verify(t, dir, false)
+	for _, s := range faultfs.Matrix(probe.Trace()) {
+		t.Run(s.Label, func(t *testing.T) {
+			dir, ffs := t.TempDir(), faultfs.New(s.Rule)
+			// Most schedules fail the workload; only recovery's verdict
+			// counts.
+			err := workload(t, dir, ffs)
+			t.Logf("workload under the fault: %v", err)
+			if s.Rule.SyncLie {
+				ffs.CrashNow()
+			}
+			verify(t, dir, s.Rule.SyncLie)
+		})
+	}
+}
+
+// verifyIngest recovers an ingest workload's directory, resumes the
+// upload and checks it against the trace.
+func verifyIngest(t *testing.T, dir string, payload []byte, chunks [][]byte, lying bool) {
+	streamDir := filepath.Join(dir, "streams", "tor")
+	// The durable resume point, read straight off the post-crash disk,
+	// before recovery touches anything.
+	acked := countAckLines(streamDir)
+	svc := openService(t, dir, func(c *serve.Config) { c.EvalWorkers = -1 })
+	defer svc.Close()
+	checkLedger(t, svc)
+	info, err := svc.Hello(quickMeta("tor"))
+	if err != nil {
+		t.Fatalf("hello after recovery: %v", err)
+	}
+	switch info.State {
+	case serve.StateQueued, serve.StateRunning, serve.StateDone:
+		// Finish committed before the fault: all chunks delivered.
+		if info.Next != uint32(len(chunks)) {
+			t.Fatalf("delivered stream reports next=%d, want %d", info.Next, len(chunks))
+		}
+	case serve.StateOpen:
+		checkResume(t, svc, "tor", acked, lying)
+		uploadAll(t, svc, quickMeta("tor"), chunks)
+	default:
+		t.Fatalf("stream in unexpected state %q after recovery", info.State)
+	}
+	spool, err := os.ReadFile(filepath.Join(streamDir, "trace.idt2"))
+	if err != nil {
+		t.Fatalf("reading reassembled spool: %v", err)
+	}
+	if !bytes.Equal(spool, payload) {
+		t.Fatalf("reassembled spool differs from original (%d vs %d bytes)", len(spool), len(payload))
+	}
+	checkLedger(t, svc)
+	checkFinalFiles(t, dir, lying)
+}
+
+// verifyShed recovers a shed workload's directory and checks that the
+// victim is either shed with its chunks accounted or resumable at its
+// durable acks.
+func verifyShed(t *testing.T, dir string, lying bool) {
+	victimDir := filepath.Join(dir, "streams", "victim")
+	victimAcked := countAckLines(victimDir)
+	noisyAcked := countAckLines(filepath.Join(dir, "streams", "noisy"))
+	tombstoned := fileExists(filepath.Join(victimDir, "shed.json"))
+
+	svc := shedService(t, dir, nil)
+	defer svc.Close()
+	checkLedger(t, svc)
+	if st, ok := svc.Status("victim"); ok {
+		switch st.State {
+		case serve.StateShed:
+			// Tombstoned: the chunks must be accounted and the dead spool
+			// cleaned up by recovery.
+			if !tombstoned {
+				t.Fatal("victim reports shed but no tombstone on disk")
+			}
+			if fileExists(filepath.Join(victimDir, "trace.idt2")) || fileExists(filepath.Join(victimDir, "acks.jsonl")) {
+				t.Fatal("shed victim still holds spool/ack files after recovery")
+			}
+			if counts := svc.Counts(); counts.Shed[serve.ShedOverload]+counts.Shed[serve.ShedIdle] != st.Chunks {
+				t.Fatalf("victim shed %d chunks but ledger sheds account %d",
+					st.Chunks, counts.Shed[serve.ShedOverload]+counts.Shed[serve.ShedIdle])
+			}
+		case serve.StateOpen:
+			// Not tombstoned: the upload must be fully intact.
+			checkResume(t, svc, "victim", victimAcked, lying)
+		default:
+			t.Fatalf("victim in unexpected state %q", st.State)
+		}
+	} else if !lying && (victimAcked > 0 || tombstoned) {
+		// Under a lying fsync the victim's meta.json can be torn at the
+		// final path, and a meta-less directory is legitimately swept.
+		t.Fatal("victim stream vanished despite durable state on disk")
+	}
+	if st, ok := svc.Status("noisy"); ok && st.State == serve.StateOpen {
+		checkResume(t, svc, "noisy", noisyAcked, lying)
+	}
+	checkFinalFiles(t, dir, lying)
+}
+
+// checkResume requires an open stream's Hello to resume at its durable
+// acks. A lying fsync may lose acks at the power cut, so after one the
+// resume point may fall short of the acks on disk but never pass them.
+func checkResume(t *testing.T, svc *serve.Service, name string, acked uint64, lying bool) {
+	t.Helper()
+	info, err := svc.Hello(quickMeta(name))
+	if err != nil {
+		t.Fatalf("%s hello: %v", name, err)
+	}
+	if next := uint64(info.Next); next > acked || !lying && next != acked {
+		t.Fatalf("%s resumes at next=%d, durable ack journal says %d", name, next, acked)
+	}
+}
+
+// checkFinalFiles fails on a torn file at a final path. A lying fsync
+// defeats write-then-rename atomicity: the rename can land and the
+// power cut then truncates the final path. The system's defense is
+// read-time validation plus heal-on-rewrite, not prevention, so the
+// sweep does not apply after one.
+func checkFinalFiles(t *testing.T, dir string, lying bool) {
+	t.Helper()
+	if lying {
+		return
+	}
+	if err := faultfs.CheckFinalFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countAckLines replays an ack journal the way recovery does: the
+// lines of its fsio log prefix that run in order from ordinal 0 and
+// whose lengths the spool's bytes cover.
+func countAckLines(dir string) uint64 {
+	spoolSize := int64(0)
+	if fi, err := os.Stat(filepath.Join(dir, "trace.idt2")); err == nil {
+		spoolSize = fi.Size()
+	}
+	var chunks uint64
+	var covered int64
+	// An unreadable journal counts as empty, like an absent one.
+	_, _, _ = fsio.ReplayLog(fsio.OS, filepath.Join(dir, "acks.jsonl"), func(line []byte) bool {
+		var e struct {
+			Ord uint32 `json:"ord"`
+			Len int    `json:"len"`
+		}
+		// Compare against the spool bytes left, as recovery does: a
+		// huge journaled length would overflow the sum.
+		if json.Unmarshal(line, &e) != nil || uint64(e.Ord) != chunks ||
+			e.Len < 0 || int64(e.Len) > spoolSize-covered {
+			return false
+		}
+		chunks++
+		covered += int64(e.Len)
+		return true
+	})
+	return chunks
+}
+
+// TestCountAckLinesMatchesRecovery pins the matrix's oracle for the
+// durable ack prefix to serve's recovery rule on the two journals where
+// a line-splitting, summing count went wrong: a final ack that lacks its
+// newline, and a length that overflows the running byte count.
+func TestCountAckLinesMatchesRecovery(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		journal string
+		spool   int
+		want    uint64
+	}{
+		{"unterminated final ack", `{"ord":0,"len":4}` + "\n" + `{"ord":1,"len":4}`, 8, 1},
+		{"overflowing length", `{"ord":0,"len":10}` + "\n" + `{"ord":1,"len":9223372036854775807}` + "\n", 10, 1},
+		{"covered acks", `{"ord":0,"len":4}` + "\n" + `{"ord":1,"len":4}` + "\n", 8, 2},
+		{"out-of-order ordinal", `{"ord":0,"len":2}` + "\n" + `{"ord":2,"len":2}` + "\n", 4, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "trace.idt2"), bytes.Repeat([]byte{'x'}, c.spool), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "acks.jsonl"), []byte(c.journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := countAckLines(dir); got != c.want {
+				t.Fatalf("countAckLines = %d, want %d", got, c.want)
+			}
+		})
+	}
+	if got := countAckLines(t.TempDir()); got != 0 {
+		t.Fatalf("countAckLines of an empty stream dir = %d, want 0", got)
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // TestShedCrashBetweenTombstoneAndRemovals pins the shed commit
@@ -75,7 +328,7 @@ func TestShedCrashBetweenTombstoneAndRemovals(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(faultfs.Rule{Op: faultfs.OpRemove, Path: "victim", N: 1, Crash: true})
 	svc := shedService(t, dir, ffs)
-	spoolTwoThenOverflow(t, svc) // the overflow path hits the crash
+	spoolTwoThenOverflow(svc) // the overflow path hits the crash
 	svc.Close()
 	if !ffs.Crashed() {
 		t.Fatal("schedule did not reach the spool removal")
@@ -110,7 +363,7 @@ func TestShedTombstoneFailureKeepsStreamResumable(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(faultfs.Rule{Op: faultfs.OpCreate, Path: "shed.json", N: 1, Err: syscall.ENOSPC})
 	svc := shedService(t, dir, ffs)
-	spoolTwoThenOverflow(t, svc)
+	spoolTwoThenOverflow(svc)
 	svc.Close()
 	if ffs.Injected() != 1 {
 		t.Fatal("schedule never reached the tombstone write")
@@ -373,7 +626,7 @@ func (r readEIO) ReadFile(path string) ([]byte, error) {
 func TestRecoveryReadErrorFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	svc := shedService(t, dir, nil)
-	if err := spoolTwoThenOverflow(t, svc); err != nil {
+	if err := spoolTwoThenOverflow(svc); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
