@@ -35,7 +35,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -127,12 +126,9 @@ func cmdRun(args []string) {
 	defer stop()
 	defer o.Close()
 
-	// The runner is always instrumented — its counters are cheap and the
-	// live endpoint needs them — but export only happens under the flags.
+	// The obs flags instrument the runner, its eval experiments
+	// included; without them reg is nil and the run is uninstrumented.
 	reg := o.Registry()
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	r := &campaign.Runner{
 		Dir:          *dir,
 		Workers:      *workers,
@@ -148,13 +144,12 @@ func cmdRun(args []string) {
 	for _, c := range []string{"campaign.completed", "campaign.failed", "campaign.retried", "campaign.skipped"} {
 		reg.Counter(c)
 	}
-	o.SetSnapshot(reg.Snapshot)
 	o.SetProgress(func() any { return r.Progress() })
 	if serr := o.Serve(ctx); serr != nil {
 		fatal(serr)
 	}
 	out, err := r.Run(ctx)
-	if ferr := o.Finish(nil); ferr != nil {
+	if ferr := o.Finish(); ferr != nil {
 		fatal(ferr)
 	}
 	if err != nil && !cli.Interrupted(err) {

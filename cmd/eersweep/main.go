@@ -82,7 +82,7 @@ func main() {
 	}
 	if reg := o.Registry(); reg != nil {
 		sw.Publish(reg)
-		if ferr := o.Finish(nil); ferr != nil {
+		if ferr := o.Finish(); ferr != nil {
 			fatal(ferr)
 		}
 	}

@@ -110,7 +110,7 @@ func main() {
 
 	if reg := o.Registry(); reg != nil {
 		sw.Publish(reg)
-		if err := o.Finish(nil); err != nil {
+		if err := o.Finish(); err != nil {
 			fatal(err)
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -112,20 +111,13 @@ func main() {
 	fmt.Fprintf(out, "Evaluating %d product(s) against the %d-metric standard (seed %d, quick=%v)\n\n",
 		len(field), reg.Len(), *seed, *quick)
 
-	// A live /metrics endpoint accumulates products as their evaluations
-	// complete: the merged-so-far provider is installed before the field
-	// fans out and snapshots arrive from worker goroutines.
-	collect := o.Collecting()
-	live := newLiveSnapshots()
-	o.SetSnapshot(live.merged)
+	// Each product writes its telemetry into the one registry under
+	// "<Product>.", so a live /metrics shows products while they run.
 	if err := o.Serve(ctx); err != nil {
 		fatal(err)
 	}
 	evs, err := eval.EvaluateAll(ctx, field, reg, eval.Options{
-		Seed: *seed, Quick: *quick, Workers: *workers, Telemetry: collect,
-		OnSnapshot: func(spec products.Spec, snap *obs.Snapshot) {
-			live.add(spec.Name+".", snap)
-		},
+		Seed: *seed, Quick: *quick, Workers: *workers, Obs: o.Registry(),
 	})
 	if err != nil {
 		if !cli.Interrupted(err) || evs == nil {
@@ -226,67 +218,20 @@ func main() {
 
 	// Telemetry export goes to stderr / files only: stdout above is
 	// byte-identical whether collection was on or off.
-	if collect {
-		if o.Telemetry {
-			for _, ev := range evs {
-				if err := report.TelemetrySummary(os.Stderr, ev.Telemetry); err != nil {
-					fatal(err)
-				}
-				fmt.Fprintln(os.Stderr)
+	if o.Telemetry {
+		for _, ev := range evs {
+			if err := report.TelemetrySummary(os.Stderr, ev.Telemetry); err != nil {
+				fatal(err)
 			}
+			fmt.Fprintln(os.Stderr)
 		}
-		if err := o.Finish(nil); err != nil {
-			fatal(err)
-		}
+	}
+	if err := o.Finish(); err != nil {
+		fatal(err)
 	}
 	if err := stopProf(); err != nil {
 		fatal(err)
 	}
-}
-
-// liveSnapshots is the merged-so-far snapshot provider behind /metrics:
-// registries register as their runs start (live gauges) and finished
-// products contribute frozen prefixed snapshots. Safe for concurrent
-// use from evaluation workers and HTTP scrapes.
-type liveSnapshots struct {
-	mu    sync.Mutex
-	snaps []*obs.Snapshot
-	regs  []liveReg
-}
-
-type liveReg struct {
-	prefix string
-	reg    *obs.Registry
-}
-
-func newLiveSnapshots() *liveSnapshots { return &liveSnapshots{} }
-
-// add contributes a frozen snapshot (a completed product's telemetry).
-func (l *liveSnapshots) add(prefix string, snap *obs.Snapshot) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.snaps = append(l.snaps, snap.Prefixed(prefix))
-}
-
-// watch contributes a registry that is still being written; every
-// merged() call re-snapshots it, so scrapes see gauges move mid-run.
-func (l *liveSnapshots) watch(prefix string, reg *obs.Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.regs = append(l.regs, liveReg{prefix, reg})
-}
-
-func (l *liveSnapshots) merged() *obs.Snapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	m := &obs.Snapshot{}
-	for _, s := range l.snaps {
-		m.Merge(s)
-	}
-	for _, lr := range l.regs {
-		m.Merge(lr.reg.Snapshot().Prefixed(lr.prefix))
-	}
-	return m
 }
 
 // shardedOpts bundles the -shards path's flag values.
@@ -301,14 +246,11 @@ type shardedOpts struct {
 // product in the field. Stdout carries only the deterministic report —
 // byte-identical across -shards values and across the obs flags — while
 // wall-clock throughput, per-domain attribution, and telemetry go to
-// stderr. Per-product registries share one flight recorder so -trace-out
-// carries the whole field on a single timeline.
+// stderr. Each product writes into the one registry under "<Product>.",
+// so -trace-out carries the whole field on a single timeline.
 func runShardedScale(ctx context.Context, out *os.File, field []products.Spec, obsFlags *cli.ObsFlags, o shardedOpts) error {
 	fmt.Fprintf(out, "Sharded at-scale evaluation: %d product(s), %d segments x %d hosts (seed %d)\n\n",
 		len(field), o.segments, o.hosts, o.seed)
-	collect := obsFlags.Collecting()
-	live := newLiveSnapshots()
-	obsFlags.SetSnapshot(live.merged)
 	if err := obsFlags.Serve(ctx); err != nil {
 		return err
 	}
@@ -319,11 +261,7 @@ func runShardedScale(ctx context.Context, out *os.File, field []products.Spec, o
 			HostsPerSegment: o.hosts,
 			Shards:          o.shards,
 			Duration:        o.duration,
-		}
-		if collect {
-			cfg.Obs = obs.NewRegistry()
-			cfg.Obs.SetFlight(obsFlags.Registry().Flight())
-			live.watch(spec.Name+".", cfg.Obs)
+			Obs:             obsFlags.Registry().Sub(spec.Name + "."),
 		}
 		res, err := eval.RunShardedScale(ctx, spec, cfg)
 		if err != nil {
@@ -339,7 +277,7 @@ func runShardedScale(ctx context.Context, out *os.File, field []products.Spec, o
 			return err
 		}
 	}
-	return obsFlags.Finish(nil)
+	return obsFlags.Finish()
 }
 
 func fatal(err error) {

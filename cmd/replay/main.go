@@ -81,7 +81,6 @@ func main() {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	o.SetSnapshot(reg.Snapshot)
 	if err := o.Serve(ctx); err != nil {
 		fatal(err)
 	}
@@ -111,7 +110,7 @@ func main() {
 		fatal(err)
 	}
 
-	if err := o.Finish(nil); err != nil {
+	if err := o.Finish(); err != nil {
 		fatal(err)
 	}
 	if err := stopProf(); err != nil {

@@ -115,7 +115,7 @@ func main() {
 	}
 
 	if flag.NArg() == 0 {
-		if err := o.Finish(nil); err != nil {
+		if err := o.Finish(); err != nil {
 			fatal(err)
 		}
 		return
@@ -146,7 +146,7 @@ func main() {
 			oreg.Gauge("scorecard.ranking." + ws.System + ".position").Set(int64(i + 1))
 			oreg.Gauge("scorecard.ranking." + ws.System + ".total_ppm").Set(int64(ws.Total * 1e6))
 		}
-		if err := o.Finish(nil); err != nil {
+		if err := o.Finish(); err != nil {
 			fatal(err)
 		}
 	}

@@ -84,7 +84,6 @@ func main() {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	o.SetSnapshot(reg.Snapshot)
 	if err := o.Serve(ctx); err != nil {
 		fatal(err)
 	}
@@ -259,7 +258,7 @@ func publishTraceStats(reg *obs.Registry, packets, malicious, bytes uint64, chun
 
 // finish exports telemetry per the obs flags and stops any profiles.
 func finish(o *cli.ObsFlags, stopProf func() error) {
-	if err := o.Finish(nil); err != nil {
+	if err := o.Finish(); err != nil {
 		fatal(err)
 	}
 	if err := stopProf(); err != nil {

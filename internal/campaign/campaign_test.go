@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/fsio/faultfs"
 	"repro/internal/obs"
 	"repro/internal/products"
 	"repro/internal/report"
@@ -56,6 +57,24 @@ func newRunner(dir string, spec *campaign.Spec) *campaign.Runner {
 	return &campaign.Runner{
 		Dir: dir, Spec: spec, Workers: 2,
 		Backoff: time.Millisecond, StallTimeout: -1, Grace: time.Second,
+	}
+}
+
+// crashAfterAppends returns a hostile disk that crash-stops at the
+// journal's (n+1)th write: the first n appends are durable, and nothing
+// the run writes after them reaches the disk — a hard kill between two
+// commits.
+func crashAfterAppends(n int) *faultfs.FS {
+	return faultfs.New(faultfs.Rule{Op: faultfs.OpWrite, Path: "journal.jsonl", N: n + 1, Crash: true})
+}
+
+// runToCrash runs r over ffs and fails the test unless the disk crashed
+// and the run reported it.
+func runToCrash(t *testing.T, r *campaign.Runner, ffs *faultfs.FS) {
+	t.Helper()
+	r.FS = ffs
+	if _, err := r.Run(context.Background()); err == nil || !ffs.Crashed() {
+		t.Fatalf("crash run: error %v, disk crashed %v; want the crash to stop the run", err, ffs.Crashed())
 	}
 }
 
@@ -191,10 +210,7 @@ func TestCrashResumeReportByteIdentical(t *testing.T) {
 	}
 	rc := newRunner(crashed, spec)
 	rc.SetExecOverride(syntheticExec)
-	rc.SetCrashAfter(3)
-	if _, err := rc.Run(context.Background()); !errors.Is(err, campaign.ErrCrashInjected) {
-		t.Fatalf("crash run error = %v, want ErrCrashInjected", err)
-	}
+	runToCrash(t, rc, crashAfterAppends(3))
 	// Simulate the kill landing mid-append on top of the crash: a torn
 	// half-line at the journal tail.
 	jf, err := os.OpenFile(filepath.Join(crashed, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0o644)
@@ -542,21 +558,17 @@ func TestRealSweepCrashResumeByteIdentical(t *testing.T) {
 		Products: []string{all[0].Name}, SweepPoints: 2,
 	}
 
-	run := func(dir string, crashAfter int) error {
+	runner := func(dir string) *campaign.Runner {
 		r := newRunner(dir, spec)
 		r.Workers = 1
-		if crashAfter > 0 {
-			r.SetCrashAfter(crashAfter)
-		}
-		_, err := r.Run(context.Background())
-		return err
+		return r
 	}
 
 	clean := t.TempDir()
 	if err := campaign.SavePlan(clean, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(clean, 0); err != nil {
+	if _, err := runner(clean).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -564,10 +576,8 @@ func TestRealSweepCrashResumeByteIdentical(t *testing.T) {
 	if err := campaign.SavePlan(crashed, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(crashed, 1); !errors.Is(err, campaign.ErrCrashInjected) {
-		t.Fatalf("crash run error = %v, want ErrCrashInjected", err)
-	}
-	if err := run(crashed, 0); err != nil {
+	runToCrash(t, runner(crashed), crashAfterAppends(1))
+	if _, err := runner(crashed).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

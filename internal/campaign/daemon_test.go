@@ -11,7 +11,6 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,17 +39,15 @@ func TestConcurrentAppendCrashTornTailResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := newRunner(crashed, spec)
-	// Four workers race the journal mutex; the crash fires inside the
-	// 5th append while later writers are queued behind the lock — the
-	// daemon's concurrent-append shape. Queued writers observe the
-	// stopped runner and their commits are dropped (they re-run on
-	// resume); nothing may corrupt the already-committed prefix.
+	// Four workers race the journal mutex; the disk crashes at the 6th
+	// append's write, after 5 durable appends, while later writers are
+	// queued behind the lock — the daemon's concurrent-append shape.
+	// Queued writers find the disk gone and their commits are lost
+	// (they re-run on resume); nothing may corrupt the already-committed
+	// prefix.
 	rc.Workers = 4
-	rc.SetCrashAfter(5)
 	rc.SetExecOverride(syntheticExec)
-	if _, err := rc.Run(context.Background()); !errors.Is(err, campaign.ErrCrashInjected) {
-		t.Fatalf("crash run error = %v, want ErrCrashInjected", err)
-	}
+	runToCrash(t, rc, crashAfterAppends(5))
 
 	// The kill also tears the final line mid-append while a second
 	// writer was pending: append a half-written entry with no newline.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/products"
 	"repro/internal/trace"
 )
@@ -30,13 +29,7 @@ func (r *Runner) execute(ctx context.Context, ex Experiment) (*Result, error) {
 	res := &Result{ID: ex.ID, Kind: ex.Kind, Product: ex.Product}
 	switch ex.Kind {
 	case KindEval:
-		opts := eval.Options{Seed: r.Spec.Seed, Quick: r.Spec.Quick, Workers: 1}
-		if r.OnEvalSnapshot != nil {
-			opts.Telemetry = true
-			opts.OnSnapshot = func(ps products.Spec, snap *obs.Snapshot) {
-				r.OnEvalSnapshot(ps.Name, snap)
-			}
-		}
+		opts := eval.Options{Seed: r.Spec.Seed, Quick: r.Spec.Quick, Workers: 1, Obs: r.Obs.Sub("eval.")}
 		ev, err := eval.EvaluateProduct(ctx, spec, core.StandardRegistry(), opts)
 		if err != nil {
 			return nil, err

@@ -2,12 +2,8 @@ package campaign
 
 import "context"
 
-// Test-only accessors for the runner's crash-injection and execution
-// hooks, shared with the external campaign_test package.
-
-// SetCrashAfter makes the runner simulate a hard crash (no drain, no
-// further journaling) after n journal appends.
-func (r *Runner) SetCrashAfter(n int) { r.crashAfter = n }
+// Test-only accessor for the runner's execution hook, shared with the
+// external campaign_test package.
 
 // SetExecOverride substitutes experiment execution.
 func (r *Runner) SetExecOverride(f func(ctx context.Context, ex Experiment) (*Result, error)) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fsio"
@@ -109,6 +110,63 @@ func FuzzLoadPlan(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, spec) {
 			t.Fatalf("%q loads as %+v but round-trips to %+v", data, spec, back)
+		}
+	})
+}
+
+// FuzzLoadResult reads arbitrary bytes as the result file of one
+// experiment. Every input must be rejected, or load as a Result with
+// the requested ID whose canonical bytes (encode, as commit writes
+// them) load back to an equal Result.
+func FuzzLoadResult(f *testing.F) {
+	const id = "eval/TrueSecure"
+	committed, err := (&Result{
+		ID: id, Kind: KindEval, Product: "TrueSecure",
+		Eval: &EvalResult{
+			Scorecard:     json.RawMessage(`{"system":"TrueSecure","scores":[{"metric":"T1","score":3}]}`),
+			DetectionRate: 0.875, FalseAlarms: 4, ZeroLossPps: 65536, MeanDelayNs: 239e6, EER: 0.4, EERValid: true,
+		},
+	}).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []string{
+		string(committed),
+		strings.Replace(string(committed), id, "sweep/TrueSecure/p0", 1),
+		string(committed[:len(committed)/2]),
+		string(committed) + `{"id":"` + id + `"}`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(resultsDir(dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(resultFile(dir, id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := loadResultFS(fsio.OS, dir, id)
+		if err != nil {
+			return
+		}
+		if res.ID != id {
+			t.Fatalf("%q loads under id %q, want %q", data, res.ID, id)
+		}
+		b, err := res.encode()
+		if err != nil {
+			t.Fatalf("re-encoding the result loaded from %q: %v", data, err)
+		}
+		if err := os.WriteFile(resultFile(dir, id), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := loadResultFS(fsio.OS, dir, id)
+		if err != nil {
+			t.Fatalf("reloading the re-encoded %q: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, res) {
+			t.Fatalf("%q loads as %+v but round-trips to %+v", data, res, back)
 		}
 	})
 }

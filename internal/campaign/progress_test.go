@@ -5,10 +5,12 @@ import (
 	"errors"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fsio/faultfs"
 	"repro/internal/obs"
 )
 
@@ -181,5 +183,26 @@ func TestProgressCountsRetriesAndFailures(t *testing.T) {
 	}
 	if retries != out.Retries {
 		t.Errorf("flight retries %d != outcome retries %d", retries, out.Retries)
+	}
+}
+
+// TestProgressPublishesPlanBeforeRecovery pins when the plan reaches
+// /progress: right after Spec.Plan, before recovery touches the disk.
+// A journal that cannot be opened fails Run, and Progress still names
+// the campaign and its planned size, so a scraper can tell a failed
+// recovery from an empty campaign.
+func TestProgressPublishesPlanBeforeRecovery(t *testing.T) {
+	spec := syntheticSpec(t, 3)
+	exps, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(t.TempDir(), spec)
+	r.FS = faultfs.New(faultfs.Rule{Op: faultfs.OpOpenAppend, Path: "journal.jsonl", Err: syscall.EIO})
+	if _, err := r.Run(context.Background()); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Run = %v, want the journal's EIO", err)
+	}
+	if p := r.Progress(); p.Name != spec.Name || p.Planned != len(exps) || !p.Done {
+		t.Fatalf("progress after failed recovery = %+v, want name %q, %d planned, done", p, spec.Name, len(exps))
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -94,6 +95,11 @@ func loadResultFS(fsys fsio.FS, dir, id string) (*Result, error) {
 	}
 	if r.ID != id {
 		return nil, fmt.Errorf("campaign: result file for %s claims id %s", id, r.ID)
+	}
+	// commit writes nothing but encode's bytes, so bytes that parse but
+	// differ (a missing payload, foreign whitespace) were not committed.
+	if c, err := r.encode(); err != nil || !bytes.Equal(c, b) {
+		return nil, fmt.Errorf("campaign: result file for %s is not in the form commit writes", id)
 	}
 	return &r, nil
 }

@@ -42,8 +42,9 @@ type Runner struct {
 	// smoke tests and incremental runs.
 	MaxNew int
 	// Obs, when set, receives campaign instrumentation: experiments
-	// completed/failed/retried/skipped counters and the checkpoint
-	// write-latency histogram.
+	// completed/failed/retried/skipped counters, the checkpoint
+	// write-latency histogram, and each eval experiment's telemetry
+	// under "eval.<Product>.".
 	Obs *obs.Registry
 	// Log, when set, receives one progress line per experiment verdict
 	// (stderr in the CLI). Never part of the report.
@@ -55,11 +56,6 @@ type Runner struct {
 	// It observes only: the result is already committed, and the report
 	// stays byte-identical with or without the hook.
 	OnCommit func(ex Experiment, res *Result)
-	// OnEvalSnapshot, when set, arms per-product telemetry on KindEval
-	// experiments and receives each product's final registry snapshot —
-	// the daemon's live /metrics feed for matrix evaluations. Must be
-	// safe for concurrent use.
-	OnEvalSnapshot func(product string, snap *obs.Snapshot)
 	// FS is the storage seam every durability-bearing write and every
 	// recovery read goes through (plan, journal, result files).
 	// nil means the real filesystem; TestCrashMatrix substitutes a
@@ -70,15 +66,8 @@ type Runner struct {
 	// deterministic without touching the commit discipline.
 	Exec func(ctx context.Context, ex Experiment) (*Result, error)
 
-	// crashAfter simulates a hard crash (no drain, no further
-	// journaling) after N journal appends — the resume tests' kill
-	// switch.
-	crashAfter int
-
-	appended atomic.Int64
-	stopped  atomic.Bool
-	journal  *fsio.AppendFile
-	mu       sync.Mutex // serializes journal appends
+	journal *fsio.AppendFile
+	mu      sync.Mutex // serializes journal appends
 
 	// Live progress, served by the -listen /progress endpoint while Run
 	// executes. Guarded by its own mutex so scrapes never contend with
@@ -165,13 +154,10 @@ type Outcome struct {
 	Failed []string
 	// Retries counts extra attempts consumed across all experiments.
 	Retries int
-	// Stopped is set when the run ended early: cancellation, MaxNew
-	// reached, or an injected crash.
+	// Stopped is set when the run ended early: cancellation or MaxNew
+	// reached.
 	Stopped bool
 }
-
-// ErrCrashInjected is returned when the test-only crash hook fires.
-var ErrCrashInjected = errors.New("campaign: injected crash")
 
 // errStalled marks a watchdog cancellation (vs. parent cancellation).
 var errStalled = errors.New("campaign: stall watchdog expired")
@@ -217,6 +203,15 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Publish the plan before recovery touches the disk, so /progress
+	// names the campaign and its size from the start, even when the
+	// recovery below fails.
+	r.progMu.Lock()
+	r.prog = Progress{Name: r.Spec.Name, Planned: len(exps)}
+	r.progStart = time.Now()
+	r.running = map[string]struct{}{}
+	r.progMu.Unlock()
+	defer r.track(func(p *Progress) { p.Done = true })
 	if err := fsys.MkdirAll(resultsDir(r.Dir), 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -259,12 +254,7 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		pending = append(pending, ex)
 	}
 	r.count("campaign.skipped", out.Skipped)
-	r.progMu.Lock()
-	r.prog = Progress{Name: r.Spec.Name, Planned: out.Planned, Skipped: out.Skipped}
-	r.progStart = time.Now()
-	r.running = map[string]struct{}{}
-	r.progMu.Unlock()
-	defer r.track(func(p *Progress) { p.Done = true })
+	r.track(func(p *Progress) { p.Skipped = out.Skipped })
 	r.logf("campaign %s: %d experiments planned, %d already done, %d to run",
 		r.Spec.Name, out.Planned, out.Skipped, len(pending))
 	if len(pending) == 0 {
@@ -272,7 +262,7 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	}
 
 	// stop cancels the remaining experiments without marking the parent
-	// ctx — used by MaxNew and the crash hook.
+	// ctx — used by MaxNew.
 	runCtx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 
@@ -288,22 +278,16 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 			if r.MaxNew > 0 && out.Completed >= r.MaxNew {
 				stop(context.Canceled)
 			}
-		case errors.Is(err, ErrCrashInjected):
-			stop(context.Canceled)
 		case err != nil && !isCancel(err):
 			out.Failed = append(out.Failed, pending[i].ID)
 		}
 		return err
 	})
 
-	if r.stopped.Load() {
-		out.Stopped = true
-		return out, ErrCrashInjected
-	}
 	var firstCancel error
 	realFailures := 0
 	for _, e := range errs {
-		if e == nil || errors.Is(e, ErrCrashInjected) {
+		if e == nil {
 			continue
 		}
 		if isCancel(e) {
@@ -517,26 +501,15 @@ func (r *Runner) commit(ex Experiment, res *Result, attempt int, elapsed time.Du
 	return nil
 }
 
-// append serializes and durably appends one journal entry, honoring
-// the injected-crash hook.
+// append serializes and durably appends one journal entry.
 func (r *Runner) append(e Entry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopped.Load() {
-		return ErrCrashInjected
-	}
 	b, err := jsonMarshalLine(e)
 	if err != nil {
 		return err
 	}
-	if err := r.journal.Append(b); err != nil {
-		return err
-	}
-	if n := r.appended.Add(1); r.crashAfter > 0 && int(n) >= r.crashAfter {
-		r.stopped.Store(true)
-		return ErrCrashInjected
-	}
-	return nil
+	return r.journal.Append(b)
 }
 
 func (r *Runner) count(name string, n int) {

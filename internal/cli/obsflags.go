@@ -7,8 +7,8 @@
 //	flag.Parse()
 //	defer o.Close()
 //	o.Serve(ctx)                   // no-op unless -listen was given
-//	... run, instrumenting with o.Registry() ...
-//	o.Finish(snapshot)             // exports; no-op when all-off
+//	... run, instrumenting with o.Registry() or its Sub views ...
+//	o.Finish()                     // exports; no-op when all-off
 //
 // Everything here observes without perturbing: stdout and result files
 // are byte-identical whether the flags are set or not (the determinism
@@ -46,7 +46,6 @@ type ObsFlags struct {
 	reg      *obs.Registry
 	server   *httpexport.Server
 	progress func() any
-	snapshot func() *obs.Snapshot
 }
 
 // AddObsFlags registers the shared observability flags on fs and
@@ -70,11 +69,12 @@ func (o *ObsFlags) Collecting() bool {
 	return o.Telemetry || o.JSONLPath != "" || o.Listen != "" || o.TraceOut != ""
 }
 
-// Registry returns the shared registry, creating it on first call.
-// When tracing or a live endpoint was requested the flight recorder is
-// enabled on it. Returns nil — the disabled configuration — when no
-// flag asked for collection, so callers can thread the result without
-// checks.
+// Registry returns the process's one registry, creating it on first
+// call; per-run telemetry goes into Sub views of it. When tracing or a
+// live endpoint was requested the flight recorder is enabled on it.
+// Returns nil — the disabled configuration — when no flag asked for
+// collection, so callers can thread the result (and its views)
+// without checks.
 func (o *ObsFlags) Registry() *obs.Registry {
 	if !o.Collecting() {
 		return nil
@@ -88,26 +88,14 @@ func (o *ObsFlags) Registry() *obs.Registry {
 	return o.reg
 }
 
-// SetSnapshot overrides where /metrics and Finish get their snapshot.
-// Commands that aggregate several per-experiment registries (idseval's
-// per-product runs) install a merger here; the default snapshots the
-// shared Registry().
-func (o *ObsFlags) SetSnapshot(fn func() *obs.Snapshot) { o.snapshot = fn }
-
 // SetProgress installs the /progress provider. Must be called before
 // Serve for the endpoint to exist.
 func (o *ObsFlags) SetProgress(fn func() any) { o.progress = fn }
 
-// Snapshot returns the current snapshot via the installed provider (or
-// the shared registry), with the storage layer's fsio.* health
-// counters merged in. Nil when collection is off.
+// Snapshot returns the registry's current snapshot with the storage
+// layer's fsio.* health counters merged in. Nil when collection is off.
 func (o *ObsFlags) Snapshot() *obs.Snapshot {
-	var snap *obs.Snapshot
-	if o.snapshot != nil {
-		snap = o.snapshot()
-	} else {
-		snap = o.Registry().Snapshot()
-	}
+	snap := o.Registry().Snapshot()
 	if snap != nil {
 		snap.Merge(obs.FSIOSnapshot())
 	}
@@ -149,16 +137,12 @@ func (o *ObsFlags) serve(ctx context.Context, log io.Writer) error {
 
 // Finish exports the final state: Prometheus text to stderr under
 // -telemetry, JSONL under -telemetry-jsonl, and the Chrome trace under
-// -trace-out. snap overrides the snapshot source for this export only
-// (pass nil to use the installed provider). No-op when collection is
-// off; stdout is never touched.
-func (o *ObsFlags) Finish(snap *obs.Snapshot) error {
+// -trace-out. No-op when collection is off; stdout is never touched.
+func (o *ObsFlags) Finish() error {
 	if !o.Collecting() {
 		return nil
 	}
-	if snap == nil {
-		snap = o.Snapshot()
-	}
+	snap := o.Snapshot()
 	if o.Telemetry {
 		fmt.Fprintln(os.Stderr, "# telemetry snapshot")
 		if err := snap.WritePrometheus(os.Stderr); err != nil {

@@ -38,7 +38,7 @@ func TestObsFlagsOffByDefault(t *testing.T) {
 	if o.server != nil {
 		t.Fatal("server started with no -listen")
 	}
-	if err := o.Finish(nil); err != nil {
+	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +122,7 @@ func TestObsFlagsFinishWritesFiles(t *testing.T) {
 	reg := o.Registry()
 	reg.Counter("x.count").Inc()
 	reg.Flight().Record(obs.FlightMark, -1, -1, 0, "phase")
-	if err := o.Finish(nil); err != nil {
+	if err := o.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	jb, err := os.ReadFile(jsonl)
@@ -135,12 +135,21 @@ func TestObsFlagsFinishWritesFiles(t *testing.T) {
 	}
 }
 
-func TestObsFlagsSnapshotOverride(t *testing.T) {
+// TestObsFlagsSnapshotCarriesViews pins the one-registry export: what a
+// run writes through a Sub view of Registry() reaches Snapshot (and so
+// /metrics and Finish) under its prefixed name, beside the fsio.*
+// counters.
+func TestObsFlagsSnapshotCarriesViews(t *testing.T) {
 	o := parse(t, "-telemetry")
-	ext := obs.NewRegistry()
-	ext.Counter("merged.count").Add(9)
-	o.SetSnapshot(func() *obs.Snapshot { return ext.Snapshot() })
-	if v, ok := o.Snapshot().Counter("merged.count"); !ok || v != 9 {
-		t.Fatalf("snapshot override ignored: %d %v", v, ok)
+	o.Registry().Sub("TrueSecure.").Counter("run.count").Add(9)
+	snap := o.Snapshot()
+	if v, ok := snap.Counter("TrueSecure.run.count"); !ok || v != 9 {
+		t.Fatalf("view counter missing from the export: %d %v", v, ok)
+	}
+	if _, ok := snap.Counter("fsio.append_repairs"); !ok {
+		t.Fatal("export lost the fsio counters")
+	}
+	if parse(t).Registry().Sub("TrueSecure.") != nil {
+		t.Fatal("a view of the disabled registry must be nil")
 	}
 }

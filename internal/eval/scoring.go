@@ -210,18 +210,14 @@ type Options struct {
 	// derives its RNG streams from Seed alone, both settings produce
 	// bit-identical scorecards.
 	Workers int
-	// Telemetry wires an obs registry through the accuracy testbed and
-	// assembles the exportable Snapshot on each ProductEvaluation.
-	// Telemetry observes and never perturbs: scorecards and results are
-	// bit-identical with it on or off (the determinism guard test pins
-	// this).
-	Telemetry bool
-	// OnSnapshot, when set alongside Telemetry, is called with each
-	// product's snapshot as that product's evaluation completes — the
-	// hook behind a live /metrics endpoint that accumulates products as
-	// they finish. Called from worker goroutines; the callback must be
-	// safe for concurrent use.
-	OnSnapshot func(spec products.Spec, snap *obs.Snapshot)
+	// Obs, when set, instruments each product's evaluation under
+	// Obs.Sub("<Product>."): the accuracy testbed's components under
+	// "<Product>.accuracy." while they run, then the scorecard gauges,
+	// the matcher-cache gauges and the measurement histograms once the
+	// product's experiments end. Telemetry observes and never perturbs:
+	// scorecards and results are bit-identical with it set or nil (the
+	// determinism guard test pins this).
+	Obs *obs.Registry
 }
 
 // ProductEvaluation bundles a product's complete scorecard with the raw
@@ -238,10 +234,6 @@ type ProductEvaluation struct {
 	// Telemetry is the scorecard-grade performance summary, always
 	// derived from the results above.
 	Telemetry *Telemetry
-	// Snapshot is the full exportable telemetry dump (component
-	// instrumentation + scorecard gauges + measurement histograms).
-	// Nil unless Options.Telemetry was set.
-	Snapshot *obs.Snapshot
 }
 
 // EvaluateProduct runs every experiment against one product and fills a
@@ -271,17 +263,14 @@ func EvaluateProduct(ctx context.Context, spec products.Spec, reg *core.Registry
 	ev := &ProductEvaluation{Spec: spec, Card: card}
 
 	// Component instrumentation rides the accuracy testbed (the run with
-	// a full pipeline under attack load). Only the export dump depends
-	// on this registry — never a result field.
-	var accReg *obs.Registry
-	if opts.Telemetry {
-		accReg = obs.NewRegistry()
-	}
+	// a full pipeline under attack load). Only the export depends on
+	// this registry — never a result field.
+	telem := opts.Obs.Sub(spec.Name + ".")
 
 	experiments := []func(ctx context.Context) error{
 		// Accuracy + timeliness + response + compromise (one big run).
 		func(ctx context.Context) error {
-			accCfg := TestbedConfig{Seed: opts.Seed, Obs: accReg}
+			accCfg := TestbedConfig{Seed: opts.Seed, Obs: telem.Sub("accuracy.")}
 			attackFor := 45 * time.Second
 			strength := attack.Intensity(1)
 			if opts.Quick {
@@ -368,17 +357,10 @@ func EvaluateProduct(ctx context.Context, spec products.Spec, reg *core.Registry
 	}
 
 	ev.Telemetry = BuildTelemetry(ev)
-	if opts.Telemetry {
-		top := obs.NewRegistry()
-		ev.Telemetry.Publish(top)
-		detect.PublishCacheMetrics(top)
-		snap := top.Snapshot()
-		snap.Hists = append(snap.Hists, ev.measurementHists()...)
-		snap.Merge(accReg.Snapshot().Prefixed("accuracy."))
-		ev.Snapshot = snap
-		if opts.OnSnapshot != nil {
-			opts.OnSnapshot(spec, snap)
-		}
+	if telem != nil {
+		ev.Telemetry.Publish(telem)
+		detect.PublishCacheMetrics(telem)
+		ev.publishMeasurementHists(telem)
 	}
 	return ev, nil
 }

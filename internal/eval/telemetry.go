@@ -117,21 +117,15 @@ func (t *Telemetry) Publish(reg *obs.Registry) {
 	reg.Gauge("scorecard.induced_latency_p95_ns").Set(int64(t.InducedLatencyP95))
 }
 
-// measurementHists collects the always-on measurement-level histogram
-// snapshots (latency probes, detection delays) so the export dump
+// publishMeasurementHists files the always-on measurement-level
+// histograms (detection delays, latency probes) in reg, so the export
 // carries full distributions, not just the derived percentiles.
-func (ev *ProductEvaluation) measurementHists() []*obs.HistSnap {
-	var out []*obs.HistSnap
-	if acc := ev.Accuracy; acc != nil && acc.DelayHist != nil {
-		out = append(out, acc.DelayHist)
+func (ev *ProductEvaluation) publishMeasurementHists(reg *obs.Registry) {
+	if acc := ev.Accuracy; acc != nil {
+		reg.AdoptHist(acc.DelayHist)
 	}
 	if lat := ev.Latency; lat != nil {
-		if lat.BaselineHist != nil {
-			out = append(out, lat.BaselineHist)
-		}
-		if lat.WithIDSHist != nil {
-			out = append(out, lat.WithIDSHist)
-		}
+		reg.AdoptHist(lat.BaselineHist)
+		reg.AdoptHist(lat.WithIDSHist)
 	}
-	return out
 }

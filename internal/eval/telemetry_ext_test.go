@@ -59,18 +59,19 @@ func TestTelemetryDeterminism(t *testing.T) {
 	// evidence notes, matrices — must be byte-identical whether the
 	// telemetry registry was wired through the testbeds or not.
 	specs := []products.Spec{products.TrueSecure(), products.NetRecorder()}
-	off, _ := renderField(t, specs, eval.Options{Seed: 11, Quick: true, Telemetry: false})
-	on, evs := renderField(t, specs, eval.Options{Seed: 11, Quick: true, Telemetry: true})
+	off, _ := renderField(t, specs, eval.Options{Seed: 11, Quick: true})
+	root := obs.NewRegistry()
+	on, evs := renderField(t, specs, eval.Options{Seed: 11, Quick: true, Obs: root})
 	if off != on {
 		t.Fatalf("telemetry perturbed the evaluation:\n--- off ---\n%s\n--- on ---\n%s", off, on)
 	}
 
-	// With collection on, each evaluation must carry a snapshot covering
-	// the class-3 scorecard quantities and the component telemetry.
+	// With collection on, the registry must carry each product's
+	// class-3 scorecard quantities and component telemetry under
+	// "<Product>.".
+	snap := root.Snapshot()
 	for _, ev := range evs {
-		if ev.Snapshot == nil {
-			t.Fatalf("%s: telemetry on but no snapshot", ev.Spec.Name)
-		}
+		p := ev.Spec.Name + "."
 		for _, g := range []string{
 			"scorecard.detection_delay_p95_ns",
 			"scorecard.drop_ratio_ppm",
@@ -78,22 +79,22 @@ func TestTelemetryDeterminism(t *testing.T) {
 			"scorecard.operator_notifications",
 			"scorecard.induced_latency_p95_ns",
 		} {
-			if _, ok := ev.Snapshot.Gauge(g); !ok {
-				t.Errorf("%s: snapshot missing %s", ev.Spec.Name, g)
+			if _, ok := snap.Gauge(p + g); !ok {
+				t.Errorf("registry missing %s", p+g)
 			}
 		}
-		if ev.Snapshot.Hist("eval.path_latency.baseline_ns") == nil {
-			t.Errorf("%s: snapshot missing latency probe histogram", ev.Spec.Name)
+		if snap.Hist(p+"eval.path_latency.baseline_ns") == nil {
+			t.Errorf("%s: registry missing latency probe histogram", ev.Spec.Name)
 		}
-		if _, ok := ev.Snapshot.Counter("accuracy.ids.ingested"); !ok {
-			t.Errorf("%s: snapshot missing accuracy-run component telemetry", ev.Spec.Name)
+		if _, ok := snap.Counter(p + "accuracy.ids.ingested"); !ok {
+			t.Errorf("%s: registry missing accuracy-run component telemetry", ev.Spec.Name)
 		}
 		if ev.Telemetry == nil || ev.Telemetry.Ingested == 0 {
 			t.Errorf("%s: telemetry summary empty", ev.Spec.Name)
 		}
 		// Percentile fields must agree between result structs and the
 		// published gauges — one estimator, not two.
-		if g, _ := ev.Snapshot.Gauge("scorecard.detection_delay_p95_ns"); g.Value != int64(ev.Accuracy.DelayP95) {
+		if g, _ := snap.Gauge(p + "scorecard.detection_delay_p95_ns"); g.Value != int64(ev.Accuracy.DelayP95) {
 			t.Errorf("%s: scorecard gauge %d != result p95 %d", ev.Spec.Name, g.Value, ev.Accuracy.DelayP95)
 		}
 	}
@@ -107,9 +108,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 	for _, ev := range evsOff {
 		if ev.Telemetry == nil {
 			t.Fatalf("%s: telemetry summary missing with collection off", ev.Spec.Name)
-		}
-		if ev.Snapshot != nil {
-			t.Fatalf("%s: snapshot assembled without opting in", ev.Spec.Name)
 		}
 	}
 }

@@ -50,14 +50,13 @@ type LargeConfig struct {
 	HostsPerSegment int
 	// ExternalHosts (default 4).
 	ExternalHosts int
-	// HostLink configures host access links (NewLink defaults apply).
-	HostLink LinkConfig
-	// BackboneLink configures trunks. Its propagation delay becomes the
-	// conservative lookahead; default 200µs (a metro-scale distribution
-	// span), deliberately larger than the 50µs access default so the
-	// parallel windows stay wide enough to batch useful work.
-	BackboneLink LinkConfig
 }
+
+// largeTrunkPropagation is the at-scale trunks' propagation delay, which
+// becomes the conservative lookahead: a metro-scale distribution span,
+// deliberately larger than the 50µs access default so the parallel
+// windows stay wide enough to batch useful work.
+const largeTrunkPropagation = 200 * time.Microsecond
 
 // LargeAddr returns the address of host h in segment s: 10.(s+1).hi.lo
 // with h split across the low two octets, so a segment scales to
@@ -89,23 +88,14 @@ func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology
 	if got := ss.Domains(); got != cfg.Segments+1 {
 		return nil, fmt.Errorf("netsim: coordinator has %d domains, topology needs %d (one per segment + border/external)", got, cfg.Segments+1)
 	}
-	if cfg.BackboneLink.BandwidthBps <= 0 {
-		cfg.BackboneLink.BandwidthBps = 10e9
-	}
-	if cfg.BackboneLink.BufferBytes <= 0 {
-		cfg.BackboneLink.BufferBytes = 4 << 20
-	}
-	if cfg.BackboneLink.Propagation <= 0 {
-		cfg.BackboneLink.Propagation = 200 * time.Microsecond
-	}
 
 	f := NewFabric(ss)
 	core := ss.Domain(0)
 	t := &LargeTopology{
 		Fabric: f,
-		Border: NewRouter(core, "border-router", 20*time.Microsecond),
-		Ext:    NewSwitch(core, "ext-switch", 5*time.Microsecond),
-		Dist:   NewSwitch(core, "dist-switch", 5*time.Microsecond),
+		Border: NewRouter(core, "border-router", routerLatency),
+		Ext:    NewSwitch(core, "ext-switch", switchLatency),
+		Dist:   NewSwitch(core, "dist-switch", switchLatency),
 	}
 	for _, e := range []Endpoint{t.Border, t.Ext, t.Dist} {
 		if err := f.Place(0, e); err != nil {
@@ -113,17 +103,13 @@ func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology
 		}
 	}
 
-	extTrunk := cfg.BackboneLink
-	extTrunk.Name = "ext-trunk"
-	extLink, err := f.Link(t.Ext, t.Border, extTrunk)
+	extLink, err := f.Link(t.Ext, t.Border, trunk("ext-trunk", largeTrunkPropagation))
 	if err != nil {
 		return nil, err
 	}
 	t.Ext.SetUplink(extLink)
 
-	distTrunk := cfg.BackboneLink
-	distTrunk.Name = "dist-trunk"
-	distLink, err := f.Link(t.Border, t.Dist, distTrunk)
+	distLink, err := f.Link(t.Border, t.Dist, trunk("dist-trunk", largeTrunkPropagation))
 	if err != nil {
 		return nil, err
 	}
@@ -134,13 +120,11 @@ func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology
 	for s := 0; s < cfg.Segments; s++ {
 		dom := s + 1
 		leafSim := ss.Domain(dom)
-		leaf := NewSwitch(leafSim, fmt.Sprintf("leaf%03d", s), 5*time.Microsecond)
+		leaf := NewSwitch(leafSim, fmt.Sprintf("leaf%03d", s), switchLatency)
 		if err := f.Place(dom, leaf); err != nil {
 			return nil, err
 		}
-		leafTrunk := cfg.BackboneLink
-		leafTrunk.Name = fmt.Sprintf("leaf%03d-trunk", s)
-		up, err := f.Link(t.Dist, leaf, leafTrunk)
+		up, err := f.Link(t.Dist, leaf, trunk(fmt.Sprintf("leaf%03d-trunk", s), largeTrunkPropagation))
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +132,7 @@ func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology
 		segment := make([]*Host, 0, cfg.HostsPerSegment)
 		for h := 0; h < cfg.HostsPerSegment; h++ {
 			host := NewHost(leafSim, fmt.Sprintf("s%03dn%04d", s, h), LargeAddr(s, h))
-			leaf.Connect(host, cfg.HostLink)
+			leaf.Connect(host, LinkConfig{})
 			segment = append(segment, host)
 		}
 		// The distribution switch routes the segment's whole /16 via one
@@ -165,7 +149,7 @@ func BuildLargeTopology(ss *simtime.ShardedSim, cfg LargeConfig) (*LargeTopology
 
 	for i := 0; i < cfg.ExternalHosts; i++ {
 		h := NewHost(core, fmt.Sprintf("ext%02d", i), ExternalAddr(i))
-		t.Ext.Connect(h, cfg.HostLink)
+		t.Ext.Connect(h, LinkConfig{})
 		t.External = append(t.External, h)
 	}
 

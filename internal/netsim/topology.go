@@ -37,14 +37,21 @@ type TopologyConfig struct {
 	ClusterHosts int
 	// ExternalHosts is the number of Internet-side hosts (default 4).
 	ExternalHosts int
-	// HostLink configures each host's access link (defaults per NewLink).
-	HostLink LinkConfig
-	// BackboneLink configures router<->switch trunks (default 10 Gb/s).
-	BackboneLink LinkConfig
-	// SwitchLatency is the LAN switch forwarding latency (default 5µs).
-	SwitchLatency time.Duration
-	// RouterLatency is the border router forwarding latency (default 20µs).
-	RouterLatency time.Duration
+}
+
+// The testbeds' fixed link and forwarding parameters. Host access links
+// take NewLink's defaults.
+const (
+	trunkBps         = 10e9    // router<->switch trunk bandwidth: 10 Gb/s
+	trunkBufferBytes = 4 << 20 // trunk buffer: 4 MiB
+	switchLatency    = 5 * time.Microsecond
+	routerLatency    = 20 * time.Microsecond
+)
+
+// trunk configures a router<->switch trunk; a zero propagation takes
+// NewLink's default.
+func trunk(name string, propagation time.Duration) LinkConfig {
+	return LinkConfig{Name: name, BandwidthBps: trunkBps, BufferBytes: trunkBufferBytes, Propagation: propagation}
 }
 
 // LanPrefix is the protected network (10.1.0.0/16).
@@ -95,35 +102,18 @@ func BuildTopology(sim *simtime.Sim, cfg TopologyConfig) *Topology {
 	if cfg.ExternalHosts <= 0 {
 		cfg.ExternalHosts = 4
 	}
-	if cfg.BackboneLink.BandwidthBps <= 0 {
-		cfg.BackboneLink.BandwidthBps = 10e9
-	}
-	if cfg.BackboneLink.BufferBytes <= 0 {
-		cfg.BackboneLink.BufferBytes = 4 << 20
-	}
-	if cfg.SwitchLatency == 0 {
-		cfg.SwitchLatency = 5 * time.Microsecond
-	}
-	if cfg.RouterLatency == 0 {
-		cfg.RouterLatency = 20 * time.Microsecond
-	}
 
 	t := &Topology{
 		Sim:       sim,
-		Border:    NewRouter(sim, "border-router", cfg.RouterLatency),
-		ExtSwitch: NewSwitch(sim, "ext-switch", cfg.SwitchLatency),
-		LanSwitch: NewSwitch(sim, "lan-switch", cfg.SwitchLatency),
+		Border:    NewRouter(sim, "border-router", routerLatency),
+		ExtSwitch: NewSwitch(sim, "ext-switch", switchLatency),
+		LanSwitch: NewSwitch(sim, "lan-switch", switchLatency),
 		lanPrefix: LanPrefix,
 	}
 
-	extTrunk := cfg.BackboneLink
-	extTrunk.Name = "ext-trunk"
-	lanTrunk := cfg.BackboneLink
-	lanTrunk.Name = "lan-trunk"
-
-	extLink := NewLink(sim, t.ExtSwitch, t.Border, extTrunk)
+	extLink := NewLink(sim, t.ExtSwitch, t.Border, trunk("ext-trunk", 0))
 	t.ExtSwitch.SetUplink(extLink)
-	lanLink := NewLink(sim, t.Border, t.LanSwitch, lanTrunk)
+	lanLink := NewLink(sim, t.Border, t.LanSwitch, trunk("lan-trunk", 0))
 	t.LanSwitch.SetUplink(lanLink)
 	t.routerToLan = lanLink
 	t.extTrunk = extLink
@@ -133,12 +123,12 @@ func BuildTopology(sim *simtime.Sim, cfg TopologyConfig) *Topology {
 
 	for i := 0; i < cfg.ClusterHosts; i++ {
 		h := NewHost(sim, fmt.Sprintf("node%02d", i), ClusterAddr(i))
-		t.LanSwitch.Connect(h, cfg.HostLink)
+		t.LanSwitch.Connect(h, LinkConfig{})
 		t.Cluster = append(t.Cluster, h)
 	}
 	for i := 0; i < cfg.ExternalHosts; i++ {
 		h := NewHost(sim, fmt.Sprintf("ext%02d", i), ExternalAddr(i))
-		t.ExtSwitch.Connect(h, cfg.HostLink)
+		t.ExtSwitch.Connect(h, LinkConfig{})
 		t.External = append(t.External, h)
 	}
 	return t

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"repro/internal/fsio"
@@ -34,38 +35,58 @@ type Snapshot struct {
 
 // Snapshot captures the registry's current state. Instruments are
 // sorted by name so exports are deterministic regardless of wiring
-// order; spans keep record order (they are a timeline). A nil registry
-// snapshots to nil.
+// order; spans keep record order (they are a timeline). A view
+// captures only what lives under its prefix, under the names it was
+// registered with. A nil registry snapshots to nil.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, name := range sortedKeys(r.counters) {
-		counters = append(counters, r.counters[name])
+	root, p := r.resolve("")
+	root.mu.Lock()
+	counters := make([]*Counter, 0, len(root.counters))
+	for _, name := range sortedKeys(root.counters, p) {
+		counters = append(counters, root.counters[name])
 	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, name := range sortedKeys(r.gauges) {
-		gauges = append(gauges, r.gauges[name])
+	gauges := make([]*Gauge, 0, len(root.gauges))
+	for _, name := range sortedKeys(root.gauges, p) {
+		gauges = append(gauges, root.gauges[name])
 	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, name := range sortedKeys(r.hists) {
-		hists = append(hists, r.hists[name])
+	hists := make([]*Histogram, 0, len(root.hists))
+	for _, name := range sortedKeys(root.hists, p) {
+		hists = append(hists, root.hists[name])
 	}
-	spans := make([]SpanRecord, len(r.spans))
-	copy(spans, r.spans)
-	r.mu.Unlock()
+	var adopted []HistSnap
+	for _, name := range sortedKeys(root.adopted, p) {
+		adopted = append(adopted, *root.adopted[name])
+	}
+	spans := make([]SpanRecord, 0, len(root.spans))
+	for _, sp := range root.spans {
+		if strings.HasPrefix(sp.Name, p) {
+			sp.Name = sp.Name[len(p):]
+			spans = append(spans, sp)
+		}
+	}
+	root.mu.Unlock()
 
 	s := &Snapshot{Spans: spans}
 	for _, c := range counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.Value()})
+		s.Counters = append(s.Counters, CounterSnap{Name: c.name[len(p):], Value: c.Value()})
 	}
 	for _, g := range gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.Value(), High: g.High()})
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name[len(p):], Value: g.Value(), High: g.High()})
 	}
 	for _, h := range hists {
-		s.Hists = append(s.Hists, h.Snap())
+		hs := h.Snap()
+		hs.Name = hs.Name[len(p):]
+		s.Hists = append(s.Hists, hs)
+	}
+	for i := range adopted {
+		adopted[i].Name = adopted[i].Name[len(p):]
+		s.Hists = append(s.Hists, &adopted[i])
+	}
+	if len(adopted) > 0 {
+		sort.SliceStable(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
 	}
 	return s
 }
@@ -128,36 +149,9 @@ func (s *Snapshot) Hist(name string) *HistSnap {
 	return nil
 }
 
-// Prefixed returns a copy of the snapshot with every instrument and
-// span name prefixed (for merging per-experiment registries into one
-// dump without collisions).
-func (s *Snapshot) Prefixed(prefix string) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	out := &Snapshot{}
-	for _, c := range s.Counters {
-		c.Name = prefix + c.Name
-		out.Counters = append(out.Counters, c)
-	}
-	for _, g := range s.Gauges {
-		g.Name = prefix + g.Name
-		out.Gauges = append(out.Gauges, g)
-	}
-	for _, h := range s.Hists {
-		hc := *h
-		hc.Name = prefix + hc.Name
-		out.Hists = append(out.Hists, &hc)
-	}
-	for _, sp := range s.Spans {
-		sp.Name = prefix + sp.Name
-		out.Spans = append(out.Spans, sp)
-	}
-	return out
-}
-
-// Merge appends other's instruments and spans to s (names are assumed
-// disjoint — use Prefixed when merging same-shaped registries).
+// Merge appends other's instruments and spans to s. Names are assumed
+// disjoint: it joins the storage layer's fsio.* counters (FSIOSnapshot)
+// onto a registry's snapshot.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if s == nil || other == nil {
 		return

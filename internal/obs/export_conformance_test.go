@@ -282,7 +282,8 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 // TestSnapshotMergeNameCollision pins Merge's documented behavior when
 // names are NOT disjoint: both entries are retained (append semantics,
 // no summing), and the accessors resolve to the first-merged entry.
-// Prefixed is the supported way to avoid the collision.
+// Registering through Sub views of one registry is the supported way
+// to avoid the collision.
 func TestSnapshotMergeNameCollision(t *testing.T) {
 	mk := func(v uint64) *Snapshot {
 		reg := NewRegistry()
@@ -305,10 +306,11 @@ func TestSnapshotMergeNameCollision(t *testing.T) {
 	if h := a.Hist("dup.lat_ns"); h == nil || h.Sum != 1 {
 		t.Errorf("hist accessor after collision = %+v, want first-merged", h)
 	}
-	// The same shapes merged through Prefixed stay collision-free.
-	c := mk(1).Prefixed("a.")
-	c.Merge(mk(2).Prefixed("b."))
-	if v, ok := c.Counter("b.dup.count"); !ok || v != 2 {
-		t.Errorf("prefixed merge lost b.dup.count: %d %v", v, ok)
+	// The same shapes registered through Sub views stay collision-free.
+	reg := NewRegistry()
+	reg.Sub("a.").Counter("dup.count").Add(1)
+	reg.Sub("b.").Counter("dup.count").Add(2)
+	if v, ok := reg.Snapshot().Counter("b.dup.count"); !ok || v != 2 {
+		t.Errorf("views lost b.dup.count: %d %v", v, ok)
 	}
 }

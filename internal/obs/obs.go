@@ -31,6 +31,7 @@ package obs
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,11 +173,20 @@ func atomicMin(a *atomic.Int64, v int64) {
 // duration-valued histograms record nanoseconds and end in "_ns".
 // Registering the same name twice returns the same instrument, so
 // wiring helpers are idempotent.
+//
+// A Registry is either a root, which owns the instruments, or a prefix
+// view made by Sub, which owns nothing: everything registered through
+// a view lives in its root under the view's prefix. A process keeps one
+// root, and each run writes into it through its own view.
 type Registry struct {
+	root   *Registry // the registry a view writes into; nil on a root
+	prefix string    // a view's name prefix, already joined with its parents'
+
 	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
+	adopted   map[string]*HistSnap // finished histograms handed over by AdoptHist
 	spans     []SpanRecord
 	spanEpoch time.Time
 	flight    *FlightRecorder
@@ -191,12 +201,35 @@ func NewRegistry() *Registry {
 	}
 }
 
+// Sub returns a view of r whose instruments, spans and flight recorder
+// live in r's root under prefix+name. A view of a view joins the
+// prefixes, so reg.Sub("a.").Sub("b.").Counter("n") is the root's
+// "a.b.n". Sub on a nil registry is nil, so a disabled configuration
+// stays disabled all the way down.
+func (r *Registry) Sub(prefix string) *Registry {
+	if r == nil {
+		return nil
+	}
+	root, prefix := r.resolve(prefix)
+	return &Registry{root: root, prefix: prefix}
+}
+
+// resolve maps a name registered through r to the registry that owns it
+// and the name it has there.
+func (r *Registry) resolve(name string) (*Registry, string) {
+	if r.root == nil {
+		return r, name
+	}
+	return r.root, r.prefix + name
+}
+
 // Counter returns the named counter, creating it on first use. Returns
 // nil (the no-op instrument) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r, name = r.resolve(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -213,6 +246,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r, name = r.resolve(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -236,6 +270,7 @@ func (r *Registry) HistogramWithBounds(name string, clock Clock, bounds []int64)
 	if r == nil {
 		return nil
 	}
+	r, name = r.resolve(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -244,6 +279,25 @@ func (r *Registry) HistogramWithBounds(name string, clock Clock, bounds []int64)
 		r.hists[name] = h
 	}
 	return h
+}
+
+// AdoptHist files a finished histogram summary under the registry's
+// name for it (prefix+s.Name on a view), replacing any summary adopted
+// under that name before. It serves measurements that always collect
+// into a standalone histogram, whether or not a registry is wired, and
+// publish the result once they end. No-op on a nil registry or a nil s.
+func (r *Registry) AdoptHist(s *HistSnap) {
+	if r == nil || s == nil {
+		return
+	}
+	c := *s
+	r, c.Name = r.resolve(c.Name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.adopted == nil {
+		r.adopted = make(map[string]*HistSnap)
+	}
+	r.adopted[c.Name] = &c
 }
 
 // EnableFlight attaches a flight recorder holding the last cap events
@@ -255,6 +309,7 @@ func (r *Registry) EnableFlight(cap int) *FlightRecorder {
 	if r == nil {
 		return nil
 	}
+	r, _ = r.resolve("")
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.flight == nil {
@@ -263,46 +318,40 @@ func (r *Registry) EnableFlight(cap int) *FlightRecorder {
 	return r.flight
 }
 
-// SetFlight attaches an existing recorder — the sharing path when
-// several short-lived registries (one per product run) feed one
-// process-wide timeline. A nil f detaches. No-op on a nil registry.
-func (r *Registry) SetFlight(f *FlightRecorder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.flight = f
-}
-
 // Flight returns the attached flight recorder, or nil when none was
-// enabled (and on a nil registry). The nil result is itself a valid
-// no-op recorder, so callers thread it without checks.
+// enabled (and on a nil registry). A view returns its root's recorder,
+// so every run of a process lands on one timeline. The nil result is
+// itself a valid no-op recorder, so callers thread it without checks.
 func (r *Registry) Flight() *FlightRecorder {
 	if r == nil {
 		return nil
 	}
+	r, _ = r.resolve("")
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.flight
 }
 
-// sortedKeys returns map keys in sorted order, so snapshots and exports
-// are deterministic regardless of registration order.
-func sortedKeys[V any](m map[string]V) []string {
+// sortedKeys returns the map keys that start with prefix, in sorted
+// order, so snapshots and exports are deterministic regardless of
+// registration order.
+func sortedKeys[V any](m map[string]V, prefix string) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
-		keys = append(keys, k)
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// String summarizes the registry for diagnostics.
+// String summarizes the registry (a view's root) for diagnostics.
 func (r *Registry) String() string {
 	if r == nil {
 		return "obs.Registry(disabled)"
 	}
+	r, _ = r.resolve("")
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return fmt.Sprintf("obs.Registry(%d counters, %d gauges, %d histograms, %d spans)",

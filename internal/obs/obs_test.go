@@ -227,25 +227,81 @@ func TestSnapshotDeterministicOrderAndExports(t *testing.T) {
 	}
 }
 
-func TestSnapshotPrefixedAndMerge(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("drops").Add(3)
-	reg.Histogram("lat_ns", ClockSim).Observe(100)
-	a := reg.Snapshot().Prefixed("accuracy.")
-	if _, ok := a.Counter("accuracy.drops"); !ok {
-		t.Fatalf("prefix missing: %+v", a.Counters)
+// TestSubViewsLiveInRoot pins the prefix view: instruments made through
+// a view, nested views included, appear in the root's Snapshot under
+// their prefixed names while the run still writes them; a view's own
+// Snapshot holds only its part, under the names it registered; Sub on
+// the disabled registry stays disabled; and every view shares the
+// root's flight recorder.
+func TestSubViewsLiveInRoot(t *testing.T) {
+	root := NewRegistry()
+	fl := root.EnableFlight(0)
+	product := root.Sub("TrueSecure.")
+	acc := product.Sub("accuracy.")
+
+	drops := acc.Counter("drops")
+	drops.Add(3)
+	product.Gauge("depth").Set(7)
+	acc.Histogram("lat_ns", ClockSim).Observe(100)
+	acc.StartSpan("stage").End()
+
+	live := root.Snapshot()
+	if v, ok := live.Counter("TrueSecure.accuracy.drops"); !ok || v != 3 {
+		t.Fatalf("root counter = %d %v, want the view's 3", v, ok)
 	}
-	// Prefixing must not mutate the source histogram snapshot.
-	if reg.Snapshot().Hist("lat_ns") == nil {
-		t.Fatal("source snapshot name mutated by Prefixed")
+	if g, ok := live.Gauge("TrueSecure.depth"); !ok || g.Value != 7 {
+		t.Fatalf("root gauge = %+v %v, want 7", g, ok)
 	}
-	b := reg.Snapshot().Prefixed("latency.")
-	a.Merge(b)
-	if _, ok := a.Counter("latency.drops"); !ok {
-		t.Fatal("merge lost prefixed counter")
+	if live.Hist("TrueSecure.accuracy.lat_ns") == nil {
+		t.Fatal("root snapshot lost the view's histogram")
 	}
-	if a.Hist("accuracy.lat_ns") == nil || a.Hist("latency.lat_ns") == nil {
-		t.Fatal("merge lost histograms")
+	if _, ok := root.SpanDur("TrueSecure.accuracy.stage"); !ok {
+		t.Fatal("root lost the view's span")
+	}
+
+	// The instruments stay live: a later write shows in the next
+	// snapshot, and the root hands out the very instrument the view made.
+	drops.Inc()
+	if v, _ := root.Snapshot().Counter("TrueSecure.accuracy.drops"); v != 4 {
+		t.Fatalf("root counter after a live write = %d, want 4", v)
+	}
+	if root.Counter("TrueSecure.accuracy.drops") != drops {
+		t.Fatal("root and view registered two counters for one name")
+	}
+
+	// A view snapshots only what lives under its prefix.
+	vs := acc.Snapshot()
+	if v, ok := vs.Counter("drops"); !ok || v != 4 || len(vs.Gauges) != 0 {
+		t.Fatalf("view snapshot = %+v, want only the accuracy part", vs)
+	}
+	if _, ok := acc.SpanDur("stage"); !ok {
+		t.Fatal("view lost its own span")
+	}
+
+	// An adopted summary files under the view's prefix, name-sorted
+	// among the live histograms.
+	h := NewHistogram("eval.delay_ns", ClockSim, nil)
+	h.Observe(5)
+	product.AdoptHist(h.Snap())
+	hs := root.Snapshot().Hists
+	if len(hs) != 2 || hs[0].Name != "TrueSecure.accuracy.lat_ns" || hs[1].Name != "TrueSecure.eval.delay_ns" || hs[1].Count != 1 {
+		t.Fatalf("root histograms = %+v, want the live one then the adopted one", hs)
+	}
+	if h.Snap().Name != "eval.delay_ns" {
+		t.Fatal("AdoptHist renamed the caller's summary")
+	}
+
+	var off *Registry
+	if off.Sub("x.") != nil || off.Sub("x.").Sub("y.").Counter("n") != nil {
+		t.Fatal("Sub on a nil registry must stay nil")
+	}
+
+	if acc.Flight() != fl || root.Sub("other.").Flight() != fl {
+		t.Fatal("a view's flight recorder is not its root's")
+	}
+	r2 := NewRegistry()
+	if f2 := r2.Sub("v.").EnableFlight(0); f2 == nil || r2.Flight() != f2 {
+		t.Fatal("a flight recorder enabled through a view must land on the root")
 	}
 }
 

@@ -48,6 +48,7 @@ func (s Span) End() time.Duration {
 // recordSpan appends a finished wall span, rebasing its start onto the
 // registry's span epoch (the start of the earliest recorded span).
 func (r *Registry) recordSpan(name string, clock Clock, start time.Time, d time.Duration) {
+	r, name = r.resolve(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.spanEpoch.IsZero() || start.Before(r.spanEpoch) {
@@ -64,6 +65,7 @@ func (r *Registry) SpanDur(name string) (time.Duration, bool) {
 	if r == nil {
 		return 0, false
 	}
+	r, name = r.resolve(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var total time.Duration

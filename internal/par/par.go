@@ -35,50 +35,15 @@ import (
 // jobs are ignored unless the parent ctx itself was cancelled and no
 // job failed, in which case ctx.Err() is returned.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	errs := make([]error, n)
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if err := fn(ctx, i); err != nil {
-				errs[i] = err
-				cancel()
-			}
+	errs := ForEachAll(ctx, n, workers, func(ctx context.Context, i int) error {
+		err := fn(ctx, i)
+		if err != nil {
+			cancel()
 		}
-	}
-
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
+		return err
+	})
 
 	var cancelled error
 	for _, err := range errs {

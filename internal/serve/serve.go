@@ -68,9 +68,6 @@ type Config struct {
 	// longest-idle other open stream (accounted shed.overload); if the
 	// budget is still exceeded the chunk is rejected with Retry-After.
 	MaxSpoolBytes int64
-	// MaxFrameBytes caps a single frame payload on the wire (default
-	// 4 MiB; hard-capped by trace.MaxFramePayload).
-	MaxFrameBytes int
 	// IdleExpiry is the per-stream deadline: an uploading stream (open,
 	// or finishing with its delivery never retried) with no activity
 	// for this long is shed (accounted shed.idle; default 10m).
@@ -91,9 +88,6 @@ type Config struct {
 	// (default 30s). A peer that stalls mid-frame is disconnected;
 	// its acked chunks stay durable.
 	ConnTimeout time.Duration
-	// ShedWindow is the trailing window in which any shed marks
-	// /healthz degraded (default 10s).
-	ShedWindow time.Duration
 	// Obs, when set, receives the serve.* instrumentation and the
 	// campaign runner's counters.
 	Obs *obs.Registry
@@ -105,6 +99,15 @@ type Config struct {
 	// filesystem; TestCrashMatrix substitutes a fault-injecting one.
 	FS fsio.FS
 }
+
+const (
+	// maxFrameBytes caps a single frame payload on the wire (the frame
+	// reader also hard-caps it at trace.MaxFramePayload).
+	maxFrameBytes = 4 << 20
+	// shedWindow is the trailing window in which any shed marks
+	// /healthz degraded.
+	shedWindow = 10 * time.Second
+)
 
 func (c *Config) applyDefaults() {
 	if c.MaxStreams <= 0 {
@@ -120,9 +123,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxSpoolBytes <= 0 {
 		c.MaxSpoolBytes = 256 << 20
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 4 << 20
 	}
 	if c.IdleExpiry <= 0 {
 		c.IdleExpiry = 10 * time.Minute
@@ -141,9 +141,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ConnTimeout <= 0 {
 		c.ConnTimeout = 30 * time.Second
-	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = 10 * time.Second
 	}
 }
 

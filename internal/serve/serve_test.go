@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/obs"
 	"repro/internal/obs/httpexport"
 	"repro/internal/packet"
 	"repro/internal/serve"
@@ -239,6 +240,32 @@ func TestIngestEvaluateScorecardOverTCP(t *testing.T) {
 	}
 }
 
+// TestEvalTelemetryReachesMetrics pins the daemon's one registry: an
+// evaluating stream's campaign writes each product's telemetry into the
+// service registry under eval.<Product>., so /metrics (Snapshot)
+// carries the scorecard gauges and the accuracy-run counters without a
+// merge step.
+func TestEvalTelemetryReachesMetrics(t *testing.T) {
+	chunks := chunked(buildTraceBytes(t, 31), 48<<10)
+	svc := openService(t, t.TempDir(), func(c *serve.Config) { c.Obs = obs.NewRegistry() })
+	defer svc.Close()
+	meta := quickMeta("evals")
+	meta.Evals = true
+	uploadAll(t, svc, meta, chunks)
+	awaitDone(t, svc, meta.Name)
+
+	snap := svc.Snapshot()
+	if _, ok := snap.Gauge("eval.TrueSecure.scorecard.detection_delay_p95_ns"); !ok {
+		t.Error("/metrics lacks the product's scorecard gauges")
+	}
+	if n, _ := snap.Counter("eval.TrueSecure.accuracy.ids.ingested"); n == 0 {
+		t.Error("/metrics lacks the product's accuracy-run counters")
+	}
+	if snap.Hist("eval.TrueSecure.eval.detection_delay_ns") == nil {
+		t.Error("/metrics lacks the product's measurement histograms")
+	}
+}
+
 func TestUploadResumeAfterKillIsByteIdentical(t *testing.T) {
 	data := buildTraceBytes(t, 31)
 	chunks := chunked(data, 48<<10)
@@ -437,9 +464,7 @@ func TestOverloadSoakKeepsExactAccounting(t *testing.T) {
 }
 
 func TestHealthTransitionsAndDrain(t *testing.T) {
-	svc := openService(t, t.TempDir(), func(c *serve.Config) {
-		c.ShedWindow = time.Hour // keep the shed visible for the assertion
-	})
+	svc := openService(t, t.TempDir(), nil)
 	if h := svc.Health(); h != httpexport.HealthOK {
 		t.Fatalf("fresh service health = %q", h)
 	}

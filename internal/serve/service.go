@@ -53,9 +53,6 @@ type Service struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
-
-	snapMu    sync.Mutex
-	evalSnaps map[string]*obs.Snapshot // live per-product eval telemetry
 }
 
 // Open starts a service over cfg.Dir, recovering every stream the
@@ -73,11 +70,10 @@ func Open(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Service{
-		cfg:       cfg,
-		fs:        fsys,
-		ledger:    newLedger(cfg.Obs),
-		streams:   map[string]*stream{},
-		evalSnaps: map[string]*obs.Snapshot{},
+		cfg:     cfg,
+		fs:      fsys,
+		ledger:  newLedger(cfg.Obs),
+		streams: map[string]*stream{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
@@ -632,11 +628,6 @@ func (s *Service) evaluate(st *stream) {
 		OnCommit: func(ex campaign.Experiment, res *campaign.Result) {
 			st.publish(Event{Kind: EventResult, Payload: resultEvent(ex, res)})
 		},
-		OnEvalSnapshot: func(product string, snap *obs.Snapshot) {
-			s.snapMu.Lock()
-			s.evalSnaps[product] = snap
-			s.snapMu.Unlock()
-		},
 	}
 	_, err := runner.Run(s.runCtx)
 	if s.runCtx.Err() != nil {
@@ -811,7 +802,7 @@ func (s *Service) Health() string {
 	switch {
 	case draining:
 		return httpexport.HealthDraining
-	case queueFull || tableFull || s.ledger.ShedRecent(s.cfg.ShedWindow) > 0:
+	case queueFull || tableFull || s.ledger.ShedRecent(shedWindow) > 0:
 		return httpexport.HealthDegraded
 	default:
 		return httpexport.HealthOK
@@ -886,24 +877,14 @@ func (s *Service) Progress() any {
 	}{s.Counts(), s.Streams()}
 }
 
-// Snapshot merges the service registry with the latest per-product
-// evaluation snapshots (prefixed eval.<product>.) — the daemon's live
-// /metrics feed.
+// Snapshot is the daemon's live /metrics feed: the service registry,
+// which carries each evaluating stream's telemetry under
+// eval.<Product>. as it runs (campaign.Runner.Obs).
 func (s *Service) Snapshot() *obs.Snapshot {
-	m := &obs.Snapshot{}
-	if s.cfg.Obs != nil {
-		m.Merge(s.cfg.Obs.Snapshot())
+	m := s.cfg.Obs.Snapshot()
+	if m == nil {
+		m = &obs.Snapshot{}
 	}
-	s.snapMu.Lock()
-	products := make([]string, 0, len(s.evalSnaps))
-	for p := range s.evalSnaps {
-		products = append(products, p)
-	}
-	sort.Strings(products)
-	for _, p := range products {
-		m.Merge(s.evalSnaps[p].Prefixed("eval." + p + "."))
-	}
-	s.snapMu.Unlock()
 	// The storage layer's own health counters — dirsync errors, append
 	// repairs — ride along so a degrading disk shows up on /metrics.
 	m.Merge(obs.FSIOSnapshot())

@@ -63,7 +63,7 @@ func (s *Service) ServeTCP(ln net.Listener) error {
 // chunks stay durable for resume.
 func (s *Service) handleConn(conn net.Conn) {
 	defer conn.Close()
-	fr := trace.NewFrameReader(bufio.NewReaderSize(conn, 64<<10), s.cfg.MaxFrameBytes)
+	fr := trace.NewFrameReader(bufio.NewReaderSize(conn, 64<<10), maxFrameBytes)
 	fw := trace.NewFrameWriter(conn)
 
 	writeFrame := func(typ byte, ord uint32, payload []byte) error {
