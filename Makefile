@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race bench benchhot benchgate benchkernel benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden idsbench idsbench-smoke tracereport clean
+.PHONY: all build fmtcheck test race bench benchhot benchgate benchkernel benchobs benchsim benchserve ci eval sweep traces faultgolden idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
@@ -32,8 +32,9 @@ race:
 #     pipeline and the shard coordinator make -race part of
 #     correctness). It runs every contract the repo states as a test:
 #     every fuzz target's seed corpus, the telemetry determinism guard,
-#     the no-fault contract, TestFaultGoldens (the shipped fault
-#     scenarios' golden degradation curves, byte for byte), the
+#     the no-fault contract, TestFaultGoldens (the faultsweep command's
+#     golden degradation curves for the shipped fault scenarios, byte
+#     for byte), replay's stdout goldens (cmd/replay), the
 #     campaign crash-safety tests, the storage-fault matrix
 #     (TestCrashMatrix in internal/campaign and internal/serve), the
 #     campaign command's live plane with SIGINT and resume
@@ -190,23 +191,12 @@ sweep:
 	$(GO) run ./cmd/eersweep -product TrueSecure -points 6
 	$(GO) run ./cmd/eersweep -product NetRecorder -points 6
 
-FAULT_SCENARIOS := span-degrade sensor-outage pipeline-outage
-FAULTSWEEP_FLAGS := -quick -points 3 -seed 11
-
-# The shipped fault scenarios' golden degradation curves, checked at the
-# command level: for a fixed seed, scenario, and severity grid the
-# faultsweep output is part of the determinism contract and must stay
-# byte-identical. TestFaultGoldens runs the same check in `go test`.
-faultscenarios:
-	@for s in $(FAULT_SCENARIOS); do \
-		echo "fault scenario $$s"; \
-		$(GO) run ./cmd/faultsweep -scenario examples/faults/$$s.json $(FAULTSWEEP_FLAGS) \
-			| diff -u examples/faults/golden/$$s.txt - || exit 1; \
-	done
-
-# Regenerate the golden curves after an intentional behaviour change.
+# Regenerate the shipped fault scenarios' golden degradation curves
+# after an intentional behaviour change. TestFaultGoldens (cmd/faultsweep)
+# runs `faultsweep -quick -points 3 -seed 11` on each scenario and, in
+# `go test ./...`, compares its output with the golden byte for byte.
 faultgolden:
-	$(GO) test ./internal/eval -run TestFaultGoldens -update
+	$(GO) test ./cmd/faultsweep -run TestFaultGoldens -update
 
 # Capture a flight-recorder timeline of the sharded at-scale run as
 # Chrome trace_event JSON. Open trace_sharded.json in Perfetto

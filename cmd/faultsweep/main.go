@@ -11,8 +11,8 @@
 //
 // Output on stdout is fully deterministic for a given seed, scenario,
 // and point count: identical invocations produce byte-identical output
-// (TestFaultGoldens and the Makefile's faultscenarios target pin the
-// shipped examples to golden files). Telemetry export goes to stderr
+// (TestFaultGoldens runs the command on the shipped examples and pins
+// their output to golden files). Telemetry export goes to stderr
 // only and never perturbs stdout. -o writes the report or CSV to a file
 // atomically (temp + rename), so a crash never leaves a torn file.
 // Ctrl-C (or -timeout expiry) drains in-flight points at a clean event

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +128,24 @@ func TestPlanIDsAreDeterministic(t *testing.T) {
 	for _, id := range wantIDs {
 		if !got[id] {
 			t.Fatalf("plan missing expected id %q (have %v)", id, first)
+		}
+	}
+}
+
+func TestPlanRejectsSensitivityOutsideUnitRange(t *testing.T) {
+	// A trace replay's sensitivity is a detection threshold in [0, 1];
+	// anything else fails at planning, not in every trace experiment.
+	a, _ := twoProducts(t)
+	for _, sens := range []float64{1.5, -0.5, math.NaN()} {
+		spec := &campaign.Spec{Name: "s", Products: []string{a}, Traces: []string{"t.idt2"}, Sensitivity: sens}
+		if _, err := spec.Plan(); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Fatalf("sensitivity %v: plan error %v, want it refused", sens, err)
+		}
+	}
+	for _, sens := range []float64{0, 0.25, 1} {
+		spec := &campaign.Spec{Name: "s", Products: []string{a}, Traces: []string{"t.idt2"}, Sensitivity: sens}
+		if _, err := spec.Plan(); err != nil {
+			t.Fatalf("sensitivity %v: %v", sens, err)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"strings"
 
@@ -60,7 +61,8 @@ type Spec struct {
 	// FaultPoints severities per product, one experiment per point.
 	FaultScenarios []string `json:"fault_scenarios,omitempty"`
 	FaultPoints    int      `json:"fault_points,omitempty"`
-	// Traces are canned trace files replayed per product at Sensitivity.
+	// Traces are canned trace files replayed per product at Sensitivity,
+	// which must lie in [0, 1] (0 selects the 0.6 default).
 	Traces      []string `json:"traces,omitempty"`
 	Sensitivity float64  `json:"sensitivity,omitempty"`
 }
@@ -107,6 +109,9 @@ func artifact(path string) string {
 // doubles as the report's section order.
 func (s *Spec) Plan() ([]Experiment, error) {
 	s.applyDefaults()
+	if math.IsNaN(s.Sensitivity) || s.Sensitivity < 0 || s.Sensitivity > 1 {
+		return nil, fmt.Errorf("campaign: sensitivity %v outside [0, 1]", s.Sensitivity)
+	}
 	field := s.Products
 	if len(field) == 0 {
 		for _, spec := range products.All() {

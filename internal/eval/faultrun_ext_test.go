@@ -8,19 +8,16 @@ package eval_test
 //     scenario renders byte-identically to RunAccuracy — the fault
 //     harness compiled in but unconfigured changes nothing.
 //  2. Seeded reproducibility: the same scenario, seed, and severity grid
-//     produce a byte-identical fault-sweep report across two runs, and
-//     each shipped scenario reproduces its golden curve.
+//     produce a byte-identical fault-sweep report across two runs. (The
+//     shipped scenarios' golden curves are pinned through the command,
+//     by cmd/faultsweep's TestFaultGoldens.)
 //  3. The shipped span-degrade example traces a monotone degradation
 //     curve, and pipeline faults never lose alerts silently.
 
 import (
 	"bytes"
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -29,8 +26,6 @@ import (
 	"repro/internal/products"
 	"repro/internal/report"
 )
-
-var update = flag.Bool("update", false, "rewrite the fault goldens from this run")
 
 // quickFaultOpts is the sweep that `faultsweep -quick -points 3 -seed 11`
 // runs.
@@ -124,58 +119,6 @@ func TestFaultSweepReproducible(t *testing.T) {
 	first, second := render(), render()
 	if first != second {
 		t.Fatalf("fault sweep not reproducible:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
-}
-
-// TestFaultGoldens pins each shipped fault scenario to its golden
-// degradation curve under examples/faults/golden, the report
-// `faultsweep -quick -points 3 -seed 11` prints for TrueSecure. On a
-// mismatch it names the first differing line; with -update it rewrites
-// the goldens instead.
-func TestFaultGoldens(t *testing.T) {
-	paths, err := filepath.Glob("../../examples/faults/*.json")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no fault scenarios found (%v)", err)
-	}
-	for _, path := range paths {
-		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		t.Run(name, func(t *testing.T) {
-			sc, err := faults.Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw, err := eval.FaultSweep(context.Background(), products.TrueSecure(), sc, quickFaultOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if err := report.FaultSweepReport(&got, sw); err != nil {
-				t.Fatal(err)
-			}
-			golden := filepath.Join("../../examples/faults/golden", name+".txt")
-			if *update {
-				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, w := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(string(want), "\n")
-			line := func(lines []string, i int) string {
-				if i < len(lines) {
-					return lines[i]
-				}
-				return "<end of output>"
-			}
-			for i := 0; i < len(g) || i < len(w); i++ {
-				if line(g, i) != line(w, i) {
-					t.Fatalf("%s: first difference at line %d:\nwant: %q\n got: %q", golden, i+1, line(w, i), line(g, i))
-				}
-			}
-		})
 	}
 }
 

@@ -39,7 +39,7 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 		return nil, err
 	}
 	replayStart := tb.Sim.Now()
-	if err := trace.Replay(tb.Sim, tr, replayStart, 1, tb.inject); err != nil {
+	if err := trace.Replay(tb.Sim, tr, replayStart, tb.inject); err != nil {
 		return nil, err
 	}
 	tb.Drain()
@@ -63,22 +63,17 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 }
 
 // RunTraceAccuracyStream is RunTraceAccuracy for a streamed IDT2 trace:
-// the testbed is sized from the stream's footer statistics, chunks are
-// decoded one ahead of the replay clock on an internal/par worker, and
-// peak memory is O(chunk) instead of O(capture). Results are identical
-// to loading the same records through RunTraceAccuracy. The reader must
-// be indexed (opened on a seekable source), since sizing and ground
-// truth are needed before the first chunk replays.
+// the testbed is sized from the stream's footer statistics, each chunk
+// decodes inside the simulation event that schedules it, and peak
+// memory is O(chunk) instead of O(capture). Results are identical to
+// loading the same records through RunTraceAccuracy.
 //
 // When reg is non-nil, the run is instrumented: wall-clock stage spans
 // ("replay.setup" / "replay.train" / "replay.replay" / "replay.score"),
 // decoder counters on rd, and the full testbed component telemetry.
 // The scored result is bit-identical with reg set or nil.
 func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.Reader, sensitivity float64, trainFor time.Duration, seed int64, reg *obs.Registry) (*AccuracyResult, error) {
-	st, ok := rd.Stats()
-	if !ok {
-		return nil, fmt.Errorf("eval: streaming accuracy needs an indexed trace (seekable IDT2 source)")
-	}
+	st := rd.Stats()
 	if st.Packets == 0 {
 		return nil, fmt.Errorf("eval: empty trace")
 	}
@@ -112,9 +107,7 @@ func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.R
 		}
 		tb.inject(p)
 	}
-	pr := trace.NewPipelinedReader(rd, 2)
-	defer pr.Close()
-	rs, err := trace.ReplayReader(tb.Sim, pr, replayStart, 1, emit)
+	rs, err := trace.ReplayReader(tb.Sim, rd, replayStart, emit)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"context"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -148,22 +147,5 @@ func TestStreamAccuracyMatchesInMemory(t *testing.T) {
 			t.Fatalf("%s: streaming result differs from in-memory:\nin-memory: %+v\nstreaming: %+v",
 				spec.Name, want, got)
 		}
-	}
-}
-
-func TestStreamAccuracyRequiresIndex(t *testing.T) {
-	tr := buildTrace(t, 23)
-	var enc bytes.Buffer
-	if err := tr.WriteStream(&enc); err != nil {
-		t.Fatal(err)
-	}
-	// A non-seekable source has no footer index up front; the streaming
-	// runner must refuse it rather than silently degrade.
-	rd, err := trace.NewReader(io.MultiReader(bytes.NewReader(enc.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTraceAccuracyStream(context.Background(), products.TrueSecure(), rd, 0.6, time.Second, 11, nil); err == nil {
-		t.Fatal("unindexed source accepted")
 	}
 }

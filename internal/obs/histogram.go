@@ -41,7 +41,6 @@ type Histogram struct {
 	clock  Clock
 	bounds []int64 // ascending upper bounds (inclusive)
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Int64
 	min    atomic.Int64
 	max    atomic.Int64
@@ -84,7 +83,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.counts[lo].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	atomicMin(&h.min, v)
 	atomicMax(&h.max, v)
@@ -101,48 +99,58 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Count returns the number of observations (0 for nil). Only tests read
-// it; the campaign tests use it to count checkpoint writes.
+// Count returns the number of observations (0 for nil), the sum of the
+// bucket counters. Only tests read it; the campaign tests use it to
+// count checkpoint writes.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
-// Snap captures a consistent-enough view for reporting. (Observations
-// racing a snapshot may be partially included; snapshots are taken at
-// run boundaries where the simulation is quiescent.)
+// Snap captures a view for reporting. Its Count is the sum of the
+// bucket counts it loaded, so a snapshot taken while Observe runs still
+// has buckets that add up to Count; Sum, Min and Max may include an
+// observation the buckets miss, or miss one they include.
 func (h *Histogram) Snap() *HistSnap {
 	if h == nil {
 		return nil
 	}
-	s := &HistSnap{
-		Name:  h.name,
-		Clock: h.clock,
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-	}
-	if s.Count == 0 {
-		return s
-	}
-	s.Min = h.min.Load()
-	s.Max = h.max.Load()
-	s.Buckets = make([]Bucket, 0, len(h.counts))
+	s := &HistSnap{Name: h.name, Clock: h.clock}
+	overflow := false // the last bucket loaded is the one above every bound
 	for i := range h.counts {
 		n := h.counts[i].Load()
 		if n == 0 {
 			continue
 		}
-		upper := s.Max
-		if i < len(h.bounds) {
-			upper = h.bounds[i]
+		if s.Buckets == nil {
+			s.Buckets = make([]Bucket, 0, len(h.counts)-i)
 		}
-		lower := int64(0)
+		b := Bucket{Count: n}
 		if i > 0 {
-			lower = h.bounds[i-1]
+			b.Lower = h.bounds[i-1]
 		}
-		s.Buckets = append(s.Buckets, Bucket{Lower: lower, Upper: upper, Count: n})
+		if i < len(h.bounds) {
+			b.Upper = h.bounds[i]
+		} else {
+			overflow = true
+		}
+		s.Buckets = append(s.Buckets, b)
+		s.Count += n
+	}
+	s.Sum = h.sum.Load()
+	if s.Count == 0 {
+		return s
+	}
+	s.Min = h.min.Load()
+	s.Max = h.max.Load()
+	if overflow {
+		s.Buckets[len(s.Buckets)-1].Upper = s.Max
 	}
 	return s
 }

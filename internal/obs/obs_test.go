@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -343,6 +344,58 @@ func TestConcurrentRegistryUse(t *testing.T) {
 	}
 	if got := len(reg.Snapshot().Spans); got != workers {
 		t.Fatalf("spans = %d, want %d", got, workers)
+	}
+}
+
+// TestHistogramSnapshotWhileObserving snapshots a histogram while
+// another goroutine observes into it, as a live /metrics scrape does.
+// Every snapshot's buckets must add up to its Count, and its Prometheus
+// bucket ladder must never decrease up to and including le="+Inf".
+func TestHistogramSnapshotWhileObserving(t *testing.T) {
+	h := NewRegistry().Histogram("live.scan_cost_ns", ClockWall)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := int64(0); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(v % 100000)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 2000; i++ {
+		s := h.Snap()
+		var sum uint64
+		for _, b := range s.Buckets {
+			sum += b.Count
+		}
+		if sum != s.Count {
+			t.Fatalf("snapshot %d: buckets sum to %d, Count is %d", i, sum, s.Count)
+		}
+		var buf bytes.Buffer
+		if err := (&Snapshot{Hists: []*HistSnap{s}}).WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		prev := uint64(0)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(line, "live_scan_cost_ns_bucket{") {
+				continue
+			}
+			var cum uint64
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &cum); err != nil {
+				t.Fatalf("snapshot %d: %q: %v", i, line, err)
+			}
+			if cum < prev {
+				t.Fatalf("snapshot %d: bucket ladder falls from %d to %d at %q", i, prev, cum, line)
+			}
+			prev = cum
+		}
+		if prev != s.Count {
+			t.Fatalf("snapshot %d: bucket ladder ends at %d, Count is %d", i, prev, s.Count)
+		}
 	}
 }
 

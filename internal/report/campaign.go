@@ -192,16 +192,17 @@ func campaignFaults(w io.Writer, st *campaign.State) error {
 				p.Severity, p.DetectionRate*100, p.AlertsLost, p.AlertsDropped,
 				p.SpoolDelivered, time.Duration(p.SensorDownNs).Round(time.Millisecond))
 		}
-		if len(c.points) == c.total && c.points[0].DetectionRate > 0 {
-			base := c.points[0].DetectionRate
-			retention := c.points[len(c.points)-1].DetectionRate / base
-			var worst float64
-			for i := 1; i < len(c.points); i++ {
-				if d := (c.points[i-1].DetectionRate - c.points[i].DetectionRate) / base; d > worst {
-					worst = d
-				}
-			}
-			fmt.Fprintf(w, "  retention %.0f%% of baseline, worst step drop %.0f%%\n", retention*100, worst*100)
+		if len(c.points) < c.total {
+			continue
+		}
+		// The survivability arithmetic is the fault sweep's own, over
+		// the points' detection rates.
+		sw := &eval.FaultSweepResult{}
+		for _, p := range c.points {
+			sw.Points = append(sw.Points, &eval.FaultRunResult{Accuracy: &eval.AccuracyResult{DetectionRate: p.DetectionRate}})
+		}
+		if sw.BaselineDetection() > 0 {
+			fmt.Fprintf(w, "  retention %.0f%% of baseline, worst step drop %.0f%%\n", sw.Retention()*100, sw.MaxStepDrop()*100)
 		}
 	}
 	return nil

@@ -561,6 +561,68 @@ func TestFinishShedsLyingFooterAsCorrupt(t *testing.T) {
 	}
 }
 
+func TestFinishShedsFooterlessSpoolAsCorrupt(t *testing.T) {
+	// A spool of only the header and the chunks (no incident block,
+	// footer or trailer) has no ground truth to score against: Finish
+	// sheds it as corrupt instead of delivering it to an evaluation
+	// that cannot open it.
+	data := buildTraceBytes(t, 7)
+	footer := binary.BigEndian.Uint64(data[len(data)-12:])
+	incidents := binary.BigEndian.Uint64(data[footer+5:]) // the footer's first field
+	data = data[:incidents]
+
+	svc := openService(t, t.TempDir(), nil)
+	defer svc.Close()
+	meta := quickMeta("footerless")
+	chunks := chunked(data, 4096)
+	err := upload(svc, meta, chunks)
+	var pe *serve.ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "no footer") {
+		t.Fatalf("finish = %v, want a validation failure for the missing footer", err)
+	}
+	if st, _ := svc.Status(meta.Name); st.State != serve.StateShed || st.Reason != string(serve.ShedCorrupt) {
+		t.Fatalf("stream %s (%s), want shed as corrupt", st.State, st.Reason)
+	}
+	checkLedger(t, svc)
+	if got := svc.Counts().Shed[serve.ShedCorrupt]; got != uint64(len(chunks)) {
+		t.Fatalf("corrupt shed booked %d chunks, want %d", got, len(chunks))
+	}
+}
+
+func TestHelloRejectsWhatPlanningRefuses(t *testing.T) {
+	// Metadata the campaign planner refuses fails at Hello as a protocol
+	// error, before a stream directory exists or a chunk is spooled.
+	dir := t.TempDir()
+	svc := openService(t, dir, nil)
+	defer svc.Close()
+	for _, c := range []struct {
+		name string
+		mut  func(*serve.StreamMeta)
+	}{
+		{"unknown-product", func(m *serve.StreamMeta) { m.Products = []string{"NoSuchIDS"} }},
+		{"product-twice", func(m *serve.StreamMeta) { m.Products = []string{"TrueSecure", "TrueSecure"} }},
+		{"sensitivity-above", func(m *serve.StreamMeta) { m.Sensitivity = 1.5 }},
+		{"sensitivity-below", func(m *serve.StreamMeta) { m.Sensitivity = -0.5 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta := quickMeta(c.name)
+			c.mut(&meta)
+			_, err := svc.Hello(meta)
+			var pe *serve.ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("hello = %v, want a ProtocolError", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "streams", c.name)); !os.IsNotExist(err) {
+				t.Fatalf("stream directory exists after a refused hello (%v)", err)
+			}
+			if _, ok := svc.Status(c.name); ok {
+				t.Fatal("refused hello opened a stream")
+			}
+			checkLedger(t, svc)
+		})
+	}
+}
+
 func BenchmarkServeIngest(b *testing.B) {
 	// The durable-ack hot path: one spool append + fsync, one ack-line
 	// append + fsync per chunk. MB/s here is what a single lock-step

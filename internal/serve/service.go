@@ -20,7 +20,6 @@ import (
 	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/obs/httpexport"
-	"repro/internal/products"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -200,14 +199,16 @@ type HelloInfo struct {
 	State string `json:"state"`
 }
 
-// Hello opens a new stream or reattaches to an existing one. For a new
-// name it admits against MaxStreams and creates the durable layout;
-// for an existing name it reports the state and resume point.
+// Hello opens a new stream or reattaches to an existing one. It first
+// plans the campaign Finish will save, so metadata the planner refuses
+// fails here, before any chunk is spooled. For a new name it admits
+// against MaxStreams and creates the durable layout; for an existing
+// name it reports the state and resume point.
 func (s *Service) Hello(meta StreamMeta) (HelloInfo, error) {
 	if err := validStreamName(meta.Name); err != nil {
 		return HelloInfo{}, &ProtocolError{Msg: err.Error()}
 	}
-	if err := validateProducts(meta.Products); err != nil {
+	if _, err := campaignSpec(meta, filepath.Join(s.streamDir(meta.Name), spoolFile)).Plan(); err != nil {
 		return HelloInfo{}, &ProtocolError{Msg: err.Error()}
 	}
 
@@ -252,13 +253,21 @@ func (s *Service) Hello(meta StreamMeta) (HelloInfo, error) {
 	return HelloInfo{Next: 0, State: StateOpen}, nil
 }
 
-func validateProducts(names []string) error {
-	for _, n := range names {
-		if _, ok := products.Find(n); !ok {
-			return fmt.Errorf("unknown product %q", n)
-		}
+// campaignSpec is the campaign a stream's Finish saves: its meta, with
+// the spool as the one trace when spool is not empty.
+func campaignSpec(meta StreamMeta, spool string) *campaign.Spec {
+	spec := &campaign.Spec{
+		Name:        meta.Name,
+		Seed:        meta.Seed,
+		Quick:       meta.Quick,
+		Products:    meta.Products,
+		Evals:       meta.Evals,
+		Sensitivity: meta.Sensitivity,
 	}
-	return nil
+	if spool != "" {
+		spec.Traces = []string{spool}
+	}
+	return spec
 }
 
 // openStreams counts streams still uploading (open or finishing).
@@ -468,18 +477,11 @@ func (s *Service) Finish(name string, declChunks uint64, declBytes int64) error 
 		}
 	}
 
-	spec := &campaign.Spec{
-		Name:        name,
-		Seed:        st.meta.Seed,
-		Quick:       st.meta.Quick,
-		Products:    st.meta.Products,
-		Evals:       st.meta.Evals,
-		Sensitivity: st.meta.Sensitivity,
-	}
+	var spool string
 	if chunks > 0 {
-		spec.Traces = []string{st.path(spoolFile)}
+		spool = st.path(spoolFile)
 	}
-	if err := campaign.SavePlanFS(s.fs, st.path(campaignDir), spec); err != nil {
+	if err := campaign.SavePlanFS(s.fs, st.path(campaignDir), campaignSpec(st.meta, spool)); err != nil {
 		return fmt.Errorf("serve: planning campaign for %s: %w", name, err)
 	}
 

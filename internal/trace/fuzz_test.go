@@ -11,13 +11,12 @@ import (
 	"repro/internal/packet"
 )
 
-// FuzzReadTrace drives the IDT2 stream reader, seekable and sequential,
-// over arbitrary input. It may not panic, hang, or allocate unboundedly;
-// malformed input must surface as an error. Valid inputs that decode
-// must re-encode and decode to the same record count (a cheap
-// internal-consistency invariant that needs no reference decoder), and
-// a seekable scan that ends cleanly must have decoded the packet count
-// its footer claims.
+// FuzzReadTrace drives the IDT2 stream reader over arbitrary input. It
+// may not panic, hang, or allocate unboundedly; malformed input must
+// surface as an error. Valid inputs that decode must re-encode and
+// decode to the same record count (a cheap internal-consistency
+// invariant that needs no reference decoder), and a scan that ends
+// cleanly must have decoded the packet count its footer claims.
 func FuzzReadTrace(f *testing.F) {
 	// Seed corpus: a retired v1 trace, a real v2 stream (two chunk
 	// sizes), an empty v2 stream, assorted truncations, plain garbage,
@@ -61,7 +60,7 @@ func FuzzReadTrace(f *testing.F) {
 			f.Add(v2.Bytes()[:n])
 		}
 	}
-	f.Add(v2.Bytes()[:v2.Len()-trailerLen]) // no trailer: sequential-scan path
+	f.Add(v2.Bytes()[:v2.Len()-trailerLen]) // no trailer: rejected at open
 	f.Add([]byte("IDT2 but not really a trace"))
 	f.Add([]byte("IDTR nor this"))
 	f.Add([]byte{0xff, 0xfe, 0xfd})
@@ -95,7 +94,6 @@ func FuzzReadTrace(f *testing.F) {
 		if tr, err := readTrace(bytes.NewReader(data)); err == nil {
 			checkReencode(t, tr)
 		}
-		// Stream reader, seekable path (footer index + SeekTo).
 		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
 			n, clean := 0, false
 			for {
@@ -110,20 +108,10 @@ func FuzzReadTrace(f *testing.F) {
 			// The footer/body consistency invariant only holds for scans
 			// that reached a clean EOF; a mid-stream decode error leaves
 			// the count legitimately short.
-			if st, ok := rd.Stats(); ok && clean && rd.rs != nil && st.Packets != uint64(n) {
+			if st := rd.Stats(); clean && st.Packets != uint64(n) {
 				t.Fatalf("footer claims %d packets, decoded %d", st.Packets, n)
 			}
 			_ = rd.Incidents()
-		}
-		// Stream reader, sequential path (no seeking, no footer).
-		if rd, err := NewReader(nonSeeker{bytes.NewReader(data)}); err == nil {
-			for {
-				c, err := rd.Next()
-				if err != nil {
-					break
-				}
-				c.Release()
-			}
 		}
 	})
 }

@@ -6,15 +6,17 @@
 // timestamps, a per-chunk string table for ground-truth labels, and one
 // contiguous payload arena that decoded packets slice into — zero payload
 // copies and a constant number of allocations per chunk instead of per
-// packet. A footer indexes every chunk's file offset and time bounds,
-// enabling time-range seek on any io.ReadSeeker, and carries the
-// ground-truth incident sidecar plus whole-trace summary statistics so a
-// streaming consumer can size its testbed before the first chunk decodes.
-// The reader checks those statistics rather than trusting them: host
-// counts at open, and the rest against the body at the end of a full
-// scan.
+// packet. After the chunks come the ground-truth incident block, a
+// footer with whole-trace summary statistics and an index of every
+// chunk's offset and time bounds, and a fixed-size trailer that locates
+// the footer. The Reader opens a seekable source at its tail, so a
+// streaming consumer can size its testbed and read the ground truth
+// before the first chunk decodes. It checks the footer's statistics
+// rather than trusting them: host counts at open, and the rest against
+// the body when a scan reaches its end. The index is written for the
+// format's sake; no reader seeks by it.
 //
-// See DESIGN.md §8 for the wire layout and the reader's concurrency
+// See DESIGN.md §8 for the wire layout and the reader's one-goroutine
 // contract.
 package trace
 
@@ -24,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/attack"
@@ -53,14 +53,7 @@ const (
 	maxBlockLen     = 1 << 26 // 64 MiB per block
 	maxChunkRecords = 1 << 17
 	maxChunkStrings = 1 << 16
-	maxIndexEntries = 1 << 24
 	maxIncidents    = 1 << 20
-
-	// bigBlockLen gates the remaining-bytes cross-check: block-length
-	// claims at or above it are verified against the source size (when
-	// knowable) before the buffer is allocated. Below it, a hostile
-	// length costs at most a small allocation and is caught by ReadFull.
-	bigBlockLen = 1 << 20
 
 	// minRecordEnc is the smallest possible wire encoding of one chunk
 	// record: three 1-byte varints (delta, seq, sent), 16 fixed bytes,
@@ -73,12 +66,14 @@ const (
 	minIncidentEnc = 13
 
 	headerFixedLen = 4 + 4 + 2 + 8 // magic, version, profile len, seed (profile bytes vary)
+	footerFixedLen = 8 + 6*8 + 3*4 // incident offset, six u64 stats, two host counts, chunk count
+	indexEntryLen  = 8 + 4 + 8 + 8 // a chunk's offset, record count, first and last record times
 	trailerLen     = 12            // footer offset u64 + trailer magic u32
 )
 
 // StreamStats are whole-trace summary statistics accumulated by the
-// Writer and recovered from the footer by a seekable Reader before any
-// chunk decodes. ClusterHosts/ExternalHosts are the smallest host counts
+// Writer and recovered from the footer by the Reader before any chunk
+// decodes. ClusterHosts/ExternalHosts are the smallest host counts
 // whose testbed address plan (netsim.ClusterAddr/ExternalAddr) reaches
 // every plan address in the trace, so a streaming consumer can size its
 // topology without a pre-scan pass over the records. Addresses outside
@@ -103,15 +98,6 @@ func (s StreamStats) Duration() time.Duration {
 	return s.LastAt - s.FirstAt
 }
 
-// ChunkInfo is one footer index entry: where a chunk lives in the file
-// and which time range it covers.
-type ChunkInfo struct {
-	Offset  uint64 // file offset of the chunk's block header
-	Records int
-	FirstAt time.Duration
-	LastAt  time.Duration
-}
-
 // coverHost grows the host counts until the address plan reaches a.
 func (s *StreamStats) coverHost(a packet.Addr) {
 	if i, ok := netsim.ClusterIndex(a); ok {
@@ -127,8 +113,8 @@ func (s *StreamStats) coverHost(a packet.Addr) {
 // accumulate into chunks of ChunkRecords and each full chunk is encoded
 // and flushed immediately, so writer memory is O(chunk) regardless of
 // capture length. Close writes the final partial chunk, the incident
-// sidecar, and the footer index; a Writer that is never Closed produces
-// a truncated (sequentially readable, unindexed) stream.
+// sidecar, the footer and the trailer; the stream of a Writer that is
+// never Closed has no footer, and no Reader opens it.
 type Writer struct {
 	bw  *bufio.Writer
 	off uint64 // bytes committed to bw, = next block's file offset
@@ -143,7 +129,7 @@ type Writer struct {
 	pend      []Record // records of the open chunk (packets borrowed until flush)
 	lastAt    time.Duration
 	stats     StreamStats
-	index     []ChunkInfo
+	index     []byte // footer chunk index, indexEntryLen bytes per chunk
 	incidents []attack.Incident
 
 	strIdx map[string]uint64 // per-chunk string table (reset at flush)
@@ -301,12 +287,10 @@ func (w *Writer) flushChunk() error {
 		return fmt.Errorf("trace: chunk block %d exceeds %d bytes", len(buf), maxBlockLen)
 	}
 
-	w.index = append(w.index, ChunkInfo{
-		Offset:  w.off,
-		Records: len(recs),
-		FirstAt: recs[0].At,
-		LastAt:  recs[len(recs)-1].At,
-	})
+	w.index = binary.BigEndian.AppendUint64(w.index, w.off)
+	w.index = binary.BigEndian.AppendUint32(w.index, uint32(len(recs)))
+	w.index = binary.BigEndian.AppendUint64(w.index, uint64(recs[0].At))
+	w.index = binary.BigEndian.AppendUint64(w.index, uint64(recs[len(recs)-1].At))
 	w.stats.Chunks++
 	if err := w.writeBlock(blockChunk, buf); err != nil {
 		return err
@@ -381,13 +365,8 @@ func (w *Writer) Close() error {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(w.stats.LastAt))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.stats.ClusterHosts))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.stats.ExternalHosts))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.index)))
-	for _, ci := range w.index {
-		buf = binary.BigEndian.AppendUint64(buf, ci.Offset)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(ci.Records))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ci.FirstAt))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ci.LastAt))
-	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(w.stats.Chunks))
+	buf = append(buf, w.index...)
 	w.enc = buf
 	if err := w.writeBlock(blockFooter, buf); err != nil {
 		w.err = err
@@ -443,56 +422,42 @@ func (c *Chunk) FirstAt() time.Duration { return c.Records[0].At }
 // LastAt returns the chunk's last record time.
 func (c *Chunk) LastAt() time.Duration { return c.Records[len(c.Records)-1].At }
 
-// Release recycles the chunk's buffers through the owning reader.
+// Release recycles the chunk's buffers through the owning reader, on
+// the reader's goroutine.
 func (c *Chunk) Release() {
 	if c.owner != nil {
 		c.owner.putChunk(c)
 	}
 }
 
-// Reader streams an IDT2 trace chunk by chunk with O(chunk) memory. On
-// an io.ReadSeeker it reads the footer first, making Stats, Incidents,
-// and Index available before the first chunk decodes, and enabling
-// SeekTo; on a plain io.Reader it scans sequentially and incidents and
-// stats become available only once the stream ends.
+// Reader streams an IDT2 trace chunk by chunk with O(chunk) memory.
+// NewReader loads the footer and the incident block before any chunk
+// decodes, so Stats and Incidents are known up front; Next decodes the
+// body from its first chunk and, at its end, checks the footer's
+// statistics against the records it held.
 //
-// Concurrency contract: Next must be called from a single goroutine
-// (PipelinedReader moves it to a background worker); Release may be
-// called from a different goroutine than Next.
+// A Reader and its chunks belong to one goroutine: Next and
+// Chunk.Release must not run concurrently.
 type Reader struct {
 	br *bufio.Reader
-	rs io.ReadSeeker // nil when the source is not seekable
-	// base is the stream's start position within rs (footer offsets are
-	// stream-relative).
-	base int64
+	// off is the stream offset of the next block Next reads; the chunk
+	// body ends at bodyEnd, where the incident block starts.
+	off, bodyEnd int64
 
 	profile string
 	seed    int64
 
-	hasFooter bool
 	stats     StreamStats
 	incidents []attack.Incident
-	haveIncs  bool
-	index     []ChunkInfo
-
-	// src is the raw source reader, kept so block-length claims can be
-	// checked against the source's remaining bytes before allocating.
-	src io.Reader
 
 	intern     map[string]string
 	strScratch []string
-	chunksRead atomic.Int64
-	finished   bool
-	scratch    []byte
+	chunksRead int
+	free       []*Chunk
 
 	// seen recomputes the footer's checkable statistics from the decoded
-	// records. Only a scan from the first chunk sees every record, so
-	// SeekTo sets seeked and the end-of-scan check is skipped.
-	seen   StreamStats
-	seeked bool
-
-	mu   sync.Mutex
-	free []*Chunk
+	// records.
+	seen StreamStats
 
 	// Telemetry instruments; nil (free no-ops) unless SetObs is called.
 	cChunks, cRecords, cBytes *obs.Counter
@@ -513,49 +478,37 @@ func (r *Reader) SetObs(reg *obs.Registry) {
 	r.hDecode = reg.Histogram("trace.decoder.decode_wall_ns", obs.ClockWall)
 }
 
-// NewReader opens an IDT2 stream. The header is consumed immediately;
-// if r seeks, the footer index and incident sidecar are loaded up front.
-func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{src: r, intern: make(map[string]string)}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		rd.rs = rs
-		base, err := rs.Seek(0, io.SeekCurrent)
-		if err == nil {
-			rd.base = base
-		} else {
-			rd.rs = nil
-		}
-	}
-	rd.br = bufio.NewReaderSize(r, 256<<10)
-	if err := rd.readHeader(); err != nil {
+// NewReader opens the IDT2 stream that starts at rs's current position
+// and runs to its end. It reads the header, the trailer, the footer and
+// the incident block, and fails if any of them is missing or malformed
+// or if the footer claims host counts the testbed address plan cannot
+// hold.
+func NewReader(rs io.ReadSeeker) (*Reader, error) {
+	base, err := rs.Seek(0, io.SeekCurrent)
+	if err != nil {
 		return nil, err
 	}
-	if rd.rs != nil {
-		if err := rd.loadFooter(); err != nil {
-			// Unindexed or truncated stream: fall back to a sequential
-			// scan with footer-dependent features disabled.
-			rd.stats = StreamStats{}
-			rd.index = nil
-			rd.hasFooter = false
-		} else if err := rd.stats.checkHosts(); err != nil {
-			return nil, err
-		}
-		// Position after the header for sequential chunk reads.
-		hdrLen := int64(headerFixedLen + len(rd.profile))
-		if _, err := rd.rs.Seek(rd.base+hdrLen, io.SeekStart); err != nil {
-			return nil, err
-		}
-		rd.br.Reset(rd.rs)
-		if !rd.hasFooter {
-			rd.rs = nil
-		}
+	r := &Reader{intern: make(map[string]string)}
+	if err := r.readHeader(rs); err != nil {
+		return nil, err
 	}
-	return rd, nil
+	r.off = int64(headerFixedLen + len(r.profile))
+	if err := r.loadFooter(rs, base); err != nil {
+		return nil, err
+	}
+	if err := r.stats.checkHosts(); err != nil {
+		return nil, err
+	}
+	if _, err := rs.Seek(base+r.off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	r.br = bufio.NewReaderSize(rs, 256<<10)
+	return r, nil
 }
 
-func (r *Reader) readHeader() error {
+func (r *Reader) readHeader(rd io.Reader) error {
 	var hdr [10]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return fmt.Errorf("trace: stream header: %w", err)
 	}
 	if binary.BigEndian.Uint32(hdr[0:4]) != magic2 {
@@ -566,7 +519,7 @@ func (r *Reader) readHeader() error {
 	}
 	plen := int(binary.BigEndian.Uint16(hdr[8:10]))
 	pb := make([]byte, plen+8)
-	if _, err := io.ReadFull(r.br, pb); err != nil {
+	if _, err := io.ReadFull(rd, pb); err != nil {
 		return fmt.Errorf("trace: stream header: %w", err)
 	}
 	r.profile = string(pb[:plen])
@@ -574,35 +527,70 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// loadFooter reads the trailer and footer of a seekable stream.
-func (r *Reader) loadFooter() error {
-	end, err := r.rs.Seek(-trailerLen, io.SeekEnd)
+// loadFooter reads the stream's tail, whose parts locate one another:
+// the trailer in the last trailerLen bytes points at the footer block,
+// which ends where the trailer starts, and the footer points at the
+// incident block, which ends where the footer starts. Everything
+// between the header and the incident block is the chunk body. The
+// footer's chunk index is checked for length only; nothing seeks by it.
+func (r *Reader) loadFooter(rs io.ReadSeeker, base int64) error {
+	end, err := rs.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
+	end -= base // wire offsets are relative to the stream's start
+	if end < r.off+trailerLen {
+		return errors.New("trace: no footer trailer")
+	}
 	var tr [trailerLen]byte
-	if _, err := io.ReadFull(r.rs, tr[:]); err != nil {
+	if _, err := rs.Seek(base+end-trailerLen, io.SeekStart); err != nil {
 		return err
+	}
+	if _, err := io.ReadFull(rs, tr[:]); err != nil {
+		return fmt.Errorf("trace: trailer: %w", err)
 	}
 	if binary.BigEndian.Uint32(tr[8:12]) != trailerMagic {
 		return errors.New("trace: no footer trailer")
 	}
-	footOff := int64(binary.BigEndian.Uint64(tr[0:8]))
-	if footOff < 0 || r.base+footOff >= end {
-		return errors.New("trace: footer offset out of range")
+	// block reads the block of type typ at off, which must end exactly
+	// where the next part of the tail starts.
+	block := func(typ byte, name string, off, next int64) ([]byte, error) {
+		if off < r.off || off > next-5 {
+			return nil, fmt.Errorf("trace: %s offset %d out of range", name, off)
+		}
+		if _, err := rs.Seek(base+off, io.SeekStart); err != nil {
+			return nil, err
+		}
+		var hdr [5]byte
+		if _, err := io.ReadFull(rs, hdr[:]); err != nil {
+			return nil, fmt.Errorf("trace: %s block: %w", name, err)
+		}
+		if hdr[0] != typ {
+			return nil, fmt.Errorf("trace: %s block has type %d", name, hdr[0])
+		}
+		blen := int64(binary.BigEndian.Uint32(hdr[1:5]))
+		if blen != next-off-5 {
+			return nil, fmt.Errorf("trace: %s block claims %d bytes, %d precede the next block", name, blen, next-off-5)
+		}
+		if blen > maxBlockLen {
+			return nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
+		}
+		buf := make([]byte, blen)
+		if _, err := io.ReadFull(rs, buf); err != nil {
+			return nil, fmt.Errorf("trace: %s block: %w", name, err)
+		}
+		return buf, nil
 	}
-	typ, payload, err := r.readBlockAt(r.base + footOff)
+	footOff := int64(binary.BigEndian.Uint64(tr[0:8]))
+	p, err := block(blockFooter, "footer", footOff, end-trailerLen)
 	if err != nil {
 		return err
 	}
-	if typ != blockFooter {
-		return fmt.Errorf("trace: footer block has type %d", typ)
-	}
-	if len(payload) < 8+6*8+3*4 {
+	if len(p) < footerFixedLen {
 		return errors.New("trace: short footer")
 	}
-	incOff := int64(binary.BigEndian.Uint64(payload[0:8]))
-	p := payload[8:]
+	incOff := int64(binary.BigEndian.Uint64(p[0:8]))
+	p = p[8:]
 	r.stats.Packets = binary.BigEndian.Uint64(p[0:8])
 	r.stats.Bytes = binary.BigEndian.Uint64(p[8:16])
 	r.stats.MaliciousPkts = binary.BigEndian.Uint64(p[16:24])
@@ -612,71 +600,19 @@ func (r *Reader) loadFooter() error {
 	r.stats.ClusterHosts = int(binary.BigEndian.Uint32(p[48:52]))
 	r.stats.ExternalHosts = int(binary.BigEndian.Uint32(p[52:56]))
 	nchunks := binary.BigEndian.Uint32(p[56:60])
-	if nchunks > maxIndexEntries {
-		return fmt.Errorf("trace: implausible chunk count %d", nchunks)
-	}
-	p = p[60:]
-	const entryLen = 8 + 4 + 8 + 8
-	if uint64(len(p)) != uint64(nchunks)*entryLen {
+	if uint64(len(p[60:])) != uint64(nchunks)*indexEntryLen {
 		return errors.New("trace: footer index length mismatch")
 	}
-	r.index = make([]ChunkInfo, nchunks)
-	for i := range r.index {
-		e := p[i*entryLen:]
-		r.index[i] = ChunkInfo{
-			Offset:  binary.BigEndian.Uint64(e[0:8]),
-			Records: int(binary.BigEndian.Uint32(e[8:12])),
-			FirstAt: time.Duration(binary.BigEndian.Uint64(e[12:20])),
-			LastAt:  time.Duration(binary.BigEndian.Uint64(e[20:28])),
-		}
-	}
-	r.stats.Chunks = len(r.index)
-	typ, payload, err = r.readBlockAt(r.base + incOff)
+	r.stats.Chunks = int(nchunks)
+	p, err = block(blockIncidents, "incident", incOff, footOff)
 	if err != nil {
 		return err
 	}
-	if typ != blockIncidents {
-		return fmt.Errorf("trace: incident block has type %d", typ)
-	}
-	if err := r.parseIncidents(payload); err != nil {
+	if err := r.parseIncidents(p); err != nil {
 		return err
 	}
-	r.hasFooter = true
+	r.bodyEnd = incOff
 	return nil
-}
-
-// readBlockAt seeks to off and reads one whole block into scratch.
-func (r *Reader) readBlockAt(off int64) (byte, []byte, error) {
-	if _, err := r.rs.Seek(off, io.SeekStart); err != nil {
-		return 0, nil, err
-	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.rs, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	blen := binary.BigEndian.Uint32(hdr[1:5])
-	if blen > maxBlockLen {
-		return 0, nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
-	}
-	if blen >= bigBlockLen {
-		if end, err := r.rs.Seek(0, io.SeekEnd); err == nil {
-			rem := end - (off + 5)
-			if _, err := r.rs.Seek(off+5, io.SeekStart); err != nil {
-				return 0, nil, err
-			}
-			if int64(blen) > rem {
-				return 0, nil, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
-			}
-		}
-	}
-	if cap(r.scratch) < int(blen) {
-		r.scratch = make([]byte, blen)
-	}
-	buf := r.scratch[:blen]
-	if _, err := io.ReadFull(r.rs, buf); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], buf, nil
 }
 
 // Profile returns the trace's generation profile name.
@@ -685,175 +621,67 @@ func (r *Reader) Profile() string { return r.profile }
 // Seed returns the trace's generation seed.
 func (r *Reader) Seed() int64 { return r.seed }
 
-// Stats returns whole-trace statistics and whether they are known yet:
-// immediately on an indexed (seekable) stream, after the footer on a
-// sequential scan. They are the footer's claims. Host counts are bounded
-// at open; a full scan checks the packet count, first timestamp, and
-// host counts against the body when it reaches the footer.
-func (r *Reader) Stats() (StreamStats, bool) {
-	return r.stats, r.hasFooter || r.finished
-}
+// Stats returns the footer's whole-trace statistics. Host counts are
+// bounded at open; a scan that reaches io.EOF has checked the packet
+// count, the first timestamp, and the host counts against the body.
+func (r *Reader) Stats() StreamStats { return r.stats }
 
-// Incidents returns the ground-truth sidecar, or nil if not yet known.
-func (r *Reader) Incidents() []attack.Incident {
-	if !r.haveIncs {
-		return nil
-	}
-	return r.incidents
-}
-
-// Index returns the chunk index (seekable streams only). No command
-// reads it: with SeekTo it is the time-range seek README and DESIGN §8
-// describe, pinned by TestStreamReaderChunksAndStats.
-func (r *Reader) Index() []ChunkInfo { return r.index }
+// Incidents returns the ground-truth sidecar.
+func (r *Reader) Incidents() []attack.Incident { return r.incidents }
 
 // ChunksRead reports how many chunks have been decoded so far.
-func (r *Reader) ChunksRead() int { return int(r.chunksRead.Load()) }
+func (r *Reader) ChunksRead() int { return r.chunksRead }
 
-// SeekTo repositions the stream so the next chunk returned by Next is
-// the first one whose time range ends at or after t. It requires an
-// indexed, seekable stream. No command seeks: it is the time-range seek
-// README and DESIGN §8 describe, pinned by TestStreamSeekTo.
-func (r *Reader) SeekTo(t time.Duration) error {
-	if r.rs == nil || !r.hasFooter {
-		return errors.New("trace: SeekTo requires an indexed seekable stream")
-	}
-	lo, hi := 0, len(r.index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.index[mid].LastAt < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var off int64
-	if lo == len(r.index) {
-		// Past the last chunk: position at the incident block so Next
-		// returns io.EOF after consuming the tail blocks.
-		if len(r.index) == 0 {
-			return r.seekStart()
-		}
-		last := r.index[len(r.index)-1]
-		off = r.base + int64(last.Offset)
-		// Skip the last chunk entirely.
-		if _, err := r.rs.Seek(off, io.SeekStart); err != nil {
-			return err
-		}
-		var hdr [5]byte
-		if _, err := io.ReadFull(r.rs, hdr[:]); err != nil {
-			return err
-		}
-		off += 5 + int64(binary.BigEndian.Uint32(hdr[1:5]))
-	} else {
-		off = r.base + int64(r.index[lo].Offset)
-	}
-	if _, err := r.rs.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	r.br.Reset(r.rs)
-	r.finished = false
-	r.seeked = true
-	return nil
-}
-
-func (r *Reader) seekStart() error {
-	hdrLen := int64(headerFixedLen + len(r.profile))
-	if _, err := r.rs.Seek(r.base+hdrLen, io.SeekStart); err != nil {
-		return err
-	}
-	r.br.Reset(r.rs)
-	r.finished = false
-	r.seeked = true
-	return nil
-}
-
-// Next returns the next decoded chunk, or io.EOF at end of trace.
+// Next returns the next decoded chunk, or io.EOF once the body is
+// exhausted and the footer's statistics match it.
 func (r *Reader) Next() (*Chunk, error) {
-	if r.finished {
+	if r.off == r.bodyEnd {
+		if err := r.checkFooter(); err != nil {
+			return nil, err
+		}
 		return nil, io.EOF
 	}
-	for {
-		var hdr [5]byte
-		if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-			if err == io.EOF {
-				// Unindexed stream that ended cleanly after a block.
-				r.finished = true
-				return nil, io.EOF
-			}
-			return nil, fmt.Errorf("trace: block header: %w", err)
-		}
-		blen := binary.BigEndian.Uint32(hdr[1:5])
-		if blen > maxBlockLen {
-			return nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
-		}
-		if blen >= bigBlockLen {
-			// A large claimed length is cross-checked against the bytes
-			// the source can still produce, so a corrupt length field
-			// fails here instead of allocating the claimed size.
-			if rem, ok := remainingBytes(r.br, r.src); ok && uint64(blen) > rem {
-				return nil, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
-			}
-		}
-		switch hdr[0] {
-		case blockChunk:
-			c := r.getChunk(int(blen))
-			if _, err := io.ReadFull(r.br, c.buf); err != nil {
-				return nil, fmt.Errorf("trace: chunk body: %w", err)
-			}
-			var t0 time.Time
-			if r.hDecode != nil {
-				t0 = time.Now()
-			}
-			if err := r.decodeChunk(c); err != nil {
-				return nil, err
-			}
-			if r.hDecode != nil {
-				r.hDecode.Observe(int64(time.Since(t0)))
-			}
-			r.tally(c)
-			r.chunksRead.Add(1)
-			r.cChunks.Inc()
-			r.cRecords.Add(uint64(len(c.Records)))
-			r.cBytes.Add(uint64(blen) + 5)
-			return c, nil
-		case blockIncidents:
-			if cap(r.scratch) < int(blen) {
-				r.scratch = make([]byte, blen)
-			}
-			buf := r.scratch[:blen]
-			if _, err := io.ReadFull(r.br, buf); err != nil {
-				return nil, fmt.Errorf("trace: incident block: %w", err)
-			}
-			if !r.haveIncs {
-				if err := r.parseIncidents(buf); err != nil {
-					return nil, err
-				}
-			}
-		case blockFooter:
-			// Terminal block: consume and stop (footer contents were
-			// either loaded at open or are only needed for Stats).
-			if cap(r.scratch) < int(blen) {
-				r.scratch = make([]byte, blen)
-			}
-			buf := r.scratch[:blen]
-			if _, err := io.ReadFull(r.br, buf); err != nil {
-				return nil, fmt.Errorf("trace: footer block: %w", err)
-			}
-			if !r.hasFooter {
-				r.parseFooterStats(buf)
-			}
-			r.finished = true
-			if !r.seeked {
-				if err := r.checkFooter(); err != nil {
-					return nil, err
-				}
-			}
-			return nil, io.EOF
-		default:
-			return nil, fmt.Errorf("trace: unknown block type %d", hdr[0])
-		}
+	rem := r.bodyEnd - r.off - 5 // body bytes left after this block's header
+	if rem < 0 {
+		return nil, fmt.Errorf("trace: %d stray bytes before the incident block", r.bodyEnd-r.off)
 	}
+	var hdr [5]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("trace: block header: %w", err)
+	}
+	if hdr[0] != blockChunk {
+		return nil, fmt.Errorf("trace: block type %d in the chunk body", hdr[0])
+	}
+	blen := int64(binary.BigEndian.Uint32(hdr[1:5]))
+	if blen > maxBlockLen {
+		return nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
+	}
+	// A corrupt length fails here, against the body's known extent,
+	// instead of allocating the claimed size.
+	if blen > rem {
+		return nil, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
+	}
+	c := r.getChunk(int(blen))
+	if _, err := io.ReadFull(r.br, c.buf); err != nil {
+		return nil, fmt.Errorf("trace: chunk body: %w", err)
+	}
+	r.off += 5 + blen
+	var t0 time.Time
+	if r.hDecode != nil {
+		t0 = time.Now()
+	}
+	if err := r.decodeChunk(c); err != nil {
+		return nil, err
+	}
+	if r.hDecode != nil {
+		r.hDecode.Observe(int64(time.Since(t0)))
+	}
+	r.tally(c)
+	r.chunksRead++
+	r.cChunks.Inc()
+	r.cRecords.Add(uint64(len(c.Records)))
+	r.cBytes.Add(uint64(blen) + 5)
+	return c, nil
 }
 
 // tally folds a decoded chunk into the recomputed footer statistics.
@@ -868,7 +696,7 @@ func (r *Reader) tally(c *Chunk) {
 	}
 }
 
-// checkFooter fails a full scan whose footer disagrees with the body it
+// checkFooter fails a scan whose footer disagrees with the body it
 // indexes: the statistics consumers size and align a replay by must
 // match what the records actually hold.
 func (r *Reader) checkFooter() error {
@@ -896,24 +724,6 @@ func (s StreamStats) checkHosts() error {
 		return fmt.Errorf("trace: footer claims %d external hosts, the address plan holds %d", s.ExternalHosts, netsim.MaxPlanHosts)
 	}
 	return nil
-}
-
-// parseFooterStats recovers summary statistics from a sequentially
-// scanned footer (best effort; index omitted).
-func (r *Reader) parseFooterStats(payload []byte) {
-	if len(payload) < 8+6*8+3*4 {
-		return
-	}
-	p := payload[8:]
-	r.stats.Packets = binary.BigEndian.Uint64(p[0:8])
-	r.stats.Bytes = binary.BigEndian.Uint64(p[8:16])
-	r.stats.MaliciousPkts = binary.BigEndian.Uint64(p[16:24])
-	r.stats.PayloadPackets = binary.BigEndian.Uint64(p[24:32])
-	r.stats.FirstAt = time.Duration(binary.BigEndian.Uint64(p[32:40]))
-	r.stats.LastAt = time.Duration(binary.BigEndian.Uint64(p[40:48]))
-	r.stats.ClusterHosts = int(binary.BigEndian.Uint32(p[48:52]))
-	r.stats.ExternalHosts = int(binary.BigEndian.Uint32(p[52:56]))
-	r.stats.Chunks = int(binary.BigEndian.Uint32(p[56:60]))
 }
 
 func (r *Reader) parseIncidents(payload []byte) error {
@@ -959,22 +769,18 @@ func (r *Reader) parseIncidents(payload []byte) error {
 		incs = append(incs, in)
 	}
 	r.incidents = incs
-	r.haveIncs = true
 	return nil
 }
 
 // getChunk takes a chunk from the freelist (or allocates one) with a
 // buffer of at least blen bytes.
 func (r *Reader) getChunk(blen int) *Chunk {
-	r.mu.Lock()
 	var c *Chunk
 	if n := len(r.free); n > 0 {
 		c = r.free[n-1]
 		r.free[n-1] = nil
 		r.free = r.free[:n-1]
-	}
-	r.mu.Unlock()
-	if c == nil {
+	} else {
 		c = &Chunk{owner: r}
 	}
 	if cap(c.buf) < blen {
@@ -988,11 +794,9 @@ func (r *Reader) getChunk(blen int) *Chunk {
 func (r *Reader) putChunk(c *Chunk) {
 	c.Records = c.Records[:0]
 	c.pkts = c.pkts[:0]
-	r.mu.Lock()
 	if len(r.free) < 4 {
 		r.free = append(r.free, c)
 	}
-	r.mu.Unlock()
 }
 
 // decodeChunk parses c.buf in place. Steady-state cost is zero
@@ -1005,7 +809,7 @@ func (r *Reader) decodeChunk(c *Chunk) error {
 	rest, err := r.decodeChunkBody(c)
 	if err != nil {
 		return fmt.Errorf("trace: chunk %d: byte %d/%d: %w",
-			r.chunksRead.Load(), len(c.buf)-len(rest), len(c.buf), err)
+			r.chunksRead, len(c.buf)-len(rest), len(c.buf), err)
 	}
 	return nil
 }
@@ -1182,30 +986,6 @@ func readString(p []byte) (string, []byte, error) {
 		return "", p, err
 	}
 	return string(b), p, nil
-}
-
-// remainingBytes reports how many unread bytes the source holds, when
-// that is knowable without consuming it: buffered bytes plus the
-// underlying reader's remainder for in-memory readers (Len) and
-// seekable sources.
-func remainingBytes(br *bufio.Reader, r io.Reader) (uint64, bool) {
-	under := int64(-1)
-	switch s := r.(type) {
-	case interface{ Len() int }:
-		under = int64(s.Len())
-	case io.Seeker:
-		cur, err1 := s.Seek(0, io.SeekCurrent)
-		end, err2 := s.Seek(0, io.SeekEnd)
-		if err1 == nil && err2 == nil {
-			if _, err := s.Seek(cur, io.SeekStart); err == nil {
-				under = end - cur
-			}
-		}
-	}
-	if under < 0 {
-		return 0, false
-	}
-	return uint64(under) + uint64(br.Buffered()), true
 }
 
 // ---- streaming recorder ----

@@ -75,8 +75,7 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 }
 
 // TestStreamRoundTripViaReadBinary checks that WriteStream output starts
-// with the IDT2 magic and reads back whole, through readTrace, from a
-// seekable and from a sequential source.
+// with the IDT2 magic and reads back whole through readTrace.
 func TestStreamRoundTripViaReadBinary(t *testing.T) {
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
@@ -86,13 +85,11 @@ func TestStreamRoundTripViaReadBinary(t *testing.T) {
 	if buf.Len() < 4 || binary.BigEndian.Uint32(buf.Bytes()) != magic2 {
 		t.Fatal("stream does not start with IDT2 magic")
 	}
-	for _, src := range []io.Reader{bytes.NewReader(buf.Bytes()), nonSeeker{bytes.NewReader(buf.Bytes())}} {
-		got, err := readTrace(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traceEqual(t, tr, got)
+	got, err := readTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	traceEqual(t, tr, got)
 }
 
 func TestStreamReaderChunksAndStats(t *testing.T) {
@@ -102,10 +99,7 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := rd.Stats()
-	if !ok {
-		t.Fatal("seekable stream: stats not available up front")
-	}
+	st := rd.Stats()
 	if st.Packets != uint64(len(tr.Records)) {
 		t.Fatalf("stats packets %d, want %d", st.Packets, len(tr.Records))
 	}
@@ -122,8 +116,8 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 		t.Fatalf("footer hosts %d/%d, PlanHosts %d/%d, want 2/1", st.ClusterHosts, st.ExternalHosts, c, e)
 	}
 	wantChunks := (len(tr.Records) + 63) / 64
-	if st.Chunks != wantChunks || len(rd.Index()) != wantChunks {
-		t.Fatalf("chunks %d / index %d, want %d", st.Chunks, len(rd.Index()), wantChunks)
+	if st.Chunks != wantChunks {
+		t.Fatalf("chunks %d, want %d", st.Chunks, wantChunks)
 	}
 	if len(rd.Incidents()) != len(tr.Incidents) {
 		t.Fatalf("incidents %d, want %d (up front)", len(rd.Incidents()), len(tr.Incidents))
@@ -169,103 +163,6 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	})
 }
 
-// nonSeeker hides the ReadSeeker of a bytes.Reader.
-type nonSeeker struct{ r io.Reader }
-
-func (n nonSeeker) Read(p []byte) (int, error) { return n.r.Read(p) }
-
-func TestStreamSequentialScan(t *testing.T) {
-	tr := sampleTrace(t)
-	data := encodeStream(t, tr, 128)
-	rd, err := NewReader(nonSeeker{bytes.NewReader(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rd.Stats(); ok {
-		t.Fatal("sequential scan: stats claimed before EOF")
-	}
-	n := 0
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(c.Records)
-	}
-	if n != len(tr.Records) {
-		t.Fatalf("scanned %d records, want %d", n, len(tr.Records))
-	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != uint64(len(tr.Records)) {
-		t.Fatalf("stats after EOF: ok=%v %+v", ok, st)
-	}
-	if len(rd.Incidents()) != len(tr.Incidents) {
-		t.Fatal("incidents missing after sequential scan")
-	}
-	if err := rd.SeekTo(0); err == nil {
-		t.Fatal("SeekTo on sequential stream accepted")
-	}
-}
-
-func TestStreamSeekTo(t *testing.T) {
-	tr := sampleTrace(t)
-	data := encodeStream(t, tr, 32)
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := tr.Records[len(tr.Records)/2].At
-	if err := rd.SeekTo(mid); err != nil {
-		t.Fatal(err)
-	}
-	c, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.LastAt() < mid {
-		t.Fatalf("chunk ends %v, before seek target %v", c.LastAt(), mid)
-	}
-	// The previous chunk (if any) must end before mid: we landed on the
-	// first chunk whose range can contain mid.
-	idx := rd.Index()
-	for i, ci := range idx {
-		if ci.FirstAt == c.FirstAt() && i > 0 && idx[i-1].LastAt >= mid {
-			t.Fatal("seek overshot: an earlier chunk also covers the target")
-		}
-	}
-	c.Release()
-
-	// Seeking past the end drains to EOF.
-	if err := rd.SeekTo(tr.Records[len(tr.Records)-1].At + time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("seek past end: got %v, want EOF", err)
-	}
-	// Rewind to the start replays everything.
-	if err := rd.SeekTo(0); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += len(c.Records)
-		c.Release()
-	}
-	if n != len(tr.Records) {
-		t.Fatalf("after rewind scanned %d records, want %d", n, len(tr.Records))
-	}
-}
-
 // emitObservation is what a replay test records at emit time (payload
 // summarized, since chunk memory may be recycled afterwards).
 type emitObservation struct {
@@ -293,64 +190,27 @@ func observeReplay(t *testing.T, schedule func(sim *simtime.Sim, emit func(p *pa
 func TestReplayReaderMatchesInMemoryReplay(t *testing.T) {
 	tr := sampleTrace(t)
 	data := encodeStream(t, tr, 50)
-	for _, speedup := range []float64{1, 3} {
-		speedup := speedup
-		want := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
-			if err := Replay(sim, tr, time.Second, speedup, emit); err != nil {
-				t.Fatal(err)
-			}
-		})
-		var rs *ReplayStream
-		got := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
-			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err = ReplayReader(sim, rd, time.Second, speedup, emit)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if err := rs.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("speedup %v: replayed %d packets, want %d", speedup, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("speedup %v: emit %d differs: %+v vs %+v", speedup, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPipelinedReaderMatchesDirect(t *testing.T) {
-	tr := sampleTrace(t)
-	data := encodeStream(t, tr, 40)
 	want := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReplayReader(sim, rd, 0, 1, emit); err != nil {
+		if err := Replay(sim, tr, time.Second, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
-	var pr *PipelinedReader
+	var rs *ReplayStream
 	got := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr = NewPipelinedReader(rd, 2)
-		if _, err := ReplayReader(sim, pr, 0, 1, emit); err != nil {
+		rs, err = ReplayReader(sim, rd, time.Second, emit)
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	pr.Close()
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
-		t.Fatalf("pipelined replayed %d packets, want %d", len(got), len(want))
+		t.Fatalf("replayed %d packets, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -399,7 +259,7 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readTrace(&buf)
+	got, err := readTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,9 +336,8 @@ func TestEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != 0 || st.Chunks != 0 {
-		t.Fatalf("empty stream stats: ok=%v %+v", ok, st)
+	if st := rd.Stats(); st.Packets != 0 || st.Chunks != 0 {
+		t.Fatalf("empty stream stats: %+v", st)
 	}
 	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("empty stream Next: %v, want EOF", err)
@@ -486,14 +345,13 @@ func TestEmptyStream(t *testing.T) {
 	// Streaming replay of an empty source is a no-op.
 	sim := simtime.New(1)
 	rd2, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	rs, err := ReplayReader(sim, rd2, 0, 1, func(p *packet.Packet) { t.Fatal("emit from empty trace") })
+	rs, err := ReplayReader(sim, rd2, 0, func(p *packet.Packet) { t.Fatal("emit from empty trace") })
 	if err != nil || rs.Err() != nil {
 		t.Fatalf("empty replay: %v / %v", err, rs.Err())
 	}
 }
 
-// footerStats locates the statistics of an indexed IDT2 stream's
-// footer — packets at byte 0, first record at 32, cluster and external
+// footerStats locates the statistics of an IDT2 stream's footer — packets at byte 0, first record at 32, cluster and external
 // hosts at 48 and 52 — so a test can make the footer lie about its body.
 func footerStats(data []byte) []byte {
 	off := binary.BigEndian.Uint64(data[len(data)-trailerLen:])
@@ -515,18 +373,14 @@ func lyingFooterStream(t testing.TB) []byte {
 
 func TestLyingFooterRejected(t *testing.T) {
 	// Host counts the address plan cannot hold fail at open, before a
-	// consumer sizes a testbed from them; a sequential scan, which only
-	// meets the footer at the end, fails there on the first lie.
+	// consumer sizes a testbed from them.
 	lying := lyingFooterStream(t)
 	if _, err := NewReader(bytes.NewReader(lying)); err == nil || !strings.Contains(err.Error(), "4294967295 cluster hosts") {
 		t.Fatalf("open: got %v, want the cluster host claim rejected", err)
 	}
-	if _, err := readTrace(nonSeeker{bytes.NewReader(lying)}); err == nil || !strings.Contains(err.Error(), "999 packets") {
-		t.Fatalf("sequential scan: got %v, want the packet claim rejected", err)
-	}
 
-	// Plausible lies pass the open check and fail a full scan, seekable
-	// or sequential, naming the field.
+	// Plausible lies pass the open check and fail the scan at its end,
+	// naming the field.
 	data := encodeStream(t, fuzzSeedTrace(), 3)
 	for _, c := range []struct {
 		field string
@@ -539,27 +393,9 @@ func TestLyingFooterRejected(t *testing.T) {
 	} {
 		bad := append([]byte(nil), data...)
 		c.patch(footerStats(bad))
-		for _, src := range []io.Reader{bytes.NewReader(bad), nonSeeker{bytes.NewReader(bad)}} {
-			if _, err := readTrace(src); err == nil || !strings.Contains(err.Error(), "footer claims") ||
-				!strings.Contains(err.Error(), c.field) {
-				t.Fatalf("%s lie: got %v, want a footer error naming the field", c.field, err)
-			}
-		}
-		// A scan that seeked saw only part of the body, so it cannot
-		// judge the footer and must not fail on it.
-		rd, err := NewReader(bytes.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rd.SeekTo(0); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			if _, err := rd.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("%s lie after SeekTo: %v", c.field, err)
-			}
+		if _, err := readTrace(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "footer claims") ||
+			!strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s lie: got %v, want a footer error naming the field", c.field, err)
 		}
 	}
 	// The honest stream still decodes cleanly.
@@ -668,36 +504,6 @@ func BenchmarkStreamDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamDecodePipelined(b *testing.B) {
-	tr := sampleTraceForBench(b)
-	var buf bytes.Buffer
-	if err := tr.WriteStream(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr := NewPipelinedReader(rd, 2)
-		for {
-			c, err := pr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.Release()
-		}
-		pr.Close()
-	}
-}
-
 // BenchmarkReplayLiveHeap contrasts the live-heap high-water mark (a
 // peak-RSS proxy) of in-memory versus streaming replay. The custom
 // live-MB metric is sampled at the replay midpoint after a forced GC,
@@ -705,7 +511,7 @@ func BenchmarkStreamDecodePipelined(b *testing.B) {
 // streaming path only its release-lag window.
 func BenchmarkReplayLiveHeap(b *testing.B) {
 	// A long trace over small chunks, so it spans far more chunks than
-	// the streaming window (pipeline depth + release lag + freelist):
+	// the streaming window (release lag + freelist):
 	// the streaming path's live set is that window, not the whole
 	// record array.
 	tr := longTraceForBench(b, 30*time.Second)
@@ -741,7 +547,7 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := Replay(sim, loaded, 0, 1, emit); err != nil {
+			if err := Replay(sim, loaded, 0, emit); err != nil {
 				b.Fatal(err)
 			}
 			sim.Run()
@@ -754,13 +560,11 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pr := NewPipelinedReader(rd, 2)
-			rs, err := ReplayReader(sim, pr, 0, 1, emit)
+			rs, err := ReplayReader(sim, rd, 0, emit)
 			if err != nil {
 				b.Fatal(err)
 			}
 			sim.Run()
-			pr.Close()
 			if err := rs.Err(); err != nil {
 				b.Fatal(err)
 			}

@@ -3,13 +3,16 @@
 // (Section 4, Lesson 2): the observed false-negative ratio is unmeasurable
 // against live traffic because an undetected attack is, by definition,
 // invisible. A Trace pairs a packet timeline with a ground-truth incident
-// sidecar; Replay feeds it back through any emit path at original or
-// scaled pacing.
+// sidecar; Replay feeds it back through any emit path at its original
+// pacing.
 //
 // IDT2 (stream.go) is the one trace format the harness reads: a chunked
-// binary encoding written and replayed in O(chunk) memory. WriteJSONL
-// renders a trace as JSON lines for human inspection; nothing reads
-// that form back.
+// binary encoding written and replayed in O(chunk) memory. A Reader
+// opens a seekable IDT2 source only with its footer, which gives the
+// testbed's host counts and the ground truth before any chunk decodes,
+// and ReplayReader (replay.go) decodes each chunk inside the simulation
+// event that schedules it. WriteJSONL renders a trace as JSON lines for
+// human inspection; nothing reads that form back.
 package trace
 
 import (
@@ -138,16 +141,12 @@ func (r *Recorder) SetIncidents(incs []attack.Incident) { r.t.Incidents = incs }
 func (r *Recorder) Trace() *Trace { return r.t }
 
 // Replay schedules every record of t onto sim, offset so the first record
-// fires at start, with inter-packet gaps scaled by 1/speedup (speedup 2
-// replays twice as fast; 0 or 1 preserves original pacing). Each packet is
+// fires at start and the gaps between records are kept. Each packet is
 // delivered through emit. No command calls it: it is the reference for
 // tests, which check the streaming ReplayReader against it.
-func Replay(sim *simtime.Sim, t *Trace, start time.Duration, speedup float64, emit func(p *packet.Packet)) error {
+func Replay(sim *simtime.Sim, t *Trace, start time.Duration, emit func(p *packet.Packet)) error {
 	if emit == nil {
 		return errors.New("trace: nil emit")
-	}
-	if speedup <= 0 {
-		speedup = 1
 	}
 	if len(t.Records) == 0 {
 		return nil
@@ -155,8 +154,7 @@ func Replay(sim *simtime.Sim, t *Trace, start time.Duration, speedup float64, em
 	base := t.Records[0].At
 	for _, rec := range t.Records {
 		rec := rec
-		at := start + time.Duration(float64(rec.At-base)/speedup)
-		if _, err := sim.ScheduleAt(at, func() { emit(rec.Pk) }); err != nil {
+		if _, err := sim.ScheduleAt(start+rec.At-base, func() { emit(rec.Pk) }); err != nil {
 			return err
 		}
 	}

@@ -80,7 +80,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readTrace(&buf)
+	got, err := readTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +93,28 @@ func TestNewReaderRejectsGarbage(t *testing.T) {
 	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// What an unclosed Writer or an upload cut after its chunks leaves:
+	// the header and the chunks, up to where the incident block starts.
+	footer := binary.BigEndian.Uint64(buf.Bytes()[buf.Len()-trailerLen:])
+	chunksOnly := buf.Bytes()[:binary.BigEndian.Uint64(buf.Bytes()[footer+5:])]
 	for name, in := range map[string][]byte{
-		"garbage":    []byte("not a trace at all...."),
-		"empty":      nil,
-		"legacy v1":  legacyV1(),
-		"half IDT2":  buf.Bytes()[:buf.Len()/2],
-		"IDT2 magic": buf.Bytes()[:4],
+		"garbage":     []byte("not a trace at all...."),
+		"empty":       nil,
+		"legacy v1":   legacyV1(),
+		"half IDT2":   buf.Bytes()[:buf.Len()/2],
+		"IDT2 magic":  buf.Bytes()[:4],
+		"no trailer":  buf.Bytes()[:buf.Len()-trailerLen],
+		"chunks only": chunksOnly,
 	} {
-		for _, src := range []io.Reader{bytes.NewReader(in), nonSeeker{bytes.NewReader(in)}} {
-			if _, err := readTrace(src); err == nil {
-				t.Fatalf("%s accepted", name)
-			}
+		if _, err := NewReader(bytes.NewReader(in)); err == nil {
+			t.Fatalf("%s opened", name)
 		}
 	}
 }
 
 // readTrace materializes a whole IDT2 stream as an in-memory Trace.
 // Chunks are never released, so the records stay valid.
-func readTrace(r io.Reader) (*Trace, error) {
+func readTrace(r io.ReadSeeker) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
@@ -167,7 +171,7 @@ func TestReplayPreservesOrderAndPacing(t *testing.T) {
 	sim := simtime.New(1)
 	var times []time.Duration
 	var pkts []*packet.Packet
-	if err := Replay(sim, tr, time.Second, 1, func(p *packet.Packet) {
+	if err := Replay(sim, tr, time.Second, func(p *packet.Packet) {
 		times = append(times, sim.Now())
 		pkts = append(pkts, p)
 	}); err != nil {
@@ -191,27 +195,12 @@ func TestReplayPreservesOrderAndPacing(t *testing.T) {
 	}
 }
 
-func TestReplaySpeedupCompressesTime(t *testing.T) {
-	tr := sampleTrace(t)
-	sim := simtime.New(1)
-	var last time.Duration
-	if err := Replay(sim, tr, 0, 4, func(p *packet.Packet) { last = sim.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	want := time.Duration(float64(tr.Duration()) / 4)
-	// Integer rounding of per-record offsets may shave nanoseconds.
-	if diff := last - want; diff < -time.Microsecond || diff > time.Microsecond {
-		t.Fatalf("replay span %v, want ~%v", last, want)
-	}
-}
-
 func TestReplayValidation(t *testing.T) {
 	sim := simtime.New(1)
-	if err := Replay(sim, &Trace{}, 0, 1, nil); err == nil {
+	if err := Replay(sim, &Trace{}, 0, nil); err == nil {
 		t.Fatal("nil emit accepted")
 	}
-	if err := Replay(sim, &Trace{}, 0, 1, func(p *packet.Packet) {}); err != nil {
+	if err := Replay(sim, &Trace{}, 0, func(p *packet.Packet) {}); err != nil {
 		t.Fatalf("empty trace should be a no-op, got %v", err)
 	}
 }
@@ -237,7 +226,7 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 		if err := tr.WriteStream(&buf); err != nil {
 			return false
 		}
-		got, err := readTrace(&buf)
+		got, err := readTrace(bytes.NewReader(buf.Bytes()))
 		if err != nil || len(got.Records) != 1 {
 			return false
 		}
