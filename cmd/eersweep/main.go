@@ -35,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "testbed seed")
 	csvFile := flag.String("csv", "", "also write the series as CSV")
 	quick := flag.Bool("quick", false, "shrink run durations")
-	workers := flag.Int("workers", 0, "worker-pool bound (0 = all cores, 1 = serial)")
+	workers := flag.Int("workers", 0, "testbeds the points are spread over (0 = one per core, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "abort the sweep after this wall-clock duration (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -16,12 +16,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/fsio/faultfs"
 	"repro/internal/obs"
+	"repro/internal/packet"
 	"repro/internal/products"
 	"repro/internal/report"
+	"repro/internal/simtime"
+	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // twoProducts returns two real product names for synthetic plans.
@@ -147,6 +153,95 @@ func TestPlanRejectsSensitivityOutsideUnitRange(t *testing.T) {
 		if _, err := spec.Plan(); err != nil {
 			t.Fatalf("sensitivity %v: %v", sens, err)
 		}
+	}
+}
+
+// writeTrace writes a small labeled IDT2 trace to path: 12 s of
+// EcommerceEdge background at 40 sessions/s with an exploit and a brute
+// force, at seed 5.
+func writeTrace(t *testing.T, path string) {
+	t.Helper()
+	sim := simtime.New(5)
+	rec := trace.NewRecorder(sim, "ecommerce-edge")
+	seq := &packet.SeqCounter{}
+	eps := traffic.Endpoints{
+		External: []packet.Addr{packet.IPv4(203, 0, 1, 1), packet.IPv4(203, 0, 1, 2)},
+		Cluster:  []packet.Addr{packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2), packet.IPv4(10, 1, 1, 3)},
+	}
+	gen, err := traffic.NewGenerator(sim, traffic.EcommerceEdge(), eps, seq, rec.Emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.Start(40); err != nil {
+		t.Fatal(err)
+	}
+	camp := attack.NewCampaign(&attack.Context{Sim: sim, Rng: sim.Stream("attack"), Seq: seq, Eps: eps, Emit: rec.Emit, Gen: gen})
+	if err := camp.SpreadAcross(2*time.Second, 8*time.Second, []attack.Scenario{
+		attack.Exploit{Count: 3}, attack.BruteForce{Attempts: 20},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(12 * time.Second)
+	gen.Stop()
+	sim.Run()
+	rec.SetIncidents(camp.Incidents())
+	var buf bytes.Buffer
+	if err := rec.Trace().WriteStream(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceAtSensitivityZero pins 0 as a sensitivity like any other: a
+// plan saved with 0 reloads with 0, and its trace experiment's result
+// is the replay at 0.
+func TestTraceAtSensitivityZero(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "zero.idt2")
+	writeTrace(t, path)
+	cdir := filepath.Join(dir, "campaign")
+	if err := campaign.SavePlan(cdir, &campaign.Spec{
+		Name: "zero", Seed: 7, Quick: true, Products: []string{"TrueSecure"}, Traces: []string{path},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := campaign.LoadPlan(cdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Sensitivity != 0 {
+		t.Fatalf("plan saved at sensitivity 0 reloads at %v", spec.Sensitivity)
+	}
+	if _, err := newRunner(cdir, spec).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := campaign.LoadResult(cdir, "trace/zero/TrueSecure")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := eval.RunTraceAccuracyStream(context.Background(), products.TrueSecure(), rd, 0, 6*time.Second, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := campaign.TraceResult{
+		Trace: "zero", ActualIncidents: acc.ActualIncidents, Detected: acc.DetectedIncidents,
+		FalseAlarms: acc.FalseAlarms, DetectionRate: acc.DetectionRate,
+		FalsePosRatio: acc.FalsePositiveRatio, MeanDelayNs: int64(acc.MeanDetectionDelay),
+	}
+	if got.Trace == nil || *got.Trace != want {
+		t.Fatalf("trace experiment at sensitivity 0: %+v, want the replay at 0: %+v", got.Trace, want)
 	}
 }
 

@@ -62,7 +62,8 @@ type Spec struct {
 	FaultScenarios []string `json:"fault_scenarios,omitempty"`
 	FaultPoints    int      `json:"fault_points,omitempty"`
 	// Traces are canned trace files replayed per product at Sensitivity,
-	// which must lie in [0, 1] (0 selects the 0.6 default).
+	// which must lie in [0, 1]; 0 is a setting like any other (the
+	// command's flag carries the 0.6 default).
 	Traces      []string `json:"traces,omitempty"`
 	Sensitivity float64  `json:"sensitivity,omitempty"`
 }
@@ -76,9 +77,6 @@ func (s *Spec) applyDefaults() {
 	}
 	if len(s.FaultScenarios) > 0 && s.FaultPoints == 0 {
 		s.FaultPoints = 5
-	}
-	if s.Sensitivity == 0 {
-		s.Sensitivity = 0.6
 	}
 }
 

@@ -123,12 +123,12 @@ func RunAccuracy(tb *Testbed, sensitivity float64, attackFor time.Duration, stre
 	return fr.Accuracy, nil
 }
 
-// scoreAccuracy matches the monitor's reports to ground truth and
-// computes the Figure-3 ratios. background is the clean part of |T|:
-// the sessions a live generator started, or a trace's clean
-// conversations.
-func scoreAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, background int) (*AccuracyResult, error) {
-	reports := tb.IDS.Monitor().Incidents
+// scoreAccuracy matches the reports of inst, an IDS deployed on tb, to
+// ground truth and computes the Figure-3 ratios. background is the clean
+// part of |T|: the sessions a live generator started, or a trace's
+// clean conversations.
+func scoreAccuracy(tb *Testbed, inst *ids.IDS, sensitivity float64, truth []attack.Incident, background int) (*AccuracyResult, error) {
+	reports := inst.Monitor().Incidents
 
 	res := &AccuracyResult{
 		Product:           tb.Spec.Name,
@@ -209,13 +209,13 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, ba
 	}
 	res.DelayP50, res.DelayP95, res.DelayP99, res.DelayHist = delayStats(delays)
 
-	if c := tb.IDS.Console(); c != nil {
+	if c := inst.Console(); c != nil {
 		res.FirewallBlocks = len(c.Firewall.BlockEvents)
 		res.RouterRedirects = len(c.Redirects)
 		res.SNMPTraps = len(c.SNMPTraps)
 		res.FilteredPackets = c.Firewall.FilteredPackets
 	}
-	st := tb.IDS.Stats()
+	st := inst.Stats()
 	res.SensorDrops = st.SensorDropped
 	res.SensorFailures = st.SensorFailures
 	res.StorageBytes = st.StorageBytes
@@ -224,7 +224,7 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, ba
 	res.ProcessedPkts = st.Processed
 	res.Notifications = st.Notifications
 	res.SensorBusy = st.SensorBusy
-	res.Profiles = tb.IDS.Monitor().IntentReport()
+	res.Profiles = inst.Monitor().IntentReport()
 	return res, nil
 }
 

@@ -644,7 +644,7 @@ func TestVendorUpdateImprovesExtendedCampaign(t *testing.T) {
 		tb.Sim.RunUntil(start + 30*time.Second)
 		tb.Drain()
 		tb.IDS.Flush()
-		res, err := scoreAccuracy(tb, 0.6, camp.Incidents(), int(tb.Gen.SessionsStarted))
+		res, err := scoreAccuracy(tb, tb.IDS, 0.6, camp.Incidents(), int(tb.Gen.SessionsStarted))
 		if err != nil {
 			t.Fatal(err)
 		}

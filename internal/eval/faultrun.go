@@ -59,11 +59,26 @@ type FaultRunResult struct {
 // relative to the end of training. A nil or empty scenario injects
 // nothing.
 func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, attackFor time.Duration, strength attack.Intensity, severity float64) (*FaultRunResult, error) {
+	runs, err := runDeployments(tb, sc, []float64{sensitivity}, attackFor, strength, severity)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
+// runDeployments is RunFaultScenario for every deployment on tb at once:
+// one network run, with deployment k set to sens[k] after training and
+// scored against the one ground truth. A scenario needs a testbed of one
+// deployment, since its link faults hit the shared network.
+func runDeployments(tb *Testbed, sc *faults.Scenario, sens []float64, attackFor time.Duration, strength attack.Intensity, severity float64) ([]*FaultRunResult, error) {
 	if err := validateTapMode(tb.Cfg.Tap); err != nil {
 		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
+	}
+	if len(tb.deps) > 1 && !sc.Empty() {
+		return nil, fmt.Errorf("eval: fault scenario %s on a testbed of %d deployments", sc.Name, len(tb.deps))
 	}
 	resilient := sc != nil && sc.Resilience && !sc.Empty()
 	if resilient {
@@ -72,8 +87,10 @@ func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, att
 	if err := tb.Train(); err != nil {
 		return nil, err
 	}
-	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
-		return nil, err
+	for k, d := range tb.deps {
+		if err := d.ids.SetSensitivity(sens[k]); err != nil {
+			return nil, err
+		}
 	}
 	start := tb.Sim.Now()
 
@@ -102,25 +119,30 @@ func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, att
 	if err := tb.Interrupted(); err != nil {
 		return nil, err
 	}
-	tb.IDS.Flush()
 
-	acc, err := scoreAccuracy(tb, sensitivity, camp.Incidents(), int(tb.Gen.SessionsStarted))
-	if err != nil {
-		return nil, err
+	truth := camp.Incidents()
+	runs := make([]*FaultRunResult, len(tb.deps))
+	for k, d := range tb.deps {
+		d.ids.Flush()
+		acc, err := scoreAccuracy(tb, d.ids, sens[k], truth, int(tb.Gen.SessionsStarted))
+		if err != nil {
+			return nil, err
+		}
+		acc.IngestedBytes = tb.Gen.BytesEmitted
+		st := d.ids.Stats()
+		runs[k] = &FaultRunResult{
+			Severity:       severity,
+			Accuracy:       acc,
+			Applied:        inj.Applied,
+			AlertsLost:     st.AlertsLost,
+			AlertsDropped:  st.AlertsDropped,
+			SpoolDelivered: st.SpoolDelivered,
+			MgmtDropped:    st.MgmtDropped,
+			SensorDowntime: st.SensorDowntime,
+			Resilience:     d.ids.ResilienceStats(),
+		}
 	}
-	acc.IngestedBytes = tb.Gen.BytesEmitted
-	st := tb.IDS.Stats()
-	return &FaultRunResult{
-		Severity:       severity,
-		Accuracy:       acc,
-		Applied:        inj.Applied,
-		AlertsLost:     st.AlertsLost,
-		AlertsDropped:  st.AlertsDropped,
-		SpoolDelivered: st.SpoolDelivered,
-		MgmtDropped:    st.MgmtDropped,
-		SensorDowntime: st.SensorDowntime,
-		Resilience:     tb.IDS.ResilienceStats(),
-	}, nil
+	return runs, nil
 }
 
 // faultLinks names the injectable links of this testbed for scenario

@@ -203,12 +203,13 @@ func ScoreResponseChannel(hasConsole, policyHasChannel bool, events int, effecti
 type Options struct {
 	Seed  int64
 	Quick bool
-	// Workers bounds every worker pool the evaluation fans out on — the
-	// product matrix, the per-product measured metrics, and the
-	// sensitivity sweeps. 0 sizes the pools to the machine; 1 forces the
-	// fully serial path. Because every experiment owns its simulation and
-	// derives its RNG streams from Seed alone, both settings produce
-	// bit-identical scorecards.
+	// Workers bounds the worker pools the evaluation fans out on — the
+	// product matrix and the per-product measured metrics. Each
+	// product's sensitivity sweep runs on one testbed whatever Workers
+	// says, since those two pools already spread the work. 0 sizes the
+	// pools to the machine; 1 forces the fully serial path. Because every
+	// experiment owns its simulation and derives its RNG streams from
+	// Seed alone, both settings produce bit-identical scorecards.
 	Workers int
 	// Obs, when set, instruments each product's evaluation under
 	// Obs.Sub("<Product>."): the accuracy testbed's components under
@@ -327,9 +328,11 @@ func EvaluateProduct(ctx context.Context, spec products.Spec, reg *core.Registry
 			ev.Impact = imp
 			return nil
 		},
-		// Sensitivity sweep.
+		// Sensitivity sweep, on one testbed: this pool and EvaluateAll's
+		// already spread the work, and a second testbed would only
+		// re-simulate the network.
 		func(ctx context.Context) error {
-			swOpts := SweepOptions{Seed: opts.Seed, Workers: opts.Workers}
+			swOpts := SweepOptions{Seed: opts.Seed, Workers: 1}
 			if opts.Quick {
 				swOpts.Points = 3
 				swOpts.TrainFor = 6 * time.Second

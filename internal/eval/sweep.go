@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/attack"
@@ -46,12 +47,16 @@ type SweepOptions struct {
 	RunFor   time.Duration // default 30s
 	Pps      float64       // default 400
 	Strength attack.Intensity
-	// Workers bounds the sweep's worker pool: 0 sizes it to the machine,
-	// 1 forces the serial path (the determinism reference).
+	// Workers is how many testbeds the points are dealt to, at most
+	// one per point: 0 (or less) sizes it to the machine, 1 runs every
+	// point on one testbed. Each testbed simulates the network once for
+	// all its points, so more testbeds spread the points over cores at
+	// the cost of re-simulating the same traffic.
 	Workers int
-	// Obs, when non-nil, instruments every point's testbed with one
-	// shared registry (counters aggregate across points). Observation
-	// only: the sweep is bit-identical with or without it.
+	// Obs, when non-nil, instruments every testbed with one shared
+	// registry: topology counters count each testbed's network once,
+	// while IDS counters add across points. Observation only: the sweep
+	// is bit-identical with or without it.
 	Obs *obs.Registry
 }
 
@@ -77,31 +82,45 @@ func (o *SweepOptions) applyDefaults() {
 }
 
 // SensitivitySweep reruns the accuracy experiment across the sensitivity
-// range, producing the Type I / Type II error curves of Figure 4. Each
-// point uses a fresh testbed with the same seed, so the only varying
-// factor is the sensitivity knob. Points are independent simulations, so
-// they fan out across the shared bounded runner; results are assembled
-// in index order, making the parallel sweep bit-identical to a serial
-// one.
+// range, producing the Type I / Type II error curves of Figure 4. Only
+// the sensitivity knob varies between points, so the points share the
+// simulated network: they are dealt round-robin to min(Workers, Points)
+// testbeds, each of which runs its points as IDS deployments that see
+// the same packets at the same virtual times (DESIGN §7). Testbeds fan
+// out on the shared bounded runner; every point is bit-identical to
+// SweepPointAt at its index whatever the testbed count, and results are
+// assembled in index order.
 //
-// Cancelling ctx halts in-flight points at the kernel's interrupt
+// Cancelling ctx halts in-flight testbeds at the kernel's interrupt
 // stride and skips unstarted ones. On cancellation the partial result —
-// completed points only, no EER — is returned alongside the error so
-// callers can report how far the sweep got; any other failure cancels
-// the remaining points, surfaces the lowest-indexed point's error, and
-// returns no result.
+// the points of completed testbeds only, no EER — is returned alongside
+// the error so callers can report how far the sweep got; a testbed
+// completes its points together, so one testbed (Workers 1) completes
+// none. Any other failure cancels the remaining testbeds, surfaces the
+// lowest-indexed testbed's error, and returns no result.
 func SensitivitySweep(ctx context.Context, spec products.Spec, opts SweepOptions) (*SweepResult, error) {
 	opts.applyDefaults()
 	if opts.Points < 2 {
 		return nil, fmt.Errorf("eval: sweep needs at least 2 points, got %d", opts.Points)
 	}
+	beds := opts.Workers
+	if beds <= 0 {
+		beds = runtime.NumCPU()
+	}
+	beds = min(beds, opts.Points)
 	points := make([]SweepPoint, opts.Points)
-	err := par.ForEach(ctx, opts.Points, opts.Workers, func(ctx context.Context, i int) error {
-		p, err := SweepPointAt(ctx, spec, opts, i)
+	err := par.ForEach(ctx, beds, beds, func(ctx context.Context, b int) error {
+		var idx []int
+		for i := b; i < opts.Points; i += beds {
+			idx = append(idx, i)
+		}
+		got, err := sweepGroup(ctx, spec, opts, idx)
 		if err != nil {
 			return err
 		}
-		points[i] = p
+		for j, i := range idx {
+			points[i] = got[j]
+		}
 		return nil
 	})
 	if err != nil {
@@ -120,34 +139,52 @@ func SensitivitySweep(ctx context.Context, spec products.Spec, opts SweepOptions
 }
 
 // SweepPointAt runs the accuracy experiment behind the i-th sweep point
-// (sensitivity i/(Points-1)) on a fresh testbed. It is the unit of work
-// a campaign journals and resumes individually: the point produced here
-// is bit-identical to the same index of a full SensitivitySweep with
-// the same options.
+// (sensitivity i/(Points-1)) on a testbed of its own. It is the unit of
+// work a campaign journals and resumes individually, and the one-point
+// group of the function every sweep runs, so the point produced here is
+// bit-identical to the same index of a full SensitivitySweep with the
+// same options.
 func SweepPointAt(ctx context.Context, spec products.Spec, opts SweepOptions, i int) (SweepPoint, error) {
 	opts.applyDefaults()
 	if i < 0 || i >= opts.Points {
 		return SweepPoint{}, fmt.Errorf("eval: sweep point %d out of range [0,%d)", i, opts.Points)
 	}
-	s := float64(i) / float64(opts.Points-1)
-	tb, err := NewTestbed(spec, TestbedConfig{
+	points, err := sweepGroup(ctx, spec, opts, []int{i})
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	return points[0], nil
+}
+
+// sweepGroup runs the sweep points idx as deployments on one testbed
+// and returns them in idx order.
+func sweepGroup(ctx context.Context, spec products.Spec, opts SweepOptions, idx []int) ([]SweepPoint, error) {
+	sens := make([]float64, len(idx))
+	for j, i := range idx {
+		sens[j] = float64(i) / float64(opts.Points-1)
+	}
+	tb, err := newTestbed(spec, TestbedConfig{
 		Seed: opts.Seed, TrainFor: opts.TrainFor, BackgroundPps: opts.Pps,
 		Obs: opts.Obs,
-	})
+	}, len(idx))
 	if err != nil {
-		return SweepPoint{}, err
+		return nil, err
 	}
 	tb.Bind(ctx)
-	res, err := RunAccuracy(tb, s, opts.RunFor, opts.Strength)
+	runs, err := runDeployments(tb, nil, sens, opts.RunFor, opts.Strength, 0)
 	if err != nil {
-		return SweepPoint{}, err
+		return nil, err
 	}
-	return SweepPoint{
-		Sensitivity: s,
-		TypeI:       res.FalsePositiveRatio * 100,
-		TypeII:      res.MissRate * 100,
-		Raw:         res,
-	}, nil
+	points := make([]SweepPoint, len(runs))
+	for j, r := range runs {
+		points[j] = SweepPoint{
+			Sensitivity: sens[j],
+			TypeI:       r.Accuracy.FalsePositiveRatio * 100,
+			TypeII:      r.Accuracy.MissRate * 100,
+			Raw:         r.Accuracy,
+		}
+	}
+	return points, nil
 }
 
 // AssembleSweep builds a SweepResult from independently produced points

@@ -83,11 +83,14 @@ func (c *TestbedConfig) applyDefaults() {
 	}
 }
 
-// Testbed is one assembled run environment: topology, product IDS,
-// generators, host agents, and the campaign context.
+// Testbed is one assembled run environment: topology, generators, the
+// campaign context, and one or more deployments of the product under
+// test, all observing the one network through the one tap.
 type Testbed struct {
-	Sim  *simtime.Sim
-	Top  *netsim.Topology
+	Sim *simtime.Sim
+	Top *netsim.Topology
+	// IDS is the first deployment's IDS: the only one on a testbed
+	// NewTestbed builds.
 	IDS  *ids.IDS
 	Gen  *traffic.Generator
 	Spec products.Spec
@@ -95,8 +98,7 @@ type Testbed struct {
 
 	hostsByAddr map[packet.Addr]*netsim.Host
 	seq         *packet.SeqCounter
-	agents      []*hostmon.Agent
-	rtsHosts    []*rts.Host
+	deps        []*deployment
 	training    bool
 
 	// TapDropped counts mirror-link losses (packets the IDS never saw).
@@ -104,9 +106,30 @@ type Testbed struct {
 	mirrorSink *netsim.Sink
 }
 
+// deployment is one copy of the product on a testbed: its IDS and, for
+// a HostAgents product, one hostmon agent over an rts host model per
+// cluster host, reporting into the IDS's first analyzer.
+type deployment struct {
+	ids      *ids.IDS
+	agents   []*hostmon.Agent
+	rtsHosts []*rts.Host
+}
+
 // NewTestbed assembles the environment for one product.
 func NewTestbed(spec products.Spec, cfg TestbedConfig) (*Testbed, error) {
+	return newTestbed(spec, cfg, 1)
+}
+
+// newTestbed assembles the environment with n deployments of the
+// product on one network. The network, generator and campaign context
+// are built once; each deployment sees every tapped packet and every
+// cluster host's traffic, in deployment order. More than one deployment
+// needs the mirror tap: an in-line device acts on one IDS's verdict.
+func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) {
 	cfg.applyDefaults()
+	if n > 1 && cfg.Tap != TapMirror {
+		return nil, fmt.Errorf("eval: %d deployments on an %v tap, which acts on one verdict", n, cfg.Tap)
+	}
 	sim := simtime.New(cfg.Seed)
 	top := netsim.BuildTopology(sim, netsim.TopologyConfig{
 		ClusterHosts:  cfg.ClusterHosts,
@@ -116,16 +139,20 @@ func NewTestbed(spec products.Spec, cfg TestbedConfig) (*Testbed, error) {
 		return nil, fmt.Errorf("eval: testbed topology: %w", err)
 	}
 	top.Instrument(cfg.Obs)
-	inst, err := spec.Instantiate(sim)
-	if err != nil {
-		return nil, err
-	}
-	inst.Instrument(cfg.Obs)
 	tb := &Testbed{
-		Sim: sim, Top: top, IDS: inst, Spec: spec, Cfg: cfg,
+		Sim: sim, Top: top, Spec: spec, Cfg: cfg,
 		hostsByAddr: make(map[packet.Addr]*netsim.Host),
 		seq:         &packet.SeqCounter{},
 	}
+	for i := 0; i < n; i++ {
+		inst, err := spec.Instantiate(sim)
+		if err != nil {
+			return nil, err
+		}
+		inst.Instrument(cfg.Obs)
+		tb.deps = append(tb.deps, &deployment{ids: inst})
+	}
+	tb.IDS = tb.deps[0].ids
 	for _, h := range append(append([]*netsim.Host{}, top.Cluster...), top.External...) {
 		tb.hostsByAddr[h.Addr()] = h
 	}
@@ -143,20 +170,24 @@ func NewTestbed(spec products.Spec, cfg TestbedConfig) (*Testbed, error) {
 		tb.mirrorLink = top.AttachMirror(sink, netsim.LinkConfig{BandwidthBps: 10e9})
 	}
 
-	// Host agents on every cluster host, reporting into the product's
-	// first analyzer; each agent charges an rts host model.
+	// Host agents on every cluster host, one per deployment; each agent
+	// charges an rts host model of its own.
 	if spec.HostAgents {
 		for i, h := range top.Cluster {
-			rh := rts.NewHost(sim, h.Name())
-			for _, task := range rts.StandardTaskSet() {
-				if err := rh.AddTask(task); err != nil {
-					return nil, err
+			var agents []*hostmon.Agent
+			for _, d := range tb.deps {
+				rh := rts.NewHost(sim, h.Name())
+				for _, task := range rts.StandardTaskSet() {
+					if err := rh.AddTask(task); err != nil {
+						return nil, err
+					}
 				}
+				agent := hostmon.NewAgent(sim, rh, spec.HostAgentLevel)
+				agent.Deliver = d.ids.Analyzers()[0].Submit
+				d.agents = append(d.agents, agent)
+				d.rtsHosts = append(d.rtsHosts, rh)
+				agents = append(agents, agent)
 			}
-			agent := hostmon.NewAgent(sim, rh, spec.HostAgentLevel)
-			agent.Deliver = inst.Analyzers()[0].Submit
-			tb.agents = append(tb.agents, agent)
-			tb.rtsHosts = append(tb.rtsHosts, rh)
 			idx := i
 			prev := h.OnPacket
 			h.OnPacket = func(p *packet.Packet) {
@@ -168,7 +199,9 @@ func NewTestbed(spec products.Spec, cfg TestbedConfig) (*Testbed, error) {
 				}
 				for _, ev := range hostmon.EventsFromPacket(p, sim.Now()) {
 					ev.HostIdx = idx
-					agent.Observe(ev)
+					for _, agent := range agents {
+						agent.Observe(ev)
+					}
 				}
 			}
 		}
@@ -242,16 +275,23 @@ func (tb *Testbed) meanInspectCost() time.Duration {
 // (testing and diagnostics only).
 var OfferHook func(p *packet.Packet, training bool)
 
-// offer hands a tapped packet to the IDS and returns its pass verdict.
+// offer hands a tapped packet to every deployment, in order, and
+// returns their joint pass verdict (the one IDS's, in-line).
 func (tb *Testbed) offer(p *packet.Packet) bool {
 	if OfferHook != nil {
 		OfferHook(p, tb.training)
 	}
 	if tb.training {
-		tb.IDS.Train(p)
+		for _, d := range tb.deps {
+			d.ids.Train(p)
+		}
 		return true
 	}
-	return tb.IDS.Ingest(p)
+	pass := true
+	for _, d := range tb.deps {
+		pass = d.ids.Ingest(p) && pass
+	}
+	return pass
 }
 
 // inject sends a generated packet from its source host.
@@ -298,9 +338,11 @@ func (tb *Testbed) Train() error {
 	if err := tb.Gen.Start(rate); err != nil {
 		return err
 	}
-	for _, rh := range tb.rtsHosts {
-		if err := rh.Start(); err != nil {
-			return err
+	for _, d := range tb.deps {
+		for _, rh := range d.rtsHosts {
+			if err := rh.Start(); err != nil {
+				return err
+			}
 		}
 	}
 	tb.Sim.RunUntil(tb.Cfg.TrainFor)
@@ -312,8 +354,10 @@ func (tb *Testbed) Train() error {
 // tickers) and runs the simulation until the event queue empties.
 func (tb *Testbed) Drain() {
 	tb.Gen.Stop()
-	for _, rh := range tb.rtsHosts {
-		rh.Stop()
+	for _, d := range tb.deps {
+		for _, rh := range d.rtsHosts {
+			rh.Stop()
+		}
 	}
 	tb.Sim.Run()
 }
@@ -330,11 +374,11 @@ func (tb *Testbed) MirrorDrops() uint64 {
 	return tb.mirrorLink.StatsToward(tb.mirrorSink).Dropped
 }
 
-// Agents returns the deployed host agents.
-func (tb *Testbed) Agents() []*hostmon.Agent { return tb.agents }
+// Agents returns the first deployment's host agents.
+func (tb *Testbed) Agents() []*hostmon.Agent { return tb.deps[0].agents }
 
-// RTSHosts returns the real-time host models under the agents.
-func (tb *Testbed) RTSHosts() []*rts.Host { return tb.rtsHosts }
+// RTSHosts returns the real-time host models under those agents.
+func (tb *Testbed) RTSHosts() []*rts.Host { return tb.deps[0].rtsHosts }
 
 // validateTapMode guards against unknown modes in config files.
 func validateTapMode(m TapMode) error {

@@ -2,12 +2,82 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/fsio"
 )
+
+// FuzzServeHello decodes a Hello payload into StreamMeta the way
+// handleConn does and hands it to Service.Hello on a fresh service.
+// Either the stream is refused with a *ProtocolError or *RejectError
+// (a payload that does not decode is refused by handleConn itself) and
+// no stream directory exists, or the stream opens, its persisted meta
+// record decodes to the meta the open stream holds and encodes as the
+// sent meta does, and its campaign spec plans. The seed corpus is
+// testdata/fuzz/FuzzServeHello; its empty-products seed is the input
+// that found a meta record reloading with a nil product list where the
+// open stream held an empty one.
+func FuzzServeHello(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := t.TempDir()
+		svc, err := Open(Config{Dir: dir, EvalWorkers: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		var meta StreamMeta
+		if err := json.Unmarshal(payload, &meta); err != nil {
+			refused(t, dir, meta, &ProtocolError{Msg: "malformed hello metadata: " + err.Error()})
+			return
+		}
+		if _, err := svc.Hello(meta); err != nil {
+			refused(t, dir, meta, err)
+			return
+		}
+		var got StreamMeta
+		if ok, err := readRecord(fsio.OS, filepath.Join(svc.streamDir(meta.Name), metaFile), &got); !ok || err != nil {
+			t.Fatalf("Hello(%+v) persisted no readable meta record (%v)", meta, err)
+		}
+		if held := svc.streams[meta.Name].meta; !reflect.DeepEqual(got, held) {
+			t.Fatalf("meta record decodes to %+v, the open stream holds %+v", got, held)
+		}
+		if a, b := mustJSON(t, got), mustJSON(t, meta); !bytes.Equal(a, b) {
+			t.Fatalf("meta record is %s, Hello was sent %s", a, b)
+		}
+		if _, err := campaignSpec(got, filepath.Join(svc.streamDir(got.Name), spoolFile)).Plan(); err != nil {
+			t.Fatalf("opened stream's campaign does not plan: %v", err)
+		}
+	})
+}
+
+// mustJSON marshals v as the meta record's encoder does, minus indent.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// refused checks that a Hello refused with err answered with a protocol
+// or reject error and left no stream directory under the service dir.
+func refused(t *testing.T, dir string, meta StreamMeta, err error) {
+	t.Helper()
+	var pe *ProtocolError
+	var re *RejectError
+	if !errors.As(err, &pe) && !errors.As(err, &re) {
+		t.Fatalf("Hello(%+v): %v, want a protocol or reject error", meta, err)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "streams")); err != nil || len(entries) > 0 {
+		t.Fatalf("refused Hello(%+v) left streams %v (%v)", meta, entries, err)
+	}
+}
 
 // FuzzRecoverAcks drives the recovery of a half-uploaded stream over
 // arbitrary ack-journal bytes and spool lengths. The journal's own

@@ -211,6 +211,12 @@ func (s *Service) Hello(meta StreamMeta) (HelloInfo, error) {
 	if _, err := campaignSpec(meta, filepath.Join(s.streamDir(meta.Name), spoolFile)).Plan(); err != nil {
 		return HelloInfo{}, &ProtocolError{Msg: err.Error()}
 	}
+	// An empty product list means what an absent one does, and the meta
+	// record writes neither; nil is the one form, so the record reloads
+	// as the meta it was written from.
+	if len(meta.Products) == 0 {
+		meta.Products = nil
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,7 +260,8 @@ func (s *Service) Hello(meta StreamMeta) (HelloInfo, error) {
 }
 
 // campaignSpec is the campaign a stream's Finish saves: its meta, with
-// the spool as the one trace when spool is not empty.
+// the spool as the one trace when spool is not empty, and an unset
+// sensitivity as 0.6.
 func campaignSpec(meta StreamMeta, spool string) *campaign.Spec {
 	spec := &campaign.Spec{
 		Name:        meta.Name,
@@ -263,6 +270,9 @@ func campaignSpec(meta StreamMeta, spool string) *campaign.Spec {
 		Products:    meta.Products,
 		Evals:       meta.Evals,
 		Sensitivity: meta.Sensitivity,
+	}
+	if spec.Sensitivity == 0 {
+		spec.Sensitivity = 0.6
 	}
 	if spool != "" {
 		spec.Traces = []string{spool}

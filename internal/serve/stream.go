@@ -22,11 +22,14 @@ type StreamMeta struct {
 	Name string `json:"name"`
 	// Seed/Quick/Products/Evals/Sensitivity parameterize the campaign
 	// spec the stream is evaluated under.
-	Seed        int64    `json:"seed,omitempty"`
-	Quick       bool     `json:"quick,omitempty"`
-	Products    []string `json:"products,omitempty"`
-	Evals       bool     `json:"evals,omitempty"`
-	Sensitivity float64  `json:"sensitivity,omitempty"`
+	Seed     int64    `json:"seed,omitempty"`
+	Quick    bool     `json:"quick,omitempty"`
+	Products []string `json:"products,omitempty"`
+	Evals    bool     `json:"evals,omitempty"`
+	// Sensitivity is the trace replay's detection setting. Its JSON
+	// omits a zero, so over the wire zero means unset, and the stream's
+	// campaign replays at 0.6.
+	Sensitivity float64 `json:"sensitivity,omitempty"`
 }
 
 // Stream lifecycle states as reported by Status and the Hello ack.
