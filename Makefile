@@ -73,8 +73,9 @@ benchhot:
 # into scratch files and fail if any gated benchmark (MB/s for the scan
 # hot path, events/sec for the sharded kernel) dropped more than 15%
 # against the committed baselines. The event-kernel allocation gate
-# runs first: it depends on the code alone, so it still gives a verdict
-# on a host too slow or busy for the throughput steps. On hosts with >= 4 CPUs the sim gate
+# and the warm scan-memo gate run first: they depend on the code alone,
+# so they still give a verdict on a host too slow or busy for the
+# throughput steps. On hosts with >= 4 CPUs the sim gate
 # additionally enforces the 4-shard/1-shard scaling floor; single-core
 # hosts report the ratio and skip. Regenerate baselines with `make
 # benchhot` / `make benchsim` (and commit them) after an intentional
@@ -85,6 +86,11 @@ benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_kernel.json \
 		-current /tmp/BENCH_kernel.current.json \
 		-gate-allocs '$(KERNELBENCH)' -max-allocs-grow-pct 0
+	$(GO) test -run=NONE -bench='$(PRESCANBENCH)' \
+		-benchmem -count=1 -json ./internal/detect/ > /tmp/BENCH_prescan.current.json
+	$(GO) run ./cmd/benchgate -baseline '' \
+		-current /tmp/BENCH_prescan.current.json \
+		-require-zero-allocs '$(PRESCANBENCH)'
 	$(GO) test -run=NONE -bench='$(HOTBENCH)' \
 		-benchmem -count=1 -json ./internal/detect/ ./internal/traffic/ > /tmp/BENCH_hotpath.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_hotpath.json \
@@ -119,6 +125,12 @@ idsbench:
 # every declared metric emitted.
 idsbench-smoke:
 	$(GO) -C cmd/idsbench test .
+
+# A twin sensor's prescan on a warm scan memo (detect.ScanMemo): every
+# match set is copied from the memo, which must cost exactly 0
+# allocs/op. The count is checked in the current run alone, so the
+# step needs no baseline file.
+PRESCANBENCH := PrescanSharedHit
 
 # Event-kernel benchmarks: 1000 events through ScheduleAt
 # (BenchmarkScheduleRun), through one lane (BenchmarkLaneRun) and as

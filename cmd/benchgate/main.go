@@ -18,7 +18,9 @@
 // percentage bound is all noise. -require-zero-allocs REGEX separately
 // asserts that every matching benchmark in the CURRENT run reports
 // exactly 0 allocs/op — the contract that lets nil-receiver
-// instrumentation live permanently in simulation hot paths.
+// instrumentation live permanently in simulation hot paths, and that
+// keeps a warm scan memo's prescan off the allocator. With an empty
+// -baseline, only such checks of the current run gate.
 //
 // With -gate-allocs REGEX, matching benchmarks gate on allocs/op growth
 // instead of throughput: current allocs/op must stay within
@@ -132,7 +134,7 @@ func parseBenchFile(path string) (map[string]benchResult, error) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "committed baseline benchmark JSON")
+	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "committed baseline benchmark JSON; empty gates the current run alone")
 	currentPath := flag.String("current", "", "fresh benchmark JSON to gate")
 	maxDrop := flag.Float64("max-drop-pct", 15, "maximum allowed throughput (MB/s or events/sec) drop, percent")
 	speedupNum := flag.String("speedup-num", "", "benchmark whose events/sec forms the speedup numerator (current run)")
@@ -150,9 +152,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := parseBenchFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
+	if *baselinePath == "" && *zeroAllocs == "" && *speedupNum == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: with no -baseline, give -require-zero-allocs or -speedup-num/-speedup-den")
 		os.Exit(2)
 	}
 	cur, err := parseBenchFile(*currentPath)
@@ -160,9 +161,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: current: %v\n", err)
 		os.Exit(2)
 	}
-	if len(base) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no benchmarks in baseline %s\n", *baselinePath)
-		os.Exit(2)
+	var base map[string]benchResult
+	if *baselinePath != "" {
+		if base, err = parseBenchFile(*baselinePath); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
+			os.Exit(2)
+		}
+		if len(base) == 0 {
+			fmt.Fprintf(os.Stderr, "benchgate: no benchmarks in baseline %s\n", *baselinePath)
+			os.Exit(2)
+		}
 	}
 	var gateNsRe *regexp.Regexp
 	if *gateNs != "" {
@@ -253,11 +261,18 @@ func main() {
 			failed = true
 		}
 	}
-	if failed {
+	switch {
+	case failed && base == nil:
+		fmt.Fprintln(os.Stderr, "benchgate: the current run failed its checks")
+		os.Exit(1)
+	case failed:
 		fmt.Fprintf(os.Stderr, "benchgate: throughput regressed more than %.0f%% (or benchmarks went missing) vs %s\n", *maxDrop, *baselinePath)
 		os.Exit(1)
+	case base == nil:
+		fmt.Println("benchgate: the current run passes its checks")
+	default:
+		fmt.Printf("benchgate: all gated benchmarks within %.0f%% of baseline\n", *maxDrop)
 	}
-	fmt.Printf("benchgate: all gated benchmarks within %.0f%% of baseline\n", *maxDrop)
 }
 
 // checkZeroAllocs enforces the allocation-free contract: every current

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -370,6 +371,64 @@ func TestPropertyTotalBounded(t *testing.T) {
 		return got.Total >= 0 && got.Total <= float64(MaxScore)*mass+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Figure 5 does not depend on the order the metrics are
+// defined in. A registry built from a permutation of the standard
+// metrics scores the same observations under the same weights to the
+// same class scores and total, up to float rounding: 1e-9 of the sum
+// of the terms' magnitudes.
+func TestPropertyFigure5PermutationInvariant(t *testing.T) {
+	metrics := StandardMetrics()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		perm := make([]Metric, len(metrics))
+		for i, j := range rng.Perm(len(metrics)) {
+			perm[i] = metrics[j]
+		}
+		w := make(Weights)
+		scores := make(map[string]Score)
+		mass := make(map[Class]float64)
+		for _, m := range metrics {
+			scores[m.ID] = Score(rng.Intn(int(MaxScore) + 1))
+			if rng.Intn(4) > 0 { // a quarter of the metrics stay unweighted
+				w[m.ID] = rng.NormFloat64() * 3
+				mass[m.Class] += math.Abs(float64(scores[m.ID]) * w[m.ID])
+			}
+		}
+		var got [2]WeightedScore
+		for k, ms := range [][]Metric{metrics, perm} {
+			reg, err := NewRegistry(ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewScorecard(reg, "sys", "")
+			for id, s := range scores {
+				if err := c.Set(Observation{MetricID: id, Score: s}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got[k], err = c.Evaluate(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var total float64
+		for _, j := range Classes {
+			total += mass[j]
+			if math.Abs(got[0].ByClass[j]-got[1].ByClass[j]) > 1e-9*mass[j] {
+				t.Logf("seed %d: class %v scores %v in definition order, %v permuted", seed, j, got[0].ByClass[j], got[1].ByClass[j])
+				return false
+			}
+		}
+		if math.Abs(got[0].Total-got[1].Total) > 1e-9*total {
+			t.Logf("seed %d: total %v in definition order, %v permuted", seed, got[0].Total, got[1].Total)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

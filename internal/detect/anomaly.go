@@ -49,6 +49,29 @@ type serviceProfile struct {
 	packets    uint64
 }
 
+// Profile is an anomaly engine's learned baseline: the service
+// profiles, the (src, dst, service) pairs seen, and the per-source rate
+// trackers of the training traffic with their peak. Training writes it
+// and inspection only reads it, so any number of engines can read one
+// Profile — an IDS's sensors, the deployments of a sweep testbed — and
+// each clean packet is folded in once for all of them.
+type Profile struct {
+	services map[uint32]*serviceProfile // key: port<<8|proto
+	pairs    map[uint64]bool            // (src,dst,dstPort) triples seen in training
+	// srcRate learns per-source peak packet rates during training.
+	srcRate     map[packet.Addr]*rateTracker
+	trainedPeak float64 // highest per-source pps seen in training
+}
+
+// newProfile returns an empty baseline.
+func newProfile() *Profile {
+	return &Profile{
+		services: make(map[uint32]*serviceProfile),
+		pairs:    make(map[uint64]bool),
+		srcRate:  make(map[packet.Addr]*rateTracker),
+	}
+}
+
 // AnomalyEngine is a behaviour detector: it learns a baseline of "normal"
 // traffic during training and scores deviations afterwards. Section 2.1
 // notes a "constrained application environment may help constrain the
@@ -56,11 +79,13 @@ type serviceProfile struct {
 // appropriate" for real-time clusters — the effect the harness's
 // cluster-profile runs demonstrate.
 type AnomalyEngine struct {
-	services map[uint32]*serviceProfile // key: port<<8|proto
-	pairs    map[uint64]bool            // (src,dst,dstPort) triples seen in training
-	// srcRate learns per-source peak packet rates during training.
-	srcRate     map[packet.Addr]*rateTracker
-	trainedPeak float64 // highest per-source pps seen in training
+	profile *Profile
+	// rates are the inspection-time per-source rate trackers. Inspect
+	// advances them, so each engine keeps its own; a source's tracker
+	// starts as a copy of its trained one when the source is first
+	// inspected, so a rate window open at the end of training carries
+	// over.
+	rates map[packet.Addr]*rateTracker
 
 	sensitivity float64
 	suppress    map[anomalySuppressKey]time.Duration
@@ -114,12 +139,12 @@ func (r *rateTracker) observe(now time.Duration) int {
 	return r.count
 }
 
-// NewAnomalyEngine creates an untrained engine at sensitivity 0.5.
+// NewAnomalyEngine creates an untrained engine at sensitivity 0.5,
+// reading a baseline of its own.
 func NewAnomalyEngine() *AnomalyEngine {
 	return &AnomalyEngine{
-		services:          make(map[uint32]*serviceProfile),
-		pairs:             make(map[uint64]bool),
-		srcRate:           make(map[packet.Addr]*rateTracker),
+		profile:           newProfile(),
+		rates:             make(map[packet.Addr]*rateTracker),
 		sensitivity:       0.5,
 		suppress:          make(map[anomalySuppressKey]time.Duration),
 		SuppressWindow:    2 * time.Second,
@@ -170,14 +195,27 @@ func pairKey(p *packet.Packet) uint64 {
 	return uint64(k.Src)<<32 ^ uint64(k.Dst)<<8 ^ uint64(servicePort(p))
 }
 
+// Profile implements Learner.
+func (e *AnomalyEngine) Profile() *Profile { return e.profile }
+
+// ReadProfile implements Learner.
+func (e *AnomalyEngine) ReadProfile(pr *Profile) { e.profile = pr }
+
 // Train implements Engine: fold one known-benign packet into the
-// baseline.
-func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) {
+// baseline the engine reads.
+func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) { e.profile.Train(p, now) }
+
+// Train folds one known-benign packet into the baseline. All training
+// must precede the first Inspect of every engine that reads the
+// profile: an engine copies a source's trained rate tracker when it
+// first inspects that source, and does not see later training of it.
+// Every testbed trains before it inspects.
+func (pr *Profile) Train(p *packet.Packet, now time.Duration) {
 	sk := serviceKey(p)
-	sp, ok := e.services[sk]
+	sp, ok := pr.services[sk]
 	if !ok {
 		sp = &serviceProfile{}
-		e.services[sk] = sp
+		pr.services[sk] = sp
 	}
 	sp.packets++
 	if len(p.Payload) > 0 {
@@ -188,15 +226,15 @@ func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) {
 			sp.entropy.add(Entropy(p.Payload))
 		}
 	}
-	e.pairs[pairKey(p)] = true
-	rt, ok := e.srcRate[p.Src]
+	pr.pairs[pairKey(p)] = true
+	rt, ok := pr.srcRate[p.Src]
 	if !ok {
 		rt = &rateTracker{windowStart: now}
-		e.srcRate[p.Src] = rt
+		pr.srcRate[p.Src] = rt
 	}
 	rt.observe(now)
-	if float64(rt.count) > e.trainedPeak {
-		e.trainedPeak = float64(rt.count)
+	if float64(rt.count) > pr.trainedPeak {
+		pr.trainedPeak = float64(rt.count)
 	}
 }
 
@@ -248,7 +286,7 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 	// Content deviation: payload length and entropy against the service
 	// baseline.
 	if len(p.Payload) > 0 {
-		if sp, ok := e.services[serviceKey(p)]; ok && sp.packets >= e.MinServiceSamples {
+		if sp, ok := e.profile.services[serviceKey(p)]; ok && sp.packets >= e.MinServiceSamples {
 			zl := sp.payloadLen.z(float64(len(p.Payload)), 8)
 			// Shannon entropy over a handful of bytes is statistically
 			// meaningless; tiny payloads (protocol tails, ACK piggybacks)
@@ -271,19 +309,22 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 	}
 
 	// Pair novelty: a host pair+service never seen in training.
-	if e.noveltyEnabled() && !e.pairs[pairKey(p)] && !e.suppressed(causePair, p, now) {
+	if e.noveltyEnabled() && !e.profile.pairs[pairKey(p)] && !e.suppressed(causePair, p, now) {
 		alerts = e.appendAlert(alerts, p, now, "novel-service", 0.45,
 			fmt.Sprintf("first contact %v -> %v service %d", p.Src, p.Dst, servicePort(p)))
 	}
 
 	// Rate anomaly: source exceeding a multiple of the trained peak.
-	rt, ok := e.srcRate[p.Src]
+	rt, ok := e.rates[p.Src]
 	if !ok {
 		rt = &rateTracker{windowStart: now}
-		e.srcRate[p.Src] = rt
+		if trained, ok := e.profile.srcRate[p.Src]; ok {
+			*rt = *trained
+		}
+		e.rates[p.Src] = rt
 	}
 	cur := float64(rt.observe(now))
-	base := e.trainedPeak
+	base := e.profile.trainedPeak
 	if base < 10 {
 		base = 10
 	}
@@ -291,7 +332,7 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 		if !e.suppressed(causeRate, p, now) {
 			alerts = e.appendAlert(alerts, p, now, "rate-anomaly",
 				math.Min(1, cur/(base*e.rateFactorThreshold())/2+0.4),
-				fmt.Sprintf("source rate %.0f pps exceeds %.1fx trained peak %.0f", cur, e.rateFactorThreshold(), e.trainedPeak))
+				fmt.Sprintf("source rate %.0f pps exceeds %.1fx trained peak %.0f", cur, e.rateFactorThreshold(), e.profile.trainedPeak))
 		}
 		// Reset the tumbling window so a sustained flood re-alerts once
 		// per suppression window, not per packet.

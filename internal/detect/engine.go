@@ -48,7 +48,8 @@ type Engine interface {
 	// check that the field spans signature, anomaly and hybrid engines.
 	Mechanism() Mechanism
 	// Train feeds one known-benign packet to behaviour-learning engines.
-	// Signature engines ignore it.
+	// Signature engines ignore it. What an engine learns is its
+	// Learner profile, which an IDS trains once for all its sensors.
 	Train(p *packet.Packet, now time.Duration)
 	// Inspect analyzes one packet, returning zero or more alerts.
 	Inspect(p *packet.Packet, now time.Duration) []Alert
@@ -79,6 +80,24 @@ type Prescanning interface {
 	// InspectPrescanned is Inspect with the content scan replaced by the
 	// idx-th memoized prescan result.
 	InspectPrescanned(p *packet.Packet, now time.Duration, idx int) []Alert
+	// ShareScans makes PrescanBatch resolve its payloads through memo,
+	// which other engines on the same goroutine may share.
+	ShareScans(memo *ScanMemo)
+}
+
+// Learner is the optional capability of an engine that learns: all it
+// learns is one Profile, which other engines of the same kind can read
+// in place of their own. An IDS uses it to train one profile for all
+// its sensors; an engine that learns must implement it, since the IDS
+// trains nothing else.
+type Learner interface {
+	Engine
+	// Profile returns the baseline the engine reads and Train folds
+	// into; nil if the engine learns nothing.
+	Profile() *Profile
+	// ReadProfile makes the engine read pr in place of its own baseline.
+	// Call it before the engine trains or inspects.
+	ReadProfile(pr *Profile)
 }
 
 // Mechanism is the detection-mechanism taxonomy of Section 2.1.

@@ -99,6 +99,30 @@ func (e *HybridEngine) PrescanBatch(payloads [][]byte) bool {
 	return ok && ps.PrescanBatch(payloads)
 }
 
+// ShareScans implements Prescanning for the signature child.
+func (e *HybridEngine) ShareScans(memo *ScanMemo) {
+	if ps, ok := e.sig.(Prescanning); ok {
+		ps.ShareScans(memo)
+	}
+}
+
+// Profile implements Learner: the anomaly child's baseline, or nil when
+// that child learns nothing. An IDS trains only this profile, so the
+// signature child must learn nothing.
+func (e *HybridEngine) Profile() *Profile {
+	if l, ok := e.anom.(Learner); ok {
+		return l.Profile()
+	}
+	return nil
+}
+
+// ReadProfile implements Learner for the anomaly child.
+func (e *HybridEngine) ReadProfile(pr *Profile) {
+	if l, ok := e.anom.(Learner); ok {
+		l.ReadProfile(pr)
+	}
+}
+
 // InspectPrescanned implements Prescanning, composing exactly as Inspect
 // does but feeding the signature child its memoized match set.
 func (e *HybridEngine) InspectPrescanned(p *packet.Packet, now time.Duration, idx int) []Alert {

@@ -329,3 +329,45 @@ func TestScanSetIntoMatchesScanSet(t *testing.T) {
 		}
 	}
 }
+
+// sharedHitBatch is a twin sensor's warm prescan: 32 payloads of 512 B,
+// every fourth carrying a high-fidelity signature, all already stored
+// in a shared memo by the first engine's scan.
+func sharedHitBatch() (twin *SignatureEngine, payloads [][]byte) {
+	payloads = batchPayloads(32, 512)
+	for i := 0; i < len(payloads); i += 4 {
+		copy(payloads[i], "GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd")
+	}
+	memo := NewScanMemo(len(payloads))
+	first := NewStandardSignatureEngine()
+	twin = NewStandardSignatureEngine()
+	first.ShareScans(memo)
+	twin.ShareScans(memo)
+	first.PrescanBatch(payloads)
+	twin.PrescanBatch(payloads)
+	return twin, payloads
+}
+
+// TestPrescanSharedHitZeroAllocs pins a warm memo's prescan at zero
+// allocations per op: hits are copied, never scanned or stored.
+func TestPrescanSharedHitZeroAllocs(t *testing.T) {
+	twin, payloads := sharedHitBatch()
+	allocs := testing.AllocsPerRun(100, func() {
+		twin.PrescanBatch(payloads)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm-memo PrescanBatch allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkPrescanSharedHit times a twin sensor's prescan on a warm
+// memo. benchgate requires 0 allocs/op.
+func BenchmarkPrescanSharedHit(b *testing.B) {
+	twin, payloads := sharedHitBatch()
+	b.SetBytes(32 * 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		twin.PrescanBatch(payloads)
+	}
+}

@@ -171,6 +171,9 @@ type SignatureEngine struct {
 	// batch memoizes the most recent PrescanBatch's per-payload match
 	// sets for InspectPrescanned (see Prescanning).
 	batch BatchBuf
+	// scans, when set, is the memo PrescanBatch resolves payloads
+	// through (ShareScans).
+	scans *ScanMemo
 	// PrescanBatches/PrescanPackets count batched-scan usage.
 	PrescanBatches uint64
 	PrescanPackets uint64
@@ -399,7 +402,9 @@ func (e *SignatureEngine) inspect(p *packet.Packet, now time.Duration, hits []in
 
 // PrescanBatch implements Prescanning: it scans the payload batch in one
 // interleaved Aho–Corasick pass and memoizes the per-payload match sets
-// for InspectPrescanned. Pure — no engine state is touched, so a batch
+// for InspectPrescanned. With a shared ScanMemo, payloads it holds are
+// copied from it and only the rest are scanned; each match set is the
+// same either way. Pure — no engine state is touched, so a batch
 // may be scanned speculatively and partially discarded (e.g. when a
 // sensor dies mid-queue). Returns false, scanning nothing, while stream
 // reassembly is enabled: reassembly makes scan input depend on mutable
@@ -408,11 +413,19 @@ func (e *SignatureEngine) PrescanBatch(payloads [][]byte) bool {
 	if e.reassembler != nil {
 		return false
 	}
-	e.matcher.ScanBatch(payloads, &e.batch)
+	if e.scans != nil {
+		e.scans.scanBatch(e.matcher, payloads, &e.batch)
+	} else {
+		e.matcher.ScanBatch(payloads, &e.batch)
+	}
 	e.PrescanBatches++
 	e.PrescanPackets += uint64(len(payloads))
 	return true
 }
+
+// ShareScans implements Prescanning. A reassembling engine never
+// prescans, so it never reads the memo.
+func (e *SignatureEngine) ShareScans(memo *ScanMemo) { e.scans = memo }
 
 // InspectPrescanned implements Prescanning: Inspect with the content
 // scan replaced by entry idx of the last PrescanBatch. The caller must

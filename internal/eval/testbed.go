@@ -15,6 +15,7 @@ import (
 	"repro/internal/par"
 
 	"repro/internal/attack"
+	"repro/internal/detect"
 	"repro/internal/hostmon"
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -144,12 +145,25 @@ func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) 
 		hostsByAddr: make(map[packet.Addr]*netsim.Host),
 		seq:         &packet.SeqCounter{},
 	}
+	// Deployments differ only in the sensitivity set after training, so
+	// they read deployment 0's learned profile and share one scan memo.
+	// A lone deployment gets no memo, which it would never hit.
+	var scans *detect.ScanMemo
+	if n > 1 {
+		scans = detect.NewScanMemo(sharedScanEntries)
+	}
 	for i := 0; i < n; i++ {
 		inst, err := spec.Instantiate(sim)
 		if err != nil {
 			return nil, err
 		}
 		inst.Instrument(cfg.Obs)
+		if i > 0 {
+			inst.ShareProfile(tb.deps[0].ids)
+		}
+		if scans != nil {
+			inst.ShareScans(scans)
+		}
 		tb.deps = append(tb.deps, &deployment{ids: inst})
 	}
 	tb.IDS = tb.deps[0].ids
@@ -275,16 +289,22 @@ func (tb *Testbed) meanInspectCost() time.Duration {
 // (testing and diagnostics only).
 var OfferHook func(p *packet.Packet, training bool)
 
-// offer hands a tapped packet to every deployment, in order, and
-// returns their joint pass verdict (the one IDS's, in-line).
+// sharedScanEntries is the scan memo's capacity on a testbed of several
+// deployments. The twins of a sensor prescan its pending batch at one
+// instant, so an entry is reused within a batch or two of its store: 16
+// entries already reach the 1 − 1/deployments hit rate for every
+// product, and more would only keep more payloads alive.
+const sharedScanEntries = 16
+
+// offer trains the one learned profile on a tapped packet, or hands the
+// packet to every deployment, in order, and returns their joint pass
+// verdict (the one IDS's, in-line).
 func (tb *Testbed) offer(p *packet.Packet) bool {
 	if OfferHook != nil {
 		OfferHook(p, tb.training)
 	}
 	if tb.training {
-		for _, d := range tb.deps {
-			d.ids.Train(p)
-		}
+		tb.IDS.Train(p)
 		return true
 	}
 	pass := true

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/ids"
 	"repro/internal/packet"
 	"repro/internal/products"
@@ -116,14 +117,15 @@ func anyFailure(st ids.Stats) bool { return st.SensorFailures > 0 }
 const probeSteps = 64
 
 // startProbe queues one window of the pool at a fixed rate for a fresh
-// product instance.
-func startProbe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, pps float64) (*simtime.Sim, *ids.IDS, error) {
+// product instance, which resolves its payload scans through scans.
+func startProbe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, scans *detect.ScanMemo, pps float64) (*simtime.Sim, *ids.IDS, error) {
 	sim := simtime.New(opts.Seed)
 	bindSim(ctx, sim)
 	inst, err := spec.Instantiate(sim)
 	if err != nil {
 		return nil, nil, err
 	}
+	inst.ShareScans(scans)
 	if opts.Pool != nil {
 		if err := inst.SetDataPool(opts.Pool); err != nil {
 			return nil, nil, err
@@ -143,8 +145,8 @@ func startProbe(ctx context.Context, spec products.Spec, opts ThroughputOptions,
 // probe that never decides runs to completion, and complete reports
 // that st is then the whole run's Stats. The windows change no event
 // order: nothing is scheduled between them.
-func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, pps float64, ask verdict) (st ids.Stats, complete bool, err error) {
-	sim, inst, err := startProbe(ctx, spec, opts, pool, pps)
+func probe(ctx context.Context, spec products.Spec, opts ThroughputOptions, pool []*packet.Packet, scans *detect.ScanMemo, pps float64, ask verdict) (st ids.Stats, complete bool, err error) {
+	sim, inst, err := startProbe(ctx, spec, opts, pool, scans, pps)
 	if err != nil {
 		return ids.Stats{}, false, err
 	}
@@ -180,6 +182,10 @@ func MeasureThroughput(ctx context.Context, spec products.Spec, opts ThroughputO
 	if err != nil {
 		return nil, err
 	}
+	// Every probe re-ingests the pool, so its probes share one scan memo
+	// with an entry per pool packet: each payload is scanned once per
+	// search, and the memo keeps alive only what the pool already does.
+	scans := detect.NewScanMemo(len(pool))
 	res := &ThroughputResult{Product: spec.Name}
 	done := make(map[float64]ids.Stats) // probes run to completion, by rate
 	at := func(pps float64, ask verdict) (bool, error) {
@@ -187,7 +193,7 @@ func MeasureThroughput(ctx context.Context, spec products.Spec, opts ThroughputO
 			return ask(st), nil
 		}
 		res.Probes++
-		st, complete, err := probe(ctx, spec, opts, pool, pps, ask)
+		st, complete, err := probe(ctx, spec, opts, pool, scans, pps, ask)
 		if err != nil {
 			return false, err
 		}

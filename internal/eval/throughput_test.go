@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/packet"
 	"repro/internal/products"
 	"repro/internal/simtime"
@@ -104,6 +105,7 @@ func TestDecidedProbeMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		scans := detect.NewScanMemo(len(pool))
 		for _, spec := range append(products.All(), floor) {
 			res, err := MeasureThroughput(ctx, spec, w.opts)
 			if err != nil {
@@ -118,7 +120,7 @@ func TestDecidedProbeMatchesFullRun(t *testing.T) {
 				rates = append(rates, res.LethalPps/1.6, res.LethalPps)
 			}
 			for _, pps := range rates {
-				sim, inst, err := startProbe(ctx, spec, opts, pool, pps)
+				sim, inst, err := startProbe(ctx, spec, opts, pool, scans, pps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +139,7 @@ func TestDecidedProbeMatchesFullRun(t *testing.T) {
 					{"drop", anyDrop, full.SensorDropped > 0},
 					{"failure", anyFailure, full.SensorFailures > 0},
 				} {
-					st, _, err := probe(ctx, spec, opts, pool, pps, q.ask)
+					st, _, err := probe(ctx, spec, opts, pool, scans, pps, q.ask)
 					if err != nil {
 						t.Fatal(err)
 					}

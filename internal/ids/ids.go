@@ -99,7 +99,9 @@ type Config struct {
 	Balancer BalancerKind
 	// BalancerCost is the per-packet load-balancer latency (0 = free).
 	BalancerCost time.Duration
-	// Engine builds the detection engine for one sensor.
+	// Engine builds the detection engine for one sensor. The sensors'
+	// engines read one learned profile (detect.Learner): the first
+	// sensor's, which Train trains once for all of them.
 	Engine func() detect.Engine
 	// SensorQueue is each sensor's pending-packet limit.
 	SensorQueue int
@@ -187,6 +189,9 @@ type IDS struct {
 	recorder *sessionRecorder
 	// pool filters which traffic is analyzed (nil = all).
 	pool *DataPool
+	// profile is the learned baseline every sensor's engine reads; nil
+	// when the engine learns nothing.
+	profile *detect.Profile
 	// selfEvents records sensor failure/recovery health events.
 	selfEvents []SelfEvent
 
@@ -269,7 +274,15 @@ func New(sim *simtime.Sim, cfg Config) (*IDS, error) {
 	}
 	for i := 0; i < cfg.Sensors; i++ {
 		an := s.analyzers[i%cfg.Analyzers]
-		sensor := NewSensor(sim, i, cfg.Engine(), cfg.SensorQueue, cfg.FailureMode, cfg.LethalDropsPerSec, cfg.RestartAfter)
+		engine := cfg.Engine()
+		if l, ok := engine.(detect.Learner); ok {
+			if s.profile == nil {
+				s.profile = l.Profile()
+			} else {
+				l.ReadProfile(s.profile)
+			}
+		}
+		sensor := NewSensor(sim, i, engine, cfg.SensorQueue, cfg.FailureMode, cfg.LethalDropsPerSec, cfg.RestartAfter)
 		sensor.SpeedFactor = cfg.SensorSpeedFactor
 		sensor.deliver = s.deliverFunc(an)
 		id := i
@@ -327,12 +340,37 @@ func (s *IDS) Sensors() []*Sensor { return s.sensors }
 // Analyzers returns the analysis pool.
 func (s *IDS) Analyzers() []*Analyzer { return s.analyzers }
 
-// Train feeds one known-benign packet to every sensor engine's baseline
-// (deployed products distribute one learned profile to all sensors).
+// Train folds one known-benign packet into the learned profile every
+// sensor's engine reads (deployed products distribute one learned
+// profile to all sensors), once. An IDS whose engine learns nothing
+// ignores it. Training must precede inspection (detect.Profile.Train).
 func (s *IDS) Train(p *packet.Packet) {
-	now := s.sim.Now()
+	if s.profile != nil {
+		s.profile.Train(p, s.sim.Now())
+	}
+}
+
+// ShareProfile makes every sensor of s read from's learned profile in
+// place of its own, so training from trains s. Both must be built from
+// the same engine, and neither may have trained yet.
+func (s *IDS) ShareProfile(from *IDS) {
+	if s.profile == nil || from.profile == nil {
+		return
+	}
+	s.profile = from.profile
 	for _, sn := range s.sensors {
-		sn.engine.Train(p, now)
+		sn.engine.(detect.Learner).ReadProfile(s.profile)
+	}
+}
+
+// ShareScans makes every prescanning sensor engine resolve its batches
+// through memo (detect.ScanMemo), which other IDSs driven from the same
+// goroutine may share.
+func (s *IDS) ShareScans(memo *detect.ScanMemo) {
+	for _, sn := range s.sensors {
+		if sn.prescan != nil {
+			sn.prescan.ShareScans(memo)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package ids
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,16 +15,13 @@ import (
 
 // stubEngine alerts on payloads containing the byte 'X' with fixed cost.
 type stubEngine struct {
-	sens    float64
-	cost    time.Duration
-	trained int
+	sens float64
+	cost time.Duration
 }
 
-func (e *stubEngine) Name() string                { return "stub" }
-func (e *stubEngine) Mechanism() detect.Mechanism { return detect.MechanismSignature }
-func (e *stubEngine) Train(p *packet.Packet, now time.Duration) {
-	e.trained++
-}
+func (e *stubEngine) Name() string                              { return "stub" }
+func (e *stubEngine) Mechanism() detect.Mechanism               { return detect.MechanismSignature }
+func (e *stubEngine) Train(p *packet.Packet, now time.Duration) {}
 func (e *stubEngine) Inspect(p *packet.Packet, now time.Duration) []detect.Alert {
 	for _, b := range p.Payload {
 		if b == 'X' {
@@ -384,13 +384,86 @@ func TestSetSensitivityReachesAllSensors(t *testing.T) {
 	}
 }
 
-func TestTrainReachesAllSensors(t *testing.T) {
-	sim := simtime.New(1)
-	s, _ := New(sim, Config{Name: "test", Engine: stubFactory, Sensors: 3, Balancer: BalancerFlowHash})
-	s.Train(benignPkt(1))
-	for _, sn := range s.Sensors() {
-		if sn.engine.(*stubEngine).trained != 1 {
-			t.Fatal("training did not reach every sensor")
+// TestSharedProfileMatchesOwnTraining holds the contract that lets an
+// IDS train one learned profile for all its sensors: for a hybrid and
+// an anomaly engine, every sensor of an IDS trained through IDS.Train
+// returns, packet for packet, the alerts of an engine trained on its
+// own. The inspected packets come from a source whose rate window is
+// still open when training ends, from a source first seen after
+// training, and to a service unseen in training; each must alert.
+func TestSharedProfileMatchesOwnTraining(t *testing.T) {
+	lan, busy, late := packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2), packet.IPv4(203, 0, 1, 9)
+	type timed struct {
+		at time.Duration
+		p  *packet.Packet
+	}
+	pkt := func(at time.Duration, src packet.Addr, port uint16, i int) timed {
+		return timed{at, &packet.Packet{
+			Src: src, Dst: lan, SrcPort: 40000, DstPort: port, Proto: packet.ProtoTCP,
+			Payload: []byte(fmt.Sprintf("GET /page%d.html HTTP/1.0 %s", i, strings.Repeat("x", 90+i%40))),
+		}}
+	}
+	// 40 pps from busy for 3 s: the window open at the end of training
+	// already holds 38 packets.
+	var train, inspect []timed
+	for i := 0; i < 120; i++ {
+		train = append(train, pkt(time.Duration(i)*25*time.Millisecond, busy, 80, i))
+	}
+	// A 30-packet burst inside that window takes busy past 1.5x its
+	// trained peak of 41 only if the window carries over.
+	for i := 0; i < 30; i++ {
+		inspect = append(inspect, pkt(3*time.Second+time.Duration(i)*time.Millisecond, busy, 80, i))
+	}
+	inspect = append(inspect, pkt(3100*time.Millisecond, late, 80, 0), pkt(3200*time.Millisecond, busy, 6000, 0))
+
+	for _, c := range []struct {
+		name    string
+		sensors int
+		engine  func() detect.Engine
+	}{
+		{"hybrid", 3, func() detect.Engine {
+			return detect.NewHybridEngine(detect.NewStandardSignatureEngine(), detect.NewAnomalyEngine(), detect.HybridSerial)
+		}},
+		{"anomaly", 4, func() detect.Engine { return detect.NewAnomalyEngine() }},
+	} {
+		sim := simtime.New(1)
+		s, err := New(sim, Config{Name: c.name, Engine: c.engine, Sensors: c.sensors, Balancer: BalancerFlowHash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range train {
+			sim.MustSchedule(tp.at-sim.Now(), func() { s.Train(tp.p) })
+			sim.RunUntil(tp.at)
+		}
+		if err := s.SetSensitivity(1); err != nil {
+			t.Fatal(err)
+		}
+		for i, sn := range s.Sensors() {
+			own := c.engine()
+			for _, tp := range train {
+				own.Train(tp.p, tp.at)
+			}
+			own.SetSensitivity(1)
+			var causes []string
+			for k, ip := range inspect {
+				got, want := sn.engine.Inspect(ip.p, ip.at), own.Inspect(ip.p, ip.at)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s sensor %d, packet %d: shared profile alerts %v, own training %v", c.name, i, k, got, want)
+				}
+				for _, a := range want {
+					causes = append(causes, fmt.Sprintf("%s %v: %s", a.Technique, a.Attacker, a.Reason))
+				}
+			}
+			all := strings.Join(causes, "\n")
+			for _, cause := range []string{
+				"rate-anomaly " + busy.String(),
+				"novel-service " + late.String() + ": first contact",
+				"no baseline for service port 6000",
+			} {
+				if !strings.Contains(all, cause) {
+					t.Fatalf("%s sensor %d: no %q alert among\n%s", c.name, i, cause, all)
+				}
+			}
 		}
 	}
 }

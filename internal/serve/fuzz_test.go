@@ -149,3 +149,45 @@ func reopenStream(t *testing.T, dir string) (uint64, int64) {
 	st.closeFiles()
 	return st.chunks, st.bytes
 }
+
+// FuzzReadRecord writes arbitrary bytes as each state record the
+// service recovers — meta, shed, failed and finish — and reads it with
+// readRecord. Either the bytes read as absent, or they decode to a value
+// that writeJSONFile writes back and readRecord reads as the same value.
+// The seed corpus is testdata/fuzz/FuzzReadRecord.
+func FuzzReadRecord(f *testing.F) {
+	records := []struct {
+		file string
+		zero func() any
+	}{
+		{metaFile, func() any { return new(StreamMeta) }},
+		{shedFile, func() any { return new(shedRecord) }},
+		{failedFile, func() any { return new(failRecord) }},
+		{finishFile, func() any { return new(finishRecord) }},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, rec := range records {
+			path := filepath.Join(dir, rec.file)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			read := rec.zero()
+			if ok, err := readRecord(fsio.OS, path, read); err != nil {
+				t.Fatalf("%s: %v", rec.file, err)
+			} else if !ok {
+				continue
+			}
+			if err := writeJSONFile(fsio.OS, path, read); err != nil {
+				t.Fatalf("%s: writing back %+v: %v", rec.file, read, err)
+			}
+			again := rec.zero()
+			if ok, err := readRecord(fsio.OS, path, again); !ok || err != nil {
+				t.Fatalf("%s: %+v written back reads as absent (%v)", rec.file, read, err)
+			}
+			if !reflect.DeepEqual(read, again) {
+				t.Fatalf("%s: %q reads as %+v, written back as %+v", rec.file, data, read, again)
+			}
+		}
+	})
+}

@@ -32,6 +32,21 @@ type StreamMeta struct {
 	Sensitivity float64 `json:"sensitivity,omitempty"`
 }
 
+// UnmarshalJSON decodes a meta record. An empty product list means what
+// an absent one does, and the record is written with neither, so it is
+// held as nil, the one form: a record read back from what was written
+// equals the record read.
+func (m *StreamMeta) UnmarshalJSON(data []byte) error {
+	type plain StreamMeta
+	if err := json.Unmarshal(data, (*plain)(m)); err != nil {
+		return err
+	}
+	if len(m.Products) == 0 {
+		m.Products = nil
+	}
+	return nil
+}
+
 // Stream lifecycle states as reported by Status and the Hello ack.
 const (
 	StateOpen      = "open"      // accepting chunks
