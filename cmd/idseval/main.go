@@ -22,8 +22,10 @@
 // the serial path. Either way the output is bit-identical for a given
 // seed — every experiment owns its simulation and derives its RNG
 // streams from the seed alone. Ctrl-C (or -timeout expiry) drains
-// in-flight experiments at a clean event boundary and prints the
-// completed product reports with an INTERRUPTED banner.
+// in-flight experiments at a clean event boundary and prints the reports
+// of the products whose experiments all completed with an INTERRUPTED
+// banner. The field's accuracy runs and sweeps share two testbeds that
+// run first, so an interrupt usually reports 0 products done.
 package main
 
 import (

@@ -123,15 +123,16 @@ func RunAccuracy(tb *Testbed, sensitivity float64, attackFor time.Duration, stre
 	return fr.Accuracy, nil
 }
 
-// scoreAccuracy matches the reports of inst, an IDS deployed on tb, to
-// ground truth and computes the Figure-3 ratios. background is the clean
-// part of |T|: the sessions a live generator started, or a trace's
-// clean conversations.
-func scoreAccuracy(tb *Testbed, inst *ids.IDS, sensitivity float64, truth []attack.Incident, background int) (*AccuracyResult, error) {
+// scoreAccuracy matches the reports of d, a deployment on tb, to ground
+// truth and computes the Figure-3 ratios. background is the clean part
+// of |T|: the sessions a live generator started, or a trace's clean
+// conversations.
+func scoreAccuracy(tb *Testbed, d *deployment, sensitivity float64, truth []attack.Incident, background int) (*AccuracyResult, error) {
+	inst := d.ids
 	reports := inst.Monitor().Incidents
 
 	res := &AccuracyResult{
-		Product:           tb.Spec.Name,
+		Product:           d.spec.Name,
 		Sensitivity:       sensitivity,
 		ActualIncidents:   len(truth),
 		ReportedIncidents: len(reports),

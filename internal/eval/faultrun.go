@@ -68,8 +68,9 @@ func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, att
 
 // runDeployments is RunFaultScenario for every deployment on tb at once:
 // one network run, with deployment k set to sens[k] after training and
-// scored against the one ground truth. A scenario needs a testbed of one
-// deployment, since its link faults hit the shared network.
+// scored as its own product against the one ground truth. A scenario
+// needs a testbed of one deployment, since its link faults hit the
+// shared network.
 func runDeployments(tb *Testbed, sc *faults.Scenario, sens []float64, attackFor time.Duration, strength attack.Intensity, severity float64) ([]*FaultRunResult, error) {
 	if err := validateTapMode(tb.Cfg.Tap); err != nil {
 		return nil, err
@@ -124,7 +125,7 @@ func runDeployments(tb *Testbed, sc *faults.Scenario, sens []float64, attackFor 
 	runs := make([]*FaultRunResult, len(tb.deps))
 	for k, d := range tb.deps {
 		d.ids.Flush()
-		acc, err := scoreAccuracy(tb, d.ids, sens[k], truth, int(tb.Gen.SessionsStarted))
+		acc, err := scoreAccuracy(tb, d, sens[k], truth, int(tb.Gen.SessionsStarted))
 		if err != nil {
 			return nil, err
 		}

@@ -86,12 +86,13 @@ type CompromiseResult struct {
 	ExposedByTrust []string
 }
 
-// AnalyzeCompromise derives the compromise analysis from an accuracy run:
-// the testbed's cluster forms a full-trust cluster (the paper's worst
-// case), truth comes from the campaign's insider/masquerade incidents,
-// and identification comes from the product's reported incidents.
+// AnalyzeCompromise derives the compromise analysis from an accuracy run
+// on tb: the testbed's cluster forms a full-trust cluster (the paper's
+// worst case), truth comes from the campaign's insider/masquerade
+// incidents, and identification comes from the reported incidents of
+// res's product.
 func AnalyzeCompromise(tb *Testbed, res *AccuracyResult) *CompromiseResult {
-	out := &CompromiseResult{Product: tb.Spec.Name}
+	out := &CompromiseResult{Product: res.Product}
 	names := make([]string, len(tb.Top.Cluster))
 	addrToName := make(map[uint32]string)
 	for i, h := range tb.Top.Cluster {

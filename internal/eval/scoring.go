@@ -203,22 +203,54 @@ func ScoreResponseChannel(hasConsole, policyHasChannel bool, events int, effecti
 type Options struct {
 	Seed  int64
 	Quick bool
-	// Workers bounds the worker pools the evaluation fans out on — the
-	// product matrix and the per-product measured metrics. Each
-	// product's sensitivity sweep runs on one testbed whatever Workers
-	// says, since those two pools already spread the work. 0 sizes the
-	// pools to the machine; 1 forces the fully serial path. Because every
+	// Workers bounds the one worker pool an evaluation fans out on: the
+	// field's shared sweep testbed, its shared accuracy testbed, and
+	// each product's throughput, latency and impact runs. 0 sizes the
+	// pool to the machine; 1 forces the fully serial path. Because every
 	// experiment owns its simulation and derives its RNG streams from
 	// Seed alone, both settings produce bit-identical scorecards.
 	Workers int
 	// Obs, when set, instruments each product's evaluation under
-	// Obs.Sub("<Product>."): the accuracy testbed's components under
-	// "<Product>.accuracy." while they run, then the scorecard gauges,
-	// the matcher-cache gauges and the measurement histograms once the
-	// product's experiments end. Telemetry observes and never perturbs:
-	// scorecards and results are bit-identical with it set or nil (the
-	// determinism guard test pins this).
+	// Obs.Sub("<Product>."): the product's IDS on the accuracy testbed
+	// under "<Product>.accuracy." while it runs, then the scorecard
+	// gauges, the matcher-cache gauges and the measurement histograms
+	// once the field's experiments end. The accuracy testbed's one
+	// network writes under the first product's "<Product>.accuracy.".
+	// Telemetry observes and never perturbs: scorecards and results are
+	// bit-identical with it set or nil (the determinism guard test pins
+	// this).
 	Obs *obs.Registry
+}
+
+// scorecardSensitivity is the detection sensitivity the scorecard's
+// accuracy experiment runs every product at.
+const scorecardSensitivity = 0.6
+
+// accuracyRun sizes the scorecard's accuracy experiment: its testbed,
+// attack window and campaign strength.
+func (o Options) accuracyRun() (TestbedConfig, time.Duration, attack.Intensity) {
+	if o.Quick {
+		return TestbedConfig{Seed: o.Seed, TrainFor: 8 * time.Second, BackgroundPps: 250}, 20 * time.Second, 0.5
+	}
+	return TestbedConfig{Seed: o.Seed}, 45 * time.Second, 1
+}
+
+// sweepOptions sizes the scorecard's sensitivity sweep, which runs on
+// one testbed.
+func (o Options) sweepOptions() SweepOptions {
+	if o.Quick {
+		return SweepOptions{Seed: o.Seed, Workers: 1, Points: 3, TrainFor: 6 * time.Second,
+			RunFor: 14 * time.Second, Pps: 200, Strength: 0.5}
+	}
+	return SweepOptions{Seed: o.Seed, Workers: 1}
+}
+
+// throughputOptions sizes the scorecard's throughput search.
+func (o Options) throughputOptions() ThroughputOptions {
+	if o.Quick {
+		return ThroughputOptions{Seed: o.Seed, Window: 100 * time.Millisecond, HiPps: 65536}
+	}
+	return ThroughputOptions{Seed: o.Seed}
 }
 
 // ProductEvaluation bundles a product's complete scorecard with the raw
@@ -239,133 +271,40 @@ type ProductEvaluation struct {
 
 // EvaluateProduct runs every experiment against one product and fills a
 // complete scorecard: static observations from the spec plus measured
-// observations from the harness.
-//
-// The measured metrics — accuracy/compromise, throughput, latency, host
-// impact, and the sensitivity sweep — are independent experiments: each
-// builds its own simulation from opts.Seed and never shares mutable
-// state with the others (compiled signature corpora are shared, but
-// immutable). They therefore fan out on the bounded runner, and because
-// every experiment's RNG streams derive from opts.Seed alone, the
-// parallel scorecard is bit-identical to the serial one.
+// observations from the harness. It is EvaluateAll over a field of one,
+// so a product's evaluation is the same alone and in any field.
 //
 // Cancelling ctx (SIGINT, a timeout, a campaign watchdog) halts the
 // in-flight simulations at the kernel's interrupt stride and returns
 // the cancellation error; a partially evaluated product has no valid
 // scorecard, so no partial ProductEvaluation is returned.
 func EvaluateProduct(ctx context.Context, spec products.Spec, reg *core.Registry, opts Options) (*ProductEvaluation, error) {
-	if opts.Seed == 0 {
-		opts.Seed = 11
-	}
-	card := core.NewScorecard(reg, spec.Name, spec.Version)
-	if err := spec.ApplyStatic(card); err != nil {
-		return nil, err
-	}
-	ev := &ProductEvaluation{Spec: spec, Card: card}
-
-	// Component instrumentation rides the accuracy testbed (the run with
-	// a full pipeline under attack load). Only the export depends on
-	// this registry — never a result field.
-	telem := opts.Obs.Sub(spec.Name + ".")
-
-	experiments := []func(ctx context.Context) error{
-		// Accuracy + timeliness + response + compromise (one big run).
-		func(ctx context.Context) error {
-			accCfg := TestbedConfig{Seed: opts.Seed, Obs: telem.Sub("accuracy.")}
-			attackFor := 45 * time.Second
-			strength := attack.Intensity(1)
-			if opts.Quick {
-				accCfg.TrainFor = 8 * time.Second
-				accCfg.BackgroundPps = 250
-				attackFor = 20 * time.Second
-				strength = 0.5
-			}
-			tb, err := NewTestbed(spec, accCfg)
-			if err != nil {
-				return err
-			}
-			tb.Bind(ctx)
-			acc, err := RunAccuracy(tb, 0.6, attackFor, strength)
-			if err != nil {
-				return err
-			}
-			ev.Accuracy = acc
-			ev.Compromise = AnalyzeCompromise(tb, acc)
-			return nil
-		},
-		// Throughput / lethal dose.
-		func(ctx context.Context) error {
-			thOpts := ThroughputOptions{Seed: opts.Seed}
-			if opts.Quick {
-				thOpts.Window = 100 * time.Millisecond
-				thOpts.HiPps = 65536
-			}
-			th, err := MeasureThroughput(ctx, spec, thOpts)
-			if err != nil {
-				return err
-			}
-			ev.Throughput = th
-			return nil
-		},
-		// Induced latency: products deploy per their nature — everything
-		// is measured both ways by the ablation bench; the scorecard uses
-		// the passive (mirror) deployment, the paper's common case, except
-		// that the latency number still reflects any balancer cost.
-		func(ctx context.Context) error {
-			lat, err := MeasureInducedLatency(spec, TapMirror, opts.Seed)
-			if err != nil {
-				return err
-			}
-			ev.Latency = lat
-			return nil
-		},
-		// Host impact.
-		func(ctx context.Context) error {
-			imp, err := MeasureOperationalImpact(spec, opts.Seed)
-			if err != nil {
-				return err
-			}
-			ev.Impact = imp
-			return nil
-		},
-		// Sensitivity sweep, on one testbed: this pool and EvaluateAll's
-		// already spread the work, and a second testbed would only
-		// re-simulate the network.
-		func(ctx context.Context) error {
-			swOpts := SweepOptions{Seed: opts.Seed, Workers: 1}
-			if opts.Quick {
-				swOpts.Points = 3
-				swOpts.TrainFor = 6 * time.Second
-				swOpts.RunFor = 14 * time.Second
-				swOpts.Pps = 200
-				swOpts.Strength = 0.5
-			}
-			sw, err := SensitivitySweep(ctx, spec, swOpts)
-			if err != nil {
-				return err
-			}
-			ev.Sweep = sw
-			return nil
-		},
-	}
-	err := par.ForEach(ctx, len(experiments), opts.Workers, func(ctx context.Context, i int) error {
-		return experiments[i](ctx)
-	})
+	evs, err := EvaluateAll(ctx, []products.Spec{spec}, reg, opts)
 	if err != nil {
 		return nil, err
 	}
+	return evs[0], nil
+}
 
+// finish scores the completed experiments onto the card, derives the
+// telemetry summary and, when telem is set, publishes it there.
+func (ev *ProductEvaluation) finish(telem *obs.Registry) error {
 	if err := ev.fillMeasuredScores(); err != nil {
-		return nil, err
+		return err
 	}
-
 	ev.Telemetry = BuildTelemetry(ev)
 	if telem != nil {
 		ev.Telemetry.Publish(telem)
 		detect.PublishCacheMetrics(telem)
 		ev.publishMeasurementHists(telem)
 	}
-	return ev, nil
+	return nil
+}
+
+// complete reports whether every measured experiment has its result.
+func (ev *ProductEvaluation) complete() bool {
+	return ev.Accuracy != nil && ev.Compromise != nil && ev.Throughput != nil &&
+		ev.Latency != nil && ev.Impact != nil && ev.Sweep != nil
 }
 
 // fillMeasuredScores writes the 16 harness-measured observations.
@@ -446,32 +385,131 @@ func lethalNote(th *ThroughputResult) string {
 }
 
 // EvaluateAll evaluates every product in the field against one registry.
-// Product evaluations are independent (each owns its simulations), so
-// they run concurrently on the bounded runner; results keep the input
-// order, so the parallel run is bit-identical to a serial one. The
-// first failing product (in field order) cancels the rest and its
-// error is the one returned.
+// The field shares two simulated networks, because every product sees
+// the same traffic and campaign (DESIGN §7): one accuracy testbed holds
+// a deployment of every product, and one sweep testbed a deployment of
+// every product at every sensitivity point. Each product's throughput,
+// latency and impact runs own their simulations. These jobs fan out on
+// one bounded runner, longest first: the sweep testbed, the accuracy
+// testbed, then each product's runs. Every result derives from
+// opts.Seed alone and results keep the field order, so the parallel run
+// is bit-identical to a serial one, and each product's evaluation to
+// EvaluateProduct of that product alone. The first failing job, in that
+// order, cancels the rest and its error is the one returned.
 //
 // Cancelling ctx (SIGINT/SIGTERM, -timeout) drains gracefully: the
-// completed evaluations are returned in their field slots (nil for
-// products that never finished) together with the cancellation error,
-// so callers can print partial scorecards with an explicit interrupted
-// banner. Non-cancellation failures return no results.
+// field slots come back with the cancellation error, each holding its
+// product's evaluation only when every one of that product's
+// experiments completed (nil otherwise), so callers can print partial
+// scorecards with an explicit interrupted banner. The shared testbeds
+// are experiments of every product and run first, so a cancel that
+// lands in either fills no slot: an interrupted full-field idseval
+// usually reports 0 of 4 products done. Non-cancellation failures
+// return no results.
 func EvaluateAll(ctx context.Context, specs []products.Spec, reg *core.Registry, opts Options) ([]*ProductEvaluation, error) {
-	out := make([]*ProductEvaluation, len(specs))
-	err := par.ForEach(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) error {
-		ev, err := EvaluateProduct(ctx, specs[i], reg, opts)
-		if err != nil {
-			return fmt.Errorf("eval: %s: %w", specs[i].Name, err)
+	if opts.Seed == 0 {
+		opts.Seed = 11
+	}
+	evs := make([]*ProductEvaluation, len(specs))
+	views := make([]*obs.Registry, len(specs))
+	for i, spec := range specs {
+		card := core.NewScorecard(reg, spec.Name, spec.Version)
+		if err := spec.ApplyStatic(card); err != nil {
+			return nil, err
 		}
-		out[i] = ev
-		return nil
+		evs[i] = &ProductEvaluation{Spec: spec, Card: card}
+		views[i] = opts.Obs.Sub(spec.Name + ".")
+	}
+	if len(specs) == 0 {
+		return evs, nil
+	}
+
+	jobs := []func(ctx context.Context) error{
+		// Sensitivity sweep: every product's points on one testbed.
+		func(ctx context.Context) error {
+			sws, err := fieldSweep(ctx, specs, opts.sweepOptions())
+			if err != nil {
+				return err
+			}
+			for i, sw := range sws {
+				evs[i].Sweep = sw
+			}
+			return nil
+		},
+		// Accuracy + timeliness + response + compromise: every product
+		// on one testbed, each under its own telemetry view.
+		func(ctx context.Context) error {
+			cfg, attackFor, strength := opts.accuracyRun()
+			cfg.Obs = views[0].Sub("accuracy.")
+			deps := make([]deploy, len(specs))
+			sens := make([]float64, len(specs))
+			for i, spec := range specs {
+				deps[i] = deploy{spec: spec, obs: views[i].Sub("accuracy."), entry: i}
+				sens[i] = scorecardSensitivity
+			}
+			tb, err := newTestbed(cfg, deps...)
+			if err != nil {
+				return err
+			}
+			tb.Bind(ctx)
+			runs, err := runDeployments(tb, nil, sens, attackFor, strength, 0)
+			if err != nil {
+				return err
+			}
+			for i, r := range runs {
+				evs[i].Accuracy = r.Accuracy
+				evs[i].Compromise = AnalyzeCompromise(tb, r.Accuracy)
+			}
+			return nil
+		},
+	}
+	for _, ev := range evs {
+		jobs = append(jobs,
+			// Throughput / lethal dose.
+			func(ctx context.Context) error {
+				th, err := MeasureThroughput(ctx, ev.Spec, opts.throughputOptions())
+				if err != nil {
+					return fmt.Errorf("eval: %s: %w", ev.Spec.Name, err)
+				}
+				ev.Throughput = th
+				return nil
+			},
+			// Induced latency on the passive (mirror) deployment, the
+			// paper's common case; the ablation bench measures both
+			// taps.
+			func(context.Context) error {
+				lat, err := MeasureInducedLatency(ev.Spec, TapMirror, opts.Seed)
+				if err != nil {
+					return fmt.Errorf("eval: %s: %w", ev.Spec.Name, err)
+				}
+				ev.Latency = lat
+				return nil
+			},
+			// Host impact.
+			func(context.Context) error {
+				imp, err := MeasureOperationalImpact(ev.Spec, opts.Seed)
+				if err != nil {
+					return fmt.Errorf("eval: %s: %w", ev.Spec.Name, err)
+				}
+				ev.Impact = imp
+				return nil
+			},
+		)
+	}
+	err := par.ForEach(ctx, len(jobs), opts.Workers, func(ctx context.Context, j int) error {
+		return jobs[j](ctx)
 	})
-	if err != nil {
-		if isCancel(err) {
-			return out, err
-		}
+	if err != nil && !isCancel(err) {
 		return nil, err
 	}
-	return out, nil
+	for i, ev := range evs {
+		if !ev.complete() {
+			evs[i] = nil
+			continue
+		}
+		if ferr := ev.finish(views[i]); ferr != nil {
+			return nil, fmt.Errorf("eval: %s: %w", ev.Spec.Name, ferr)
+		}
+	}
+	return evs, err
 }

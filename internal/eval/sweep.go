@@ -110,16 +110,16 @@ func SensitivitySweep(ctx context.Context, spec products.Spec, opts SweepOptions
 	beds = min(beds, opts.Points)
 	points := make([]SweepPoint, opts.Points)
 	err := par.ForEach(ctx, beds, beds, func(ctx context.Context, b int) error {
-		var idx []int
+		var pairs []sweepPair
 		for i := b; i < opts.Points; i += beds {
-			idx = append(idx, i)
+			pairs = append(pairs, sweepPair{spec: spec, point: i})
 		}
-		got, err := sweepGroup(ctx, spec, opts, idx)
+		got, err := sweepGroup(ctx, opts, pairs)
 		if err != nil {
 			return err
 		}
-		for j, i := range idx {
-			points[i] = got[j]
+		for j, pr := range pairs {
+			points[pr.point] = got[j]
 		}
 		return nil
 	})
@@ -149,24 +149,61 @@ func SweepPointAt(ctx context.Context, spec products.Spec, opts SweepOptions, i 
 	if i < 0 || i >= opts.Points {
 		return SweepPoint{}, fmt.Errorf("eval: sweep point %d out of range [0,%d)", i, opts.Points)
 	}
-	points, err := sweepGroup(ctx, spec, opts, []int{i})
+	points, err := sweepGroup(ctx, opts, []sweepPair{{spec: spec, point: i}})
 	if err != nil {
 		return SweepPoint{}, err
 	}
 	return points[0], nil
 }
 
-// sweepGroup runs the sweep points idx as deployments on one testbed
-// and returns them in idx order.
-func sweepGroup(ctx context.Context, spec products.Spec, opts SweepOptions, idx []int) ([]SweepPoint, error) {
-	sens := make([]float64, len(idx))
-	for j, i := range idx {
-		sens[j] = float64(i) / float64(opts.Points-1)
+// fieldSweep runs the sweep of every product in specs on one testbed,
+// each product's points a field entry of its own, and returns the
+// sweeps in field order, each bit-identical to SensitivitySweep of its
+// product alone.
+func fieldSweep(ctx context.Context, specs []products.Spec, opts SweepOptions) ([]*SweepResult, error) {
+	opts.applyDefaults()
+	if opts.Points < 2 {
+		return nil, fmt.Errorf("eval: sweep needs at least 2 points, got %d", opts.Points)
 	}
-	tb, err := newTestbed(spec, TestbedConfig{
+	var pairs []sweepPair
+	for e, spec := range specs {
+		for i := 0; i < opts.Points; i++ {
+			pairs = append(pairs, sweepPair{entry: e, spec: spec, point: i})
+		}
+	}
+	points, err := sweepGroup(ctx, opts, pairs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*SweepResult, len(specs))
+	for e, spec := range specs {
+		lo, hi := e*opts.Points, (e+1)*opts.Points
+		out[e] = AssembleSweep(spec.Name, points[lo:hi:hi])
+	}
+	return out, nil
+}
+
+// sweepPair is one deployment of a sweep testbed: the point-th point
+// of the sweep of spec, the product of field entry entry.
+type sweepPair struct {
+	entry int
+	spec  products.Spec
+	point int
+}
+
+// sweepGroup runs pairs as deployments on one testbed and returns their
+// points in pair order.
+func sweepGroup(ctx context.Context, opts SweepOptions, pairs []sweepPair) ([]SweepPoint, error) {
+	deps := make([]deploy, len(pairs))
+	sens := make([]float64, len(pairs))
+	for j, pr := range pairs {
+		deps[j] = deploy{spec: pr.spec, obs: opts.Obs, entry: pr.entry}
+		sens[j] = float64(pr.point) / float64(opts.Points-1)
+	}
+	tb, err := newTestbed(TestbedConfig{
 		Seed: opts.Seed, TrainFor: opts.TrainFor, BackgroundPps: opts.Pps,
 		Obs: opts.Obs,
-	}, len(idx))
+	}, deps...)
 	if err != nil {
 		return nil, err
 	}

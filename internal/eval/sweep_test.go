@@ -118,18 +118,19 @@ func TestSweepCancelledMidRun(t *testing.T) {
 }
 
 // TestSharedTestbedLimits pins the two limits of a testbed with several
-// deployments: the in-line tap acts on one IDS's verdict, and a fault
-// scenario's link faults would hit every deployment's network.
+// deployments, here two products as on the field's accuracy testbed:
+// the in-line tap acts on one IDS's verdict, and a fault scenario's
+// link faults would hit every deployment's network.
 func TestSharedTestbedLimits(t *testing.T) {
-	spec := products.NetRecorder()
-	if _, err := newTestbed(spec, TestbedConfig{Seed: 1, Tap: TapInline}, 2); err == nil {
+	deps := []deploy{{spec: products.NetRecorder()}, {spec: products.TrueSecure(), entry: 1}}
+	if _, err := newTestbed(TestbedConfig{Seed: 1, Tap: TapInline}, deps...); err == nil {
 		t.Fatal("two deployments on an in-line tap: no error")
 	}
 	sc, err := faults.Load("../../examples/faults/span-degrade.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := newTestbed(spec, TestbedConfig{Seed: 1, TrainFor: time.Second}, 2)
+	tb, err := newTestbed(TestbedConfig{Seed: 1, TrainFor: time.Second}, deps...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,13 +85,13 @@ func (c *TestbedConfig) applyDefaults() {
 }
 
 // Testbed is one assembled run environment: topology, generators, the
-// campaign context, and one or more deployments of the product under
-// test, all observing the one network through the one tap.
+// campaign context, and one or more IDS deployments, all observing the
+// one network through the one tap.
 type Testbed struct {
 	Sim *simtime.Sim
 	Top *netsim.Topology
-	// IDS is the first deployment's IDS: the only one on a testbed
-	// NewTestbed builds.
+	// IDS and Spec are the first deployment's IDS and product: the only
+	// ones on a testbed NewTestbed builds.
 	IDS  *ids.IDS
 	Gen  *traffic.Generator
 	Spec products.Spec
@@ -100,17 +100,34 @@ type Testbed struct {
 	hostsByAddr map[packet.Addr]*netsim.Host
 	seq         *packet.SeqCounter
 	deps        []*deployment
-	training    bool
+	// learners are the deployments that train a learned profile: the
+	// first of each field entry.
+	learners []*ids.IDS
+	training bool
 
 	// TapDropped counts mirror-link losses (packets the IDS never saw).
 	mirrorLink *netsim.Link
 	mirrorSink *netsim.Sink
 }
 
-// deployment is one copy of the product on a testbed: its IDS and, for
-// a HostAgents product, one hostmon agent over an rts host model per
+// deploy asks for one deployment on a testbed: the product, the
+// telemetry view its IDS writes under, and the field entry it belongs
+// to. The deployments of one entry are one product's sweep points,
+// which differ only in the sensitivity set after training, so they
+// read the entry's first deployment's learned profile. Entries are
+// told apart by index, never by product name, which two entries may
+// share.
+type deploy struct {
+	spec  products.Spec
+	obs   *obs.Registry
+	entry int
+}
+
+// deployment is one IDS on a testbed: its product and, for a
+// HostAgents product, one hostmon agent over an rts host model per
 // cluster host, reporting into the IDS's first analyzer.
 type deployment struct {
+	spec     products.Spec
 	ids      *ids.IDS
 	agents   []*hostmon.Agent
 	rtsHosts []*rts.Host
@@ -118,18 +135,19 @@ type deployment struct {
 
 // NewTestbed assembles the environment for one product.
 func NewTestbed(spec products.Spec, cfg TestbedConfig) (*Testbed, error) {
-	return newTestbed(spec, cfg, 1)
+	return newTestbed(cfg, deploy{spec: spec, obs: cfg.Obs})
 }
 
-// newTestbed assembles the environment with n deployments of the
-// product on one network. The network, generator and campaign context
-// are built once; each deployment sees every tapped packet and every
-// cluster host's traffic, in deployment order. More than one deployment
-// needs the mirror tap: an in-line device acts on one IDS's verdict.
-func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) {
+// newTestbed assembles the environment with the given deployments on
+// one network. The network, generator and campaign context are built
+// once, instrumented under cfg.Obs; each deployment sees every tapped
+// packet and every cluster host's traffic, in deployment order. More
+// than one deployment needs the mirror tap: an in-line device acts on
+// one IDS's verdict.
+func newTestbed(cfg TestbedConfig, deps ...deploy) (*Testbed, error) {
 	cfg.applyDefaults()
-	if n > 1 && cfg.Tap != TapMirror {
-		return nil, fmt.Errorf("eval: %d deployments on an %v tap, which acts on one verdict", n, cfg.Tap)
+	if len(deps) > 1 && cfg.Tap != TapMirror {
+		return nil, fmt.Errorf("eval: %d deployments on an %v tap, which acts on one verdict", len(deps), cfg.Tap)
 	}
 	sim := simtime.New(cfg.Seed)
 	top := netsim.BuildTopology(sim, netsim.TopologyConfig{
@@ -140,31 +158,36 @@ func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) 
 		return nil, fmt.Errorf("eval: testbed topology: %w", err)
 	}
 	top.Instrument(cfg.Obs)
+	spec := deps[0].spec
 	tb := &Testbed{
 		Sim: sim, Top: top, Spec: spec, Cfg: cfg,
 		hostsByAddr: make(map[packet.Addr]*netsim.Host),
 		seq:         &packet.SeqCounter{},
 	}
-	// Deployments differ only in the sensitivity set after training, so
-	// they read deployment 0's learned profile and share one scan memo.
-	// A lone deployment gets no memo, which it would never hit.
+	// Deployments share one scan memo, since their sensors prescan the
+	// same payloads; a lone deployment gets none, which it would never
+	// hit.
 	var scans *detect.ScanMemo
-	if n > 1 {
+	if len(deps) > 1 {
 		scans = detect.NewScanMemo(sharedScanEntries)
 	}
-	for i := 0; i < n; i++ {
-		inst, err := spec.Instantiate(sim)
+	learner := make(map[int]*ids.IDS)
+	for _, dp := range deps {
+		inst, err := dp.spec.Instantiate(sim)
 		if err != nil {
 			return nil, err
 		}
-		inst.Instrument(cfg.Obs)
-		if i > 0 {
-			inst.ShareProfile(tb.deps[0].ids)
+		inst.Instrument(dp.obs)
+		if l, ok := learner[dp.entry]; ok {
+			inst.ShareProfile(l)
+		} else {
+			learner[dp.entry] = inst
+			tb.learners = append(tb.learners, inst)
 		}
 		if scans != nil {
 			inst.ShareScans(scans)
 		}
-		tb.deps = append(tb.deps, &deployment{ids: inst})
+		tb.deps = append(tb.deps, &deployment{spec: dp.spec, ids: inst})
 	}
 	tb.IDS = tb.deps[0].ids
 	for _, h := range append(append([]*netsim.Host{}, top.Cluster...), top.External...) {
@@ -184,41 +207,8 @@ func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) 
 		tb.mirrorLink = top.AttachMirror(sink, netsim.LinkConfig{BandwidthBps: 10e9})
 	}
 
-	// Host agents on every cluster host, one per deployment; each agent
-	// charges an rts host model of its own.
-	if spec.HostAgents {
-		for i, h := range top.Cluster {
-			var agents []*hostmon.Agent
-			for _, d := range tb.deps {
-				rh := rts.NewHost(sim, h.Name())
-				for _, task := range rts.StandardTaskSet() {
-					if err := rh.AddTask(task); err != nil {
-						return nil, err
-					}
-				}
-				agent := hostmon.NewAgent(sim, rh, spec.HostAgentLevel)
-				agent.Deliver = d.ids.Analyzers()[0].Submit
-				d.agents = append(d.agents, agent)
-				d.rtsHosts = append(d.rtsHosts, rh)
-				agents = append(agents, agent)
-			}
-			idx := i
-			prev := h.OnPacket
-			h.OnPacket = func(p *packet.Packet) {
-				if prev != nil {
-					prev(p)
-				}
-				if tb.training {
-					return
-				}
-				for _, ev := range hostmon.EventsFromPacket(p, sim.Now()) {
-					ev.HostIdx = idx
-					for _, agent := range agents {
-						agent.Observe(ev)
-					}
-				}
-			}
-		}
+	if err := tb.deployHostAgents(); err != nil {
+		return nil, err
 	}
 
 	// Background generator injects through the real hosts.
@@ -228,6 +218,52 @@ func newTestbed(spec products.Spec, cfg TestbedConfig, n int) (*Testbed, error) 
 	}
 	tb.Gen = gen
 	return tb, nil
+}
+
+// deployHostAgents gives every HostAgents deployment a hostmon agent on
+// each cluster host, charging an rts host model of its own, and hooks
+// each cluster host once to feed its events to every deployment's agent
+// there, in deployment order.
+func (tb *Testbed) deployHostAgents() error {
+	for i, h := range tb.Top.Cluster {
+		var agents []*hostmon.Agent
+		for _, d := range tb.deps {
+			if !d.spec.HostAgents {
+				continue
+			}
+			rh := rts.NewHost(tb.Sim, h.Name())
+			for _, task := range rts.StandardTaskSet() {
+				if err := rh.AddTask(task); err != nil {
+					return err
+				}
+			}
+			agent := hostmon.NewAgent(tb.Sim, rh, d.spec.HostAgentLevel)
+			agent.Deliver = d.ids.Analyzers()[0].Submit
+			d.agents = append(d.agents, agent)
+			d.rtsHosts = append(d.rtsHosts, rh)
+			agents = append(agents, agent)
+		}
+		if len(agents) == 0 {
+			continue
+		}
+		idx := i
+		prev := h.OnPacket
+		h.OnPacket = func(p *packet.Packet) {
+			if prev != nil {
+				prev(p)
+			}
+			if tb.training {
+				return
+			}
+			for _, ev := range hostmon.EventsFromPacket(p, tb.Sim.Now()) {
+				ev.HostIdx = idx
+				for _, agent := range agents {
+					agent.Observe(ev)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Bind ties the testbed's simulation to ctx: the kernel consults
@@ -265,6 +301,9 @@ func bindSim(ctx context.Context, sim *simtime.Sim) {
 // not scoreable and the experiment must be reported as interrupted.
 func (tb *Testbed) Interrupted() error {
 	if err := tb.Sim.Interrupted(); err != nil {
+		if len(tb.deps) > 1 {
+			return fmt.Errorf("eval: run of %d deployments interrupted: %w", len(tb.deps), err)
+		}
 		return fmt.Errorf("eval: %s run interrupted: %w", tb.Spec.Name, err)
 	}
 	return nil
@@ -293,18 +332,22 @@ var OfferHook func(p *packet.Packet, training bool)
 // deployments. The twins of a sensor prescan its pending batch at one
 // instant, so an entry is reused within a batch or two of its store: 16
 // entries already reach the 1 − 1/deployments hit rate for every
-// product, and more would only keep more payloads alive.
+// product, and on a field's testbeds, where the key's matcher keeps the
+// products apart, 64 save about 1% of the scans while keeping four
+// times the payloads alive.
 const sharedScanEntries = 16
 
-// offer trains the one learned profile on a tapped packet, or hands the
-// packet to every deployment, in order, and returns their joint pass
-// verdict (the one IDS's, in-line).
+// offer trains each field entry's learned profile on a tapped packet,
+// once, or hands the packet to every deployment, in order, and returns
+// their joint pass verdict (the one IDS's, in-line).
 func (tb *Testbed) offer(p *packet.Packet) bool {
 	if OfferHook != nil {
 		OfferHook(p, tb.training)
 	}
 	if tb.training {
-		tb.IDS.Train(p)
+		for _, l := range tb.learners {
+			l.Train(p)
+		}
 		return true
 	}
 	pass := true

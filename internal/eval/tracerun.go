@@ -58,7 +58,7 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 		}
 	}
 
-	return scoreAccuracy(tb, tb.IDS, sensitivity,
+	return scoreAccuracy(tb, tb.deps[0], sensitivity,
 		shiftIncidents(tr.Incidents, tr.Records[0].At, replayStart), len(convs))
 }
 
@@ -122,7 +122,7 @@ func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.R
 	sp.End()
 
 	sp = reg.StartSpan("replay.score")
-	res, err := scoreAccuracy(tb, tb.IDS, sensitivity,
+	res, err := scoreAccuracy(tb, tb.deps[0], sensitivity,
 		shiftIncidents(rd.Incidents(), st.FirstAt, replayStart), len(convs))
 	sp.End()
 	return res, err

@@ -3,6 +3,7 @@ package requirements
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,5 +269,87 @@ func TestPropertyDeriveWeightsIsSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomSet draws a valid requirement set over the registry's metrics:
+// one to eight requirements, least important first, with nondecreasing
+// weights (ties are the partial order's duplicates), each contributing
+// to one to five distinct metrics.
+func randomSet(rng *rand.Rand, all []core.Metric) *Set {
+	s := &Set{}
+	w := 0.5 + 1.5*rng.Float64()
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		if i > 0 && rng.Intn(3) > 0 {
+			w += 3 * rng.Float64()
+		}
+		var ids []string
+		for _, k := range rng.Perm(len(all))[:1+rng.Intn(5)] {
+			ids = append(ids, all[k].ID)
+		}
+		s.Requirements = append(s.Requirements, Requirement{Name: "r", Weight: w, Contributes: ids})
+	}
+	return s
+}
+
+// Property: Figure 6 respects the least-to-most order. Raising one
+// requirement's weight, within the order, raises exactly the metrics it
+// contributes to, by the raise, and lowers none; and a metric fed only
+// by requirement i weighs no more than a metric fed only by a later
+// requirement j.
+func TestPropertyFigure6RespectsOrder(t *testing.T) {
+	r := reg(t)
+	all := r.All()
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 300; trial++ {
+		s := randomSet(rng, all)
+		base, err := DeriveWeights(s, r)
+		if err != nil {
+			t.Fatalf("trial %d: valid set refused: %v", trial, err)
+		}
+
+		// Raise requirement i by delta, keeping it at or below i+1.
+		n := len(s.Requirements)
+		i := rng.Intn(n)
+		delta := 1 + 4*rng.Float64()
+		if i < n-1 {
+			delta = (s.Requirements[i+1].Weight - s.Requirements[i].Weight) * rng.Float64()
+		}
+		raised := &Set{Requirements: append([]Requirement(nil), s.Requirements...)}
+		raised.Requirements[i].Weight += delta
+		got, err := DeriveWeights(raised, r)
+		if err != nil {
+			t.Fatalf("trial %d: raising requirement %d by %v broke the order: %v", trial, i, delta, err)
+		}
+		fed := make(map[string]bool)
+		for _, id := range s.Requirements[i].Contributes {
+			fed[id] = true
+		}
+		for _, m := range all {
+			want := base[m.ID]
+			if fed[m.ID] {
+				want += delta
+			}
+			if math.Abs(got[m.ID]-want) > 1e-9 {
+				t.Fatalf("trial %d: raising requirement %d by %v moved %s from %v to %v, want %v",
+					trial, i, delta, m.ID, base[m.ID], got[m.ID], want)
+			}
+		}
+
+		// Metrics fed by exactly one requirement keep that order.
+		feeders := make(map[string][]int)
+		for k, rq := range s.Requirements {
+			for _, id := range rq.Contributes {
+				feeders[id] = append(feeders[id], k)
+			}
+		}
+		for a, fa := range feeders {
+			for b, fb := range feeders {
+				if len(fa) == 1 && len(fb) == 1 && fa[0] < fb[0] && base[a] > base[b] {
+					t.Fatalf("trial %d: %s, fed only by requirement %d, weighs %v, more than %s (%v), fed only by the later %d",
+						trial, a, fa[0], base[a], b, base[b], fb[0])
+				}
+			}
+		}
 	}
 }

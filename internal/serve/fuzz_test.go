@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fsio"
+	"repro/internal/packet"
+	"repro/internal/trace"
 )
 
 // FuzzServeHello decodes a Hello payload into StreamMeta the way
@@ -53,6 +56,98 @@ func FuzzServeHello(f *testing.F) {
 			t.Fatalf("opened stream's campaign does not plan: %v", err)
 		}
 	})
+}
+
+// FuzzServeFinish decodes a Finish payload the way handleConn does and
+// hands it to Service.Finish for a fresh stream that has acked k%4
+// chunks of a valid IDT2 trace. A payload that does not decode is
+// refused by handleConn itself. Otherwise Finish either refuses with a
+// *ProtocolError or *RejectError, shedding the stream when the declared
+// totals disagree with the acked ones, or delivers the stream to the
+// evaluation queue, which it must do exactly when the totals agree over
+// a non-empty spool. The seed corpus is testdata/fuzz/FuzzServeFinish:
+// the valid payload for two chunks, negative bytes, chunks of 2^32 and
+// more, trailing data and wrong types.
+func FuzzServeFinish(f *testing.F) {
+	data := finishTrace(f)
+	f.Fuzz(func(t *testing.T, payload []byte, k uint8) {
+		svc, err := Open(Config{Dir: t.TempDir(), EvalWorkers: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		const name = "fin"
+		if _, err := svc.Hello(StreamMeta{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		chunks := chunk(data, int(k%4))
+		for i, c := range chunks {
+			if _, err := svc.Accept(name, uint32(i), c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var req finishReq
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return
+		}
+		err = svc.Finish(name, req.Chunks, req.Bytes)
+		var ackedBytes int64
+		for _, c := range chunks {
+			ackedBytes += int64(len(c))
+		}
+		acked := req.Chunks == uint64(len(chunks)) && req.Bytes == ackedBytes
+		svc.mu.Lock()
+		st := svc.streams[name]
+		svc.mu.Unlock()
+		st.mu.Lock()
+		state := st.state
+		st.mu.Unlock()
+		var pe *ProtocolError
+		var re *RejectError
+		switch {
+		case err == nil && !acked:
+			t.Fatalf("Finish(%d, %d) delivered a stream that acked %d / %d", req.Chunks, req.Bytes, len(chunks), ackedBytes)
+		case err == nil && state != StateQueued:
+			t.Fatalf("Finish(%d, %d) returned nil, leaving the stream %s", req.Chunks, req.Bytes, state)
+		case err == nil:
+		case !errors.As(err, &pe) && !errors.As(err, &re):
+			t.Fatalf("Finish(%d, %d): %v, want a protocol or reject error", req.Chunks, req.Bytes, err)
+		case acked && len(chunks) > 0:
+			t.Fatalf("Finish of the acked totals (%d, %d) refused: %v", req.Chunks, req.Bytes, err)
+		case !acked && state != StateShed:
+			t.Fatalf("Finish(%d, %d) disagreed with the acked totals but left the stream %s", req.Chunks, req.Bytes, state)
+		}
+	})
+}
+
+// finishTrace is the IDT2 trace FuzzServeFinish streams: two packets.
+func finishTrace(t testing.TB) []byte {
+	t.Helper()
+	tr := &trace.Trace{Profile: "fuzz"}
+	for i := 0; i < 2; i++ {
+		p := &packet.Packet{
+			Src: packet.IPv4(203, 0, 1, 1), Dst: packet.IPv4(10, 1, 1, 1),
+			SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP, Flags: packet.ACK,
+			Payload: []byte("GET / HTTP/1.0\r\n\r\n"),
+		}
+		if err := tr.Append(time.Duration(i)*time.Millisecond, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteStream(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// chunk splits data into k nearly equal pieces (none when k is 0).
+func chunk(data []byte, k int) [][]byte {
+	var out [][]byte
+	for i := 0; i < k; i++ {
+		out = append(out, data[i*len(data)/k:(i+1)*len(data)/k])
+	}
+	return out
 }
 
 // mustJSON marshals v as the meta record's encoder does, minus indent.

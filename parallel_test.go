@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/products"
 	"repro/internal/report"
+	"repro/internal/requirements"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -27,6 +29,12 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from this 
 // recorded on linux/amd64; if another GOARCH renders differently (FMA
 // fusion, say), that GOARCH gets a golden of its own rather than a skip.
 const quickGolden = "testdata/quick_scorecards.golden"
+
+// fullGolden holds the seed-11 full-size evaluation of the field as
+// idseval prints it: every scorecard report, the three score matrices,
+// and the weighted ranking under the realtime and the distributed
+// postures.
+const fullGolden = "testdata/full_scorecards.golden"
 
 // checkGolden compares got with the golden file at path and names the
 // first differing line; with -update it rewrites the file instead.
@@ -94,6 +102,54 @@ func TestParallelEvaluationMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d output differs from serial run (%d vs %d bytes)", workers, len(got), len(serial))
 		}
 	}
+}
+
+// TestFullScorecards pins the paper-size evaluation: one full seed-11
+// run of the field, rendered with both postures' rankings, against
+// fullGolden.
+func TestFullScorecards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full-size product matrix is too slow for -short")
+	}
+	reg := core.StandardRegistry()
+	evs, err := eval.EvaluateAll(context.Background(), products.All(), reg, eval.Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cards := make([]*core.Scorecard, len(evs))
+	for i, ev := range evs {
+		if err := report.EvaluationReport(&buf, ev); err != nil {
+			t.Fatal(err)
+		}
+		cards[i] = ev.Card
+	}
+	for _, c := range core.Classes {
+		fmt.Fprintf(&buf, "--- %s score matrix ---\n", c)
+		if err := report.ScoreMatrix(&buf, reg, c, cards, true); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("\n")
+	}
+	for _, p := range []struct {
+		name string
+		set  *requirements.Set
+	}{{"realtime", requirements.RealTimeEmphasis()}, {"distributed", requirements.DistributedEmphasis()}} {
+		w, err := requirements.DeriveWeights(p.set, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, err := core.Rank(cards, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "Requirements (%s posture):\n%s\n", p.name, p.set.Describe())
+		fmt.Fprintf(&buf, "--- weighted ranking (%s posture, Figure 5) ---\n", p.name)
+		if err := report.Ranking(&buf, ranked); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, fullGolden, buf.Bytes())
 }
 
 // TestParallelSweepMatchesSerial pins the same property for the
