@@ -126,11 +126,14 @@ idsbench:
 idsbench-smoke:
 	$(GO) -C cmd/idsbench test .
 
-# A twin sensor's prescan on a warm scan memo (detect.ScanMemo): every
-# match set is copied from the memo, which must cost exactly 0
-# allocs/op. The count is checked in the current run alone, so the
-# step needs no baseline file.
-PRESCANBENCH := PrescanSharedHit
+# Twin engines on a warm scan memo (detect.ScanMemo): a twin sensor's
+# prescan, whose every match set is copied from the memo
+# (PrescanSharedHit), and a reassembling twin's prescan and seam scans
+# beside an anomaly twin's inspection, whose entropies are read from
+# it (InspectSharedPayload). Each must cost exactly 0 allocs/op. The
+# count is checked in the current run alone, so the step needs no
+# baseline file.
+PRESCANBENCH := PrescanSharedHit|InspectSharedPayload
 
 # Event-kernel benchmarks: 1000 events through ScheduleAt
 # (BenchmarkScheduleRun), through one lane (BenchmarkLaneRun) and as

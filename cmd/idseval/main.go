@@ -263,7 +263,7 @@ func runShardedScale(ctx context.Context, out *os.File, field []products.Spec, o
 			HostsPerSegment: o.hosts,
 			Shards:          o.shards,
 			Duration:        o.duration,
-			Obs:             obsFlags.Registry().Sub(spec.Name + "."),
+			Obs:             obsFlags.Registry().Sub(spec.TelemetryName() + "."),
 		}
 		res, err := eval.RunShardedScale(ctx, spec, cfg)
 		if err != nil {

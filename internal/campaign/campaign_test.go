@@ -717,6 +717,42 @@ func TestRealSweepCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestReleasesKeepTheirOwnTelemetry runs quick evals of NetRecorder
+// 5.0 and 5.1 in one campaign: each release writes into instruments of
+// its own, so 5.0's ingest counter reads what 5.0 alone writes, and
+// 5.1's reads under NetRecorder_5_1.
+func TestReleasesKeepTheirOwnTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations; skipped in -short")
+	}
+	run := func(products ...string) *obs.Registry {
+		t.Helper()
+		spec := &campaign.Spec{Name: "releases", Seed: 11, Quick: true, Products: products, Evals: true}
+		dir := t.TempDir()
+		if err := campaign.SavePlan(dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		r := newRunner(dir, spec)
+		r.Obs = obs.NewRegistry()
+		if _, err := r.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return r.Obs
+	}
+	const v50, v51 = "eval.NetRecorder.accuracy.ids.ingested", "eval.NetRecorder_5_1.accuracy.ids.ingested"
+	alone := run("netrecorder").Counter(v50).Value()
+	if alone == 0 {
+		t.Fatal("NetRecorder alone ingested nothing; the check is vacuous")
+	}
+	both := run("netrecorder", "netrecorder:5.1")
+	if got := both.Counter(v50).Value(); got != alone {
+		t.Fatalf("%s = %d beside 5.1, want %d as alone", v50, got, alone)
+	}
+	if both.Counter(v51).Value() == 0 {
+		t.Fatalf("NetRecorder 5.1 wrote no %s", v51)
+	}
+}
+
 func TestRetryAfterTransientFailure(t *testing.T) {
 	dir := t.TempDir()
 	spec := syntheticSpec(t, 3)

@@ -86,6 +86,9 @@ type AnomalyEngine struct {
 	// inspected, so a rate window open at the end of training carries
 	// over.
 	rates map[packet.Addr]*rateTracker
+	// scans, when set, is the memo Train and Inspect read payload
+	// entropies through (ShareScans).
+	scans *ScanMemo
 
 	sensitivity float64
 	suppress    map[anomalySuppressKey]time.Duration
@@ -201,16 +204,21 @@ func (e *AnomalyEngine) Profile() *Profile { return e.profile }
 // ReadProfile implements Learner.
 func (e *AnomalyEngine) ReadProfile(pr *Profile) { e.profile = pr }
 
+// ShareScans implements ScanSharer: Train and Inspect read each
+// payload's entropy through memo.
+func (e *AnomalyEngine) ShareScans(memo *ScanMemo) { e.scans = memo }
+
 // Train implements Engine: fold one known-benign packet into the
 // baseline the engine reads.
-func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) { e.profile.Train(p, now) }
+func (e *AnomalyEngine) Train(p *packet.Packet, now time.Duration) { e.profile.Train(p, now, e.scans) }
 
-// Train folds one known-benign packet into the baseline. All training
-// must precede the first Inspect of every engine that reads the
-// profile: an engine copies a source's trained rate tracker when it
-// first inspects that source, and does not see later training of it.
-// Every testbed trains before it inspects.
-func (pr *Profile) Train(p *packet.Packet, now time.Duration) {
+// Train folds one known-benign packet into the baseline, reading the
+// payload's entropy through memo (nil computes it). All training must
+// precede the first Inspect of every engine that reads the profile: an
+// engine copies a source's trained rate tracker when it first inspects
+// that source, and does not see later training of it. Every testbed
+// trains before it inspects.
+func (pr *Profile) Train(p *packet.Packet, now time.Duration, memo *ScanMemo) {
 	sk := serviceKey(p)
 	sp, ok := pr.services[sk]
 	if !ok {
@@ -223,7 +231,7 @@ func (pr *Profile) Train(p *packet.Packet, now time.Duration) {
 		if len(p.Payload) >= 64 {
 			// Mirror the inspection-side gate: entropy baselines are
 			// built only from payloads large enough to estimate it.
-			sp.entropy.add(Entropy(p.Payload))
+			sp.entropy.add(memo.entropy(p.Payload))
 		}
 	}
 	pr.pairs[pairKey(p)] = true
@@ -293,7 +301,7 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 			// are judged on length only.
 			ze := 0.0
 			if len(p.Payload) >= 64 {
-				ze = sp.entropy.z(Entropy(p.Payload), 0.25)
+				ze = sp.entropy.z(e.scans.entropy(p.Payload), 0.25)
 			}
 			zt := e.zThreshold()
 			if (zl > zt || ze > zt) && !e.suppressed(causeContent, p, now) {

@@ -64,23 +64,32 @@ type Engine interface {
 // batched inspection. An engine implementing it can split inspection in
 // two: a pure content-scan phase that runs over a whole batch of queued
 // payloads at once (one interleaved automaton pass), and the stateful
-// phase — suppression, thresholds, alert assembly — which still runs per
-// packet at that packet's own inspection time. The contract that keeps
-// batching invisible: PrescanBatch must not mutate engine state, and
-// InspectPrescanned(p, now, i) must return exactly Inspect(p, now) when
-// i's memoized payload is p's. Batch boundaries therefore cannot change
-// alert content, ordering, suppression, or threshold behaviour.
+// phase — stream reassembly, suppression, thresholds, alert assembly —
+// which still runs per packet at that packet's own inspection time. The
+// contract that keeps batching invisible: PrescanBatch must not mutate
+// engine state, and InspectPrescanned(p, now, i) must return exactly
+// Inspect(p, now) when i's memoized payload is p's. Batch boundaries
+// therefore cannot change alert content, ordering, suppression,
+// thresholds or flow tails. A reassembling engine prescans each payload
+// alone and scans only the seam where a flow's tail meets the payload
+// at inspection time (DESIGN §12.3).
 type Prescanning interface {
 	Engine
 	// PrescanBatch scans the payload batch, memoizing per-payload match
 	// sets keyed by position. It reports false — scanning nothing — when
-	// prescanning is currently unsafe (e.g. stream reassembly makes scan
-	// input stateful); the caller then falls back to Inspect.
+	// the engine has no content scan to batch (a hybrid whose signature
+	// child cannot prescan); the caller then falls back to Inspect.
 	PrescanBatch(payloads [][]byte) bool
 	// InspectPrescanned is Inspect with the content scan replaced by the
 	// idx-th memoized prescan result.
 	InspectPrescanned(p *packet.Packet, now time.Duration, idx int) []Alert
-	// ShareScans makes PrescanBatch resolve its payloads through memo,
+}
+
+// ScanSharer is the optional capability of an engine that derives
+// something from payload bytes which a ScanMemo can remember: a
+// signature engine's match sets, an anomaly engine's entropies.
+type ScanSharer interface {
+	// ShareScans makes the engine derive payload features through memo,
 	// which other engines on the same goroutine may share.
 	ShareScans(memo *ScanMemo)
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -89,7 +90,9 @@ func fuzzPatterns(spec []byte) [][]byte {
 // engines with different corpora share the memo, as twin sensors
 // would, and an engine's memoized batch must stay right after the
 // other's prescan has flushed the memo. A second pass replays every
-// batch, so that every identity has been met before.
+// batch, so that every identity has been met before. Every payload's
+// entropy read through the memo after its batch must equal Entropy's,
+// bit for bit, whether it hits, misses or follows a capacity flush.
 func FuzzScanMemoEquivalence(f *testing.F) {
 	// Repeated identities and one start at several lengths, in a memo
 	// of two entries.
@@ -101,6 +104,13 @@ func FuzzScanMemoEquivalence(f *testing.F) {
 	// Empty payloads, and both engines alternating over one batch shape.
 	f.Add([]byte("\x02\x90\x90\x90"), []byte("\x90\x90\x90\x90\x90\x90"),
 		[]byte("\x00\x00\x00\x00\x06\x02\x00\x06\x03\x01\x00\x03\x02\x02\x01"), uint8(7))
+	// Two payloads of one length and different bytes, then a hit.
+	f.Add([]byte("\x03cat"), []byte("cat /etc/passwd as root"),
+		[]byte("\x00\x08\x00\x08\x08\x02\x00\x08\x02"), uint8(3))
+	// Payloads of 64 B and more beside short ones, in a memo of one
+	// entry that every store flushes.
+	f.Add([]byte("\x04admin\x03root"), bytes.Repeat([]byte("admin root \x00\xff"), 8),
+		[]byte("\x00\x58\x02\x00\x40\x00\x08\x10\x03\x00\x58\x02"), uint8(0))
 
 	f.Fuzz(func(t *testing.T, spec, data, plan []byte, capacity uint8) {
 		pats := fuzzPatterns(spec)
@@ -150,11 +160,16 @@ func FuzzScanMemoEquivalence(f *testing.F) {
 			for b, batch := range batches {
 				e := engines[owner[b]]
 				if !e.PrescanBatch(batch) {
-					t.Fatal("a non-reassembling engine refused to prescan")
+					t.Fatal("a signature engine refused to prescan")
 				}
 				last[owner[b]] = batch
 				for i, e := range engines {
 					check(e, last[i])
+				}
+				for _, p := range batch {
+					if got, want := memo.entropy(p), Entropy(p); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("payload %q: memoized entropy %v, Entropy %v", p, got, want)
+					}
 				}
 			}
 		}

@@ -99,10 +99,12 @@ func (e *HybridEngine) PrescanBatch(payloads [][]byte) bool {
 	return ok && ps.PrescanBatch(payloads)
 }
 
-// ShareScans implements Prescanning for the signature child.
+// ShareScans implements ScanSharer for both children.
 func (e *HybridEngine) ShareScans(memo *ScanMemo) {
-	if ps, ok := e.sig.(Prescanning); ok {
-		ps.ShareScans(memo)
+	for _, child := range []Engine{e.sig, e.anom} {
+		if s, ok := child.(ScanSharer); ok {
+			s.ShareScans(memo)
+		}
 	}
 }
 

@@ -1,29 +1,33 @@
 package detect
 
-// ScanMemo remembers the match sets of payloads already scanned, so
-// that engines which meet the same payloads scan each one once: the
-// deployments of a sweep testbed prescan the same pending batch at the
-// same instant, and a throughput search re-ingests one packet pool on
-// every probe.
+// ScanMemo remembers what engines derive from a payload's bytes — its
+// match set under a matcher, and its entropy — so that engines which
+// meet the same payloads derive each once: the deployments of a shared
+// testbed prescan the same pending batch and inspect the same packet at
+// the same instant, and a throughput search re-ingests one packet pool
+// on every probe.
 //
 // An entry is keyed by the payload's identity — the address of its
-// first byte and its length — and by the matcher, so engines compiled
-// from different corpora can share a memo. The key holds that address,
-// which keeps the payload's memory alive while the entry is cached, so
-// the identity cannot be reused by another payload. The memo is
-// therefore only correct over payloads that nobody writes while they
-// may be cached: garbage-collected bytes that are read-only once sent.
-// Trace replay recycles its payload arenas in place (DESIGN §8.2) and
-// must never install one.
+// first byte and its length — and a match set also by the matcher, so
+// engines compiled from different corpora can share a memo. The key
+// holds that address, which keeps the payload's memory alive while the
+// entry is cached, so the identity cannot be reused by another payload.
+// The memo is therefore only correct over payloads that nobody writes
+// while they may be cached: garbage-collected bytes that are read-only
+// once sent. Trace replay recycles its payload arenas in place (DESIGN
+// §8.2) and must never install one.
 //
-// A ScanMemo is used from a single goroutine. When a store finds it
-// full it forgets every entry (a capacity flush) and starts again;
-// match sets live back to back in one reused arena, so a warm memo
-// resolves a batch without allocating.
+// A ScanMemo is used from a single goroutine. It holds at most capacity
+// match sets and capacity entropies; when a store finds its kind full
+// it forgets every entry of that kind (a capacity flush) and starts
+// again. Match sets live back to back in one reused arena, so a warm
+// memo resolves a batch without allocating. A nil *ScanMemo derives
+// every entropy directly.
 type ScanMemo struct {
-	capacity int
-	index    map[memoKey]memoSpan
-	arena    []int32
+	capacity  int
+	index     map[memoKey]memoSpan
+	arena     []int32
+	entropies map[payloadID]float64
 
 	// Per-batch scratch: each payload's span, the payloads that missed,
 	// and their scan.
@@ -32,11 +36,19 @@ type ScanMemo struct {
 	scan   BatchBuf
 }
 
-// memoKey is one payload's identity under one matcher.
-type memoKey struct {
-	m     *Matcher
+// payloadID is a payload's identity: its first byte and its length.
+type payloadID struct {
 	first *byte
 	n     int
+}
+
+// idOf returns p's identity; p must not be empty.
+func idOf(p []byte) payloadID { return payloadID{&p[0], len(p)} }
+
+// memoKey is one payload's identity under one matcher.
+type memoKey struct {
+	m  *Matcher
+	id payloadID
 }
 
 // memoSpan locates a match set: arena[off:off+n] when cached. For a
@@ -44,9 +56,13 @@ type memoKey struct {
 type memoSpan struct{ off, n int32 }
 
 // NewScanMemo returns an empty memo holding at most capacity (>= 1)
-// match sets between flushes.
+// match sets, and as many entropies, between flushes.
 func NewScanMemo(capacity int) *ScanMemo {
-	return &ScanMemo{capacity: capacity, index: make(map[memoKey]memoSpan, capacity)}
+	return &ScanMemo{
+		capacity:  capacity,
+		index:     make(map[memoKey]memoSpan, capacity),
+		entropies: make(map[payloadID]float64, capacity),
+	}
 }
 
 // scanBatch fills buf exactly as m.ScanBatch(payloads, buf) would. Each
@@ -58,7 +74,7 @@ func (c *ScanMemo) scanBatch(m *Matcher, payloads [][]byte, buf *BatchBuf) {
 		// An empty payload matches nothing and has no first byte.
 		sp, ok := memoSpan{}, len(p) == 0
 		if !ok {
-			sp, ok = c.index[memoKey{m, &p[0], len(p)}]
+			sp, ok = c.index[memoKey{m, idOf(p)}]
 		}
 		if !ok {
 			sp = memoSpan{off: -1, n: int32(len(c.misses))}
@@ -82,7 +98,7 @@ func (c *ScanMemo) scanBatch(m *Matcher, payloads [][]byte, buf *BatchBuf) {
 		buf.offs = append(buf.offs, int32(len(buf.arena)))
 	}
 	for i, p := range c.misses {
-		c.store(memoKey{m, &p[0], len(p)}, c.scan.Hits(i))
+		c.store(memoKey{m, idOf(p)}, c.scan.Hits(i))
 	}
 	clear(c.misses)
 }
@@ -99,4 +115,22 @@ func (c *ScanMemo) store(k memoKey, hits []int32) {
 	}
 	c.index[k] = memoSpan{off: int32(len(c.arena)), n: int32(len(hits))}
 	c.arena = append(c.arena, hits...)
+}
+
+// entropy returns Entropy(p), computing it once per payload identity
+// while the memo holds it. A nil memo computes it every time.
+func (c *ScanMemo) entropy(p []byte) float64 {
+	if c == nil || len(p) == 0 {
+		return Entropy(p)
+	}
+	id := idOf(p)
+	if h, ok := c.entropies[id]; ok {
+		return h
+	}
+	if len(c.entropies) >= c.capacity {
+		clear(c.entropies)
+	}
+	h := Entropy(p)
+	c.entropies[id] = h
+	return h
 }

@@ -371,3 +371,73 @@ func BenchmarkPrescanSharedHit(b *testing.B) {
 		twin.PrescanBatch(payloads)
 	}
 }
+
+// sharedPayloadTwins is a warm shared testbed's inspection: 32 packets
+// of 512 B on one flow, every fourth carrying a high-fidelity
+// signature, whose match sets and entropies a first reassembling engine
+// and a first anomaly engine, which trained the profile, have already
+// stored in a shared memo. The twins returned read that memo, and have
+// inspected the packets twice, so flow tails, suppression holdoffs and
+// rate trackers are warm.
+func sharedPayloadTwins() (sig *SignatureEngine, anom *AnomalyEngine, pkts []*packet.Packet, payloads [][]byte) {
+	payloads = batchPayloads(32, 512)
+	for i := 0; i < len(payloads); i += 4 {
+		copy(payloads[i], "GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd")
+	}
+	for _, p := range payloads {
+		pkt := benignPacket()
+		pkt.Payload = p
+		pkts = append(pkts, pkt)
+	}
+	memo := NewScanMemo(len(payloads))
+	first, firstAnom := NewReassemblingSignatureEngine(), NewAnomalyEngine()
+	sig, anom = NewReassemblingSignatureEngine(), NewAnomalyEngine()
+	anom.ReadProfile(firstAnom.Profile())
+	for _, e := range []ScanSharer{first, firstAnom, sig, anom} {
+		e.ShareScans(memo)
+	}
+	for _, p := range pkts {
+		firstAnom.Train(p, 0)
+	}
+	first.PrescanBatch(payloads)
+	inspectShared(sig, anom, pkts, payloads)
+	inspectShared(sig, anom, pkts, payloads)
+	return sig, anom, pkts, payloads
+}
+
+// inspectShared is one op: the reassembling twin prescans the batch and
+// inspects each packet, scanning only its seam, and the anomaly twin
+// inspects each packet.
+func inspectShared(sig *SignatureEngine, anom *AnomalyEngine, pkts []*packet.Packet, payloads [][]byte) {
+	const now = time.Second
+	sig.PrescanBatch(payloads)
+	for i, p := range pkts {
+		sig.InspectPrescanned(p, now, i)
+		anom.Inspect(p, now)
+	}
+}
+
+// TestInspectSharedPayloadZeroAllocs pins a warm memo's inspection at
+// zero allocations per op: match sets and entropies are read from the
+// memo, and the seam scan and its union reuse the engine's buffers.
+func TestInspectSharedPayloadZeroAllocs(t *testing.T) {
+	sig, anom, pkts, payloads := sharedPayloadTwins()
+	allocs := testing.AllocsPerRun(100, func() {
+		inspectShared(sig, anom, pkts, payloads)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm-memo inspection allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkInspectSharedPayload times twin engines' inspection of a
+// batch on a warm memo. benchgate requires 0 allocs/op.
+func BenchmarkInspectSharedPayload(b *testing.B) {
+	sig, anom, pkts, payloads := sharedPayloadTwins()
+	b.SetBytes(32 * 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inspectShared(sig, anom, pkts, payloads)
+	}
+}

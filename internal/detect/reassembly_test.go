@@ -2,6 +2,7 @@ package detect
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -148,9 +149,9 @@ func TestStealthySingleByteFragments(t *testing.T) {
 // --- Batching interaction -------------------------------------------------
 //
 // The batched-scan contract (Prescanning) says batch boundaries can never
-// change alert output, and that a reassembling engine must refuse to
-// prescan at all: reassembly makes the scan input depend on mutable
-// per-flow state, so its scans are not pure.
+// change alert output. A reassembling engine prescans each payload alone
+// and, at inspection, advances the flow's tail and scans only the seam
+// where the tail meets the payload (DESIGN §12.3).
 
 // feedOneBatch drives an engine the way a sensor with a deep queue does:
 // one PrescanBatch over every payload, then per-packet inspection against
@@ -235,21 +236,9 @@ func TestBatchBoundariesDoNotChangeAlerts(t *testing.T) {
 	}
 }
 
-// TestReassemblingEngineRefusesPrescan pins the purity gate: an engine
-// with cross-segment reassembly must decline batch prescans (its scan
-// input depends on mutable flow tails), while the stock engine accepts.
-func TestReassemblingEngineRefusesPrescan(t *testing.T) {
-	if NewReassemblingSignatureEngine().PrescanBatch([][]byte{[]byte("x")}) {
-		t.Fatal("reassembling engine accepted a batch prescan")
-	}
-	if !NewStandardSignatureEngine().PrescanBatch([][]byte{[]byte("x")}) {
-		t.Fatal("stock engine refused a batch prescan")
-	}
-}
-
 // TestReassemblySegmentsAcrossBatches feeds a pattern split across two
 // TCP segments through all three feed shapes: alerts must be identical
-// (the refused prescan forces every shape onto the scalar path) and the
+// (each prescanned shape finds the split pattern in the seam) and the
 // cross-segment match must fire, proving batching cannot cost the engine
 // its reassembly catches.
 func TestReassemblySegmentsAcrossBatches(t *testing.T) {
@@ -277,9 +266,9 @@ func TestReassemblySegmentsAcrossBatches(t *testing.T) {
 }
 
 // TestInspectPrescannedFallsBackWhenReassembling pins the defensive
-// fallback: even if a caller wrongly asks a reassembling engine for a
-// prescanned inspection, it silently takes the scalar path and produces
-// exactly Inspect's output.
+// fallback: a reassembling engine asked for an entry its last prescan
+// does not hold takes the scalar path and produces exactly Inspect's
+// output.
 func TestInspectPrescannedFallsBackWhenReassembling(t *testing.T) {
 	p := segPkt(1000, packet.ACK, "GET /cgi-bin/phf HTTP/1.0")
 	got := NewReassemblingSignatureEngine().InspectPrescanned(p, time.Millisecond, 0)
@@ -369,6 +358,112 @@ func FuzzReassemblerEquivalence(f *testing.F) {
 			}
 			if len(r.flows) != len(ref.streams) {
 				t.Fatalf("segment %d: %d flows tracked, reference %d", seg, len(r.flows), len(ref.streams))
+			}
+		}
+	})
+}
+
+// FuzzReassemblingPrescanEquivalence holds the seam (DESIGN §12.3): two
+// reassembling twins that prescan through one shared memo, each in
+// batches of its own shape, must raise exactly a scalar engine's
+// alerts, packet for packet. Segments are framed as in
+// FuzzReassemblerEquivalence — a control byte (flow id in the low 3
+// bits, 0x08 FIN, 0x10 RST, 0x20 UDP), a length byte and the payload —
+// and control bits 0x40 and 0x80 end the first and the second twin's
+// batch after the segment. The segments run twice, so the second pass
+// meets every payload identity again, and all three engines evict
+// their flow tables at one MaxFlows. No alert is suppressed, so a wrong
+// match set cannot hide behind a holdoff.
+func FuzzReassemblingPrescanEquivalence(f *testing.F) {
+	seg := func(ctl byte, payload string) []byte {
+		return append([]byte{ctl, byte(len(payload))}, payload...)
+	}
+	// A pattern as long as the corpus allows split at every seam
+	// offset, on rotating flows closed by FIN, in two batch shapes.
+	const phf = "cgi-bin/phf"
+	var split []byte
+	for k := 1; k < len(phf); k++ {
+		flow := byte(k % 8)
+		split = append(split, seg(flow|0x40*byte(k%3/2), "xx"+phf[:k])...)
+		split = append(split, seg(flow|0x08|0x80*byte(k%2), phf[k:]+"yy")...)
+	}
+	f.Add([]byte("\x0acgi-bin/phf\x02bin"), uint8(3), uint8(7), split)
+	// A pattern wholly inside the tail, which the joined scan finds
+	// again on the next segment.
+	f.Add([]byte("\x05abcdef\x01ab"), uint8(0), uint8(7),
+		bytes.Join([][]byte{seg(0, "xxabx"), seg(0x40, "zzzzzz"), seg(0x08, "q")}, nil))
+	// Tails shorter than tailLen, then a UDP and an empty segment.
+	f.Add([]byte("\x0acgi-bin/phf"), uint8(7), uint8(7),
+		bytes.Join([][]byte{seg(1, "cg"), seg(0x81, "i-b"), seg(0x41, "in/phf"), seg(0x22, phf), seg(0xc2, "")}, nil))
+	// One tracked flow: the second flow evicts the first's tail.
+	f.Add([]byte("\x0acgi-bin/phf"), uint8(1), uint8(0),
+		bytes.Join([][]byte{seg(0, "cgi-b"), seg(1, "zz"), seg(0xc0, "in/phf")}, nil))
+
+	f.Fuzz(func(t *testing.T, spec []byte, capacity, maxFlows uint8, ops []byte) {
+		pats := fuzzPatterns(spec)
+		rules := make([]ContentRule, len(pats))
+		for i, pat := range pats {
+			rules[i] = ContentRule{Name: fmt.Sprint(i), Technique: "fuzz", Pattern: pat, Severity: 1, Fidelity: 1}
+		}
+		newEngine := func() *SignatureEngine {
+			e := NewSignatureEngine(rules, nil)
+			e.EnableReassembly()
+			e.reassembler.MaxFlows = int(maxFlows%8) + 1
+			e.SuppressWindow = 0
+			return e
+		}
+		ref := newEngine()
+		memo := NewScanMemo(int(capacity)%8 + 1)
+		twins := [2]*SignatureEngine{newEngine(), newEngine()}
+		for _, tw := range twins {
+			tw.ShareScans(memo)
+		}
+
+		var pkts []*packet.Packet
+		var ends [2][]bool // ends[w][i]: twin w's batch ends after segment i
+		for len(ops) >= 2 && len(pkts) < 64 {
+			ctl, n := ops[0], min(int(ops[1])%64, len(ops)-2)
+			ops = ops[2:]
+			var flags packet.TCPFlags = packet.ACK
+			if ctl&0x08 != 0 {
+				flags |= packet.FIN
+			}
+			if ctl&0x10 != 0 {
+				flags |= packet.RST
+			}
+			p := segPkt(1000+uint16(ctl&0x07), flags, "")
+			p.Payload = ops[:n:n]
+			if ctl&0x20 != 0 {
+				p.Proto = packet.ProtoUDP
+			}
+			ops = ops[n:]
+			pkts = append(pkts, p)
+			ends[0] = append(ends[0], ctl&0x40 != 0)
+			ends[1] = append(ends[1], ctl&0x80 != 0)
+		}
+		seq := append(pkts[:len(pkts):len(pkts)], pkts...)
+		var from, to [2]int
+		var batch [][]byte
+		for k, p := range seq {
+			now := time.Duration(k) * time.Millisecond
+			want := ref.Inspect(p, now)
+			for w, tw := range twins {
+				if k == to[w] {
+					from[w], to[w] = k, k+1
+					for to[w] < len(seq) && !ends[w][(to[w]-1)%len(pkts)] {
+						to[w]++
+					}
+					batch = batch[:0]
+					for _, q := range seq[k:to[w]] {
+						batch = append(batch, q.Payload)
+					}
+					if !tw.PrescanBatch(batch) {
+						t.Fatal("a reassembling engine refused to prescan")
+					}
+				}
+				if got := tw.InspectPrescanned(p, now, k-from[w]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("segment %d (%q), twin %d: prescanned alerts %v, scalar %v", k, p.Payload, w, got, want)
+				}
 			}
 		}
 	})

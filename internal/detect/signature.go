@@ -174,6 +174,9 @@ type SignatureEngine struct {
 	// scans, when set, is the memo PrescanBatch resolves payloads
 	// through (ShareScans).
 	scans *ScanMemo
+	// merged holds a prescanned payload's match set joined with its
+	// seam's (withSeam).
+	merged []int32
 	// PrescanBatches/PrescanPackets count batched-scan usage.
 	PrescanBatches uint64
 	PrescanPackets uint64
@@ -338,11 +341,11 @@ func (e *SignatureEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 
 // inspect is the shared inspection body: when prescanned is set, hits is
 // the memoized sorted distinct match set for p's payload (from
-// PrescanBatch) and the content scan is skipped; otherwise the payload
-// (with reassembly, if enabled) is scanned inline. Everything stateful —
-// fidelity filtering, suppression, thresholds — runs here, at the
-// packet's own inspection time, so batching is invisible to alert
-// content and ordering.
+// PrescanBatch), and only the reassembly seam, if any, is scanned;
+// otherwise the payload (with reassembly, if enabled) is scanned inline.
+// Everything stateful — flow tails, fidelity filtering, suppression,
+// thresholds — runs here, at the packet's own inspection time, so
+// batching is invisible to alert content and ordering.
 func (e *SignatureEngine) inspect(p *packet.Packet, now time.Duration, hits []int32, prescanned bool) []Alert {
 	e.Inspected++
 	e.maybePrune(now)
@@ -350,12 +353,15 @@ func (e *SignatureEngine) inspect(p *packet.Packet, now time.Duration, hits []in
 	minFidelity := 1 - e.sensitivity
 
 	if len(p.Payload) > 0 {
-		if !prescanned {
+		switch {
+		case !prescanned:
 			data := p.Payload
 			if e.reassembler != nil {
 				data = e.reassembler.Extend(p)
 			}
 			hits = e.matcher.ScanSetInto(data, &e.scanBuf)
+		case e.reassembler != nil:
+			hits = e.withSeam(p, hits)
 		}
 		for _, idx := range hits {
 			r := e.rules[idx]
@@ -400,19 +406,52 @@ func (e *SignatureEngine) inspect(p *packet.Packet, now time.Duration, hits []in
 	return alerts
 }
 
+// withSeam advances p's flow tail exactly as the inline scan does and
+// returns the match set of the tail joined with the payload, given hits,
+// the payload's own. Patterns are at most tailLen+1 bytes long and the
+// tail holds at most tailLen, so a match starting in the tail ends within
+// the payload's first tailLen bytes, and one starting in the payload lies
+// wholly in it: hits and the seam — the tail and those first bytes —
+// together hold every match (DESIGN §12.3).
+func (e *SignatureEngine) withSeam(p *packet.Packet, hits []int32) []int32 {
+	joined := e.reassembler.Extend(p)
+	tail := len(joined) - len(p.Payload)
+	if tail == 0 {
+		return hits
+	}
+	seam := e.matcher.ScanSetInto(joined[:min(len(joined), tail+e.reassembler.tailLen)], &e.scanBuf)
+	if len(seam) == 0 {
+		return hits
+	}
+	e.merged = unionInto(e.merged[:0], hits, seam)
+	return e.merged
+}
+
+// unionInto appends the union of the sorted distinct sets a and b to
+// dst, sorted and distinct.
+func unionInto(dst, a, b []int32) []int32 {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case b[0] < a[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
 // PrescanBatch implements Prescanning: it scans the payload batch in one
 // interleaved Aho–Corasick pass and memoizes the per-payload match sets
 // for InspectPrescanned. With a shared ScanMemo, payloads it holds are
 // copied from it and only the rest are scanned; each match set is the
 // same either way. Pure — no engine state is touched, so a batch
 // may be scanned speculatively and partially discarded (e.g. when a
-// sensor dies mid-queue). Returns false, scanning nothing, while stream
-// reassembly is enabled: reassembly makes scan input depend on mutable
-// flow tails, which only the in-order scalar path may advance.
+// sensor dies mid-queue). A reassembling engine scans each payload
+// alone here; its flow tails advance in InspectPrescanned.
 func (e *SignatureEngine) PrescanBatch(payloads [][]byte) bool {
-	if e.reassembler != nil {
-		return false
-	}
 	if e.scans != nil {
 		e.scans.scanBatch(e.matcher, payloads, &e.batch)
 	} else {
@@ -423,8 +462,8 @@ func (e *SignatureEngine) PrescanBatch(payloads [][]byte) bool {
 	return true
 }
 
-// ShareScans implements Prescanning. A reassembling engine never
-// prescans, so it never reads the memo.
+// ShareScans implements ScanSharer: PrescanBatch resolves its payloads
+// through memo.
 func (e *SignatureEngine) ShareScans(memo *ScanMemo) { e.scans = memo }
 
 // InspectPrescanned implements Prescanning: Inspect with the content
@@ -432,7 +471,7 @@ func (e *SignatureEngine) ShareScans(memo *ScanMemo) { e.scans = memo }
 // present packets in the same order and positions as the prescanned
 // payload batch.
 func (e *SignatureEngine) InspectPrescanned(p *packet.Packet, now time.Duration, idx int) []Alert {
-	if e.reassembler != nil || idx < 0 || idx >= e.batch.Len() {
+	if idx < 0 || idx >= e.batch.Len() {
 		return e.inspect(p, now, nil, false)
 	}
 	return e.inspect(p, now, e.batch.Hits(idx), true)

@@ -211,7 +211,8 @@ type Options struct {
 	// Seed alone, both settings produce bit-identical scorecards.
 	Workers int
 	// Obs, when set, instruments each product's evaluation under
-	// Obs.Sub("<Product>."): the product's IDS on the accuracy testbed
+	// Obs.Sub("<Product>."), where <Product> is the release's
+	// Spec.TelemetryName: the product's IDS on the accuracy testbed
 	// under "<Product>.accuracy." while it runs, then the scorecard
 	// gauges, the matcher-cache gauges and the measurement histograms
 	// once the field's experiments end. The accuracy testbed's one
@@ -418,7 +419,7 @@ func EvaluateAll(ctx context.Context, specs []products.Spec, reg *core.Registry,
 			return nil, err
 		}
 		evs[i] = &ProductEvaluation{Spec: spec, Card: card}
-		views[i] = opts.Obs.Sub(spec.Name + ".")
+		views[i] = opts.Obs.Sub(spec.TelemetryName() + ".")
 	}
 	if len(specs) == 0 {
 		return evs, nil

@@ -192,6 +192,9 @@ type IDS struct {
 	// profile is the learned baseline every sensor's engine reads; nil
 	// when the engine learns nothing.
 	profile *detect.Profile
+	// scans is the memo installed by ShareScans, which Train reads
+	// entropies through; nil when none is.
+	scans *detect.ScanMemo
 	// selfEvents records sensor failure/recovery health events.
 	selfEvents []SelfEvent
 
@@ -342,11 +345,12 @@ func (s *IDS) Analyzers() []*Analyzer { return s.analyzers }
 
 // Train folds one known-benign packet into the learned profile every
 // sensor's engine reads (deployed products distribute one learned
-// profile to all sensors), once. An IDS whose engine learns nothing
-// ignores it. Training must precede inspection (detect.Profile.Train).
+// profile to all sensors), once, through the shared scan memo if one
+// is installed. An IDS whose engine learns nothing ignores it. Training
+// must precede inspection (detect.Profile.Train).
 func (s *IDS) Train(p *packet.Packet) {
 	if s.profile != nil {
-		s.profile.Train(p, s.sim.Now())
+		s.profile.Train(p, s.sim.Now(), s.scans)
 	}
 }
 
@@ -363,13 +367,15 @@ func (s *IDS) ShareProfile(from *IDS) {
 	}
 }
 
-// ShareScans makes every prescanning sensor engine resolve its batches
-// through memo (detect.ScanMemo), which other IDSs driven from the same
-// goroutine may share.
+// ShareScans makes Train and every sensor engine that derives payload
+// features (detect.ScanSharer) derive them through memo
+// (detect.ScanMemo), which other IDSs driven from the same goroutine
+// may share.
 func (s *IDS) ShareScans(memo *detect.ScanMemo) {
+	s.scans = memo
 	for _, sn := range s.sensors {
-		if sn.prescan != nil {
-			sn.prescan.ShareScans(memo)
+		if ss, ok := sn.engine.(detect.ScanSharer); ok {
+			ss.ShareScans(memo)
 		}
 	}
 }

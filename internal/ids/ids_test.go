@@ -388,9 +388,12 @@ func TestSetSensitivityReachesAllSensors(t *testing.T) {
 // IDS train one learned profile for all its sensors: for a hybrid and
 // an anomaly engine, every sensor of an IDS trained through IDS.Train
 // returns, packet for packet, the alerts of an engine trained on its
-// own. The inspected packets come from a source whose rate window is
-// still open when training ends, from a source first seen after
-// training, and to a service unseen in training; each must alert.
+// own. The IDS's sensors also share a scan memo, as a testbed's do, so
+// training and every sensor after the first read entropies through it,
+// while the engines trained alone compute their own. The inspected
+// packets come from a source whose rate window is still open when
+// training ends, from a source first seen after training, and to a
+// service unseen in training; each must alert.
 func TestSharedProfileMatchesOwnTraining(t *testing.T) {
 	lan, busy, late := packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2), packet.IPv4(203, 0, 1, 9)
 	type timed struct {
@@ -431,6 +434,7 @@ func TestSharedProfileMatchesOwnTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.ShareScans(detect.NewScanMemo(len(inspect)))
 		for _, tp := range train {
 			sim.MustSchedule(tp.at-sim.Now(), func() { s.Train(tp.p) })
 			sim.RunUntil(tp.at)

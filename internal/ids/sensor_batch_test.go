@@ -13,19 +13,26 @@ import (
 // interface, forcing the sensor onto the historical per-packet scan path.
 type scalarOnly struct{ detect.Engine }
 
-// batchProbePkts is a burst on one flow (so the flow-hash balancer queues
-// it all on one sensor) mixing benign payloads with content-rule hits.
-func batchProbePkts() []*packet.Packet {
-	payloads := []string{
-		"GET /catalog/items HTTP/1.0 status nominal",
-		"GET /cgi-bin/phf?Qalias=x HTTP/1.0",
-		"track update bearing range doppler contact",
-		"cat /etc/passwd then > /.rhosts",
-		"status report nominal",
-		"GET /default.ida?NNNN HTTP/1.0",
-		"plain benign chatter with no rule content",
-		"Login incorrect Login incorrect Login incorrect",
-	}
+// batchProbePayloads mixes benign payloads with content-rule hits.
+var batchProbePayloads = []string{
+	"GET /catalog/items HTTP/1.0 status nominal",
+	"GET /cgi-bin/phf?Qalias=x HTTP/1.0",
+	"track update bearing range doppler contact",
+	"cat /etc/passwd then > /.rhosts",
+	"status report nominal",
+	"GET /default.ida?NNNN HTTP/1.0",
+	"plain benign chatter with no rule content",
+	"Login incorrect Login incorrect Login incorrect",
+}
+
+// splitProbePayloads is batchProbePayloads with the phf exploit split
+// over two segments, which only a reassembling engine catches.
+var splitProbePayloads = append([]string{batchProbePayloads[0], "GET /cgi-b", "in/phf?Qalias=x HTTP/1.0"},
+	batchProbePayloads[2:]...)
+
+// batchProbePkts is a burst of payloads on one flow (so the flow-hash
+// balancer queues it all on one sensor).
+func batchProbePkts(payloads []string) []*packet.Packet {
 	pkts := make([]*packet.Packet, 0, len(payloads))
 	for i, pl := range payloads {
 		pkts = append(pkts, &packet.Packet{
@@ -44,8 +51,23 @@ func batchProbePkts() []*packet.Packet {
 // exposes batched prescanning, one forced scalar — and requires
 // byte-identical observable output (stats, incidents, notifications)
 // while proving the batched sensor actually formed multi-packet scan
-// cycles under queue depth.
+// cycles under queue depth. It does so for the stock engine, and for
+// NetRecorder's reassembling engine over a burst whose phf exploit is
+// split over two segments, which the batched sensor must still catch.
 func TestSensorBatchedScanMatchesScalarSensor(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		engine   func() detect.Engine
+		payloads []string
+	}{
+		{"stock", func() detect.Engine { return detect.NewStandardSignatureEngine() }, batchProbePayloads},
+		{"reassembling", func() detect.Engine { return detect.NewReassemblingSignatureEngine() }, splitProbePayloads},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkBatchedMatchesScalar(t, c.engine, c.payloads) })
+	}
+}
+
+func checkBatchedMatchesScalar(t *testing.T, engine func() detect.Engine, payloads []string) {
 	run := func(factory func() detect.Engine) (*IDS, *simtime.Sim) {
 		sim := simtime.New(1)
 		s, err := New(sim, Config{Name: "batch-probe", Engine: factory, SensorQueue: 64})
@@ -55,15 +77,15 @@ func TestSensorBatchedScanMatchesScalarSensor(t *testing.T) {
 		// Ingest the whole burst at one instant: the sensor's busy time
 		// queues the tail behind the head, so the first completion event
 		// sees a deep queue — the batch-forming condition.
-		for _, p := range batchProbePkts() {
+		for _, p := range batchProbePkts(payloads) {
 			s.Ingest(p)
 		}
 		sim.Run()
 		return s, sim
 	}
 
-	batched, _ := run(func() detect.Engine { return detect.NewStandardSignatureEngine() })
-	scalar, _ := run(func() detect.Engine { return scalarOnly{detect.NewStandardSignatureEngine()} })
+	batched, _ := run(engine)
+	scalar, _ := run(func() detect.Engine { return scalarOnly{engine()} })
 
 	bs, ss := batched.Stats(), scalar.Stats()
 	if !reflect.DeepEqual(bs, ss) {
@@ -75,6 +97,15 @@ func TestSensorBatchedScanMatchesScalarSensor(t *testing.T) {
 	}
 	if bs.AlertsRaised == 0 {
 		t.Fatal("burst raised no alerts; equivalence check is vacuous")
+	}
+	phf := false
+	for _, inc := range batched.Monitor().Incidents {
+		for _, a := range inc.sampleAlerts {
+			phf = phf || a.Reason == `signature "phf-cgi" matched`
+		}
+	}
+	if !phf {
+		t.Fatal("batched sensor missed the phf exploit")
 	}
 
 	var scans, pkts uint64

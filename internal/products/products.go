@@ -381,6 +381,20 @@ func All() []Spec {
 	return []Spec{NetRecorder(), TrueSecure(), StreamHunter(), AgentSwarm()}
 }
 
+// TelemetryName names the release's telemetry view: its Name for the
+// current release in All(), and for any other release the Name and
+// Version joined by an underscore, with the Version's dots made
+// underscores too (NetRecorder_5_1), so that two releases of one
+// product never write into the same instruments.
+func (s Spec) TelemetryName() string {
+	for _, cur := range All() {
+		if cur.Name == s.Name && cur.Version == s.Version {
+			return s.Name
+		}
+	}
+	return s.Name + "_" + strings.ReplaceAll(s.Version, ".", "_")
+}
+
 // Find resolves a product by name, case-insensitively. An optional
 // ":version" suffix selects a specific release ("netrecorder:5.1");
 // without one the current release in All() is returned.

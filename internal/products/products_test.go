@@ -214,3 +214,17 @@ func TestFindProducts(t *testing.T) {
 		t.Fatal("unknown product found")
 	}
 }
+
+// TestTelemetryNames pins the release naming rule: every current
+// release keeps its Name, and any other release gets a dot-free name
+// carrying its version.
+func TestTelemetryNames(t *testing.T) {
+	for _, s := range All() {
+		if got := s.TelemetryName(); got != s.Name {
+			t.Fatalf("%s %s: telemetry name %q, want %q", s.Name, s.Version, got, s.Name)
+		}
+	}
+	if got := NetRecorder51().TelemetryName(); got != "NetRecorder_5_1" {
+		t.Fatalf("NetRecorder 5.1: telemetry name %q, want NetRecorder_5_1", got)
+	}
+}
