@@ -216,6 +216,31 @@ func TestOperationalImpactDifferentiates(t *testing.T) {
 	}
 }
 
+// TestTestbedSimulatesOnlyWhatIsScored pins that a testbed schedules no
+// work its scores do not read. What a host agent costs its host is
+// MeasureOperationalImpact's to measure, so the agents of TrueSecure
+// and AgentSwarm add no event to a trained and drained testbed, which
+// processes exactly as many as NetRecorder's, whose product has none.
+func TestTestbedSimulatesOnlyWhatIsScored(t *testing.T) {
+	processed := func(spec products.Spec) uint64 {
+		tb, err := NewTestbed(spec, TestbedConfig{Seed: 5, TrainFor: 3 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Train(); err != nil {
+			t.Fatal(err)
+		}
+		tb.Drain()
+		return tb.Sim.Processed()
+	}
+	want := processed(products.NetRecorder())
+	for _, spec := range []products.Spec{products.TrueSecure(), products.AgentSwarm()} {
+		if got := processed(spec); got != want {
+			t.Fatalf("%s testbed processed %d events, NetRecorder's %d", spec.Name, got, want)
+		}
+	}
+}
+
 func TestSensitivitySweepProducesTradeoff(t *testing.T) {
 	sw, err := SensitivitySweep(context.Background(), products.NetRecorder(), SweepOptions{
 		Seed: 7, Points: 3, TrainFor: 6 * time.Second,

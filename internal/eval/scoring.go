@@ -445,7 +445,7 @@ func EvaluateAll(ctx context.Context, specs []products.Spec, reg *core.Registry,
 			deps := make([]deploy, len(specs))
 			sens := make([]float64, len(specs))
 			for i, spec := range specs {
-				deps[i] = deploy{spec: spec, obs: views[i].Sub("accuracy."), entry: i}
+				deps[i] = deploy{spec: spec, obs: views[i].Sub("accuracy.")}
 				sens[i] = scorecardSensitivity
 			}
 			tb, err := newTestbed(cfg, deps...)

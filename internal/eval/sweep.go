@@ -156,19 +156,18 @@ func SweepPointAt(ctx context.Context, spec products.Spec, opts SweepOptions, i 
 	return points[0], nil
 }
 
-// fieldSweep runs the sweep of every product in specs on one testbed,
-// each product's points a field entry of its own, and returns the
-// sweeps in field order, each bit-identical to SensitivitySweep of its
-// product alone.
+// fieldSweep runs the sweep of every product in specs on one testbed
+// and returns the sweeps in field order, each bit-identical to
+// SensitivitySweep of its product alone.
 func fieldSweep(ctx context.Context, specs []products.Spec, opts SweepOptions) ([]*SweepResult, error) {
 	opts.applyDefaults()
 	if opts.Points < 2 {
 		return nil, fmt.Errorf("eval: sweep needs at least 2 points, got %d", opts.Points)
 	}
 	var pairs []sweepPair
-	for e, spec := range specs {
+	for _, spec := range specs {
 		for i := 0; i < opts.Points; i++ {
-			pairs = append(pairs, sweepPair{entry: e, spec: spec, point: i})
+			pairs = append(pairs, sweepPair{spec: spec, point: i})
 		}
 	}
 	points, err := sweepGroup(ctx, opts, pairs)
@@ -184,9 +183,8 @@ func fieldSweep(ctx context.Context, specs []products.Spec, opts SweepOptions) (
 }
 
 // sweepPair is one deployment of a sweep testbed: the point-th point
-// of the sweep of spec, the product of field entry entry.
+// of the sweep of spec.
 type sweepPair struct {
-	entry int
 	spec  products.Spec
 	point int
 }
@@ -197,7 +195,7 @@ func sweepGroup(ctx context.Context, opts SweepOptions, pairs []sweepPair) ([]Sw
 	deps := make([]deploy, len(pairs))
 	sens := make([]float64, len(pairs))
 	for j, pr := range pairs {
-		deps[j] = deploy{spec: pr.spec, obs: opts.Obs, entry: pr.entry}
+		deps[j] = deploy{spec: pr.spec, obs: opts.Obs}
 		sens[j] = float64(pr.point) / float64(opts.Points-1)
 	}
 	tb, err := newTestbed(TestbedConfig{

@@ -36,8 +36,8 @@ func firstDiff(a, b *AccuracyResult) string {
 // TestSweepPointsMatchStandalone holds every point of a sweep whose
 // points share a testbed to the point SweepPointAt runs on a testbed of
 // its own, field by field, Raw included. It covers every product
-// (TrueSecure and AgentSwarm deploy host agents and rts hosts per
-// point) on one testbed and on four.
+// (TrueSecure and AgentSwarm deploy host agents per point) on one
+// testbed and on four.
 func TestSweepPointsMatchStandalone(t *testing.T) {
 	for _, spec := range products.All() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -122,7 +122,7 @@ func TestSweepCancelledMidRun(t *testing.T) {
 // the in-line tap acts on one IDS's verdict, and a fault scenario's
 // link faults would hit every deployment's network.
 func TestSharedTestbedLimits(t *testing.T) {
-	deps := []deploy{{spec: products.NetRecorder()}, {spec: products.TrueSecure(), entry: 1}}
+	deps := []deploy{{spec: products.NetRecorder()}, {spec: products.TrueSecure()}}
 	if _, err := newTestbed(TestbedConfig{Seed: 1, Tap: TapInline}, deps...); err == nil {
 		t.Fatal("two deployments on an in-line tap: no error")
 	}

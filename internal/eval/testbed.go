@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/products"
-	"repro/internal/rts"
 	"repro/internal/simtime"
 	"repro/internal/traffic"
 )
@@ -100,9 +99,9 @@ type Testbed struct {
 	hostsByAddr map[packet.Addr]*netsim.Host
 	seq         *packet.SeqCounter
 	deps        []*deployment
-	// learners are the deployments that train a learned profile: the
-	// first of each field entry.
-	learners []*ids.IDS
+	// learner is the first deployment whose IDS learns, or nil; every
+	// later learning deployment reads its profile.
+	learner  *ids.IDS
 	training bool
 
 	// TapDropped counts mirror-link losses (packets the IDS never saw).
@@ -110,27 +109,21 @@ type Testbed struct {
 	mirrorSink *netsim.Sink
 }
 
-// deploy asks for one deployment on a testbed: the product, the
-// telemetry view its IDS writes under, and the field entry it belongs
-// to. The deployments of one entry are one product's sweep points,
-// which differ only in the sensitivity set after training, so they
-// read the entry's first deployment's learned profile. Entries are
-// told apart by index, never by product name, which two entries may
-// share.
+// deploy asks for one deployment on a testbed: the product and the
+// telemetry view its IDS writes under.
 type deploy struct {
-	spec  products.Spec
-	obs   *obs.Registry
-	entry int
+	spec products.Spec
+	obs  *obs.Registry
 }
 
-// deployment is one IDS on a testbed: its product and, for a
-// HostAgents product, one hostmon agent over an rts host model per
-// cluster host, reporting into the IDS's first analyzer.
+// deployment is one IDS on a testbed and its product. A HostAgents
+// product also gets a hostless hostmon agent per cluster host,
+// reporting into the IDS's first analyzer: what a host costs is
+// Operational Performance Impact, which MeasureOperationalImpact
+// measures on a real-time host of its own.
 type deployment struct {
-	spec     products.Spec
-	ids      *ids.IDS
-	agents   []*hostmon.Agent
-	rtsHosts []*rts.Host
+	spec products.Spec
+	ids  *ids.IDS
 }
 
 // NewTestbed assembles the environment for one product.
@@ -171,18 +164,18 @@ func newTestbed(cfg TestbedConfig, deps ...deploy) (*Testbed, error) {
 	if len(deps) > 1 {
 		scans = detect.NewScanMemo(sharedScanEntries)
 	}
-	learner := make(map[int]*ids.IDS)
 	for _, dp := range deps {
 		inst, err := dp.spec.Instantiate(sim)
 		if err != nil {
 			return nil, err
 		}
 		inst.Instrument(dp.obs)
-		if l, ok := learner[dp.entry]; ok {
-			inst.ShareProfile(l)
-		} else {
-			learner[dp.entry] = inst
-			tb.learners = append(tb.learners, inst)
+		if inst.Learns() {
+			if tb.learner == nil {
+				tb.learner = inst
+			} else {
+				inst.ShareProfile(tb.learner)
+			}
 		}
 		if scans != nil {
 			inst.ShareScans(scans)
@@ -207,9 +200,7 @@ func newTestbed(cfg TestbedConfig, deps ...deploy) (*Testbed, error) {
 		tb.mirrorLink = top.AttachMirror(sink, netsim.LinkConfig{BandwidthBps: 10e9})
 	}
 
-	if err := tb.deployHostAgents(); err != nil {
-		return nil, err
-	}
+	tb.deployHostAgents()
 
 	// Background generator injects through the real hosts.
 	gen, err := traffic.NewGenerator(sim, cfg.Profile, tb.Endpoints(), tb.seq, tb.inject)
@@ -220,27 +211,19 @@ func newTestbed(cfg TestbedConfig, deps ...deploy) (*Testbed, error) {
 	return tb, nil
 }
 
-// deployHostAgents gives every HostAgents deployment a hostmon agent on
-// each cluster host, charging an rts host model of its own, and hooks
-// each cluster host once to feed its events to every deployment's agent
-// there, in deployment order.
-func (tb *Testbed) deployHostAgents() error {
+// deployHostAgents gives every HostAgents deployment a hostless
+// hostmon agent on each cluster host, and hooks each cluster host once
+// to feed its events to every deployment's agent there, in deployment
+// order.
+func (tb *Testbed) deployHostAgents() {
 	for i, h := range tb.Top.Cluster {
 		var agents []*hostmon.Agent
 		for _, d := range tb.deps {
 			if !d.spec.HostAgents {
 				continue
 			}
-			rh := rts.NewHost(tb.Sim, h.Name())
-			for _, task := range rts.StandardTaskSet() {
-				if err := rh.AddTask(task); err != nil {
-					return err
-				}
-			}
-			agent := hostmon.NewAgent(tb.Sim, rh, d.spec.HostAgentLevel)
+			agent := hostmon.NewAgent(tb.Sim, nil, d.spec.HostAgentLevel)
 			agent.Deliver = d.ids.Analyzers()[0].Submit
-			d.agents = append(d.agents, agent)
-			d.rtsHosts = append(d.rtsHosts, rh)
 			agents = append(agents, agent)
 		}
 		if len(agents) == 0 {
@@ -263,7 +246,6 @@ func (tb *Testbed) deployHostAgents() error {
 			}
 		}
 	}
-	return nil
 }
 
 // Bind ties the testbed's simulation to ctx: the kernel consults
@@ -337,16 +319,16 @@ var OfferHook func(p *packet.Packet, training bool)
 // times the payloads alive.
 const sharedScanEntries = 16
 
-// offer trains each field entry's learned profile on a tapped packet,
-// once, or hands the packet to every deployment, in order, and returns
-// their joint pass verdict (the one IDS's, in-line).
+// offer trains the testbed's one learned profile on a tapped packet,
+// or hands the packet to every deployment, in order, and returns their
+// joint pass verdict (the one IDS's, in-line).
 func (tb *Testbed) offer(p *packet.Packet) bool {
 	if OfferHook != nil {
 		OfferHook(p, tb.training)
 	}
 	if tb.training {
-		for _, l := range tb.learners {
-			l.Train(p)
+		if tb.learner != nil {
+			tb.learner.Train(p)
 		}
 		return true
 	}
@@ -401,27 +383,15 @@ func (tb *Testbed) Train() error {
 	if err := tb.Gen.Start(rate); err != nil {
 		return err
 	}
-	for _, d := range tb.deps {
-		for _, rh := range d.rtsHosts {
-			if err := rh.Start(); err != nil {
-				return err
-			}
-		}
-	}
 	tb.Sim.RunUntil(tb.Cfg.TrainFor)
 	tb.training = false
 	return tb.Interrupted()
 }
 
-// Drain stops all self-perpetuating sources (generator, real-time host
-// tickers) and runs the simulation until the event queue empties.
+// Drain stops the background generator and runs the simulation until
+// the event queue empties.
 func (tb *Testbed) Drain() {
 	tb.Gen.Stop()
-	for _, d := range tb.deps {
-		for _, rh := range d.rtsHosts {
-			rh.Stop()
-		}
-	}
 	tb.Sim.Run()
 }
 
@@ -436,12 +406,6 @@ func (tb *Testbed) MirrorDrops() uint64 {
 	}
 	return tb.mirrorLink.StatsToward(tb.mirrorSink).Dropped
 }
-
-// Agents returns the first deployment's host agents.
-func (tb *Testbed) Agents() []*hostmon.Agent { return tb.deps[0].agents }
-
-// RTSHosts returns the real-time host models under those agents.
-func (tb *Testbed) RTSHosts() []*rts.Host { return tb.deps[0].rtsHosts }
 
 // validateTapMode guards against unknown modes in config files.
 func validateTapMode(m TapMode) error {

@@ -132,7 +132,9 @@ type failState struct {
 	count       int
 }
 
-// NewAgent attaches an agent to a host at the given logging level.
+// NewAgent attaches an agent to a host at the given logging level. A
+// nil host makes a hostless agent: it detects, counts and reports as
+// any other, but charges no host for its logging.
 func NewAgent(sim *simtime.Sim, host *rts.Host, level LogLevel) *Agent {
 	return &Agent{
 		sim: sim, host: host, level: level,
@@ -202,8 +204,12 @@ func (a *Agent) Observe(ev Event) {
 }
 
 // updateOverhead recomputes the host's logging overhead from the observed
-// event rate once per second of virtual time.
+// event rate once per second of virtual time. A hostless agent has
+// nothing to charge.
 func (a *Agent) updateOverhead(now time.Duration) {
+	if a.host == nil {
+		return
+	}
 	a.windowEvents++
 	if now-a.lastRateUpdate < time.Second && a.overheadCharged {
 		return

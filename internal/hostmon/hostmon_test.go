@@ -30,35 +30,44 @@ func TestOverheadFractionMatchesPaperFigures(t *testing.T) {
 	}
 }
 
-func newAgent(t *testing.T) (*simtime.Sim, *rts.Host, *Agent, *[]detect.Alert) {
-	t.Helper()
+// newAgent returns a nominal agent collecting its alerts, on a host of
+// its own when hosted and hostless otherwise, as on a testbed.
+func newAgent(hosted bool) (*simtime.Sim, *Agent, *[]detect.Alert) {
 	sim := simtime.New(2)
-	host := rts.NewHost(sim, "n0")
+	var host *rts.Host
+	if hosted {
+		host = rts.NewHost(sim, "n0")
+	}
 	agent := NewAgent(sim, host, LogNominal)
 	var alerts []detect.Alert
 	agent.Deliver = func(as []detect.Alert) { alerts = append(alerts, as...) }
-	return sim, host, agent, &alerts
+	return sim, agent, &alerts
 }
 
 func TestAgentDetectsFailedLoginBurst(t *testing.T) {
-	sim, _, agent, alerts := newAgent(t)
-	remote := packet.IPv4(203, 0, 1, 1)
-	for i := 0; i < 5; i++ {
-		sim.MustSchedule(time.Duration(i)*time.Second, func() {
-			agent.Observe(Event{Kind: EventLoginFailed, User: "root", Remote: remote})
-		})
-	}
-	sim.Run()
-	if len(*alerts) != 1 {
-		t.Fatalf("alerts = %d, want 1 after threshold", len(*alerts))
-	}
-	if (*alerts)[0].Technique != "bruteforce" || (*alerts)[0].Attacker != remote {
-		t.Fatalf("alert = %+v", (*alerts)[0])
+	for _, hosted := range []bool{true, false} {
+		sim, agent, alerts := newAgent(hosted)
+		remote := packet.IPv4(203, 0, 1, 1)
+		for i := 0; i < 5; i++ {
+			sim.MustSchedule(time.Duration(i)*time.Second, func() {
+				agent.Observe(Event{Kind: EventLoginFailed, User: "root", Remote: remote})
+			})
+		}
+		sim.Run()
+		if len(*alerts) != 1 {
+			t.Fatalf("hosted=%v: alerts = %d, want 1 after threshold", hosted, len(*alerts))
+		}
+		if (*alerts)[0].Technique != "bruteforce" || (*alerts)[0].Attacker != remote {
+			t.Fatalf("hosted=%v: alert = %+v", hosted, (*alerts)[0])
+		}
+		if agent.EventsSeen != 5 || agent.RecordsLogged != 5 || agent.ReportBytes != 1000 {
+			t.Fatalf("hosted=%v: counted %d events, %d records, %d report bytes", hosted, agent.EventsSeen, agent.RecordsLogged, agent.ReportBytes)
+		}
 	}
 }
 
 func TestAgentFailedLoginWindowExpires(t *testing.T) {
-	sim, _, agent, alerts := newAgent(t)
+	sim, agent, alerts := newAgent(true)
 	remote := packet.IPv4(203, 0, 1, 1)
 	// 4 failures, a minute gap, 4 more: never 5 within a window.
 	for i := 0; i < 4; i++ {
@@ -78,16 +87,18 @@ func TestAgentFailedLoginWindowExpires(t *testing.T) {
 }
 
 func TestAgentDetectsPrivilegeAndFileAccess(t *testing.T) {
-	sim, _, agent, alerts := newAgent(t)
-	agent.Observe(Event{Kind: EventPrivilege, User: "operator", Detail: "su root", Remote: packet.IPv4(203, 0, 1, 2)})
-	agent.Observe(Event{Kind: EventFileAccess, User: "operator", Detail: "read /etc/shadow", Remote: packet.IPv4(203, 0, 1, 2)})
-	agent.Observe(Event{Kind: EventFileAccess, User: "operator", Detail: "read /var/tmp/ok"})
-	sim.Run()
-	if len(*alerts) != 2 {
-		t.Fatalf("alerts = %d, want 2", len(*alerts))
-	}
-	if (*alerts)[0].Technique != "masquerade" || (*alerts)[1].Technique != "insider-misuse" {
-		t.Fatalf("techniques = %s, %s", (*alerts)[0].Technique, (*alerts)[1].Technique)
+	for _, hosted := range []bool{true, false} {
+		sim, agent, alerts := newAgent(hosted)
+		agent.Observe(Event{Kind: EventPrivilege, User: "operator", Detail: "su root", Remote: packet.IPv4(203, 0, 1, 2)})
+		agent.Observe(Event{Kind: EventFileAccess, User: "operator", Detail: "read /etc/shadow", Remote: packet.IPv4(203, 0, 1, 2)})
+		agent.Observe(Event{Kind: EventFileAccess, User: "operator", Detail: "read /var/tmp/ok"})
+		sim.Run()
+		if len(*alerts) != 2 {
+			t.Fatalf("hosted=%v: alerts = %d, want 2", hosted, len(*alerts))
+		}
+		if (*alerts)[0].Technique != "masquerade" || (*alerts)[1].Technique != "insider-misuse" {
+			t.Fatalf("hosted=%v: techniques = %s, %s", hosted, (*alerts)[0].Technique, (*alerts)[1].Technique)
+		}
 	}
 }
 
@@ -301,6 +312,11 @@ func TestMigrationRequiresCandidates(t *testing.T) {
 	agent := NewAgent(sim, rts.NewHost(sim, "h"), LogNominal)
 	if err := agent.EnableMigration(MigrationPolicy{}); err == nil {
 		t.Fatal("empty candidate list accepted")
+	}
+	// A hostless agent has no charge to carry, whatever its candidates.
+	hostless := NewAgent(sim, nil, LogNominal)
+	if err := hostless.EnableMigration(MigrationPolicy{Candidates: []*rts.Host{rts.NewHost(sim, "refuge")}}); err == nil {
+		t.Fatal("hostless agent armed for migration")
 	}
 }
 

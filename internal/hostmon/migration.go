@@ -43,8 +43,12 @@ func (p *MigrationPolicy) applyDefaults() {
 
 // EnableMigration arms the policy on the agent. Own-host alerts are
 // counted from the agent's own detections (every alert it raises is, by
-// construction, about activity on its host).
+// construction, about activity on its host). A hostless agent cannot
+// migrate: a move carries its charge from one host to another.
 func (a *Agent) EnableMigration(p MigrationPolicy) error {
+	if a.host == nil {
+		return fmt.Errorf("hostmon: a hostless agent cannot migrate")
+	}
 	p.applyDefaults()
 	if len(p.Candidates) == 0 {
 		return fmt.Errorf("hostmon: migration needs at least one candidate host")

@@ -354,9 +354,13 @@ func (s *IDS) Train(p *packet.Packet) {
 	}
 }
 
+// Learns reports whether the IDS's engine learns a profile (Train).
+func (s *IDS) Learns() bool { return s.profile != nil }
+
 // ShareProfile makes every sensor of s read from's learned profile in
-// place of its own, so training from trains s. Both must be built from
-// the same engine, and neither may have trained yet.
+// place of its own, so training from trains s. Both must learn, and
+// neither may have trained yet: a detect.Profile has no configuration,
+// so one trained on the same packets serves any learning engine.
 func (s *IDS) ShareProfile(from *IDS) {
 	if s.profile == nil || from.profile == nil {
 		return

@@ -385,12 +385,15 @@ func TestSetSensitivityReachesAllSensors(t *testing.T) {
 }
 
 // TestSharedProfileMatchesOwnTraining holds the contract that lets an
-// IDS train one learned profile for all its sensors: for a hybrid and
-// an anomaly engine, every sensor of an IDS trained through IDS.Train
-// returns, packet for packet, the alerts of an engine trained on its
-// own. The IDS's sensors also share a scan memo, as a testbed's do, so
-// training and every sensor after the first read entropies through it,
-// while the engines trained alone compute their own. The inspected
+// IDS train one learned profile for all its sensors, and a testbed one
+// for all its learning deployments: for a hybrid and an anomaly engine,
+// every sensor of an IDS trained through IDS.Train returns, packet for
+// packet, the alerts of an engine trained on its own, and so does every
+// sensor of an anomaly IDS (StreamHunter's engine) that reads, through
+// ShareProfile, the profile a hybrid IDS (TrueSecure's) trains. The
+// IDSs also share a scan memo, as a testbed's do, so training and
+// every sensor after the first read entropies through it, while the
+// engines trained alone compute their own. The inspected
 // packets come from a source whose rate window is still open when
 // training ends, from a source first seen after training, and to a
 // service unseen in training; each must alert.
@@ -419,24 +422,39 @@ func TestSharedProfileMatchesOwnTraining(t *testing.T) {
 	}
 	inspect = append(inspect, pkt(3100*time.Millisecond, late, 80, 0), pkt(3200*time.Millisecond, busy, 6000, 0))
 
+	hybrid := func() detect.Engine {
+		return detect.NewHybridEngine(detect.NewStandardSignatureEngine(), detect.NewAnomalyEngine(), detect.HybridSerial)
+	}
+	anomaly := func() detect.Engine { return detect.NewAnomalyEngine() }
 	for _, c := range []struct {
 		name    string
 		sensors int
 		engine  func() detect.Engine
+		// trainer, when set, is the engine of the IDS that trains the
+		// profile s reads; otherwise s trains its own.
+		trainer func() detect.Engine
 	}{
-		{"hybrid", 3, func() detect.Engine {
-			return detect.NewHybridEngine(detect.NewStandardSignatureEngine(), detect.NewAnomalyEngine(), detect.HybridSerial)
-		}},
-		{"anomaly", 4, func() detect.Engine { return detect.NewAnomalyEngine() }},
+		{"hybrid", 3, hybrid, nil},
+		{"anomaly", 4, anomaly, nil},
+		{"anomaly reading hybrid", 4, anomaly, hybrid},
 	} {
 		sim := simtime.New(1)
 		s, err := New(sim, Config{Name: c.name, Engine: c.engine, Sensors: c.sensors, Balancer: BalancerFlowHash})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ShareScans(detect.NewScanMemo(len(inspect)))
+		memo := detect.NewScanMemo(len(inspect))
+		s.ShareScans(memo)
+		learner := s
+		if c.trainer != nil {
+			if learner, err = New(sim, Config{Name: "trainer", Engine: c.trainer, Sensors: 2, Balancer: BalancerFlowHash}); err != nil {
+				t.Fatal(err)
+			}
+			learner.ShareScans(memo)
+			s.ShareProfile(learner)
+		}
 		for _, tp := range train {
-			sim.MustSchedule(tp.at-sim.Now(), func() { s.Train(tp.p) })
+			sim.MustSchedule(tp.at-sim.Now(), func() { learner.Train(tp.p) })
 			sim.RunUntil(tp.at)
 		}
 		if err := s.SetSensitivity(1); err != nil {
