@@ -42,7 +42,7 @@ race:
 #     byte-identical scorecard (cmd/idsevald);
 #   - idsbench-smoke: the end-to-end benchmark's golden report digests,
 #     scorecard sanity, and every declared metric emitted;
-#   - benchgate: event-kernel allocations, scan throughput,
+#   - benchgate: event-kernel and trace-replay allocations, scan throughput,
 #     sharded-kernel events/sec, the telemetry disabled path, and
 #     serve-ingest allocations held against the committed baselines.
 ci:
@@ -72,17 +72,17 @@ benchhot:
 # Throughput regression gate: rerun the benchhot and benchsim suites
 # into scratch files and fail if any gated benchmark (MB/s for the scan
 # hot path, events/sec for the sharded kernel) dropped more than 15%
-# against the committed baselines. The event-kernel allocation gate
-# and the warm scan-memo gate run first: they depend on the code alone,
-# so they still give a verdict on a host too slow or busy for the
-# throughput steps. On hosts with >= 4 CPUs the sim gate
+# against the committed baselines. The event-kernel and trace-replay
+# allocation gate and the warm scan-memo gate run first: they depend on
+# the code alone, so they still give a verdict on a host too slow or
+# busy for the throughput steps. On hosts with >= 4 CPUs the sim gate
 # additionally enforces the 4-shard/1-shard scaling floor; single-core
 # hosts report the ratio and skip. Regenerate baselines with `make
 # benchhot` / `make benchsim` (and commit them) after an intentional
 # perf change.
 benchgate:
 	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \
-		-benchmem -count=1 -json ./internal/simtime/ > /tmp/BENCH_kernel.current.json
+		-benchmem -count=1 -json $(KERNELPKGS) > /tmp/BENCH_kernel.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_kernel.json \
 		-current /tmp/BENCH_kernel.current.json \
 		-gate-allocs '$(KERNELBENCH)' -max-allocs-grow-pct 0
@@ -137,17 +137,21 @@ PRESCANBENCH := PrescanSharedHit|InspectSharedPayload
 
 # Event-kernel benchmarks: 1000 events through ScheduleAt
 # (BenchmarkScheduleRun), through one lane (BenchmarkLaneRun) and as
-# one series (BenchmarkSeriesRun). The committed BENCH_kernel.json
-# doubles as the benchgate baseline, gated on allocs/op with no growth
-# allowed: the counts are deterministic (no per-event struct; the
-# handler slab and the heap grow by doubling), and a pointer-bearing or
-# per-event allocation creeping back into the kernel shows there first.
-# ns/op is reported, not gated.
-KERNELBENCH := ScheduleRun|LaneRun|SeriesRun
+# one series (BenchmarkSeriesRun), plus the kernel's biggest lane user,
+# a streamed trace replayed onto a fresh sim (BenchmarkReplayReader in
+# internal/trace). The committed BENCH_kernel.json doubles as the
+# benchgate baseline, gated on allocs/op with no growth allowed: the
+# counts are deterministic (no per-event struct; the handler slab, the
+# heap and a lane grow by doubling; a replay's decode buffers are
+# recycled per chunk), and a pointer-bearing or per-event allocation
+# creeping back into the kernel or the replay shows there first. ns/op
+# is reported, not gated.
+KERNELBENCH := ScheduleRun|LaneRun|SeriesRun|ReplayReader
+KERNELPKGS := ./internal/simtime/ ./internal/trace/
 
 benchkernel:
 	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \
-		-benchmem -count=1 -json ./internal/simtime/ > BENCH_kernel.json
+		-benchmem -count=1 -json $(KERNELPKGS) > BENCH_kernel.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_kernel.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_kernel.json"
 

@@ -561,6 +561,67 @@ func TestFinishShedsLyingFooterAsCorrupt(t *testing.T) {
 	}
 }
 
+// regressingTraceBytes is a two-chunk IDT2 stream whose second chunk
+// starts before the first chunk's last record: DefaultChunkRecords
+// records 1 ms apart from 10 ms, then one written at 5 s whose chunk
+// base is patched to 300 ms (a uvarint of the same length), with the
+// footer's last-record time patched to match, so the footer agrees with
+// the records and only their order is wrong.
+func regressingTraceBytes(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, "regress", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < trace.DefaultChunkRecords; i++ {
+		p := &packet.Packet{Seq: uint64(i + 1), Src: packet.IPv4(10, 1, 1, 1), Dst: packet.IPv4(203, 0, 1, 1)}
+		if err := w.Append(time.Duration(10+i)*time.Millisecond, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := &packet.Packet{Seq: trace.DefaultChunkRecords + 1, Src: packet.IPv4(10, 1, 1, 1), Dst: packet.IPv4(203, 0, 1, 1)}
+	if err := w.Append(5*time.Second, last); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	chunk0 := 4 + 4 + 2 + len("regress") + 8 // the header's length
+	chunk1 := chunk0 + 5 + int(binary.BigEndian.Uint32(data[chunk0+1:]))
+	base := data[chunk1+5+1:] // past the block header and the 1-byte record count
+	if old, n := binary.Uvarint(base); old != uint64(5*time.Second) || binary.PutUvarint(base, uint64(300*time.Millisecond)) != n {
+		t.Fatalf("chunk 1 base %v does not take 300ms in place", time.Duration(old))
+	}
+	footer := binary.BigEndian.Uint64(data[len(data)-12:])
+	binary.BigEndian.PutUint64(data[footer+5+8+40:], uint64(300*time.Millisecond)) // the footer's last record
+	return data
+}
+
+func TestFinishShedsTimeRegressingStreamAsCorrupt(t *testing.T) {
+	// A spool whose second chunk starts before the first chunk's last
+	// record fails the reader's time-order check at Finish and is shed
+	// as corrupt, never queued for a replay that would fail midway.
+	data := regressingTraceBytes(t)
+	svc := openService(t, t.TempDir(), nil)
+	defer svc.Close()
+	meta := quickMeta("regress")
+	chunks := chunked(data, 4096)
+	err := upload(svc, meta, chunks)
+	var pe *serve.ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "chunk 1 starts at 300ms, before the previous chunk's last record at 4.105s") {
+		t.Fatalf("finish = %v, want a validation failure naming the time regression", err)
+	}
+	if st, _ := svc.Status(meta.Name); st.State != serve.StateShed || st.Reason != string(serve.ShedCorrupt) {
+		t.Fatalf("stream %s (%s), want shed as corrupt", st.State, st.Reason)
+	}
+	checkLedger(t, svc)
+	if got := svc.Counts().Shed[serve.ShedCorrupt]; got != uint64(len(chunks)) {
+		t.Fatalf("corrupt shed booked %d chunks, want %d", got, len(chunks))
+	}
+}
+
 func TestFinishShedsFooterlessSpoolAsCorrupt(t *testing.T) {
 	// A spool of only the header and the chunks (no incident block,
 	// footer or trailer) has no ground truth to score against: Finish

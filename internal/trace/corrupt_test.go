@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,46 @@ func TestHostileIncidentCountRejected(t *testing.T) {
 	err := r.parseIncidents(payload)
 	if err == nil || !strings.Contains(err.Error(), "exceeds block capacity") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+func TestTimelineOverflowRejected(t *testing.T) {
+	// Record times past the clock's range must fail decode: a base above
+	// the largest time, or a delta that wraps the running time negative,
+	// would otherwise hand a replay a record before its predecessor.
+	record := func(buf []byte, delta uint64) []byte {
+		buf = binary.AppendUvarint(buf, delta)
+		buf = binary.AppendUvarint(buf, 1) // seq
+		buf = binary.AppendUvarint(buf, 0) // sent
+		buf = append(buf, make([]byte, 16)...)
+		return binary.AppendUvarint(buf, 0) // payload length
+	}
+	chunk := func(base, delta uint64) []byte {
+		var buf []byte
+		buf = binary.AppendUvarint(buf, 2)    // record count
+		buf = binary.AppendUvarint(buf, base) // base timestamp
+		buf = binary.AppendUvarint(buf, 0)    // arena length
+		buf = binary.AppendUvarint(buf, 0)    // string table size
+		return record(record(buf, 0), delta)
+	}
+	for _, c := range []struct {
+		name        string
+		base, delta uint64
+		want        string
+	}{
+		{"base", math.MaxInt64 + 1, 0, "base timestamp 9223372036854775808 out of range"},
+		{"delta", 1000, math.MaxInt64 - 999, "record 1 delta 9223372036854774808 overflows the timeline"},
+	} {
+		r := &Reader{intern: make(map[string]string)}
+		err := r.decodeChunk(&Chunk{owner: r, buf: chunk(c.base, c.delta)})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+	// The largest time itself still decodes.
+	r := &Reader{intern: make(map[string]string)}
+	c := &Chunk{owner: r, buf: chunk(1000, math.MaxInt64-1000)}
+	if err := r.decodeChunk(c); err != nil || c.LastAt() != math.MaxInt64 {
+		t.Fatalf("decode at the largest time: %v (last %v)", err, c.LastAt())
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -9,18 +10,22 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/packet"
+	"repro/internal/simtime"
 )
 
 // FuzzReadTrace drives the IDT2 stream reader over arbitrary input. It
 // may not panic, hang, or allocate unboundedly; malformed input must
 // surface as an error. Valid inputs that decode must re-encode and
 // decode to the same record count (a cheap internal-consistency
-// invariant that needs no reference decoder), and a scan that ends
-// cleanly must have decoded the packet count its footer claims.
+// invariant that needs no reference decoder). A scan's record times
+// never decrease, and a scan that ends cleanly must have decoded every
+// statistic its footer claims. An accepted stream must replay the same
+// through Replay and ReplayReader.
 func FuzzReadTrace(f *testing.F) {
 	// Seed corpus: a retired v1 trace, a real v2 stream (two chunk
 	// sizes), an empty v2 stream, assorted truncations, plain garbage,
-	// and a stream whose footer lies about its body.
+	// streams whose footer lies about its body, and one whose second
+	// chunk starts before the first ends.
 	tr := fuzzSeedTrace()
 	v1 := legacyV1()
 	var v2 bytes.Buffer
@@ -89,31 +94,114 @@ func FuzzReadTrace(f *testing.F) {
 	maxed[firstChunkPayload] = 0xff
 	f.Add(maxed)
 	f.Add(lyingFooterStream(f))
+	lastAt := encodeStream(f, tr, 3)
+	st := footerStats(lastAt)[40:]
+	binary.BigEndian.PutUint64(st, binary.BigEndian.Uint64(st)+1) // LastAt off by 1 ns
+	f.Add(lastAt)
+	f.Add(regressingStream(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := readTrace(bytes.NewReader(data)); err == nil {
+		tr, err := readTrace(bytes.NewReader(data))
+		if err == nil {
 			checkReencode(t, tr)
 		}
-		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
-			n, clean := 0, false
-			for {
-				c, err := rd.Next()
-				if err != nil {
-					clean = err == io.EOF
-					break
+		rd, rerr := NewReader(bytes.NewReader(data))
+		if rerr != nil {
+			return
+		}
+		var seen StreamStats
+		clean := false
+		for {
+			c, err := rd.Next()
+			if err != nil {
+				clean = err == io.EOF
+				break
+			}
+			for _, rec := range c.Records {
+				p := rec.Pk
+				if seen.Packets > 0 && rec.At < seen.LastAt {
+					t.Fatalf("record at %v after one at %v", rec.At, seen.LastAt)
 				}
-				n += len(c.Records)
-				c.Release()
+				if seen.Packets == 0 {
+					seen.FirstAt = rec.At
+				}
+				seen.LastAt = rec.At
+				seen.Packets++
+				seen.Bytes += uint64(p.WireLen())
+				if p.Truth.Malicious {
+					seen.MaliciousPkts++
+				}
+				if len(p.Payload) > 0 {
+					seen.PayloadPackets++
+				}
+				seen.coverHost(p.Src)
+				seen.coverHost(p.Dst)
 			}
-			// The footer/body consistency invariant only holds for scans
-			// that reached a clean EOF; a mid-stream decode error leaves
-			// the count legitimately short.
-			if st := rd.Stats(); clean && st.Packets != uint64(n) {
-				t.Fatalf("footer claims %d packets, decoded %d", st.Packets, n)
-			}
-			_ = rd.Incidents()
+			seen.Chunks++
+			c.Release()
+		}
+		_ = rd.Incidents()
+		// The footer/body consistency invariant only holds for scans
+		// that reached a clean EOF; a mid-stream decode error leaves
+		// the statistics legitimately short.
+		if !clean {
+			return
+		}
+		if st := rd.Stats(); st != seen {
+			t.Fatalf("footer claims %+v, records hold %+v", st, seen)
+		}
+		if err == nil {
+			checkReplay(t, tr, data)
 		}
 	})
+}
+
+// checkReplay replays an accepted stream through Replay (from its
+// decoded records) and ReplayReader, each on a fresh sim, and requires
+// the same (time, seq, payload) emit sequence. Replay alone may refuse
+// the stream, when a record lies beyond the clock's range from the
+// start; ReplayReader then must not panic.
+func checkReplay(t *testing.T, tr *Trace, data []byte) {
+	t.Helper()
+	const start = time.Second
+	type emitted struct {
+		at      time.Duration
+		seq     uint64
+		payload string
+	}
+	observe := func(sim *simtime.Sim, out *[]emitted) func(p *packet.Packet) {
+		return func(p *packet.Packet) { *out = append(*out, emitted{sim.Now(), p.Seq, string(p.Payload)}) }
+	}
+	var want, got []emitted
+	simA := simtime.New(1)
+	errA := Replay(simA, tr, start, observe(simA, &want))
+	if errA == nil {
+		simA.Run()
+	}
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	simB := simtime.New(1)
+	rs, errB := ReplayReader(simB, rd, start, observe(simB, &got))
+	if errB == nil {
+		simB.Run()
+		errB = rs.Err()
+	}
+	if errA != nil {
+		return
+	}
+	if errB != nil {
+		t.Fatalf("Replay accepted the stream, ReplayReader failed: %v", errB)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ReplayReader emitted %d packets, Replay %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("emit %d: ReplayReader %+v, Replay %+v", i, got[i], want[i])
+		}
+	}
 }
 
 // FuzzServeFrameDecode drives the network frame decoder — the byte

@@ -40,10 +40,19 @@ const releaseLag = 2
 // runs on the simulation's goroutine, which is the reader's one
 // goroutine.
 //
-// Scheduling order matches the in-memory path: a chunk's records are
-// scheduled in trace order, and the advance event for chunk N+1 is
-// scheduled after chunk N's records, so at a shared timestamp the
-// packet event fires first. Replayed chunks are released back to the
+// The records ride one simtime lane whose handler is emit, so the heap
+// holds one entry for the whole replay and no closure is built per
+// record. A lane item takes its tie-break number when it is pushed,
+// exactly as ScheduleAt does; a chunk's records are pushed in trace
+// order when the chunk decodes, and the advance event for chunk N+1 is
+// scheduled right after chunk N's records, so at a shared timestamp the
+// packet events fire first. Alone on its sim, a stream therefore fires
+// exactly as Replay fires its records. Against another event source
+// one order differs: an event scheduled for the time of a record in a
+// chunk not yet decoded fires before that record here, after it in
+// Replay. The lane needs push times that never decrease, which the
+// Reader guarantees: it rejects a chunk that starts before its
+// predecessor's last record. Replayed chunks are released back to the
 // reader releaseLag chunks later.
 //
 // The returned handle carries errors from advance events that fire
@@ -61,23 +70,32 @@ func ReplayReader(sim *simtime.Sim, rd *Reader, start time.Duration, emit func(p
 	if err != nil {
 		return nil, err
 	}
+	if start < sim.Now() {
+		return nil, fmt.Errorf("trace: replay start %v before now %v: %w", start, sim.Now(), simtime.ErrPastTime)
+	}
 	base := first.FirstAt()
+	lane := simtime.NewLane(sim, emit)
 
 	// held keeps the most recent releaseLag replayed chunks alive so
 	// packets still in flight through the network model cannot alias a
 	// recycled arena. held[0] is oldest.
 	var held [releaseLag]*Chunk
 	var advance func()
-	// play schedules c's records and the advance event at its last
-	// record, then retires c.
+	// play pushes c's records onto the lane and schedules the advance
+	// event at its last record, then retires c.
 	play := func(c *Chunk) error {
-		for i := range c.Records {
-			rec := c.Records[i]
-			if _, err := sim.ScheduleAt(start+rec.At-base, func() { emit(rec.Pk) }); err != nil {
-				return err
-			}
+		// Record times never decrease and a chunk starts no earlier than
+		// its predecessor ends, so every record lands at or after now
+		// unless its offset from start overflows the clock; the last
+		// record overflows if any does.
+		last := start + c.LastAt() - base
+		if last < sim.Now() {
+			return fmt.Errorf("trace: record at %v overflows the replay clock from %v: %w", c.LastAt(), start, simtime.ErrPastTime)
 		}
-		if _, err := sim.ScheduleAt(start+c.LastAt()-base, advance); err != nil {
+		for i := range c.Records {
+			lane.Push(start+c.Records[i].At-base, c.Records[i].Pk)
+		}
+		if _, err := sim.ScheduleAt(last, advance); err != nil {
 			return err
 		}
 		if old := held[0]; old != nil {

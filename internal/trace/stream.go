@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/attack"
@@ -452,11 +453,10 @@ type Reader struct {
 
 	intern     map[string]string
 	strScratch []string
-	chunksRead int
 	free       []*Chunk
 
-	// seen recomputes the footer's checkable statistics from the decoded
-	// records.
+	// seen recomputes the footer's statistics from the decoded records;
+	// seen.Chunks counts the chunks decoded so far.
 	seen StreamStats
 
 	// Telemetry instruments; nil (free no-ops) unless SetObs is called.
@@ -622,18 +622,21 @@ func (r *Reader) Profile() string { return r.profile }
 func (r *Reader) Seed() int64 { return r.seed }
 
 // Stats returns the footer's whole-trace statistics. Host counts are
-// bounded at open; a scan that reaches io.EOF has checked the packet
-// count, the first timestamp, and the host counts against the body.
+// bounded at open; a scan that reaches io.EOF has checked every
+// statistic against the body.
 func (r *Reader) Stats() StreamStats { return r.stats }
 
 // Incidents returns the ground-truth sidecar.
 func (r *Reader) Incidents() []attack.Incident { return r.incidents }
 
 // ChunksRead reports how many chunks have been decoded so far.
-func (r *Reader) ChunksRead() int { return r.chunksRead }
+func (r *Reader) ChunksRead() int { return r.seen.Chunks }
 
 // Next returns the next decoded chunk, or io.EOF once the body is
-// exhausted and the footer's statistics match it.
+// exhausted and the footer's statistics match it. Record times never
+// decrease across the whole scan: a chunk that starts before its
+// predecessor's last record fails, so a replay can feed the records to
+// a lane (see ReplayReader).
 func (r *Reader) Next() (*Chunk, error) {
 	if r.off == r.bodyEnd {
 		if err := r.checkFooter(); err != nil {
@@ -676,29 +679,44 @@ func (r *Reader) Next() (*Chunk, error) {
 	if r.hDecode != nil {
 		r.hDecode.Observe(int64(time.Since(t0)))
 	}
+	if r.seen.Packets > 0 && c.FirstAt() < r.seen.LastAt {
+		return nil, fmt.Errorf("trace: chunk %d starts at %v, before the previous chunk's last record at %v",
+			r.seen.Chunks, c.FirstAt(), r.seen.LastAt)
+	}
 	r.tally(c)
-	r.chunksRead++
 	r.cChunks.Inc()
 	r.cRecords.Add(uint64(len(c.Records)))
 	r.cBytes.Add(uint64(blen) + 5)
 	return c, nil
 }
 
-// tally folds a decoded chunk into the recomputed footer statistics.
+// tally folds a decoded chunk into the recomputed footer statistics,
+// each derived from the records as the Writer derives it.
 func (r *Reader) tally(c *Chunk) {
-	if r.seen.Packets == 0 {
-		r.seen.FirstAt = c.FirstAt()
+	s := &r.seen
+	if s.Packets == 0 {
+		s.FirstAt = c.FirstAt()
 	}
-	r.seen.Packets += uint64(len(c.Records))
+	s.LastAt = c.LastAt()
+	s.Packets += uint64(len(c.Records))
+	s.Chunks++
 	for _, rec := range c.Records {
-		r.seen.coverHost(rec.Pk.Src)
-		r.seen.coverHost(rec.Pk.Dst)
+		p := rec.Pk
+		s.Bytes += uint64(p.WireLen())
+		if p.Truth.Malicious {
+			s.MaliciousPkts++
+		}
+		if len(p.Payload) > 0 {
+			s.PayloadPackets++
+		}
+		s.coverHost(p.Src)
+		s.coverHost(p.Dst)
 	}
 }
 
 // checkFooter fails a scan whose footer disagrees with the body it
-// indexes: the statistics consumers size and align a replay by must
-// match what the records actually hold.
+// indexes: every statistic a consumer sizes, aligns or reports a replay
+// by must match what the records actually hold.
 func (r *Reader) checkFooter() error {
 	claim, body := r.stats, r.seen
 	switch {
@@ -706,6 +724,16 @@ func (r *Reader) checkFooter() error {
 		return fmt.Errorf("trace: footer claims %d packets, body holds %d", claim.Packets, body.Packets)
 	case claim.FirstAt != body.FirstAt:
 		return fmt.Errorf("trace: footer claims first record at %v, body starts at %v", claim.FirstAt, body.FirstAt)
+	case claim.LastAt != body.LastAt:
+		return fmt.Errorf("trace: footer claims last record at %v, body ends at %v", claim.LastAt, body.LastAt)
+	case claim.Bytes != body.Bytes:
+		return fmt.Errorf("trace: footer claims %d bytes, body holds %d", claim.Bytes, body.Bytes)
+	case claim.MaliciousPkts != body.MaliciousPkts:
+		return fmt.Errorf("trace: footer claims %d malicious packets, body holds %d", claim.MaliciousPkts, body.MaliciousPkts)
+	case claim.PayloadPackets != body.PayloadPackets:
+		return fmt.Errorf("trace: footer claims %d payload packets, body holds %d", claim.PayloadPackets, body.PayloadPackets)
+	case claim.Chunks != body.Chunks:
+		return fmt.Errorf("trace: footer claims %d chunks, body holds %d", claim.Chunks, body.Chunks)
 	case claim.ClusterHosts != body.ClusterHosts:
 		return fmt.Errorf("trace: footer claims %d cluster hosts, body addresses %d", claim.ClusterHosts, body.ClusterHosts)
 	case claim.ExternalHosts != body.ExternalHosts:
@@ -809,7 +837,7 @@ func (r *Reader) decodeChunk(c *Chunk) error {
 	rest, err := r.decodeChunkBody(c)
 	if err != nil {
 		return fmt.Errorf("trace: chunk %d: byte %d/%d: %w",
-			r.chunksRead, len(c.buf)-len(rest), len(c.buf), err)
+			r.seen.Chunks, len(c.buf)-len(rest), len(c.buf), err)
 	}
 	return nil
 }
@@ -829,6 +857,9 @@ func (r *Reader) decodeChunkBody(c *Chunk) ([]byte, error) {
 	baseU, p, err := readUvarint(p)
 	if err != nil {
 		return p, fmt.Errorf("base timestamp: %w", err)
+	}
+	if baseU > math.MaxInt64 {
+		return p, fmt.Errorf("base timestamp %d out of range", baseU)
 	}
 	arenaLen, p, err := readUvarint(p)
 	if err != nil {
@@ -893,6 +924,9 @@ func (r *Reader) decodeChunkBody(c *Chunk) ([]byte, error) {
 			return p, fmt.Errorf("record %d delta: %w", i, err)
 		}
 		if i > 0 {
+			if v > uint64(math.MaxInt64-at) {
+				return p, fmt.Errorf("record %d delta %d overflows the timeline", i, v)
+			}
 			at += time.Duration(v)
 		} else if v != 0 {
 			return p, errors.New("nonzero first delta")

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -219,6 +221,91 @@ func TestReplayReaderMatchesInMemoryReplay(t *testing.T) {
 	}
 }
 
+// TestReplayReaderTieOrder pins how replayed records interleave with
+// another event source at shared instants, which a replay alone on its
+// sim cannot show. The trace's 3-record chunks share a timestamp across
+// every boundary (2, 3 and 5 ms). The source schedules an event at each
+// record's time before the replay starts and, from each emit, one at
+// the current instant and one at the time of the record two places on.
+// The reference replays each chunk with Replay from an event at its
+// predecessor's last record, scheduled right after that predecessor's
+// records: the order ReplayReader promises, since a chunk's records
+// take their tie-break numbers in trace order when the chunk decodes.
+// A whole-trace Replay numbers every record up front instead, so an
+// event scheduled from emit for the time of a record in a chunk not yet
+// decoded fires after that record there and before it here.
+func TestReplayReaderTieOrder(t *testing.T) {
+	tr := &Trace{Profile: "ties", Seed: 1}
+	for i, at := range []time.Duration{0, 1, 2, 2, 2, 3, 3, 5, 5, 5} {
+		if err := tr.Append(at*time.Millisecond, &packet.Packet{Seq: uint64(i), Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const chunk, start = 3, time.Second
+	data := encodeStream(t, tr, chunk)
+
+	run := func(replay func(sim *simtime.Sim, emit func(p *packet.Packet))) []string {
+		sim := simtime.New(1)
+		var log []string
+		note := func(what string, seq uint64) simtime.Handler {
+			return func() { log = append(log, fmt.Sprintf("%v %s#%d", sim.Now()-start, what, seq)) }
+		}
+		for _, r := range tr.Records {
+			if _, err := sim.ScheduleAt(start+r.At, note("pre", r.Pk.Seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay(sim, func(p *packet.Packet) {
+			log = append(log, fmt.Sprintf("%v rec#%d payload %x", sim.Now()-start, p.Seq, p.Payload))
+			sim.MustSchedule(0, note("now", p.Seq))
+			if k := int(p.Seq) + 2; k < len(tr.Records) {
+				if _, err := sim.ScheduleAt(start+tr.Records[k].At, note("ahead", p.Seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		sim.Run()
+		return log
+	}
+
+	want := run(func(sim *simtime.Sim, emit func(p *packet.Packet)) {
+		var play func(i int)
+		play = func(i int) {
+			c := &Trace{Records: tr.Records[i:min(i+chunk, len(tr.Records))]}
+			if err := Replay(sim, c, start+c.Records[0].At, emit); err != nil {
+				t.Fatal(err)
+			}
+			if next := i + chunk; next < len(tr.Records) {
+				if _, err := sim.ScheduleAt(start+c.Records[len(c.Records)-1].At, func() { play(next) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		play(0)
+	})
+	var rs *ReplayStream
+	got := run(func(sim *simtime.Sim, emit func(p *packet.Packet)) {
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs, err = ReplayReader(sim, rd, start, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d is %q, want %q\ngot:  %q\nwant: %q", i, got[i], want[i], got, want)
+		}
+	}
+}
+
 func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	// The same deterministic generation run captured through the
 	// in-memory Recorder and the streaming recorder must produce
@@ -351,11 +438,126 @@ func TestEmptyStream(t *testing.T) {
 	}
 }
 
-// footerStats locates the statistics of an IDT2 stream's footer — packets at byte 0, first record at 32, cluster and external
-// hosts at 48 and 52 — so a test can make the footer lie about its body.
+func TestReplayReaderRefusesTimesBeforeTheClock(t *testing.T) {
+	// A start before the clock fails as it does for Replay, and so does
+	// a record whose offset from start overflows the clock: the lane
+	// could take neither.
+	tr := &Trace{}
+	for i, at := range []time.Duration{0, math.MaxInt64} {
+		if err := tr.Append(at, &packet.Packet{Seq: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := encodeStream(t, tr, DefaultChunkRecords)
+	for _, c := range []struct {
+		name       string
+		now, start time.Duration
+	}{
+		{"start before now", 2 * time.Second, time.Second},
+		{"record past the clock", 0, time.Second},
+	} {
+		emit := func(*packet.Packet) {}
+		sim := simtime.New(1)
+		sim.RunUntil(c.now)
+		if err := Replay(sim, tr, c.start, emit); !errors.Is(err, simtime.ErrPastTime) {
+			t.Fatalf("%s: Replay = %v, want ErrPastTime", c.name, err)
+		}
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim = simtime.New(1)
+		sim.RunUntil(c.now)
+		if _, err := ReplayReader(sim, rd, c.start, emit); !errors.Is(err, simtime.ErrPastTime) {
+			t.Fatalf("%s: ReplayReader = %v, want ErrPastTime", c.name, err)
+		}
+	}
+}
+
+// footerStats locates the statistics of an IDT2 stream's footer so a
+// test can make the footer lie about its body: packets at byte 0, bytes
+// at 8, malicious packets at 16, payload packets at 24, first and last
+// record at 32 and 40 (u64 each), then cluster and external hosts at 48
+// and 52 and the chunk count at 56 (u32 each).
 func footerStats(data []byte) []byte {
 	off := binary.BigEndian.Uint64(data[len(data)-trailerLen:])
 	return data[off+5+8:]
+}
+
+// dropIndexEntry returns data with its footer's last chunk index entry
+// cut and the chunk count lowered to match: a well-formed footer that
+// claims one chunk fewer than the body holds.
+func dropIndexEntry(data []byte) []byte {
+	tr := data[len(data)-trailerLen:]
+	off := binary.BigEndian.Uint64(tr)
+	out := append([]byte(nil), data[:len(data)-trailerLen-indexEntryLen]...)
+	blen := out[off+1 : off+5]
+	binary.BigEndian.PutUint32(blen, binary.BigEndian.Uint32(blen)-indexEntryLen)
+	n := out[off+5+8+56 : off+5+8+60]
+	binary.BigEndian.PutUint32(n, binary.BigEndian.Uint32(n)-1)
+	return append(out, tr...)
+}
+
+// regressingStream is two 2-record chunks, at 10 and 20 ms and then at
+// 5 and 6 ms, behind a footer that agrees with its records, so it
+// reports LastAt 6 ms before FirstAt 10 ms. The Writer never writes it:
+// the test lifts Append's time-order check by resetting lastAt.
+func regressingStream(t testing.TB) []byte {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "regress", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.chunkRecords = 2
+	for i, at := range []time.Duration{10, 20, 5, 6} {
+		w.lastAt = 0
+		p := &packet.Packet{Seq: uint64(i + 1), Src: packet.IPv4(10, 1, 1, 1), Dst: packet.IPv4(203, 0, 1, 1)}
+		if err := w.Append(at*time.Millisecond, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReaderRejectsTimeRegressionAcrossChunks(t *testing.T) {
+	data := regressingStream(t)
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rd.Stats(); st.Duration() != -4*time.Millisecond {
+		t.Fatalf("footer span %v, want the crafted -4ms", st.Duration())
+	}
+	if _, err := rd.Next(); err != nil {
+		t.Fatalf("chunk 0 is in order, Next failed: %v", err)
+	}
+	const want = "chunk 1 starts at 5ms, before the previous chunk's last record at 20ms"
+	if _, err := rd.Next(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Next = %v, want %q", err, want)
+	}
+
+	// A streaming replay plays chunk 0, then reports the regression from
+	// its advance event instead of pushing a record behind the lane's tail.
+	rd, err = NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simtime.New(1)
+	emitted := 0
+	rs, err := ReplayReader(sim, rd, time.Second, func(*packet.Packet) { emitted++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if err := rs.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("replay Err = %v, want %q", err, want)
+	}
+	if emitted != 2 {
+		t.Fatalf("emitted %d records, want chunk 0's 2", emitted)
+	}
 }
 
 // lyingFooterStream is the 8-record fuzz seed trace behind a footer that
@@ -380,19 +582,37 @@ func TestLyingFooterRejected(t *testing.T) {
 	}
 
 	// Plausible lies pass the open check and fail the scan at its end,
-	// naming the field.
+	// naming the field: every statistic is recomputed from the records.
 	data := encodeStream(t, fuzzSeedTrace(), 3)
+	add64 := func(off int, d int64) func([]byte) []byte {
+		return func(data []byte) []byte {
+			st := footerStats(data)[off:]
+			binary.BigEndian.PutUint64(st, uint64(int64(binary.BigEndian.Uint64(st))+d))
+			return data
+		}
+	}
+	add32 := func(off int, d int32) func([]byte) []byte {
+		return func(data []byte) []byte {
+			st := footerStats(data)[off:]
+			binary.BigEndian.PutUint32(st, uint32(int32(binary.BigEndian.Uint32(st))+d))
+			return data
+		}
+	}
 	for _, c := range []struct {
 		field string
-		patch func(st []byte)
+		lie   func(data []byte) []byte
 	}{
-		{"packets", func(st []byte) { binary.BigEndian.PutUint64(st[0:8], 7) }},
-		{"first record", func(st []byte) { binary.BigEndian.PutUint64(st[32:40], uint64(time.Hour)) }},
-		{"cluster hosts", func(st []byte) { binary.BigEndian.PutUint32(st[48:52], 250) }},
-		{"external hosts", func(st []byte) { binary.BigEndian.PutUint32(st[52:56], 0) }},
+		{"packets", add64(0, -1)},
+		{"bytes", add64(8, 1)},
+		{"malicious packets", add64(16, 1)},
+		{"payload packets", add64(24, -1)},
+		{"first record", add64(32, int64(time.Hour))},
+		{"last record", add64(40, 1)},
+		{"cluster hosts", add32(48, 247)},
+		{"external hosts", add32(52, -1)},
+		{"chunks", dropIndexEntry},
 	} {
-		bad := append([]byte(nil), data...)
-		c.patch(footerStats(bad))
+		bad := c.lie(append([]byte(nil), data...))
 		if _, err := readTrace(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "footer claims") ||
 			!strings.Contains(err.Error(), c.field) {
 			t.Fatalf("%s lie: got %v, want a footer error naming the field", c.field, err)
@@ -500,6 +720,34 @@ func BenchmarkStreamDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 			c.Release()
+		}
+	}
+}
+
+// BenchmarkReplayReader replays a fixed multi-chunk stream onto a fresh
+// sim in each iteration: open, decode, and emit every record. `make
+// benchgate` gates its allocs/op with no growth allowed, so an
+// allocation per replayed record (a closure per scheduled event, say)
+// shows there at once.
+func BenchmarkReplayReader(b *testing.B) {
+	data := encodeStream(b, sampleTraceForBench(b), 256)
+	emit := func(*packet.Packet) {}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim := simtime.New(1)
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := ReplayReader(sim, rd, 0, emit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Run()
+		if err := rs.Err(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

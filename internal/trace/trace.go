@@ -143,7 +143,9 @@ func (r *Recorder) Trace() *Trace { return r.t }
 // Replay schedules every record of t onto sim, offset so the first record
 // fires at start and the gaps between records are kept. Each packet is
 // delivered through emit. No command calls it: it is the reference for
-// tests, which check the streaming ReplayReader against it.
+// tests, which check the streaming ReplayReader against it. It stays on
+// one ScheduleAt per record, the kernel's plainest path, so that the
+// reference shares no scheduling code with the lane ReplayReader feeds.
 func Replay(sim *simtime.Sim, t *Trace, start time.Duration, emit func(p *packet.Packet)) error {
 	if emit == nil {
 		return errors.New("trace: nil emit")
