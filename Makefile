@@ -142,10 +142,10 @@ PRESCANBENCH := PrescanSharedHit|InspectSharedPayload
 # internal/trace). The committed BENCH_kernel.json doubles as the
 # benchgate baseline, gated on allocs/op with no growth allowed: the
 # counts are deterministic (no per-event struct; the handler slab, the
-# heap and a lane grow by doubling; a replay's decode buffers are
-# recycled per chunk), and a pointer-bearing or per-event allocation
-# creeping back into the kernel or the replay shows there first. ns/op
-# is reported, not gated.
+# heap and a lane grow by doubling; a replay decodes each chunk into
+# buffers of its own, which its packets keep alive while in flight),
+# and a pointer-bearing or per-event allocation creeping back into the
+# kernel or the replay shows there first. ns/op is reported, not gated.
 KERNELBENCH := ScheduleRun|LaneRun|SeriesRun|ReplayReader
 KERNELPKGS := ./internal/simtime/ ./internal/trace/
 

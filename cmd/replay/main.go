@@ -90,11 +90,12 @@ func main() {
 	fmt.Printf("replaying %q: %d packets, %d incidents, %v span (profile %s, seed %d)\n\n",
 		*traceFile, st.Packets, len(rd.Incidents()), st.Duration().Round(time.Millisecond),
 		rd.Profile(), rd.Seed())
-	res, err := eval.RunTraceAccuracyStream(ctx, spec, rd, *sensitivity,
+	results, err := eval.RunTraceAccuracyStream(ctx, []products.Spec{spec}, rd, *sensitivity,
 		time.Duration(*trainSecs*float64(time.Second)), *seed, reg)
 	if err != nil {
 		fatal(err)
 	}
+	res := results[0]
 	fmt.Fprintf(os.Stderr, "replay: streamed %d chunks: setup %v, train %v, replay %v, score %v\n",
 		rd.ChunksRead(), dur("replay.setup"), dur("replay.train"),
 		dur("replay.replay"), dur("replay.score"))

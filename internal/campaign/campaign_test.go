@@ -231,10 +231,11 @@ func TestTraceAtSensitivityZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := eval.RunTraceAccuracyStream(context.Background(), products.TrueSecure(), rd, 0, 6*time.Second, 7, nil)
+	accs, err := eval.RunTraceAccuracyStream(context.Background(), []products.Spec{products.TrueSecure()}, rd, 0, 6*time.Second, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc := accs[0]
 	want := campaign.TraceResult{
 		Trace: "zero", ActualIncidents: acc.ActualIncidents, Detected: acc.DetectedIncidents,
 		FalseAlarms: acc.FalseAlarms, DetectionRate: acc.DetectionRate,
@@ -242,6 +243,140 @@ func TestTraceAtSensitivityZero(t *testing.T) {
 	}
 	if got.Trace == nil || *got.Trace != want {
 		t.Fatalf("trace experiment at sensitivity 0: %+v, want the replay at 0: %+v", got.Trace, want)
+	}
+}
+
+// TestTraceGroupingNeverChangesAByte runs one trace for three products
+// four ways: at Workers 1, where one testbed replays it for all three;
+// at Workers 2, which deals the products to two testbeds; stopped by
+// MaxNew 1 after its first commit and resumed; and as one campaign per
+// product. Every way must write byte-identical result files, and the
+// three campaigns of the one plan must report byte-identically. The
+// taps count the networks each way simulates, and the commit hook the
+// order in which a testbed's replays commit.
+func TestTraceGroupingNeverChangesAByte(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.idt2")
+	writeTrace(t, path)
+	field := []string{"NetRecorder", "TrueSecure", "StreamHunter"}
+	want := []string{"trace/t/NetRecorder", "trace/t/TrueSecure", "trace/t/StreamHunter"}
+	plan := func(products ...string) *campaign.Spec {
+		return &campaign.Spec{Name: "grouped", Seed: 7, Quick: true, Products: products,
+			Traces: []string{path}, Sensitivity: 0.6}
+	}
+	var taps atomic.Int64
+	eval.OfferHook = func(*packet.Packet, bool) { taps.Add(1) }
+	t.Cleanup(func() { eval.OfferHook = nil })
+	// run runs spec in cdir and returns the IDs it committed, in commit
+	// order, and the packets its testbeds tapped.
+	run := func(cdir string, spec *campaign.Spec, workers, maxNew int) ([]string, int64) {
+		t.Helper()
+		if err := campaign.SavePlan(cdir, spec); err != nil {
+			t.Fatal(err)
+		}
+		r := newRunner(cdir, spec)
+		r.Workers, r.MaxNew = workers, maxNew
+		var mu sync.Mutex
+		var order []string
+		r.OnCommit = func(ex campaign.Experiment, _ *campaign.Result) {
+			mu.Lock()
+			order = append(order, ex.ID)
+			mu.Unlock()
+		}
+		taps.Store(0)
+		if _, err := r.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return order, taps.Load()
+	}
+
+	one := filepath.Join(dir, "workers1")
+	order, network := run(one, plan(field...), 1, 0)
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("Workers 1 committed %v, want plan order %v", order, want)
+	}
+	two := filepath.Join(dir, "workers2")
+	if order, n := run(two, plan(field...), 2, 0); len(order) != 3 || n != 2*network {
+		t.Fatalf("Workers 2 committed %v over %d taps; want 3 commits on two networks of %d taps", order, n, network)
+	}
+	resumed := filepath.Join(dir, "resumed")
+	first, n1 := run(resumed, plan(field...), 1, 1)
+	rest, n2 := run(resumed, plan(field...), 1, 0)
+	if got := append(first, rest...); !reflect.DeepEqual(got, want) || n1 != network || n2 != network {
+		t.Fatalf("MaxNew 1 then resume committed %v then %v over %d and %d taps; want %v, one network each",
+			first, rest, n1, n2, want)
+	}
+	split := map[string]string{}
+	for i, p := range field {
+		split[want[i]] = filepath.Join(dir, "split", p)
+		if order, n := run(split[want[i]], plan(p), 1, 0); len(order) != 1 || n != network {
+			t.Fatalf("%s alone committed %v over %d taps; want one network of %d", p, order, n, network)
+		}
+	}
+
+	ref := renderReport(t, one)
+	for _, d := range []string{two, resumed} {
+		if got := renderReport(t, d); got != ref {
+			t.Fatalf("%s report differs from Workers 1:\n--- want ---\n%s\n--- got ---\n%s", filepath.Base(d), ref, got)
+		}
+	}
+	result := func(cdir, id string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(cdir, "results", strings.ReplaceAll(id, "/", "_")+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, id := range want {
+		ref := result(one, id)
+		for _, d := range []string{two, resumed, split[id]} {
+			if got := result(d, id); !bytes.Equal(got, ref) {
+				t.Fatalf("%s in %s differs from Workers 1:\n%s\nvs\n%s", id, d, got, ref)
+			}
+		}
+	}
+}
+
+// TestTraceGroupFailureJournalsEveryMember runs three products over a
+// trace file that does not exist, on one testbed's group: each of the
+// two attempts must journal a failed entry for every member, naming the
+// file, and the outcome must count each member failed and retried.
+func TestTraceGroupFailureJournalsEveryMember(t *testing.T) {
+	dir := t.TempDir()
+	cdir := filepath.Join(dir, "campaign")
+	missing := filepath.Join(dir, "missing.idt2")
+	r := newRunner(cdir, &campaign.Spec{Name: "missing", Seed: 7, Quick: true,
+		Products: []string{"NetRecorder", "TrueSecure", "StreamHunter"}, Traces: []string{missing}})
+	r.Workers, r.MaxAttempts = 1, 2
+	out, err := r.Run(context.Background())
+	want := []string{"trace/missing/NetRecorder", "trace/missing/TrueSecure", "trace/missing/StreamHunter"}
+	if err == nil || !reflect.DeepEqual(out.Failed, want) || out.Retries != 3 || out.Completed != 0 {
+		t.Fatalf("outcome %+v, err %v; want %v failed after one retry each", out, err, want)
+	}
+	data, err := os.ReadFile(filepath.Join(cdir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e campaign.Entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Status != campaign.StatusFailed || !strings.Contains(e.Error, missing) {
+			t.Fatalf("journal entry %+v: want a failure naming %s", e, missing)
+		}
+		got = append(got, fmt.Sprintf("%s#%d", e.ID, e.Attempt))
+	}
+	var wantLines []string
+	for attempt := 1; attempt <= 2; attempt++ {
+		for _, id := range want {
+			wantLines = append(wantLines, fmt.Sprintf("%s#%d", id, attempt))
+		}
+	}
+	if !reflect.DeepEqual(got, wantLines) {
+		t.Fatalf("journal holds %v, want %v", got, wantLines)
 	}
 }
 

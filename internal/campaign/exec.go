@@ -14,14 +14,35 @@ import (
 	"repro/internal/trace"
 )
 
-// execute runs one experiment and builds its persistable result. Every
-// path forces Workers=1 internally: the campaign level is the only
-// source of parallelism, so nested pools never oversubscribe the
-// machine and the per-experiment simulations stay deterministic units.
-func (r *Runner) execute(ctx context.Context, ex Experiment) (*Result, error) {
-	if r.Exec != nil {
-		return r.Exec(ctx, ex)
+// execute runs a group (Runner.groups) and builds its members'
+// persistable results, in group order: a trace's grouped replays share
+// one testbed, and any other group is one experiment. Exec, when set,
+// runs each member in turn, and the group fails with its first error.
+// Every path forces Workers=1 internally: the campaign level is the
+// only source of parallelism, so nested pools never oversubscribe the
+// machine and the simulations stay deterministic units.
+func (r *Runner) execute(ctx context.Context, group []Experiment) ([]*Result, error) {
+	if r.Exec == nil && group[0].Kind == KindTrace {
+		return r.runTraces(ctx, group)
 	}
+	run := r.executeOne
+	if r.Exec != nil {
+		run = r.Exec
+	}
+	out := make([]*Result, len(group))
+	for i, ex := range group {
+		res, err := run(ctx, ex)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// executeOne runs one experiment that is not a trace replay and builds
+// its persistable result.
+func (r *Runner) executeOne(ctx context.Context, ex Experiment) (*Result, error) {
 	spec, ok := products.Find(ex.Product)
 	if !ok {
 		return nil, fmt.Errorf("campaign: unknown product %q", ex.Product)
@@ -79,20 +100,6 @@ func (r *Runner) execute(ctx context.Context, ex Experiment) (*Result, error) {
 			SpoolDelivered: fr.SpoolDelivered,
 			SensorDownNs:   int64(fr.SensorDowntime),
 		}
-	case KindTrace:
-		acc, err := r.runTrace(ctx, spec, ex.Trace)
-		if err != nil {
-			return nil, err
-		}
-		res.Trace = &TraceResult{
-			Trace:           artifact(ex.Trace),
-			ActualIncidents: acc.ActualIncidents,
-			Detected:        acc.DetectedIncidents,
-			FalseAlarms:     acc.FalseAlarms,
-			DetectionRate:   acc.DetectionRate,
-			FalsePosRatio:   acc.FalsePositiveRatio,
-			MeanDelayNs:     int64(acc.MeanDetectionDelay),
-		}
 	default:
 		return nil, fmt.Errorf("campaign: unknown experiment kind %q", ex.Kind)
 	}
@@ -123,8 +130,19 @@ func (r *Runner) faultOpts(ex Experiment) eval.FaultSweepOptions {
 	return opts
 }
 
-// runTrace replays an IDT2 trace file against the product.
-func (r *Runner) runTrace(ctx context.Context, spec products.Spec, path string) (*eval.AccuracyResult, error) {
+// runTraces replays the IDT2 trace file that every experiment of group
+// names, once, for all their products: one deployment each on one
+// testbed, whose results are bit-identical to lone replays (DESIGN §7).
+func (r *Runner) runTraces(ctx context.Context, group []Experiment) ([]*Result, error) {
+	specs := make([]products.Spec, len(group))
+	for i, ex := range group {
+		spec, ok := products.Find(ex.Product)
+		if !ok {
+			return nil, fmt.Errorf("campaign: unknown product %q", ex.Product)
+		}
+		specs[i] = spec
+	}
+	path := group[0].Trace
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -138,5 +156,22 @@ func (r *Runner) runTrace(ctx context.Context, spec products.Spec, path string) 
 	if r.Spec.Quick {
 		trainFor = 6 * time.Second
 	}
-	return eval.RunTraceAccuracyStream(ctx, spec, rd, r.Spec.Sensitivity, trainFor, r.Spec.Seed, nil)
+	accs, err := eval.RunTraceAccuracyStream(ctx, specs, rd, r.Spec.Sensitivity, trainFor, r.Spec.Seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(group))
+	for i, ex := range group {
+		acc := accs[i]
+		out[i] = &Result{ID: ex.ID, Kind: ex.Kind, Product: ex.Product, Trace: &TraceResult{
+			Trace:           artifact(ex.Trace),
+			ActualIncidents: acc.ActualIncidents,
+			Detected:        acc.DetectedIncidents,
+			FalseAlarms:     acc.FalseAlarms,
+			DetectionRate:   acc.DetectionRate,
+			FalsePosRatio:   acc.FalsePositiveRatio,
+			MeanDelayNs:     int64(acc.MeanDetectionDelay),
+		}}
+	}
+	return out, nil
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,8 +23,9 @@ import (
 type Runner struct {
 	Dir  string
 	Spec *Spec
-	// Workers bounds the experiment-level pool (0 = all cores). Each
-	// experiment's own internal fan-out is forced serial, so the
+	// Workers bounds the experiment-level pool (0 = all cores), and
+	// with it how many testbeds a trace's replays are dealt to (groups).
+	// Each experiment's own internal fan-out is forced serial, so the
 	// campaign is the only source of parallelism.
 	Workers int
 	// MaxAttempts bounds retries per experiment (default 2: one retry).
@@ -267,36 +270,37 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	defer stop(nil)
 
 	var mu sync.Mutex
-	errs := par.ForEachAll(runCtx, len(pending), r.Workers, func(ctx context.Context, i int) error {
-		verdict, retries, err := r.runOne(ctx, pending[i])
+	// counted books one newly committed experiment and reports whether
+	// the run may commit another.
+	counted := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		out.Completed++
+		if r.MaxNew > 0 && out.Completed >= r.MaxNew {
+			stop(context.Canceled)
+			return false
+		}
+		return true
+	}
+	groups := r.groups(pending)
+	errs := par.ForEachAll(runCtx, len(groups), r.Workers, func(ctx context.Context, i int) error {
+		done, retries, err := r.runGroup(ctx, groups[i], counted)
 		mu.Lock()
 		defer mu.Unlock()
 		out.Retries += retries
-		switch {
-		case err == nil && verdict:
-			out.Completed++
-			if r.MaxNew > 0 && out.Completed >= r.MaxNew {
-				stop(context.Canceled)
+		if err != nil && !isCancel(err) {
+			for _, ex := range groups[i][done:] {
+				out.Failed = append(out.Failed, ex.ID)
 			}
-		case err != nil && !isCancel(err):
-			out.Failed = append(out.Failed, pending[i].ID)
 		}
 		return err
 	})
 
 	var firstCancel error
-	realFailures := 0
 	for _, e := range errs {
-		if e == nil {
-			continue
+		if e != nil && isCancel(e) && firstCancel == nil {
+			firstCancel = e
 		}
-		if isCancel(e) {
-			if firstCancel == nil {
-				firstCancel = e
-			}
-			continue
-		}
-		realFailures++
 	}
 	if ctx.Err() != nil {
 		out.Stopped = true
@@ -307,8 +311,8 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 		out.Stopped = true
 		return out, nil
 	}
-	if realFailures > 0 {
-		return out, fmt.Errorf("campaign: %d of %d experiments failed permanently (see journal)", realFailures, len(pending))
+	if len(out.Failed) > 0 {
+		return out, fmt.Errorf("campaign: %d of %d experiments failed permanently (see journal)", len(out.Failed), len(pending))
 	}
 	if firstCancel != nil {
 		out.Stopped = true
@@ -317,72 +321,147 @@ func (r *Runner) Run(ctx context.Context) (*Outcome, error) {
 	return out, nil
 }
 
-// runOne drives one experiment through its attempts. It returns
-// (committed, retriesUsed, err); a cancellation error means the
-// experiment neither succeeded nor failed — it re-runs on resume.
-func (r *Runner) runOne(ctx context.Context, ex Experiment) (bool, int, error) {
+// groups splits the pending experiments into the units the pool runs.
+// A trace's pending replays are dealt round-robin, in plan order, to
+// min(Workers, n) groups, as SensitivitySweep deals its points to
+// testbeds: each group replays the trace once, on one testbed, for all
+// its members (eval.RunTraceAccuracyStream). Every other experiment is
+// a group of its own. Groups keep the plan's order, by first member,
+// and list their members in plan order.
+func (r *Runner) groups(pending []Experiment) [][]Experiment {
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	replays := map[string][]Experiment{}
+	for _, ex := range pending {
+		if ex.Kind == KindTrace {
+			replays[ex.Trace] = append(replays[ex.Trace], ex)
+		}
+	}
+	var out [][]Experiment
+	for _, ex := range pending {
+		if ex.Kind != KindTrace {
+			out = append(out, []Experiment{ex})
+			continue
+		}
+		members, ok := replays[ex.Trace]
+		if !ok {
+			continue // dealt at the trace's first pending replay
+		}
+		delete(replays, ex.Trace)
+		n := min(workers, len(members))
+		dealt := make([][]Experiment, n)
+		for i, m := range members {
+			dealt[i%n] = append(dealt[i%n], m)
+		}
+		out = append(out, dealt...)
+	}
+	return out
+}
+
+// runGroup drives one group through its attempts. Every member shares
+// each attempt, and the journal books each attempt for every member as
+// it would a lone experiment's: a failed attempt appends one entry per
+// member and costs each member a retry, and a successful one commits
+// each member's result in plan order, calling counted after each
+// commit and stopping when it reports the run full. It returns how many
+// members it committed, the retries it used, and the error that ended
+// it; a cancellation error means the uncommitted members neither
+// succeeded nor failed — they re-run on resume.
+func (r *Runner) runGroup(ctx context.Context, group []Experiment, counted func() bool) (int, int, error) {
 	retries := 0
 	backoff := r.Backoff
-	r.setRunning(ex.ID, true)
-	defer r.setRunning(ex.ID, false)
+	for _, ex := range group {
+		r.setRunning(ex.ID, true)
+	}
+	defer func() {
+		for _, ex := range group {
+			r.setRunning(ex.ID, false)
+		}
+	}()
 	for attempt := 1; ; attempt++ {
 		start := time.Now()
-		r.flight().Record(obs.FlightExperimentStart, -1, -1, int64(attempt), ex.ID)
-		res, err := r.attempt(ctx, ex)
+		for _, ex := range group {
+			r.flight().Record(obs.FlightExperimentStart, -1, -1, int64(attempt), ex.ID)
+		}
+		results, err := r.attempt(ctx, group)
 		elapsed := time.Since(start)
 
 		if err == nil {
-			if cerr := r.commit(ex, res, attempt, elapsed); cerr != nil {
-				return false, retries, cerr
+			for i, ex := range group {
+				if cerr := r.commit(ex, results[i], attempt, elapsed); cerr != nil {
+					return i, retries, cerr
+				}
+				r.count("campaign.completed", 1)
+				r.track(func(p *Progress) { p.Completed++ })
+				if r.OnCommit != nil {
+					r.OnCommit(ex, results[i])
+				}
+				r.flight().RecordSpan(obs.FlightExperimentDone, -1, start, elapsed, -1, int64(attempt), ex.ID)
+				r.logf("  done  %-40s (attempt %d, %v)", ex.ID, attempt, elapsed.Round(time.Millisecond))
+				if !counted() && i+1 < len(group) {
+					return i + 1, retries, context.Canceled
+				}
 			}
-			r.count("campaign.completed", 1)
-			r.track(func(p *Progress) { p.Completed++ })
-			if r.OnCommit != nil {
-				r.OnCommit(ex, res)
-			}
-			r.flight().RecordSpan(obs.FlightExperimentDone, -1, start, elapsed, -1, int64(attempt), ex.ID)
-			r.logf("  done  %-40s (attempt %d, %v)", ex.ID, attempt, elapsed.Round(time.Millisecond))
-			return true, retries, nil
+			return len(group), retries, nil
 		}
 
 		// Parent cancellation: stop quietly, do not journal — the
-		// experiment is simply unfinished.
+		// experiments are simply unfinished.
 		if isCancel(err) && !errors.Is(err, errStalled) {
-			return false, retries, err
+			return 0, retries, err
 		}
 
-		entry := Entry{ID: ex.ID, Status: StatusFailed, Attempt: attempt,
-			Error: err.Error(), ElapsedMs: elapsed.Milliseconds()}
+		status := StatusFailed
 		var pe *PanicError
 		switch {
 		case errors.As(err, &pe):
-			entry.Status = StatusPanicked
-			entry.Stack = pe.Stack
-			r.flight().Record(obs.FlightExperimentPanic, -1, -1, int64(attempt), ex.ID)
+			status = StatusPanicked
 		case errors.Is(err, errStalled):
-			entry.Status = StatusTimeout
+			status = StatusTimeout
 		}
-		if jerr := r.append(entry); jerr != nil {
-			return false, retries, jerr
+		for _, ex := range group {
+			entry := Entry{ID: ex.ID, Status: status, Attempt: attempt,
+				Error: err.Error(), ElapsedMs: elapsed.Milliseconds()}
+			if pe != nil {
+				entry.Stack = pe.Stack
+				r.flight().Record(obs.FlightExperimentPanic, -1, -1, int64(attempt), ex.ID)
+			}
+			if jerr := r.append(entry); jerr != nil {
+				return 0, retries, jerr
+			}
+			r.logf("  %s %-40s attempt %d: %v", status, ex.ID, attempt, err)
 		}
-		r.logf("  %s %-40s attempt %d: %v", entry.Status, ex.ID, attempt, err)
 
 		if attempt >= r.MaxAttempts {
-			r.count("campaign.failed", 1)
-			r.track(func(p *Progress) { p.Failed++ })
-			return false, retries, fmt.Errorf("campaign: %s failed after %d attempts: %w", ex.ID, attempt, err)
+			r.count("campaign.failed", len(group))
+			r.track(func(p *Progress) { p.Failed += len(group) })
+			return 0, retries, fmt.Errorf("campaign: %s failed after %d attempts: %w", groupName(group), attempt, err)
 		}
-		retries++
-		r.count("campaign.retried", 1)
-		r.track(func(p *Progress) { p.Retried++ })
-		r.flight().Record(obs.FlightExperimentRetry, -1, -1, int64(attempt), ex.ID)
+		retries += len(group)
+		r.count("campaign.retried", len(group))
+		r.track(func(p *Progress) { p.Retried += len(group) })
+		for _, ex := range group {
+			r.flight().Record(obs.FlightExperimentRetry, -1, -1, int64(attempt), ex.ID)
+		}
 		select {
 		case <-ctx.Done():
-			return false, retries, ctx.Err()
+			return 0, retries, ctx.Err()
 		case <-time.After(backoff):
 		}
 		backoff *= 2
 	}
+}
+
+// groupName names a group in errors: its one experiment's ID, or its
+// members' IDs joined by "+".
+func groupName(group []Experiment) string {
+	ids := make([]string, len(group))
+	for i, ex := range group {
+		ids[i] = ex.ID
+	}
+	return strings.Join(ids, "+")
 }
 
 // PanicError wraps a recovered experiment panic; the stack goes into
@@ -395,13 +474,12 @@ type PanicError struct {
 
 func (p *PanicError) Error() string { return "panic: " + p.Value }
 
-// attempt executes the experiment once under panic isolation and the
-// stall watchdog. The experiment body runs on its own goroutine writing
-// to a buffered channel: if a wedged simulation ignores cancellation,
-// the goroutine is abandoned after Grace (it can only write to the
-// buffered channel, never to shared state) instead of hanging the
-// campaign.
-func (r *Runner) attempt(parent context.Context, ex Experiment) (*Result, error) {
+// attempt executes a group once under panic isolation and the stall
+// watchdog. The group's body runs on its own goroutine writing to a
+// buffered channel: if a wedged simulation ignores cancellation, the
+// goroutine is abandoned after Grace (it can only write to the buffered
+// channel, never to shared state) instead of hanging the campaign.
+func (r *Runner) attempt(parent context.Context, group []Experiment) ([]*Result, error) {
 	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
 
@@ -428,7 +506,7 @@ func (r *Runner) attempt(parent context.Context, ex Experiment) (*Result, error)
 				case <-tick.C:
 					idle := time.Since(time.Unix(0, lastBeat.Load()))
 					if idle > r.StallTimeout {
-						cancel(fmt.Errorf("%w: no progress for %v in %s", errStalled, idle.Round(time.Millisecond), ex.ID))
+						cancel(fmt.Errorf("%w: no progress for %v in %s", errStalled, idle.Round(time.Millisecond), groupName(group)))
 						return
 					}
 				}
@@ -437,7 +515,7 @@ func (r *Runner) attempt(parent context.Context, ex Experiment) (*Result, error)
 	}
 
 	type outcome struct {
-		res *Result
+		res []*Result
 		err error
 	}
 	ch := make(chan outcome, 1)
@@ -447,11 +525,11 @@ func (r *Runner) attempt(parent context.Context, ex Experiment) (*Result, error)
 				ch <- outcome{err: &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}}
 			}
 		}()
-		res, err := r.execute(ctx, ex)
+		res, err := r.execute(ctx, group)
 		ch <- outcome{res, err}
 	}()
 
-	finish := func(o outcome) (*Result, error) {
+	finish := func(o outcome) ([]*Result, error) {
 		if o.err != nil && context.Cause(ctx) != nil && errors.Is(context.Cause(ctx), errStalled) {
 			// Attribute the cancellation to the watchdog, not the
 			// generic context error the sim surfaced.
@@ -469,7 +547,7 @@ func (r *Runner) attempt(parent context.Context, ex Experiment) (*Result, error)
 		case <-time.After(r.Grace):
 			cause := context.Cause(ctx)
 			return nil, fmt.Errorf("campaign: %s abandoned %v after cancellation: %w",
-				ex.ID, r.Grace, cause)
+				groupName(group), r.Grace, cause)
 		}
 	}
 }

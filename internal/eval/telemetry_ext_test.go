@@ -178,12 +178,12 @@ func TestReplayStdoutByteIdenticalAcrossPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	got, err := eval.RunTraceAccuracyStream(context.Background(), spec, rd, 0.6, 6*time.Second, 11, reg)
+	got, err := eval.RunTraceAccuracyStream(context.Background(), []products.Spec{spec}, rd, 0.6, 6*time.Second, 11, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if w, g := renderAccuracy(t, want), renderAccuracy(t, got); w != g {
+	if w, g := renderAccuracy(t, want), renderAccuracy(t, got[0]); w != g {
 		t.Fatalf("replay stdout differs between paths:\n--- in-memory ---\n%s\n--- streaming ---\n%s", w, g)
 	}
 	// And the instrumented run must actually have produced telemetry.

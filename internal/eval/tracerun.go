@@ -62,28 +62,41 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 		shiftIncidents(tr.Incidents, tr.Records[0].At, replayStart), len(convs))
 }
 
-// RunTraceAccuracyStream is RunTraceAccuracy for a streamed IDT2 trace:
-// the testbed is sized from the stream's footer statistics, each chunk
-// decodes inside the simulation event that schedules it, and peak
-// memory is O(chunk) instead of O(capture). Results are identical to
-// loading the same records through RunTraceAccuracy.
+// RunTraceAccuracyStream is RunTraceAccuracy for a streamed IDT2 trace,
+// run for every product of a field at once: the field shares one
+// testbed, sized from the stream's footer statistics, with one IDS
+// deployment per product (DESIGN §7), so the trace decodes once, the
+// network simulates it once and the testbed trains one learned
+// profile. Each chunk decodes inside the simulation event that
+// schedules it, and peak memory is O(chunk) instead of O(capture).
+// The results come back in field order, and each is identical to
+// loading the same records through RunTraceAccuracy for its product
+// alone.
 //
 // When reg is non-nil, the run is instrumented: wall-clock stage spans
 // ("replay.setup" / "replay.train" / "replay.replay" / "replay.score"),
-// decoder counters on rd, and the full testbed component telemetry.
-// The scored result is bit-identical with reg set or nil.
-func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.Reader, sensitivity float64, trainFor time.Duration, seed int64, reg *obs.Registry) (*AccuracyResult, error) {
+// decoder counters on rd, and the full testbed component telemetry,
+// every deployment's included, as SweepOptions.Obs instruments a
+// sweep. The scored results are bit-identical with reg set or nil.
+func RunTraceAccuracyStream(ctx context.Context, specs []products.Spec, rd *trace.Reader, sensitivity float64, trainFor time.Duration, seed int64, reg *obs.Registry) ([]*AccuracyResult, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("eval: trace replay for no products")
+	}
 	st := rd.Stats()
 	if st.Packets == 0 {
 		return nil, fmt.Errorf("eval: empty trace")
 	}
 	rd.SetObs(reg)
 	sp := reg.StartSpan("replay.setup")
-	tb, err := NewTestbed(spec, TestbedConfig{
+	deps := make([]deploy, len(specs))
+	for i, spec := range specs {
+		deps[i] = deploy{spec: spec, obs: reg}
+	}
+	tb, err := newTestbed(TestbedConfig{
 		Seed: seed, TrainFor: trainFor,
 		ClusterHosts: st.ClusterHosts, ExternalHosts: st.ExternalHosts,
 		Obs: reg,
-	})
+	}, deps...)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +106,10 @@ func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.R
 	if err := tb.Train(); err != nil {
 		return nil, err
 	}
-	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
-		return nil, err
+	for _, d := range tb.deps {
+		if err := d.ids.SetSensitivity(sensitivity); err != nil {
+			return nil, err
+		}
 	}
 	sp.End()
 
@@ -118,14 +133,21 @@ func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.R
 	if err := tb.Interrupted(); err != nil {
 		return nil, err
 	}
-	tb.IDS.Flush()
+	for _, d := range tb.deps {
+		d.ids.Flush()
+	}
 	sp.End()
 
 	sp = reg.StartSpan("replay.score")
-	res, err := scoreAccuracy(tb, tb.deps[0], sensitivity,
-		shiftIncidents(rd.Incidents(), st.FirstAt, replayStart), len(convs))
-	sp.End()
-	return res, err
+	defer sp.End()
+	truth := shiftIncidents(rd.Incidents(), st.FirstAt, replayStart)
+	out := make([]*AccuracyResult, len(tb.deps))
+	for i, d := range tb.deps {
+		if out[i], err = scoreAccuracy(tb, d, sensitivity, truth, len(convs)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // shiftIncidents rebases ground-truth times from the trace's own

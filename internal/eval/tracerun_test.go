@@ -128,10 +128,11 @@ func TestStreamAccuracyMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		got, err := RunTraceAccuracyStream(context.Background(), spec, rd, 0.6, 6*time.Second, 11, reg)
+		results, err := RunTraceAccuracyStream(context.Background(), []products.Spec{spec}, rd, 0.6, 6*time.Second, 11, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := results[0]
 		if chunks, _ := reg.Snapshot().Counter("trace.decoder.chunks"); chunks == 0 {
 			t.Fatal("streaming run decoded no chunks")
 		}

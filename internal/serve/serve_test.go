@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,10 +171,68 @@ func awaitDone(t *testing.T, svc *serve.Service, name string) []byte {
 // directory — the byte-identity oracle for the chaos tests.
 func referenceScorecard(t *testing.T, name string, chunks [][]byte) []byte {
 	t.Helper()
+	return referenceRun(t, quickMeta(name), chunks)
+}
+
+// referenceRun is referenceScorecard for any meta. It also checks the
+// stream's feed: a Result event per experiment, in plan order, then the
+// scorecard.
+func referenceRun(t *testing.T, meta serve.StreamMeta, chunks [][]byte) []byte {
+	t.Helper()
 	svc := openService(t, t.TempDir(), nil)
 	defer svc.Close()
-	uploadAll(t, svc, quickMeta(name), chunks)
-	return awaitDone(t, svc, name)
+	uploadAll(t, svc, meta, chunks)
+	card := awaitDone(t, svc, meta.Name)
+	history, _, cancel, err := svc.Subscribe(meta.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	var feed []string
+	for _, ev := range history {
+		feed = append(feed, feedEntry(t, ev.Kind, ev.Payload))
+	}
+	if want := planFeed(meta); !reflect.DeepEqual(feed, append(want, "complete")) {
+		t.Fatalf("feed %v, want %v then complete", feed, want)
+	}
+	return card
+}
+
+// twoProductMeta is quickMeta for the field the benchmark streams:
+// TrueSecure and StreamHunter, replayed on one testbed.
+func twoProductMeta(name string) serve.StreamMeta {
+	meta := quickMeta(name)
+	meta.Products = []string{"TrueSecure", "StreamHunter"}
+	return meta
+}
+
+// planFeed is the feed a trace-only stream of meta delivers before it
+// completes: one Result per product, in plan order, then the scorecard.
+func planFeed(meta serve.StreamMeta) []string {
+	var feed []string
+	for _, p := range meta.Products {
+		feed = append(feed, "trace/trace/"+p)
+	}
+	return append(feed, "scorecard")
+}
+
+// feedEntry names one feed event: a Result by its experiment ID, any
+// other event by its kind.
+func feedEntry(t *testing.T, kind serve.EventKind, payload []byte) string {
+	t.Helper()
+	switch kind {
+	case serve.EventResult:
+		var res struct{ ID string }
+		if err := json.Unmarshal(payload, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.ID
+	case serve.EventScorecard:
+		return "scorecard"
+	case serve.EventComplete:
+		return "complete"
+	}
+	return fmt.Sprintf("event %d: %s", kind, payload)
 }
 
 func checkLedger(t *testing.T, svc *serve.Service) {
@@ -182,61 +242,68 @@ func checkLedger(t *testing.T, svc *serve.Service) {
 	}
 }
 
+// TestIngestEvaluateScorecardOverTCP streams a trace over TCP for one
+// product and for the two the benchmark streams, which share one
+// testbed: the feed must deliver a Result per experiment, in plan
+// order, before the scorecard.
 func TestIngestEvaluateScorecardOverTCP(t *testing.T) {
 	data := buildTraceBytes(t, 31)
 	chunks := chunked(data, 48<<10)
+	for _, meta := range []serve.StreamMeta{quickMeta("tcp1"), twoProductMeta("tcp2")} {
+		t.Run(strings.Join(meta.Products, "+"), func(t *testing.T) {
+			svc := openService(t, t.TempDir(), nil)
+			defer svc.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go svc.ServeTCP(ln)
 
-	svc := openService(t, t.TempDir(), nil)
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go svc.ServeTCP(ln)
+			c, err := serve.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Hello(meta); err != nil {
+				t.Fatal(err)
+			}
+			if c.Next != 0 || c.State != serve.StateOpen {
+				t.Fatalf("hello = next %d state %s, want 0/open", c.Next, c.State)
+			}
+			for _, chunk := range chunks {
+				if err := c.SendChunkRetry(chunk, 3, 10*time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.FinishRetry(uint64(len(chunks)), int64(len(data)), 3, 10*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			var feed []string
+			card, err := c.Await(3*time.Minute, func(kind serve.EventKind, payload []byte) {
+				feed = append(feed, feedEntry(t, kind, payload))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range meta.Products {
+				if !bytes.Contains(card, []byte(p)) {
+					t.Fatalf("scorecard missing %s's section:\n%s", p, card)
+				}
+			}
+			if want := planFeed(meta); !reflect.DeepEqual(feed, want) {
+				t.Fatalf("feed %v, want %v", feed, want)
+			}
 
-	c, err := serve.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Hello(quickMeta("tcp1")); err != nil {
-		t.Fatal(err)
-	}
-	if c.Next != 0 || c.State != serve.StateOpen {
-		t.Fatalf("hello = next %d state %s, want 0/open", c.Next, c.State)
-	}
-	for _, chunk := range chunks {
-		if err := c.SendChunkRetry(chunk, 3, 10*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.FinishRetry(uint64(len(chunks)), int64(len(data)), 3, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	var results int
-	card, err := c.Await(3*time.Minute, func(kind serve.EventKind, _ []byte) {
-		if kind == serve.EventResult {
-			results++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(card) == 0 || !bytes.Contains(card, []byte("TrueSecure")) {
-		t.Fatalf("scorecard missing product section:\n%s", card)
-	}
-	if results == 0 {
-		t.Fatal("no incremental Result frames before the scorecard")
-	}
-
-	counts := svc.Counts()
-	if counts.Delivered != uint64(len(chunks)) || counts.Pending != 0 {
-		t.Fatalf("ledger after completion: %+v", counts)
-	}
-	checkLedger(t, svc)
-	if h := svc.Health(); h != httpexport.HealthOK {
-		t.Fatalf("health = %q after clean completion", h)
+			counts := svc.Counts()
+			if counts.Delivered != uint64(len(chunks)) || counts.Pending != 0 {
+				t.Fatalf("ledger after completion: %+v", counts)
+			}
+			checkLedger(t, svc)
+			if h := svc.Health(); h != httpexport.HealthOK {
+				t.Fatalf("health = %q after clean completion", h)
+			}
+		})
 	}
 }
 
@@ -330,37 +397,62 @@ func tear(t *testing.T, path, fragment string) {
 	f.Close()
 }
 
+// TestKillDuringEvaluationResumesByteIdentical kills the daemon while
+// it evaluates a stream of one product, and one of the two the
+// benchmark streams, which share one testbed and commit together; the
+// restarted daemon must finish with the uninterrupted run's scorecard,
+// and any Result it delivers must keep plan order, before the
+// scorecard.
 func TestKillDuringEvaluationResumesByteIdentical(t *testing.T) {
 	data := buildTraceBytes(t, 31)
 	chunks := chunked(data, 48<<10)
-	want := referenceScorecard(t, "chaos2", chunks)
+	for _, meta := range []serve.StreamMeta{quickMeta("chaos2"), twoProductMeta("chaos2")} {
+		t.Run(strings.Join(meta.Products, "+"), func(t *testing.T) {
+			want := referenceRun(t, meta, chunks)
 
-	dir := t.TempDir()
-	svc := openService(t, dir, nil)
-	uploadAll(t, svc, quickMeta("chaos2"), chunks)
-	// Give the evaluation a moment to start (and likely commit some
-	// experiments), then kill the daemon mid-flight.
-	time.Sleep(150 * time.Millisecond)
-	svc.Close()
+			dir := t.TempDir()
+			svc := openService(t, dir, nil)
+			uploadAll(t, svc, meta, chunks)
+			// Give the evaluation a moment to start (and likely commit
+			// some experiments), then kill the daemon mid-flight.
+			time.Sleep(150 * time.Millisecond)
+			svc.Close()
 
-	svc2 := openService(t, dir, nil)
-	defer svc2.Close()
-	status, ok := svc2.Status("chaos2")
-	if !ok {
-		t.Fatal("stream lost across restart")
-	}
-	if status.State != serve.StateQueued && status.State != serve.StateRunning && status.State != serve.StateDone {
-		t.Fatalf("restarted stream state = %s, want re-queued or done", status.State)
-	}
-	counts := svc2.Counts()
-	if counts.Delivered != uint64(len(chunks)) {
-		t.Fatalf("delivered %d across restart, want %d", counts.Delivered, len(chunks))
-	}
-	checkLedger(t, svc2)
+			svc2 := openService(t, dir, nil)
+			defer svc2.Close()
+			status, ok := svc2.Status(meta.Name)
+			if !ok {
+				t.Fatal("stream lost across restart")
+			}
+			if status.State != serve.StateQueued && status.State != serve.StateRunning && status.State != serve.StateDone {
+				t.Fatalf("restarted stream state = %s, want re-queued or done", status.State)
+			}
+			counts := svc2.Counts()
+			if counts.Delivered != uint64(len(chunks)) {
+				t.Fatalf("delivered %d across restart, want %d", counts.Delivered, len(chunks))
+			}
+			checkLedger(t, svc2)
 
-	got := awaitDone(t, svc2, "chaos2")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("post-kill scorecard differs from uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			got := awaitDone(t, svc2, meta.Name)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("post-kill scorecard differs from uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+			history, _, cancel, err := svc2.Subscribe(meta.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			// The restarted daemon delivers the Results it committed
+			// itself, a suffix of the plan's, then the scorecard.
+			var feed []string
+			for _, ev := range history {
+				feed = append(feed, feedEntry(t, ev.Kind, ev.Payload))
+			}
+			full := append(planFeed(meta), "complete")
+			if len(feed) < 2 || !reflect.DeepEqual(feed, full[len(full)-len(feed):]) {
+				t.Fatalf("restarted feed %v, want a suffix of %v ending in the scorecard", feed, full)
+			}
+		})
 	}
 }
 

@@ -20,12 +20,14 @@ import (
 // invariant that needs no reference decoder). A scan's record times
 // never decrease, and a scan that ends cleanly must have decoded every
 // statistic its footer claims. An accepted stream must replay the same
-// through Replay and ReplayReader.
+// through Replay and ReplayReader, and every packet ReplayReader emits
+// must still read as emitted once the sim has drained.
 func FuzzReadTrace(f *testing.F) {
 	// Seed corpus: a retired v1 trace, a real v2 stream (two chunk
 	// sizes), an empty v2 stream, assorted truncations, plain garbage,
-	// streams whose footer lies about its body, and one whose second
-	// chunk starts before the first ends.
+	// streams whose footer lies about its body, one whose second chunk
+	// starts before the first ends, and one of one-record chunks that
+	// share a timestamp.
 	tr := fuzzSeedTrace()
 	v1 := legacyV1()
 	var v2 bytes.Buffer
@@ -99,6 +101,7 @@ func FuzzReadTrace(f *testing.F) {
 	binary.BigEndian.PutUint64(st, binary.BigEndian.Uint64(st)+1) // LastAt off by 1 ns
 	f.Add(lastAt)
 	f.Add(regressingStream(f))
+	f.Add(encodeStream(f, sameInstantTrace(), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := readTrace(bytes.NewReader(data))
@@ -158,9 +161,11 @@ func FuzzReadTrace(f *testing.F) {
 
 // checkReplay replays an accepted stream through Replay (from its
 // decoded records) and ReplayReader, each on a fresh sim, and requires
-// the same (time, seq, payload) emit sequence. Replay alone may refuse
-// the stream, when a record lies beyond the clock's range from the
-// start; ReplayReader then must not panic.
+// the same (time, seq, payload) emit sequence. Every packet
+// ReplayReader emitted must still carry its seq and payload once its
+// sim has drained, as a packet a link or sensor still held would have
+// to. Replay alone may refuse the stream, when a record lies beyond the
+// clock's range from the start; ReplayReader then must not panic.
 func checkReplay(t *testing.T, tr *Trace, data []byte) {
 	t.Helper()
 	const start = time.Second
@@ -169,8 +174,12 @@ func checkReplay(t *testing.T, tr *Trace, data []byte) {
 		seq     uint64
 		payload string
 	}
+	var pkts []*packet.Packet
 	observe := func(sim *simtime.Sim, out *[]emitted) func(p *packet.Packet) {
-		return func(p *packet.Packet) { *out = append(*out, emitted{sim.Now(), p.Seq, string(p.Payload)}) }
+		return func(p *packet.Packet) {
+			*out = append(*out, emitted{sim.Now(), p.Seq, string(p.Payload)})
+			pkts = append(pkts, p)
+		}
 	}
 	var want, got []emitted
 	simA := simtime.New(1)
@@ -182,11 +191,18 @@ func checkReplay(t *testing.T, tr *Trace, data []byte) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	pkts = nil
 	simB := simtime.New(1)
 	rs, errB := ReplayReader(simB, rd, start, observe(simB, &got))
 	if errB == nil {
 		simB.Run()
 		errB = rs.Err()
+	}
+	for i, p := range pkts {
+		if p.Seq != got[i].seq || string(p.Payload) != got[i].payload {
+			t.Fatalf("emit %d (seq %d, payload %q) reads seq %d, payload %q after the replay",
+				i, got[i].seq, got[i].payload, p.Seq, p.Payload)
+		}
 	}
 	if errA != nil {
 		return
@@ -202,6 +218,19 @@ func checkReplay(t *testing.T, tr *Trace, data []byte) {
 			t.Fatalf("emit %d: ReplayReader %+v, Replay %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// sameInstantTrace is six records at one instant, each with its own
+// seq and payload.
+func sameInstantTrace() *Trace {
+	tr := &Trace{Profile: "same-instant", Seed: 1}
+	for i := 0; i < 6; i++ {
+		p := &packet.Packet{Seq: uint64(i + 1), Proto: packet.ProtoTCP, Payload: []byte{'r', byte('0' + i)}}
+		if err := tr.Append(time.Millisecond, p); err != nil {
+			panic(err)
+		}
+	}
+	return tr
 }
 
 // FuzzServeFrameDecode drives the network frame decoder — the byte

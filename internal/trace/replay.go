@@ -24,14 +24,6 @@ type ReplayStream struct {
 // Err returns the first mid-replay decode/schedule error, if any.
 func (rs *ReplayStream) Err() error { return rs.err }
 
-// releaseLag is how many chunks a replayed chunk is kept alive after
-// its successor starts. Packets emitted into a testbed sit in bounded
-// network queues for at most milliseconds, while a chunk spans seconds
-// of virtual time at any realistic packet rate; a two-chunk lag leaves
-// the recycled arena untouchable until long after the last reference
-// drained, even for pathologically short chunks.
-const releaseLag = 2
-
 // ReplayReader schedules a streamed trace onto sim with the same
 // semantics as Replay — first record at start, the trace's own gaps,
 // delivery through emit — but with O(chunk) memory: only the current
@@ -52,8 +44,13 @@ const releaseLag = 2
 // chunk not yet decoded fires before that record here, after it in
 // Replay. The lane needs push times that never decrease, which the
 // Reader guarantees: it rejects a chunk that starts before its
-// predecessor's last record. Replayed chunks are released back to the
-// reader releaseLag chunks later.
+// predecessor's last record.
+//
+// A replayed chunk is never released back to the reader: an emitted
+// packet may sit in a link, lane or sensor ring for any stretch of
+// virtual time, however short its chunk, and a memo may key on its
+// payload's address (DESIGN §7), so the chunk's packets and payloads
+// stay put until the GC finds nothing pointing into them.
 //
 // The returned handle carries errors from advance events that fire
 // while the simulation runs; callers must check handle.Err() after the
@@ -76,13 +73,9 @@ func ReplayReader(sim *simtime.Sim, rd *Reader, start time.Duration, emit func(p
 	base := first.FirstAt()
 	lane := simtime.NewLane(sim, emit)
 
-	// held keeps the most recent releaseLag replayed chunks alive so
-	// packets still in flight through the network model cannot alias a
-	// recycled arena. held[0] is oldest.
-	var held [releaseLag]*Chunk
 	var advance func()
 	// play pushes c's records onto the lane and schedules the advance
-	// event at its last record, then retires c.
+	// event at its last record.
 	play := func(c *Chunk) error {
 		// Record times never decrease and a chunk starts no earlier than
 		// its predecessor ends, so every record lands at or after now
@@ -95,21 +88,12 @@ func ReplayReader(sim *simtime.Sim, rd *Reader, start time.Duration, emit func(p
 		for i := range c.Records {
 			lane.Push(start+c.Records[i].At-base, c.Records[i].Pk)
 		}
-		if _, err := sim.ScheduleAt(last, advance); err != nil {
-			return err
-		}
-		if old := held[0]; old != nil {
-			old.Release()
-		}
-		copy(held[:], held[1:])
-		held[len(held)-1] = c
-		return nil
+		_, err := sim.ScheduleAt(last, advance)
+		return err
 	}
 	advance = func() {
 		c, err := rd.Next()
 		if err == io.EOF {
-			// Trailing chunks are left for the GC: packets may still be
-			// in flight when the stream ends.
 			return
 		}
 		if err == nil {

@@ -306,6 +306,51 @@ func TestReplayReaderTieOrder(t *testing.T) {
 	}
 }
 
+// TestReplayReaderKeepsPacketsInFlight replays 20 one-record chunks
+// 1 µs apart and re-reads each emitted packet 50 µs later, as a link or
+// a sensor ring holding it would. Every packet must still carry its own
+// record's header and payload then: a replay that hands a chunk's
+// buffers back to the reader lets a later record overwrite a packet
+// still in flight.
+func TestReplayReaderKeepsPacketsInFlight(t *testing.T) {
+	tr := &Trace{Profile: "in-flight", Seed: 1}
+	for i := 0; i < 20; i++ {
+		p := &packet.Packet{Seq: uint64(i + 1), SrcPort: uint16(1000 + i), Payload: []byte(fmt.Sprintf("record %02d", i))}
+		if err := tr.Append(time.Duration(i)*time.Microsecond, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, tr, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simtime.New(1)
+	var checked int
+	var bad []string
+	rs, err := ReplayReader(sim, rd, 0, func(p *packet.Packet) {
+		seq, port, payload := p.Seq, p.SrcPort, string(p.Payload)
+		sim.MustSchedule(50*time.Microsecond, func() {
+			checked++
+			if p.Seq != seq || p.SrcPort != port || string(p.Payload) != payload {
+				bad = append(bad, fmt.Sprintf("seq %d (%q) reads seq %d (%q)", seq, payload, p.Seq, p.Payload))
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if checked != len(tr.Records) {
+		t.Fatalf("re-read %d packets, want %d", checked, len(tr.Records))
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%d of %d packets changed while in flight: %s", len(bad), checked, strings.Join(bad, "; "))
+	}
+}
+
 func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	// The same deterministic generation run captured through the
 	// in-memory Recorder and the streaming recorder must produce
@@ -756,12 +801,12 @@ func BenchmarkReplayReader(b *testing.B) {
 // peak-RSS proxy) of in-memory versus streaming replay. The custom
 // live-MB metric is sampled at the replay midpoint after a forced GC,
 // when the in-memory path necessarily holds every record and the
-// streaming path only its release-lag window.
+// streaming path only the chunks that a scheduled record or a packet
+// still in flight points into.
 func BenchmarkReplayLiveHeap(b *testing.B) {
 	// A long trace over small chunks, so it spans far more chunks than
-	// the streaming window (release lag + freelist):
-	// the streaming path's live set is that window, not the whole
-	// record array.
+	// the streaming path keeps live: its live set is the current chunk
+	// and what is in flight, not the whole record array.
 	tr := longTraceForBench(b, 30*time.Second)
 	data := encodeStream(b, tr, 256)
 	total := len(tr.Records)
