@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race bench benchhot benchgate benchkernel benchobs benchsim benchserve ci eval sweep traces faultgolden idsbench idsbench-smoke tracereport clean
+.PHONY: all build fmtcheck test race bench benchhot benchgate benchgate-kernel benchgate-prescan benchgate-hotpath benchgate-sim benchgate-obs benchgate-serve benchkernel benchobs benchsim benchserve ci eval sweep traces faultgolden idsbench idsbench-smoke tracereport clean
 
 all: build test race
 
@@ -77,36 +77,57 @@ benchhot:
 # the code alone, so they still give a verdict on a host too slow or
 # busy for the throughput steps. On hosts with >= 4 CPUs the sim gate
 # additionally enforces the 4-shard/1-shard scaling floor; single-core
-# hosts report the ratio and skip. Regenerate baselines with `make
-# benchhot` / `make benchsim` (and commit them) after an intentional
-# perf change.
+# hosts report the ratio and skip. Every step runs whatever the earlier
+# ones found and prints its verdict; the gate then exits non-zero
+# naming each failed step. Regenerate baselines with `make benchhot` /
+# `make benchsim` (and commit them) after an intentional perf change.
+BENCHGATE_STEPS := kernel prescan hotpath sim obs serve
+
 benchgate:
+	@failed=; for step in $(BENCHGATE_STEPS); do \
+		if $(MAKE) --no-print-directory benchgate-$$step; then echo "benchgate $$step: PASS"; \
+		else echo "benchgate $$step: FAIL"; failed="$$failed $$step"; fi; \
+	done; \
+	if [ -n "$$failed" ]; then echo "benchgate FAILED:$$failed"; exit 1; fi; \
+	echo "benchgate: all steps passed"
+
+benchgate-kernel:
 	$(GO) test -run=NONE -bench='$(KERNELBENCH)' \
 		-benchmem -count=1 -json $(KERNELPKGS) > /tmp/BENCH_kernel.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_kernel.json \
 		-current /tmp/BENCH_kernel.current.json \
 		-gate-allocs '$(KERNELBENCH)' -max-allocs-grow-pct 0
+
+benchgate-prescan:
 	$(GO) test -run=NONE -bench='$(PRESCANBENCH)' \
 		-benchmem -count=1 -json ./internal/detect/ > /tmp/BENCH_prescan.current.json
 	$(GO) run ./cmd/benchgate -baseline '' \
 		-current /tmp/BENCH_prescan.current.json \
 		-require-zero-allocs '$(PRESCANBENCH)'
+
+benchgate-hotpath:
 	$(GO) test -run=NONE -bench='$(HOTBENCH)' \
 		-benchmem -count=1 -json ./internal/detect/ ./internal/traffic/ > /tmp/BENCH_hotpath.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_hotpath.json \
 		-current /tmp/BENCH_hotpath.current.json -max-drop-pct 15
+
+benchgate-sim:
 	$(GO) test -run=NONE -bench='$(SIMBENCH)' \
 		-benchmem -count=1 -json ./internal/eval/ > /tmp/BENCH_sim.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_sim.json \
 		-current /tmp/BENCH_sim.current.json -max-drop-pct 15 \
 		-speedup-num BenchmarkShardedScaleShards4 \
 		-speedup-den BenchmarkShardedScaleShards1 -min-speedup 2.5
+
+benchgate-obs:
 	$(GO) test -run=NONE -bench='$(OBSBENCH)' \
 		-benchmem -count=1 -json ./internal/obs/ > /tmp/BENCH_obs.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_obs.json \
 		-current /tmp/BENCH_obs.current.json \
 		-gate-ns Disabled -max-ns-grow-pct 100 -ns-slack-ns 2 \
 		-require-zero-allocs Disabled
+
+benchgate-serve:
 	$(GO) test -run=NONE -bench='$(SERVEBENCH)' \
 		-benchmem -count=1 -json ./internal/serve/ > /tmp/BENCH_serve.current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_serve.json \

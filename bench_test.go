@@ -366,24 +366,34 @@ func BenchmarkAblationLoadBalancing(b *testing.B) {
 	for _, d := range disciplines {
 		d := d
 		b.Run(d.name, func(b *testing.B) {
-			// A deliberately capacity-bound pool (slow signature engines,
-			// 4 sensors) so the discipline is the limiting factor.
-			spec := products.NetRecorder()
-			spec.IDS.Sensors = 4
-			spec.IDS.Balancer = d.kind
-			spec.IDS.BalancerCost = 0
-			spec.IDS.SensorSpeedFactor = 0.5
 			for i := 0; i < b.N; i++ {
-				res, err := eval.MeasureThroughput(context.Background(), spec, eval.ThroughputOptions{
-					Window: 100 * time.Millisecond, LoPps: 500, HiPps: 262144, Seed: 5,
-				})
+				pps, err := loadBalancingZeroLoss(d.kind)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.ZeroLossPps, "zero-loss-pps")
+				b.ReportMetric(pps, "zero-loss-pps")
 			}
 		})
 	}
+}
+
+// loadBalancingZeroLoss is the load-balancing ablation's zero-loss
+// throughput under one discipline, on a deliberately capacity-bound pool
+// (slow signature engines, 4 sensors) so the discipline is the limiting
+// factor.
+func loadBalancingZeroLoss(kind ids.BalancerKind) (float64, error) {
+	spec := products.NetRecorder()
+	spec.IDS.Sensors = 4
+	spec.IDS.Balancer = kind
+	spec.IDS.BalancerCost = 0
+	spec.IDS.SensorSpeedFactor = 0.5
+	res, err := eval.MeasureThroughput(context.Background(), spec, eval.ThroughputOptions{
+		Window: 100 * time.Millisecond, LoPps: 500, HiPps: 262144, Seed: 5,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return res.ZeroLossPps, nil
 }
 
 // BenchmarkAblationSeparation compares fused sensing+analysis (1:1)
@@ -398,21 +408,31 @@ func BenchmarkAblationSeparation(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spec := products.TrueSecure()
-				spec.IDS.SeparateAnalysis = v.separate
-				spec.IDS.AnalysisLatency = 2 * time.Millisecond
-				tb, err := eval.NewTestbed(spec, eval.TestbedConfig{Seed: 11, TrainFor: 6 * time.Second, BackgroundPps: 200})
+				delay, err := separationDelay(v.separate)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := eval.RunAccuracy(tb, 0.6, 15*time.Second, 0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.MeanDetectionDelay.Microseconds()), "mean-delay-us")
+				b.ReportMetric(float64(delay.Microseconds()), "mean-delay-us")
 			}
 		})
 	}
+}
+
+// separationDelay is the separation ablation's mean detection delay,
+// with sensing and analysis fused or separated by a 2 ms hop.
+func separationDelay(separate bool) (time.Duration, error) {
+	spec := products.TrueSecure()
+	spec.IDS.SeparateAnalysis = separate
+	spec.IDS.AnalysisLatency = 2 * time.Millisecond
+	tb, err := eval.NewTestbed(spec, eval.TestbedConfig{Seed: 11, TrainFor: 6 * time.Second, BackgroundPps: 200})
+	if err != nil {
+		return 0, err
+	}
+	res, err := eval.RunAccuracy(tb, 0.6, 15*time.Second, 0.5)
+	if err != nil {
+		return 0, err
+	}
+	return res.MeanDetectionDelay, nil
 }
 
 // BenchmarkAblationMatcher compares the Aho–Corasick corpus scan against
@@ -460,14 +480,24 @@ func BenchmarkAblationTapMode(b *testing.B) {
 		tap := tap
 		b.Run(tap.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := eval.MeasureInducedLatency(products.NetRecorder(), tap, 3)
+				induced, err := tapInducedLatency(tap)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Induced.Nanoseconds()), "induced-ns")
+				b.ReportMetric(float64(induced.Nanoseconds()), "induced-ns")
 			}
 		})
 	}
+}
+
+// tapInducedLatency is the tap-mode ablation's induced latency for
+// NetRecorder on one tap.
+func tapInducedLatency(tap eval.TapMode) (time.Duration, error) {
+	res, err := eval.MeasureInducedLatency(products.NetRecorder(), tap, 3)
+	if err != nil {
+		return 0, err
+	}
+	return res.Induced, nil
 }
 
 // BenchmarkScenarioCampaign measures raw attack-campaign generation.
@@ -492,7 +522,7 @@ func BenchmarkScenarioCampaign(b *testing.B) {
 func BenchmarkExtensionOperatorFatigue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, spec := range []products.Spec{products.NetRecorder(), products.StreamHunter()} {
-			res, err := eval.MeasureHumanDimension(spec, 0.8, 11)
+			res, err := humanDimension(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -506,6 +536,12 @@ func BenchmarkExtensionOperatorFatigue(b *testing.B) {
 			})
 		}
 	}
+}
+
+// humanDimension runs the human-dimension extension for one product at
+// sensitivity 0.8.
+func humanDimension(spec products.Spec) (*eval.HumanResult, error) {
+	return eval.MeasureHumanDimension(spec, 0.8, 11)
 }
 
 // BenchmarkExtensionEvasion measures the fragmentation-evasion ablation:
@@ -561,19 +597,29 @@ func BenchmarkAblationDataPool(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			spec := products.NetRecorder() // capacity-bound signature sensors
 			for i := 0; i < b.N; i++ {
-				res, err := eval.MeasureThroughput(context.Background(), spec, eval.ThroughputOptions{
-					Window: 100 * time.Millisecond, LoPps: 500, HiPps: 262144,
-					Seed: 5, Profile: traffic.RealTimeCluster(), Pool: v.pool,
-				})
+				pps, err := dataPoolZeroLoss(v.pool)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.ZeroLossPps, "zero-loss-pps")
+				b.ReportMetric(pps, "zero-loss-pps")
 			}
 		})
 	}
+}
+
+// dataPoolZeroLoss is the data-pool ablation's zero-loss throughput for
+// NetRecorder's capacity-bound signature sensors on the cluster profile,
+// analyzing the given pool (nil: all traffic).
+func dataPoolZeroLoss(pool *ids.DataPool) (float64, error) {
+	res, err := eval.MeasureThroughput(context.Background(), products.NetRecorder(), eval.ThroughputOptions{
+		Window: 100 * time.Millisecond, LoPps: 500, HiPps: 262144,
+		Seed: 5, Profile: traffic.RealTimeCluster(), Pool: pool,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return res.ZeroLossPps, nil
 }
 
 // BenchmarkAblationPlacement compares sensor placements on the segmented

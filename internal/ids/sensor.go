@@ -27,9 +27,7 @@ type Sensor struct {
 	id     int
 	engine detect.Engine
 
-	queueDepth int
 	queueLimit int
-	busyUntil  simtime.Time
 
 	state        SensorState
 	failureMode  FailureMode
@@ -54,16 +52,15 @@ type Sensor struct {
 	// owning IDS for self-health reporting.
 	onStateChange func(recovered bool)
 
-	// pending is the FIFO of queued packets awaiting inspection. Each
-	// entry still gets its own sim event at exactly the instant the old
-	// per-packet closure fired (so event order is untouched); the ring
-	// replaces the per-packet closure capture and carries batched-scan
-	// memo state.
-	pending pendingRing
+	// pending queues the packets awaiting inspection, each due at its
+	// completion time; its Tail is when the processing budget frees up.
+	pending *simtime.Lane[*packet.Packet]
 	// prescan is non-nil when the engine supports batched payload
-	// scanning; inspectFn is the shared event callback, bound once.
-	prescan   detect.Prescanning
-	inspectFn func()
+	// scanning. The last prescan covers the next scanned packets to pop,
+	// the first of which has index batchIdx in its batch.
+	prescan  detect.Prescanning
+	scanned  int
+	batchIdx int
 	// scratch reuses the payload-batch slice across scan cycles.
 	scratch [][]byte
 
@@ -109,8 +106,8 @@ func NewSensor(sim *simtime.Sim, id int, engine detect.Engine, queueLimit int, m
 		queueLimit: queueLimit, failureMode: mode,
 		lethalRate: lethalRate, restartAfter: restartAfter,
 	}
+	s.pending = simtime.NewLane(sim, s.inspect)
 	s.prescan, _ = engine.(detect.Prescanning)
-	s.inspectFn = s.inspectNext
 	return s
 }
 
@@ -120,44 +117,6 @@ func NewSensor(sim *simtime.Sim, id int, engine detect.Engine, queueLimit int, m
 // domain-local analyzer.
 func (s *Sensor) SetDeliver(fn func(alerts []detect.Alert)) { s.deliver = fn }
 
-// pendingEntry is one queued packet plus its batched-scan memo: once a
-// scan cycle has covered the entry, idx points at its match set in the
-// engine's prescan batch.
-type pendingEntry struct {
-	p       *packet.Packet
-	scanned bool
-	idx     int32
-}
-
-// pendingRing is a growable FIFO of pendingEntry (power-of-two ring).
-type pendingRing struct {
-	buf  []pendingEntry
-	head int
-	n    int
-}
-
-func (r *pendingRing) push(p *packet.Packet) {
-	if r.n == len(r.buf) {
-		grown := make([]pendingEntry, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = *r.at(i)
-		}
-		r.buf, r.head = grown, 0
-	}
-	*r.at(r.n) = pendingEntry{p: p}
-	r.n++
-}
-
-func (r *pendingRing) at(i int) *pendingEntry {
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
-func (r *pendingRing) pop() {
-	*r.at(0) = pendingEntry{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-}
-
 // ID returns the sensor's index.
 func (s *Sensor) ID() int { return s.id }
 
@@ -165,7 +124,7 @@ func (s *Sensor) ID() int { return s.id }
 func (s *Sensor) State() SensorState { return s.state }
 
 // QueueDepth returns pending packets (the dynamic balancer's load signal).
-func (s *Sensor) QueueDepth() int { return s.queueDepth }
+func (s *Sensor) QueueDepth() int { return s.pending.Len() }
 
 // QueueLimit returns the sensor's pending-packet bound.
 func (s *Sensor) QueueLimit() int { return s.queueLimit }
@@ -187,7 +146,7 @@ func (s *Sensor) Offer(p *packet.Packet) {
 		s.cDropped.Inc()
 		return
 	}
-	if s.queueDepth >= s.queueLimit {
+	if s.pending.Len() >= s.queueLimit {
 		s.Dropped++
 		s.cDropped.Inc()
 		s.noteDrop(now)
@@ -200,39 +159,26 @@ func (s *Sensor) Offer(p *packet.Packet) {
 	if s.slowScale > 0 && s.slowScale < 1 {
 		cost = time.Duration(float64(cost) / s.slowScale)
 	}
-	start := now
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	s.busyUntil = start + cost
-	s.queueDepth++
-	s.gQueue.Set(int64(s.queueDepth))
 	s.BusyTime += cost
 	s.hScanSim.Observe(int64(cost))
-	// One event per packet at exactly the packet's completion instant —
-	// same times, same scheduling order as the historical per-packet
-	// closure, so the simulation's (time, seq) event order is untouched.
-	// The ring supplies the packet at fire time.
-	s.pending.push(p)
-	s.sim.MustSchedule(s.busyUntil-now, s.inspectFn)
+	s.pending.Push(max(now, s.pending.Tail())+cost, p)
+	s.gQueue.Set(int64(s.pending.Len()))
 }
 
-// inspectNext completes the head pending packet: the sensor's per-packet
-// completion event. When the engine supports prescanning and the head
-// has not been covered by a batch scan yet, the whole pending queue is
-// scanned as one interleaved batch first — the "scan cycle drains its
-// queue as a batch" hot path. Everything observable (counters, failure
-// handling, alert content and timing) is identical to per-packet
-// inspection: prescanning is pure, and the stateful inspection phase
-// still runs here, per packet, at this packet's own completion time.
-func (s *Sensor) inspectNext() {
-	ent := s.pending.at(0)
-	s.queueDepth--
-	s.gQueue.Set(int64(s.queueDepth))
+// inspect completes one queued packet at its completion time. When the
+// engine supports prescanning and the last prescan does not cover the
+// packet, the packet and every one still queued behind it are scanned as
+// one interleaved batch first: the "scan cycle drains its queue as a
+// batch" hot path. Everything observable (counters, failure handling,
+// alert content and timing) is identical to per-packet inspection:
+// prescanning is pure, and the stateful inspection phase still runs
+// here, per packet, at this packet's own completion time.
+func (s *Sensor) inspect(p *packet.Packet) {
+	s.gQueue.Set(int64(s.pending.Len()))
 	if s.state == SensorFailed {
-		// A dead sensor inspects nothing; any memoized prescan result
-		// for this entry is simply discarded (the scan was pure).
-		s.pending.pop()
+		// A dead sensor inspects nothing; a prescan result memoized for
+		// the packet is simply discarded (the scan was pure).
+		s.takeBatchIdx()
 		return
 	}
 	s.Processed++
@@ -245,16 +191,15 @@ func (s *Sensor) inspectNext() {
 	if s.hScanWall != nil {
 		t0 = time.Now()
 	}
-	if s.prescan != nil && !ent.scanned {
-		s.prescanPending()
+	if s.prescan != nil && s.scanned == 0 {
+		s.prescanPending(p)
 	}
 	var alerts []detect.Alert
-	if ent.scanned {
-		alerts = s.prescan.InspectPrescanned(ent.p, s.sim.Now(), int(ent.idx))
+	if i := s.takeBatchIdx(); i >= 0 {
+		alerts = s.prescan.InspectPrescanned(p, s.sim.Now(), i)
 	} else {
-		alerts = s.engine.Inspect(ent.p, s.sim.Now())
+		alerts = s.engine.Inspect(p, s.sim.Now())
 	}
-	s.pending.pop()
 	if s.hScanWall != nil {
 		s.hScanWall.Observe(int64(time.Since(t0)))
 	}
@@ -263,32 +208,37 @@ func (s *Sensor) inspectNext() {
 	}
 }
 
-// prescanPending batch-scans every pending payload (head included) in
-// one interleaved automaton pass and memoizes per-entry match sets.
-// Invariant: a prescan only ever happens when no previously-scanned
-// entries remain (FIFO consumption), so overwriting the engine's batch
-// memo is safe.
-func (s *Sensor) prescanPending() {
-	s.scratch = s.scratch[:0]
-	for i := 0; i < s.pending.n; i++ {
-		s.scratch = append(s.scratch, s.pending.at(i).p.Payload)
+// takeBatchIdx returns the popped packet's index in the last prescan's
+// batch and moves past it, or -1 when that prescan does not cover it.
+func (s *Sensor) takeBatchIdx() int {
+	if s.scanned == 0 {
+		return -1
 	}
+	s.scanned--
+	s.batchIdx++
+	return s.batchIdx - 1
+}
+
+// prescanPending batch-scans the popped head's payload and every queued
+// one in one interleaved automaton pass, and memoizes their match sets.
+// It runs only once the last prescan's packets have all popped (FIFO
+// consumption), so overwriting the engine's batch memo is safe.
+func (s *Sensor) prescanPending(head *packet.Packet) {
+	s.scratch = append(s.scratch[:0], head.Payload)
+	for i := 0; i < s.pending.Len(); i++ {
+		s.scratch = append(s.scratch, s.pending.At(i).Payload)
+	}
+	n := len(s.scratch)
 	ok := s.prescan.PrescanBatch(s.scratch)
-	for i := range s.scratch {
-		s.scratch[i] = nil
-	}
+	clear(s.scratch)
 	if !ok {
 		return
 	}
-	for i := 0; i < s.pending.n; i++ {
-		e := s.pending.at(i)
-		e.scanned = true
-		e.idx = int32(i)
-	}
+	s.scanned, s.batchIdx = n, 0
 	s.BatchScans++
-	s.BatchPackets += uint64(s.pending.n)
+	s.BatchPackets += uint64(n)
 	s.cBatchScans.Inc()
-	s.cBatchPkts.Add(uint64(s.pending.n))
+	s.cBatchPkts.Add(uint64(n))
 }
 
 // noteDrop tracks the drop rate and triggers lethal-dose failure.

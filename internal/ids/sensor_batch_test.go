@@ -3,6 +3,7 @@ package ids
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/packet"
@@ -51,23 +52,46 @@ func batchProbePkts(payloads []string) []*packet.Packet {
 // exposes batched prescanning, one forced scalar — and requires
 // byte-identical observable output (stats, incidents, notifications)
 // while proving the batched sensor actually formed multi-packet scan
-// cycles under queue depth. It does so for the stock engine, and for
+// cycles under queue depth. It does so for the stock engine, for
 // NetRecorder's reassembling engine over a burst whose phf exploit is
-// split over two segments, which the batched sensor must still catch.
+// split over two segments, which the batched sensor must still catch,
+// and for the stock engine crashed and recovered mid-batch.
 func TestSensorBatchedScanMatchesScalarSensor(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		engine   func() detect.Engine
 		payloads []string
+		crash    bool
 	}{
-		{"stock", func() detect.Engine { return detect.NewStandardSignatureEngine() }, batchProbePayloads},
-		{"reassembling", func() detect.Engine { return detect.NewReassemblingSignatureEngine() }, splitProbePayloads},
+		{"stock", func() detect.Engine { return detect.NewStandardSignatureEngine() }, batchProbePayloads, false},
+		{"reassembling", func() detect.Engine { return detect.NewReassemblingSignatureEngine() }, splitProbePayloads, false},
+		{"crash-mid-batch", func() detect.Engine { return detect.NewStandardSignatureEngine() }, batchProbePayloads, true},
 	} {
-		t.Run(c.name, func(t *testing.T) { checkBatchedMatchesScalar(t, c.engine, c.payloads) })
+		t.Run(c.name, func(t *testing.T) { checkBatchedMatchesScalar(t, c.engine, c.payloads, c.crash) })
 	}
 }
 
-func checkBatchedMatchesScalar(t *testing.T, engine func() detect.Engine, payloads []string) {
+// crashMidBatch lets sn complete two packets, crashes it, lets two more
+// queued packets pop while it is dead and recovers it. The first
+// completion prescanned the whole burst, so the dead pops and the
+// packets after them are all covered by that one batch.
+func crashMidBatch(t *testing.T, sim *simtime.Sim, sn *Sensor) {
+	step := func(done func() bool) {
+		for i := 0; !done(); i++ {
+			if i == 1000 {
+				t.Fatal("sensor never reached the crash window")
+			}
+			sim.RunUntil(sim.Now() + time.Microsecond)
+		}
+	}
+	step(func() bool { return sn.Processed == 2 })
+	sn.InjectCrash()
+	depth := sn.QueueDepth()
+	step(func() bool { return sn.QueueDepth() == depth-2 })
+	sn.InjectRecover()
+}
+
+func checkBatchedMatchesScalar(t *testing.T, engine func() detect.Engine, payloads []string, crash bool) {
 	run := func(factory func() detect.Engine) (*IDS, *simtime.Sim) {
 		sim := simtime.New(1)
 		s, err := New(sim, Config{Name: "batch-probe", Engine: factory, SensorQueue: 64})
@@ -79,6 +103,9 @@ func checkBatchedMatchesScalar(t *testing.T, engine func() detect.Engine, payloa
 		// sees a deep queue — the batch-forming condition.
 		for _, p := range batchProbePkts(payloads) {
 			s.Ingest(p)
+		}
+		if crash {
+			crashMidBatch(t, sim, s.Sensors()[0])
 		}
 		sim.Run()
 		return s, sim
@@ -115,6 +142,10 @@ func checkBatchedMatchesScalar(t *testing.T, engine func() detect.Engine, payloa
 	}
 	if scans == 0 {
 		t.Fatal("batched sensor never formed a batch under queue depth")
+	}
+	if want := uint64(len(payloads)); crash && (scans != 1 || pkts != want || bs.Processed != want-2) {
+		t.Fatalf("crash run made %d scans over %d packets and processed %d, want 1 scan over %d and %d processed",
+			scans, pkts, bs.Processed, want, want-2)
 	}
 	if pkts <= scans {
 		t.Fatalf("batches never covered more than one packet (scans=%d pkts=%d)", scans, pkts)

@@ -81,8 +81,9 @@ type Operator struct {
 	cfg Config
 	rng *rand.Rand
 
-	queueDepth int
-	busyUntil  simtime.Time
+	// queue holds the notifications awaiting triage, each due when its
+	// triage completes; its Tail is when the watch-stander frees up.
+	queue *simtime.Lane[ids.Notification]
 	// vigilance in (0,1]: probability weight of acting on a real alert.
 	vigilance  float64
 	lastTriage simtime.Time
@@ -95,36 +96,29 @@ type Operator struct {
 // New creates an operator at full vigilance.
 func New(sim *simtime.Sim, cfg Config) *Operator {
 	cfg.applyDefaults()
-	return &Operator{
+	o := &Operator{
 		sim: sim, cfg: cfg,
 		rng:       sim.Stream("operator"),
 		vigilance: 1,
 	}
+	o.queue = simtime.NewLane(sim, o.triage)
+	return o
 }
 
 // Notify presents one monitor notification to the operator at the
 // current virtual time.
 func (o *Operator) Notify(n ids.Notification) {
-	if o.queueDepth >= o.cfg.QueueLimit {
+	if o.queue.Len() >= o.cfg.QueueLimit {
 		o.queueDrops++
 		o.Handled = append(o.Handled, Handling{Notification: n, Outcome: Unseen})
 		return
 	}
-	o.queueDepth++
-	now := o.sim.Now()
-	start := now
-	if o.busyUntil > start {
-		start = o.busyUntil
-	}
-	o.busyUntil = start + o.cfg.TriageTime
-	done := o.busyUntil
-	o.sim.MustSchedule(done-now, func() { o.triage(n) })
+	o.queue.Push(max(o.sim.Now(), o.queue.Tail())+o.cfg.TriageTime, n)
 }
 
 // triage completes one notification: recover vigilance for quiet time,
 // then burn fatigue, then decide.
 func (o *Operator) triage(n ids.Notification) {
-	o.queueDepth--
 	now := o.sim.Now()
 	// Exponential vigilance recovery over idle time since last triage.
 	if o.lastTriage > 0 && now > o.lastTriage {

@@ -566,7 +566,8 @@ func (s *Service) shedCorruptLocked(st *stream, chunks uint64, bytes int64) {
 	go st.publish(Event{Kind: EventFailed, Payload: []byte("stream shed: " + string(ShedCorrupt))})
 }
 
-// validateSpool fully decodes the spool as an IDT2 stream.
+// validateSpool fully decodes the spool as an IDT2 stream. Each chunk
+// goes back to the reader once decoded, so its buffers decode the next.
 func validateSpool(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -578,12 +579,14 @@ func validateSpool(path string) error {
 		return err
 	}
 	for {
-		if _, err := rd.Next(); err != nil {
+		c, err := rd.Next()
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
 			return err
 		}
+		c.Release()
 	}
 }
 

@@ -8,8 +8,14 @@ package serve
 // pin the guards deterministically.
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/packet"
+	"repro/internal/trace"
 )
 
 func openRawService(t *testing.T) *Service {
@@ -123,5 +129,55 @@ func TestFinishRefusesDeliveryOfStreamShedMidWindow(t *testing.T) {
 	}
 	if c.Delivered != 0 || c.Shed[ShedIdle] != 1 {
 		t.Fatalf("counts = %+v, want the chunk shed once and never delivered", c)
+	}
+}
+
+// writeSpool writes an IDT2 spool of n full chunks of one record shape.
+// Records start an hour in, so every chunk's base time encodes to the
+// same length and all n chunks need buffers of one size.
+func writeSpool(t *testing.T, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spool.idt2")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := trace.NewWriter(f, "spool", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &packet.Packet{
+		Src: packet.IPv4(10, 0, 0, 1), Dst: packet.IPv4(10, 0, 0, 2),
+		SrcPort: 4000, DstPort: 53, Proto: packet.ProtoUDP, TTL: 64,
+		Payload: []byte("spooled payload"),
+	}
+	for i := 0; i < n*trace.DefaultChunkRecords; i++ {
+		if err := w.Append(time.Hour+time.Duration(i)*time.Microsecond, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Validating a spool hands each decoded chunk back to the reader, so a
+// spool of 16 equal-size chunks decodes into about one chunk's buffers,
+// as a one-chunk spool does, rather than one set per chunk.
+func TestValidateSpoolRecyclesChunkBuffers(t *testing.T) {
+	allocated := func(path string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := validateSpool(path); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := allocated(writeSpool(t, 1)), allocated(writeSpool(t, 16))
+	if many > 2*one {
+		t.Fatalf("validating 16 chunks allocated %d bytes, one chunk %d: decoded chunks are not recycled", many, one)
 	}
 }

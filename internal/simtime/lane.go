@@ -72,6 +72,9 @@ func (l *Lane[T]) Push(at Time, v T) {
 // Len returns the number of items not yet run.
 func (l *Lane[T]) Len() int { return len(l.items) - l.head }
 
+// At returns the i-th item not yet run, 0 being the next to fire.
+func (l *Lane[T]) At(i int) T { return l.items[l.head+i].v }
+
 // Tail returns the time of the lane's last push: the earliest time the
 // next Push may use.
 func (l *Lane[T]) Tail() Time { return l.tail }

@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,14 @@ type world interface {
 	series(start, gap Time, n, first int)
 	cancel(id int) bool
 	run()
+	laneViews() []laneView
+}
+
+// laneView is what a lane shows its readers: its tail and its items not
+// yet run, next first.
+type laneView struct {
+	tail  Time
+	items []int
 }
 
 // program is a random mix of ScheduleAt, lane pushes, series and Cancel
@@ -32,6 +41,7 @@ type program struct {
 	sched   []int // ids issued by ScheduleAt: the Cancel targets
 	log     []int // executed ids, in order
 	cancels []bool
+	views   []laneView // every lane as each executed event found it
 }
 
 func newProgram(seed int64) *program {
@@ -92,6 +102,7 @@ func (p *program) start(w world) {
 
 func (p *program) exec(w world, id int) {
 	p.log = append(p.log, id)
+	p.views = append(p.views, w.laneViews()...)
 	r := splitmix(p.seed<<32 | int64(id))
 	p.ops(w, &r, r.Intn(4))
 }
@@ -129,15 +140,27 @@ func (w *kernelWorld) series(start, gap Time, n, first int) {
 	NewSeries(w.s, start, gap, n, func(i int) { w.p.exec(w, first+i) })
 }
 
+func (w *kernelWorld) laneViews() []laneView {
+	views := make([]laneView, len(w.lanes))
+	for j, l := range w.lanes {
+		views[j].tail = l.Tail()
+		for i := 0; i < l.Len(); i++ {
+			views[j].items = append(views[j].items, l.At(i))
+		}
+	}
+	return views
+}
+
 // oracleWorld keeps every event ever issued and runs the pending one
 // with the least (at, seq) by linear scan. Lane items are plain events
-// whose seq is taken at push time; a series is n plain events whose
-// seqs are all taken when it is created.
+// whose seq is taken at push time, also listed by lane; a series is n
+// plain events whose seqs are all taken when it is created.
 type oracleWorld struct {
-	p   *program
-	t   Time
-	seq uint64
-	evs []oracleEvent // indexed by id
+	p      *program
+	t      Time
+	seq    uint64
+	evs    []oracleEvent // indexed by id
+	pushes [][]int       // ids pushed onto each lane, in seq order
 }
 
 type oracleEvent struct {
@@ -154,7 +177,25 @@ func (w *oracleWorld) schedule(at Time, id int) {
 	w.evs = append(w.evs, oracleEvent{at: at, seq: w.seq})
 }
 
-func (w *oracleWorld) push(_ int, at Time, id int) { w.schedule(at, id) }
+func (w *oracleWorld) push(lane int, at Time, id int) {
+	w.schedule(at, id)
+	w.pushes[lane] = append(w.pushes[lane], id)
+}
+
+// laneViews reads each lane off its pushes: its tail is the time of its
+// last push, and its items are its pushes not yet run, in seq order.
+func (w *oracleWorld) laneViews() []laneView {
+	views := make([]laneView, len(w.pushes))
+	for j, ids := range w.pushes {
+		for _, id := range ids {
+			views[j].tail = w.evs[id].at
+			if !w.evs[id].done {
+				views[j].items = append(views[j].items, id)
+			}
+		}
+	}
+	return views
+}
 
 func (w *oracleWorld) series(start, gap Time, n, first int) {
 	for i := 0; i < n; i++ {
@@ -194,11 +235,12 @@ func (w *oracleWorld) run() {
 // TestPropertyKernelMatchesOracle runs random programs on the kernel and
 // on a brute-force oracle that sorts every (at, seq), series included:
 // the executed ids, every Cancel result, the final clock and Processed
-// must all agree.
+// must all agree, and so must every lane's Tail, Len and items (At) as
+// each executed event's handler reads them.
 func TestPropertyKernelMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		kp, op := newProgram(seed), newProgram(seed)
-		kw, ow := newKernelWorld(kp), &oracleWorld{p: op}
+		kw, ow := newKernelWorld(kp), &oracleWorld{p: op, pushes: make([][]int, len(op.tails))}
 		kp.start(kw)
 		op.start(ow)
 		kw.run()
@@ -208,6 +250,12 @@ func TestPropertyKernelMatchesOracle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(kp.cancels, op.cancels) {
 			t.Fatalf("seed %d: Cancel results %v, oracle %v", seed, kp.cancels, op.cancels)
+		}
+		for i := range kp.views {
+			if k, o := kp.views[i], op.views[i]; k.tail != o.tail || !slices.Equal(k.items, o.items) {
+				t.Fatalf("seed %d: in event %d's handler lane %d read %+v, oracle %+v",
+					seed, kp.log[i/len(kp.tails)], i%len(kp.tails), k, o)
+			}
 		}
 		if kw.s.Now() != ow.t || kw.s.Processed() != uint64(len(op.log)) {
 			t.Fatalf("seed %d: kernel ended at %v after %d events, oracle at %v after %d",
