@@ -15,7 +15,9 @@ import (
 // for the ablations and the extension whose measurements run through a
 // single-server queue: a sensor's processing budget, which the zero-loss
 // searches probe and the dynamic balancer reads, or the watch-stander's
-// triage queue. Each case calls the function its benchmark reports from.
+// triage queue. It also pins Lesson 1, which runs the synthesized
+// payloads end to end, and the Section-2.1 host-logging overhead. Each
+// case calls the function its benchmark reports from.
 func TestPaperArtifacts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -35,6 +37,14 @@ func TestPaperArtifacts(t *testing.T) {
 			"27 notifications, 15 unseen, 2/7 acted on"},
 		{"human/NetRecorder", func() (any, error) { return humanCounts(humanDimension(products.NetRecorder())) },
 			"5 notifications, 0 unseen, 5/7 acted on"},
+		{"lesson1/realistic", func() (any, error) { return falseAlarms(lesson1Accuracy(false)) },
+			"22 false alarms (ratio 0.0824)"},
+		{"lesson1/random", func() (any, error) { return falseAlarms(lesson1Accuracy(true)) },
+			"0 false alarms (ratio 0.0000)"},
+		{"host-logging/nominal", func() (any, error) { return loggingCost(hostLoggingOverhead(products.TrueSecure())) },
+			"4.0% CPU, 0/1800 deadline misses"},
+		{"host-logging/C2", func() (any, error) { return loggingCost(hostLoggingOverhead(products.AgentSwarm())) },
+			"20.0% CPU, 1500/1800 deadline misses"},
 	}
 	for _, c := range cases {
 		got, err := c.got()
@@ -63,4 +73,22 @@ func humanCounts(res *eval.HumanResult, err error) (any, error) {
 	}
 	return fmt.Sprintf("%d notifications, %d unseen, %d/%d acted on",
 		res.Notifications, res.Report.Unseen, res.HumanActedOn, res.ActualIncidents), nil
+}
+
+// falseAlarms renders a Lesson-1 run as its benchmark prints it.
+func falseAlarms(res *eval.AccuracyResult, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Sprintf("%d false alarms (ratio %.4f)", res.FalseAlarms, res.FalsePositiveRatio), nil
+}
+
+// loggingCost renders a host-logging measurement as its benchmark
+// prints it.
+func loggingCost(res *eval.ImpactResult, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Sprintf("%.1f%% CPU, %d/%d deadline misses",
+		res.OverheadFraction*100, res.DeadlineMisses, res.JobsCompleted), nil
 }

@@ -263,11 +263,11 @@ func BenchmarkFigure6RequirementMapping(b *testing.B) {
 // auditing ~20%, and only the latter blows real-time deadlines.
 func BenchmarkHostLoggingOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		nominal, err := eval.MeasureOperationalImpact(products.TrueSecure(), 3)
+		nominal, err := hostLoggingOverhead(products.TrueSecure())
 		if err != nil {
 			b.Fatal(err)
 		}
-		c2, err := eval.MeasureOperationalImpact(products.AgentSwarm(), 3)
+		c2, err := hostLoggingOverhead(products.AgentSwarm())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,30 +283,26 @@ func BenchmarkHostLoggingOverhead(b *testing.B) {
 	}
 }
 
+// hostLoggingOverhead measures what one product's host agents cost the
+// monitored real-time host: TrueSecure logs at the nominal level,
+// AgentSwarm at C2.
+func hostLoggingOverhead(spec products.Spec) (*eval.ImpactResult, error) {
+	return eval.MeasureOperationalImpact(spec, 3)
+}
+
 // BenchmarkLesson1PayloadRealism reproduces the paper's first lesson
 // learned: probing with meaningless (random) payloads under-exercises
 // payload-inspecting engines — keyword false positives vanish.
 func BenchmarkLesson1PayloadRealism(b *testing.B) {
-	run := func(random bool) *eval.AccuracyResult {
-		profile := traffic.EcommerceEdge()
-		if random {
-			profile = profile.WithRandomPayloads()
-		}
-		tb, err := eval.NewTestbed(products.NetRecorder(), eval.TestbedConfig{
-			Seed: 13, TrainFor: 5 * time.Second, BackgroundPps: 250, Profile: profile,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eval.RunAccuracy(tb, 1.0, 15*time.Second, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
 	for i := 0; i < b.N; i++ {
-		realistic := run(false)
-		random := run(true)
+		realistic, err := lesson1Accuracy(false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		random, err := lesson1Accuracy(true)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(float64(realistic.FalseAlarms), "fa-realistic")
 		b.ReportMetric(float64(random.FalseAlarms), "fa-random")
 		printOnce("lesson1", func() {
@@ -317,6 +313,23 @@ func BenchmarkLesson1PayloadRealism(b *testing.B) {
 				random.FalseAlarms, random.FalsePositiveRatio)
 		})
 	}
+}
+
+// lesson1Accuracy runs NetRecorder at seed 13 against the e-commerce
+// background, its payloads synthesized (random false) or replaced by
+// random bytes of the same lengths (random true).
+func lesson1Accuracy(random bool) (*eval.AccuracyResult, error) {
+	profile := traffic.EcommerceEdge()
+	if random {
+		profile = profile.WithRandomPayloads()
+	}
+	tb, err := eval.NewTestbed(products.NetRecorder(), eval.TestbedConfig{
+		Seed: 13, TrainFor: 5 * time.Second, BackgroundPps: 250, Profile: profile,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return eval.RunAccuracy(tb, 1.0, 15*time.Second, 0.5)
 }
 
 // BenchmarkFullEvaluation reproduces the paper's prototype evaluation:

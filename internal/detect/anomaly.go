@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/packet"
@@ -318,8 +319,7 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 
 	// Pair novelty: a host pair+service never seen in training.
 	if e.noveltyEnabled() && !e.profile.pairs[pairKey(p)] && !e.suppressed(causePair, p, now) {
-		alerts = e.appendAlert(alerts, p, now, "novel-service", 0.45,
-			fmt.Sprintf("first contact %v -> %v service %d", p.Src, p.Dst, servicePort(p)))
+		alerts = e.appendAlert(alerts, p, now, "novel-service", 0.45, firstContactReason(p))
 	}
 
 	// Rate anomaly: source exceeding a multiple of the trained peak.
@@ -348,6 +348,19 @@ func (e *AnomalyEngine) Inspect(p *packet.Packet, now time.Duration) []Alert {
 		rt.count = 0
 	}
 	return alerts
+}
+
+// firstContactReason renders "first contact SRC -> DST service PORT"
+// in a stack buffer, without fmt: it runs once per pair-novelty alert.
+func firstContactReason(p *packet.Packet) string {
+	var buf [64]byte
+	b := append(buf[:0], "first contact "...)
+	b = p.Src.AppendTo(b)
+	b = append(b, " -> "...)
+	b = p.Dst.AppendTo(b)
+	b = append(b, " service "...)
+	b = strconv.AppendUint(b, uint64(servicePort(p)), 10)
+	return string(b)
 }
 
 // appendAlert appends one unsuppressed alert about p.

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -117,5 +118,27 @@ func TestAnomalySuppressedInspectZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("suppressed Inspect: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFirstContactReasonMatchesFmt holds the pair-novelty reason, built
+// by appends, to the fmt rendering it replaced: both service-port
+// choices, zero and maximal ports, and random addresses.
+func TestFirstContactReasonMatchesFmt(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pkts := []*packet.Packet{
+		{Src: 0, Dst: packet.IPv4(255, 255, 255, 255), SrcPort: 0, DstPort: 65535},
+		{Src: packet.IPv4(10, 1, 1, 1), Dst: packet.IPv4(10, 1, 1, 2), SrcPort: 514, DstPort: 40000},
+		{Src: packet.IPv4(255, 255, 255, 255), Dst: 0, SrcPort: 65535, DstPort: 0},
+	}
+	for i := 0; i < 1000; i++ {
+		pkts = append(pkts, &packet.Packet{Src: packet.Addr(r.Uint32()), Dst: packet.Addr(r.Uint32()),
+			SrcPort: uint16(r.Intn(1 << 16)), DstPort: uint16(r.Intn(1 << 16))})
+	}
+	for _, p := range pkts {
+		want := fmt.Sprintf("first contact %v -> %v service %d", p.Src, p.Dst, servicePort(p))
+		if got := firstContactReason(p); got != want {
+			t.Fatalf("firstContactReason = %q, want %q", got, want)
+		}
 	}
 }

@@ -47,7 +47,7 @@ type Analyzer struct {
 	id     int
 	window time.Duration
 
-	open map[string]*ReportedIncident
+	open map[incidentKey]*ReportedIncident
 
 	monitor *Monitor
 	// storagePerAlert models retained context bytes per alert.
@@ -79,14 +79,16 @@ type Analyzer struct {
 func NewAnalyzer(sim *simtime.Sim, id int, window time.Duration, storagePerAlert int, monitor *Monitor) *Analyzer {
 	return &Analyzer{
 		sim: sim, id: id, window: window,
-		open:            make(map[string]*ReportedIncident),
+		open:            make(map[incidentKey]*ReportedIncident),
 		monitor:         monitor,
 		storagePerAlert: storagePerAlert,
 	}
 }
 
-func incidentKey(al detect.Alert) string {
-	return fmt.Sprintf("%d/%d/%s", al.Attacker, al.Victim, al.Technique)
+// incidentKey identifies the open incident an alert folds into.
+type incidentKey struct {
+	attacker, victim packet.Addr
+	technique        string
 }
 
 // SetStalled pauses (true) or resumes (false) incident folding — the
@@ -113,7 +115,7 @@ func (a *Analyzer) fold(al detect.Alert) {
 	a.AlertsSeen++
 	a.cAlerts.Inc()
 	a.StorageBytes += uint64(a.storagePerAlert)
-	k := incidentKey(al)
+	k := incidentKey{al.Attacker, al.Victim, al.Technique}
 	inc, ok := a.open[k]
 	if ok && now-inc.LastAlert > a.window {
 		// Stale: close it out and start fresh.
@@ -153,7 +155,7 @@ func (a *Analyzer) fold(al detect.Alert) {
 
 // Flush closes every open incident (end of run).
 func (a *Analyzer) Flush() {
-	a.open = make(map[string]*ReportedIncident)
+	a.open = make(map[incidentKey]*ReportedIncident)
 }
 
 // Monitor is the monitoring subprocess: the operator's view of the

@@ -8,6 +8,7 @@ package packet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -21,7 +22,20 @@ func IPv4(a, b, c, d byte) Addr {
 
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad form to b, as netip.Addr.AppendTo
+// does, so that text naming an address needs no fmt.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(a>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(a)), 10)
 }
 
 // Proto is an IP protocol number. Only the protocols the testbed generates

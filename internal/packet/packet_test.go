@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,25 @@ func TestIPv4String(t *testing.T) {
 	a := IPv4(192, 168, 1, 20)
 	if got := a.String(); got != "192.168.1.20" {
 		t.Fatalf("String() = %q", got)
+	}
+}
+
+// TestAddrStringMatchesFmt holds the fmt-free dotted quad to the
+// fmt rendering it replaced, at both extremes and on random addresses.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	addrs := []Addr{0, IPv4(255, 255, 255, 255), IPv4(10, 0, 9, 100)}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		addrs = append(addrs, Addr(r.Uint32()))
+	}
+	for _, a := range addrs {
+		want := fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+		if got := a.String(); got != want {
+			t.Fatalf("Addr(%#x).String() = %q, want %q", uint32(a), got, want)
+		}
+		if got := string(a.AppendTo([]byte("at "))); got != "at "+want {
+			t.Fatalf("Addr(%#x).AppendTo = %q, want %q", uint32(a), got, "at "+want)
+		}
 	}
 }
 

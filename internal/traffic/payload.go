@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,12 +133,58 @@ var (
 		checkpoint commit rollback replica queue depth deadline slack margin`)
 )
 
+// dnsWire holds each dnsNames entry in DNS wire format: length-prefixed
+// labels and the root's zero byte, encoded once.
+var dnsWire = func() [][]byte {
+	wire := make([][]byte, len(dnsNames))
+	for i, name := range dnsNames {
+		for _, label := range strings.Split(name, ".") {
+			wire[i] = append(wire[i], byte(len(label)))
+			wire[i] = append(wire[i], label...)
+		}
+		wire[i] = append(wire[i], 0)
+	}
+	return wire
+}()
+
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
+
+// numLorem is len(loremWords) as a constant, so that appendWords
+// reduces each word draw by a constant modulus; init checks the two
+// agree.
+const numLorem = 34
+
+// loremBound is math/rand's Int31n rejection bound for numLorem:
+// rng.Intn(numLorem) draws again while Int31 returns more than it.
+// Go 1 compatibility fixes both the seeded streams and Int31n, so
+// appendWords can reproduce the draw exactly.
+const loremBound = 1<<31 - 1 - (1<<31)%numLorem
+
+// loremBlock is one vocabulary word zero-padded to 16 bytes, so that
+// writing it is one fixed-size copy into 16 bytes of slack.
+type loremBlock struct {
+	text [16]byte
+	n    int
+}
+
+var loremBlocks [numLorem]loremBlock
+
+func init() {
+	if len(loremWords) != numLorem {
+		panic("traffic: numLorem is not len(loremWords)")
+	}
+	for i, w := range loremWords {
+		if len(w) > len(loremBlocks[i].text) {
+			panic("traffic: lorem word longer than its block: " + w)
+		}
+		loremBlocks[i].n = copy(loremBlocks[i].text[:], w)
+	}
+}
 
 // payloadScratch pools the intermediate buffers payload synthesis
 // assembles into. The builders run once per generated packet-with-data,
 // so at high pps the strings.Builder/Sprintf intermediates they used to
-// create were a major GC load; now each builder borrows a scratch
+// create were a major GC load; now each text builder borrows a scratch
 // buffer, appends in place, and copies out one exact-size payload.
 var payloadScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
@@ -156,23 +203,33 @@ func finishPayload(sp *[]byte, b []byte) []byte {
 	return out
 }
 
-// appendWords appends n space-separated vocabulary words, drawing from
-// rng exactly as words() does.
+// appendWords appends n space-separated vocabulary words. Each word is
+// drawn exactly as rng.Intn(numLorem) draws it, and written as one
+// 16-byte block copy into the slack reserved up front, then kept to
+// its length.
 func appendWords(b []byte, rng *rand.Rand, n int) []byte {
+	b = slices.Grow(b, 16*n)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, pick(rng, loremWords)...)
+		v := uint32(rng.Int31())
+		for v > loremBound {
+			v = uint32(rng.Int31())
+		}
+		w := &loremBlocks[v%numLorem]
+		l := len(b)
+		*(*[16]byte)(b[l : l+16]) = w.text
+		b = b[:l+w.n]
 	}
 	return b
 }
 
-// appendPadLeft appends v right-justified in a width-w field, padded
-// with the given byte (fmt's %6d / %02d / %08x shapes).
-func appendPadLeft(b []byte, v uint64, base, w int, pad byte) []byte {
+// appendPadLeft appends v in decimal, right-justified in a width-w
+// field padded with the given byte (fmt's %6d / %02d shapes).
+func appendPadLeft(b []byte, v uint64, w int, pad byte) []byte {
 	var tmp [20]byte
-	s := strconv.AppendUint(tmp[:0], v, base)
+	s := strconv.AppendUint(tmp[:0], v, 10)
 	for i := len(s); i < w; i++ {
 		b = append(b, pad)
 	}
@@ -296,16 +353,12 @@ func SMTPExchange(rng *rand.Rand, step int, fromClient bool) []byte {
 
 // DNSQuery encodes a plausible DNS question section for a known name.
 func DNSQuery(rng *rand.Rand) []byte {
-	name := pick(rng, dnsNames)
-	buf := make([]byte, 12, 12+len(name)+6)
+	name := pick(rng, dnsWire)
+	buf := make([]byte, 12, 12+len(name)+4)
 	binary.BigEndian.PutUint16(buf[0:2], uint16(rng.Intn(1<<16))) // ID
 	binary.BigEndian.PutUint16(buf[2:4], 0x0100)                  // RD
 	binary.BigEndian.PutUint16(buf[4:6], 1)                       // QDCOUNT
-	for _, label := range strings.Split(name, ".") {
-		buf = append(buf, byte(len(label)))
-		buf = append(buf, label...)
-	}
-	buf = append(buf, 0)          // root
+	buf = append(buf, name...)
 	buf = append(buf, 0, 1, 0, 1) // QTYPE=A QCLASS=IN
 	return buf
 }
@@ -334,13 +387,13 @@ func InteractiveKeystrokes(rng *rand.Rand, fromClient bool) []byte {
 	sp := getScratch()
 	b := (*sp)[:0]
 	for i := 0; i < lines; i++ {
-		w := pick(rng, loremWords)
-		b = append(b, w...)
-		for j := len(w); j < 24; j++ { // fmt's %-24s left-justified pad
+		start := len(b)
+		b = appendWords(b, rng, 1)
+		for j := len(b) - start; j < 24; j++ { // fmt's %-24s left-justified pad
 			b = append(b, ' ')
 		}
 		b = append(b, ' ')
-		b = appendPadLeft(b, uint64(rng.Intn(99999)), 10, 6, ' ')
+		b = appendPadLeft(b, uint64(rng.Intn(99999)), 6, ' ')
 		b = append(b, ' ')
 		b = appendWords(b, rng, 4)
 		b = append(b, '\n')
@@ -393,21 +446,36 @@ func ClusterRPC(rng *rand.Rand, kind ClusterRPCKind, seq uint32) []byte {
 	return buf
 }
 
+// bulkLineCap holds one BulkChunk line with the word kernel's slack:
+// 8 hex digits and a space, then 16 bytes reserved for each of 6 words.
+// The longest line, 99 bytes with its newline, fits.
+const bulkLineCap = 9 + 6*16
+
+const hexDigits = "0123456789abcdef"
+
 // BulkChunk builds a segment of a file-transfer stream: compressible,
-// structured content rather than uniform random bytes.
+// structured content rather than uniform random bytes. Each line (8
+// zero-padded hex digits of a random word, 6 vocabulary words and a
+// newline) is built in a stack buffer and copied straight into the
+// output; the last one is drawn whole and cut at n.
 func BulkChunk(rng *rand.Rand, n int) []byte {
 	if n <= 0 {
 		n = 1024
 	}
-	sp := getScratch()
-	b := (*sp)[:0]
-	for len(b) < n {
-		b = appendPadLeft(b, uint64(rng.Uint32()), 16, 8, '0')
-		b = append(b, ' ')
-		b = appendWords(b, rng, 6)
+	out := make([]byte, n)
+	var line [bulkLineCap]byte
+	for pos := 0; pos < n; {
+		v := rng.Uint32()
+		for i := 7; i >= 0; i-- {
+			line[i] = hexDigits[v&15]
+			v >>= 4
+		}
+		line[8] = ' '
+		b := appendWords(line[:9], rng, 6)
 		b = append(b, '\n')
+		pos += copy(out[pos:], b)
 	}
-	return finishPayload(sp, b[:n])
+	return out
 }
 
 // NTPPacket builds a 48-byte NTP client or server packet.
@@ -491,7 +559,7 @@ func SyslogMessage(rng *rand.Rand) []byte {
 	b := append((*sp)[:0], '<')
 	b = strconv.AppendInt(b, int64(rng.Intn(191)), 10)
 	b = append(b, ">node"...)
-	b = appendPadLeft(b, uint64(rng.Intn(16)), 10, 2, '0')
+	b = appendPadLeft(b, uint64(rng.Intn(16)), 2, '0')
 	b = append(b, ' ')
 	b = append(b, pick(rng, syslogFacilities)...)
 	b = append(b, '[')

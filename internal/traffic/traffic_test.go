@@ -2,7 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -330,22 +333,55 @@ func TestGeneratorEmitsFramedSessions(t *testing.T) {
 	}
 }
 
+// TestGeneratorDeterministicAcrossRuns pins what the background
+// generator emits for each shipped profile: every run at one seed must
+// emit the committed packet count, and the committed digest of every
+// packet's emit time, identity, addresses, ports, protocol, flags and
+// payload, in emit order.
 func TestGeneratorDeterministicAcrossRuns(t *testing.T) {
-	run := func() (uint64, uint64) {
-		sim := simtime.New(77)
-		g, err := NewGenerator(sim, RealTimeCluster(), testEndpoints(), nil, func(p *packet.Packet) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Start(100)
-		sim.RunUntil(time.Second)
-		return g.SessionsStarted, g.PacketsEmitted
+	cases := []struct {
+		name    string
+		profile Profile
+		packets int
+		digest  string
+	}{
+		{"EcommerceEdge", EcommerceEdge(), 1184, "a3f3337131e170445cb62c19dce4725aa2358b5149ca0a972c83f76a83255948"},
+		{"RealTimeCluster", RealTimeCluster(), 2371, "0ccbaf202620490c4e23cfc47fe0b76e321a9dd252d55df908a703504de714b1"},
+		{"EnterpriseCampus", EnterpriseCampus(), 947, "d6b68ba6eedfd00aae65048ee088e23d525f7d851e3e8f4e3c7817ccd059c81f"},
 	}
-	s1, p1 := run()
-	s2, p2 := run()
-	if s1 != s2 || p1 != p2 {
-		t.Fatalf("nondeterministic: (%d,%d) vs (%d,%d)", s1, p1, s2, p2)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for run := 0; run < 2; run++ {
+				n, digest := generatorStream(t, c.profile)
+				if n != c.packets || digest != c.digest {
+					t.Fatalf("run %d emitted %d packets with digest %s, want %d with %s",
+						run, n, digest, c.packets, c.digest)
+				}
+			}
+		})
 	}
+}
+
+// generatorStream runs one second of profile at 100 sessions/s and
+// returns the packet count and the SHA-256 of the emitted stream.
+func generatorStream(t *testing.T, profile Profile) (int, string) {
+	t.Helper()
+	h := sha256.New()
+	n := 0
+	sim := simtime.New(77)
+	g, err := NewGenerator(sim, profile, testEndpoints(), nil, func(p *packet.Packet) {
+		n++
+		fmt.Fprintf(h, "%d %d %d>%d %d>%d %d %d %x\n",
+			sim.Now(), p.Seq, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto, p.Flags, p.Payload)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(100); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(time.Second)
+	return n, hex.EncodeToString(h.Sum(nil))
 }
 
 func TestGeneratorValidation(t *testing.T) {
